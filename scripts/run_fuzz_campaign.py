@@ -4,14 +4,24 @@
 Usage: python scripts/run_fuzz_campaign.py [--trials N] [--seed S]
                                            [--out campaign.json] [--corpus DIR]
 
-Exit code 0 iff the campaign records zero violations.
+Prints the counts, per-kind p50/p95 wall times and the SHA-256 of the report
+file; identical seeds give identical digests.  Exit code 0 iff the campaign
+records zero violations.
 """
 
 import argparse
+import hashlib
+import math
 import sys
 import time
 
 from pseudocalc.harness import FuzzConfig, run_campaign
+
+
+def quantile(values: list[float], q: float) -> float:
+    """Nearest-rank quantile: the smallest value with at least q of the values at or below it."""
+    ordered = sorted(values)
+    return ordered[max(math.ceil(q * len(ordered)) - 1, 0)]
 
 
 def main() -> int:
@@ -27,14 +37,19 @@ def main() -> int:
     report = run_campaign(cfg, corpus_dir=args.corpus)
     elapsed = time.perf_counter() - start
 
-    with open(args.out, "w") as fh:
-        fh.write(report.to_json() + "\n")
-    slowest = max(report.trials, key=lambda t: t.wall_time)
+    data = (report.to_json() + "\n").encode()
+    with open(args.out, "wb") as fh:
+        fh.write(data)
     print(f"trials={cfg.trials} holds={report.holds} violations={report.violations} "
           f"not_evaluable={report.not_evaluable}")
-    print(f"elapsed {elapsed:.1f}s; slowest trial #{slowest.index} "
-          f"({slowest.scenario.check_kind}) {slowest.wall_time:.2f}s")
-    print(f"report written to {args.out}")
+    print(f"elapsed {elapsed:.1f}s")
+    for kind in cfg.kinds:
+        times = [t.wall_time for t in report.trials if t.scenario.check_kind == kind]
+        if times:
+            p50, p95 = quantile(times, 0.5), quantile(times, 0.95)
+            print(f"  {kind}: {len(times)} trials, p50 {p50:.3f}s, p95 {p95:.3f}s, "
+                  f"max {max(times):.3f}s")
+    print(f"report written to {args.out} (sha256 {hashlib.sha256(data).hexdigest()})")
     if report.violations:
         print(f"violation scenarios dumped under {args.corpus}/")
     return 0 if report.violations == 0 else 1

@@ -46,6 +46,7 @@ from .pseudo_integral import (
     g_integral_1d_result,
     g_integral_2d_result,
     sugeno_integral_2d,
+    sup_integral_1d,
     sup_integral_2d,
     unit_psi,
 )
@@ -144,8 +145,7 @@ def _parse_domain(raw: str, dim: int):
 
 
 def cmd_integrate(args) -> int:
-    f_expr = expr_mod.parse(args.f)
-    f = expr_mod.as_function(f_expr)
+    f = expr_mod.as_function(expr_mod.parse(args.f))
     tol = args.tol
     depth = _max_depth()
     echo = {"f": args.f, "dim": args.dim, "domain": args.domain, "tol": tol,
@@ -169,14 +169,7 @@ def cmd_integrate(args) -> int:
                 value = sup_integral_2d(s, f, psi, r)
             else:
                 lo, hi = _parse_domain(args.domain, 1)
-                import numpy as np
-
-                from .semiring import pseudo_mul
-
-                xs = np.linspace(lo, hi, 4097)
-                weighted = pseudo_mul(s, expr_mod.evaluate_array(f_expr, xs, xs),
-                                      np.broadcast_to(np.asarray(psi(xs), dtype=float), xs.shape))
-                value = float(np.max(weighted))
+                value = sup_integral_1d(s, lambda x: f(x, 0.0), psi, lo, hi)
             body = {"value": value, "status": "converged", "integral": "sup"}
             _emit(_payload("integral", body, echo), args.format, args.output)
             return EXIT_OK

@@ -8,13 +8,14 @@ Checks:
                   with Sugeno integrals                           (p≥1)
     classical     (p/(p-1))^p ∫ f^p > ∫ (F/x)^p on [low,high]     (p>1)
 
-The g-kernel is R(x,y) = (1/(xy)) ∫∫^⊕_{[0,x]×[0,y]} f.  For the check's own
-double integral of R^p, R is evaluated on a cubic-graded tensor grid via
-4th-order cumulative Simpson prefix integrals (the grading concentrates nodes
-near the axes where monomial integrands have unbounded derivatives, and its
-Jacobian vanishes on the axes, so the 1/(xy) factor needs no boundary
-handling); the public hardy_kernel_g and the right-hand side use adaptive
-quadrature directly.  Exact for polynomial data, O(h⁴) otherwise.
+The g-kernel is R(x,y) = (1/(xy)) ∫∫^⊕_{[0,x]×[0,y]} f.  One prefix-grid
+class, GKernelGrid, holds 4th-order cumulative Simpson prefix integrals of
+g∘f on a graded tensor grid.  For the check's own double integral of R^p the
+grading is cubic (it concentrates nodes near the axes where monomial
+integrands have unbounded derivatives, and its Jacobian vanishes on the axes,
+so the 1/(xy) factor needs no boundary handling); the pointwise R ≤ f check
+uses the uniform grading.  The public hardy_kernel_g and the right-hand side
+use adaptive quadrature directly.  Exact for polynomial data, O(h⁴) otherwise.
 
 The sup-kernel is the ψ-weighted running sup
 R(x,y) = sup_{s≤x,t≤y} f(s,t)⊙ψ(t)⊙ψ(s): the idempotent analogue of the
@@ -29,7 +30,7 @@ multiplication, exactly as the worked examples do, not by ⊙.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,8 @@ from .pseudo_integral import (
     DomainError,
     PsiDensity,
     g_integral_2d_result,
+    g_quadrature,
+    psi_weighted,
     sugeno_from_sorted,
     sugeno_integral_2d,
     unit_psi,
@@ -48,6 +51,7 @@ from .pseudo_integral import (
 from .quadrature import (
     CONVERGED,
     DIVERGED,
+    UNIT_SQUARE,
     Rect,
     cumulative_simpson,
     grid_eval,
@@ -55,7 +59,7 @@ from .quadrature import (
     integrate_2d,
     level_set_samples,
 )
-from .semiring import SaturationFlags, Semiring, parse_semiring, pseudo_mul
+from .semiring import SaturationFlags, Semiring, parse_semiring
 
 # verdict tolerances: shield quadrature noise without masking real violations
 VERDICT_REL = 1e-9
@@ -73,6 +77,39 @@ CHECK_KINDS = (G_HARDY, SUP_HARDY, SUGENO_HARDY, CLASSICAL)
 
 class HypothesisError(ValueError):
     """A theorem hypothesis is violated (e.g. p outside the admissible range)."""
+
+
+def record_to_dict(record) -> dict:
+    """A dataclass record as JSON-ready data, one key per field in field order.
+
+    Tuples become lists, dicts are sorted by key, and values with their own
+    to_dict (scenarios) use it.
+    """
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if hasattr(value, "to_dict"):
+            value = value.to_dict()
+        elif isinstance(value, (list, tuple)):
+            value = list(value)
+        elif isinstance(value, dict):
+            value = dict(sorted(value.items()))
+        out[f.name] = value
+    return out
+
+
+def record_from_dict(cls, d: dict):
+    """Inverse of record_to_dict for flat records; absent keys keep their defaults."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d:
+            value = d[f.name]
+            if isinstance(value, list):
+                value = tuple(value) if "tuple" in str(f.type) else list(value)
+            elif isinstance(value, dict):
+                value = dict(value)
+            kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 @dataclass
@@ -108,40 +145,16 @@ class HardyReport:
     not_evaluable: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "lhs": self.lhs,
-            "rhs_integral": self.rhs_integral,
-            "constant": self.constant,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "direction": self.direction,
-            "pointwise_max": self.pointwise_max,
-            "pointwise_location": list(self.pointwise_location) if self.pointwise_location else None,
-            "statuses": dict(sorted(self.statuses.items())),
-            "notes": list(self.notes),
-            "not_evaluable": self.not_evaluable,
-        }
+        return record_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "HardyReport":
-        loc = d.get("pointwise_location")
-        return cls(
-            kind=d["kind"],
-            p=d["p"],
-            lhs=d["lhs"],
-            rhs_integral=d["rhs_integral"],
-            constant=d["constant"],
-            rhs=d["rhs"],
-            holds=d["holds"],
-            direction=d["direction"],
-            pointwise_max=d.get("pointwise_max"),
-            pointwise_location=tuple(loc) if loc else None,
-            statuses=dict(d.get("statuses", {})),
-            notes=list(d.get("notes", [])),
-            not_evaluable=d.get("not_evaluable", False),
-        )
+        return record_from_dict(cls, d)
+
+
+def _clamped_inverse(gen: Generator, value: float) -> float:
+    lo, hi = gen.range_low, gen.range_high
+    return float(gen.inverse(min(max(value, lo), hi)))
 
 
 def _le_verdict(lhs: float, rhs: float) -> bool:
@@ -261,57 +274,52 @@ def hardy_kernel_g(gen: Generator, f, x: float, y: float, tol: float = 1e-9) -> 
 
 
 class GKernelGrid:
-    """R on a cubic-graded tensor grid over [0,X]×[0,Y] via prefix integrals.
+    """Prefix g-integrals P = ∬_{[0,x]×[0,y]} g∘f on a graded grid over [0,X]×[0,Y].
 
-    Nodes x_i = X·(i/M)³ pack toward the axes; the substitution Jacobian
-    9XY·u²v² vanishes there, so integrals of R-based integrands need no
-    boundary values of R.
+    Nodes are x_i = X·(i/M)^grading.  The kernel uses cubic grading: nodes
+    pack toward the axes and the substitution Jacobian 9XY·u²v² vanishes
+    there, so integrals of R-based integrands need no boundary values of R.
+    The pointwise R ≤ f check uses the uniform grading (1).
     """
 
     def __init__(self, gen: Generator, f, x_high: float, y_high: float,
-                 panels: int = 256):
+                 panels: int = 256, grading: int = 3):
         if panels % 2 != 0 or panels < 8:
             raise ValueError("panels must be even and >= 8")
         self.gen = gen
-        self.x_high = x_high
-        self.y_high = y_high
-        M = panels
-        self.u = np.linspace(0.0, 1.0, M + 1)
-        self.h = 1.0 / M
-        self.x = x_high * self.u**3
-        self.y = y_high * self.u**3
-        fv = grid_eval(f, self.x, self.y)
-        if not np.all(np.isfinite(fv)):
+        self.u = np.linspace(0.0, 1.0, panels + 1)
+        self.h = 1.0 / panels
+        self.x = x_high * self.u**grading
+        self.y = y_high * self.u**grading
+        du = self.u ** (grading - 1)
+        self.jac = grading**2 * x_high * y_high * np.outer(du, du)
+        self.fv = grid_eval(f, self.x, self.y)
+        if not np.all(np.isfinite(self.fv)):
             raise DomainError("f failed to evaluate on the kernel grid")
-        W = np.asarray(gen.forward(fv), dtype=float)
+        W = np.asarray(gen.forward(self.fv), dtype=float)
         if not np.all(np.isfinite(W)):
             raise DomainError("g∘f is not finite on the kernel grid")
-        jac = 9.0 * x_high * y_high * np.outer(self.u**2, self.u**2)
-        W = W * jac
-        inner = cumulative_simpson(W, self.h, axis=1)
+        inner = cumulative_simpson(W * self.jac, self.h, axis=1)
         self.prefix = cumulative_simpson(inner, self.h, axis=0)
-        self.clipped = False
         lo, hi = gen.range_low, gen.range_high
-        if np.any(self.prefix < lo - 1e-12) or np.any(self.prefix > hi + 1e-12):
-            self.clipped = True
-        pref = np.clip(self.prefix, lo, hi)
-        inv = np.asarray(gen.inverse(pref), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            denom = np.outer(self.x, self.y)
-            R = np.where(denom > 0.0, inv / np.where(denom > 0.0, denom, 1.0), 0.0)
-        self.R = R
+        self.clipped = bool(np.any(self.prefix < lo - 1e-12) or np.any(self.prefix > hi + 1e-12))
+
+    def R(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+        """R = g⁻¹(P)/(xy) on the nodes ix × iy (indices ≥ 1), P clamped to g's range."""
+        lo, hi = self.gen.range_low, self.gen.range_high
+        pref = np.clip(self.prefix[np.ix_(ix, iy)], lo, hi)
+        return np.asarray(self.gen.inverse(pref), dtype=float) / np.outer(self.x[ix], self.y[iy])
 
     def integral_of_g_of_R_pow(self, p: float) -> float:
         """Classical value ∬ g(R^p) dxdy over [0,X]×[0,Y] (Simpson on the grid)."""
-        integrand = np.zeros_like(self.R)
-        interior = np.asarray(self.gen.forward(self.R[1:, 1:] ** p), dtype=float)
-        if not np.all(np.isfinite(interior)):
+        interior = np.arange(1, len(self.u))
+        values = np.asarray(self.gen.forward(self.R(interior, interior) ** p), dtype=float)
+        if not np.all(np.isfinite(values)):
             raise DomainError("g(R^p) is not finite on the kernel grid")
-        integrand[1:, 1:] = interior
-        jac = 9.0 * self.x_high * self.y_high * np.outer(self.u**2, self.u**2)
-        integrand = integrand * jac
+        integrand = np.zeros_like(self.prefix)
+        integrand[1:, 1:] = values
         w = _simpson_weights(len(self.u), self.h)
-        return float(w @ integrand @ w)
+        return float(w @ (integrand * self.jac) @ w)
 
 
 def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
@@ -319,23 +327,6 @@ def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-2:2] = 2.0
     return w * h / 3.0
-
-
-class _UniformPrefix:
-    """Prefix g-integrals on a uniform grid; backs the pointwise R ≤ f check."""
-
-    def __init__(self, gen: Generator, f, x_high: float, y_high: float, panels: int):
-        M = panels
-        self.x = np.linspace(0.0, x_high, M + 1)
-        self.y = np.linspace(0.0, y_high, M + 1)
-        fv = grid_eval(f, self.x, self.y)
-        if not np.all(np.isfinite(fv)):
-            raise DomainError("f failed to evaluate on the pointwise grid")
-        W = np.asarray(gen.forward(fv), dtype=float)
-        inner = cumulative_simpson(W, y_high / M, axis=1)
-        self.prefix = cumulative_simpson(inner, x_high / M, axis=0)
-        self.gen = gen
-        self.fv = fv
 
 
 def pointwise_proof_check(gen: Generator, f, domain: Rect,
@@ -347,18 +338,11 @@ def pointwise_proof_check(gen: Generator, f, domain: Rect,
     """
     M = config.pointwise_panels
     n = config.pointwise_points
-    stride = M // n
-    grid = _UniformPrefix(gen, f, domain.x_high, domain.y_high, M)
-    idx = np.arange(1, n + 1) * stride
-    xs = grid.x[idx]
-    ys = grid.y[idx]
-    pref = grid.prefix[np.ix_(idx, idx)]
-    lo, hi = gen.range_low, gen.range_high
-    inv = np.asarray(gen.inverse(np.clip(pref, lo, hi)), dtype=float)
-    R = inv / np.outer(xs, ys)
-    diff = R - grid.fv[np.ix_(idx, idx)]
+    grid = GKernelGrid(gen, f, domain.x_high, domain.y_high, M, grading=1)
+    idx = np.arange(1, n + 1) * (M // n)
+    diff = grid.R(idx, idx) - grid.fv[np.ix_(idx, idx)]
     k = np.unravel_index(np.argmax(diff), diff.shape)
-    return float(diff[k]), (float(xs[k[0]]), float(ys[k[1]]))
+    return float(diff[k]), (float(grid.x[idx[k[0]]]), float(grid.y[idx[k[1]]]))
 
 
 # --- checks ------------------------------------------------------------------
@@ -401,7 +385,7 @@ def check_hardy_g(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> H
         lo, hi = gen.range_low, gen.range_high
         if lhs_inner < lo - 1e-12 or lhs_inner > hi + 1e-12:
             notes.append("lhs inner integral clamped to the generator range")
-        lhs = float(gen.inverse(min(max(lhs_inner, lo), hi)))
+        lhs = _clamped_inverse(gen, lhs_inner)
         statuses["lhs"] = CONVERGED
         if kernel.clipped:
             notes.append("kernel prefix integrals clamped to the generator range")
@@ -431,10 +415,10 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int,
     F = grid_eval(f, xs, ys)
     if not np.all(np.isfinite(F)):
         raise DomainError("f failed to evaluate on the sup grid")
-    psix = np.broadcast_to(np.asarray(psi(xs), dtype=float), xs.shape)
-    psiy = np.broadcast_to(np.asarray(psi(ys), dtype=float), ys.shape)
-    weighted = pseudo_mul(s, F, psiy[np.newaxis, :], flags)
-    weighted = pseudo_mul(s, weighted, psix[:, np.newaxis], flags)
+    # ψ(x) as a column and ψ(y) as a row, ready to broadcast against F
+    psix = np.broadcast_to(np.asarray(psi(xs), dtype=float), xs.shape)[:, np.newaxis]
+    psiy = np.broadcast_to(np.asarray(psi(ys), dtype=float), ys.shape)[np.newaxis, :]
+    weighted = psi_weighted(s, F, psix, psiy, flags)
     R = np.maximum.accumulate(np.maximum.accumulate(weighted, axis=0), axis=1)
     return xs, ys, F, R, psix, psiy
 
@@ -469,13 +453,8 @@ def check_hardy_sup(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) ->
     if np.any(F < 0):
         notes.append("f takes negative values: theorem hypotheses not met")
 
-    def weighted_sup(vals: np.ndarray) -> float:
-        w = pseudo_mul(s, vals, psiy[np.newaxis, :], flags)
-        w = pseudo_mul(s, w, psix[:, np.newaxis], flags)
-        return float(np.max(w))
-
-    lhs = weighted_sup(R**p)
-    rhs_integral = weighted_sup(F**p)
+    lhs = float(np.max(psi_weighted(s, R**p, psix, psiy, flags)))
+    rhs_integral = float(np.max(psi_weighted(s, F**p, psix, psiy, flags)))
     rhs = constant * rhs_integral
     diff = R - F
     k = np.unravel_index(np.argmax(diff), diff.shape)
@@ -622,21 +601,7 @@ class DiagnosticsReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "branch": self.branch,
-            "constant": self.constant,
-            "constant_defined": self.constant_defined,
-            "lhs_inner": self.lhs_inner,
-            "rhs_inner": self.rhs_inner,
-            "lhs_value": self.lhs_value,
-            "rhs_value": self.rhs_value,
-            "lhs_status": self.lhs_status,
-            "inequality_fails": self.inequality_fails,
-            "criterion_value": self.criterion_value,
-            "criterion_met": self.criterion_met,
-            "notes": list(self.notes),
-        }
+        return record_to_dict(self)
 
 
 def odd_denominator_rational(x: float, max_den: int = 1000,
@@ -679,10 +644,12 @@ def remark_diagnostics(gen: Generator, f, p: float,
             notes = [f"constant via real root: ({base!r})^{{{rat[0]}/{rat[1]}}}"]
         kernel = GKernelGrid(gen, f, 1.0, 1.0, config.kernel_panels)
         lhs_inner = kernel.integral_of_g_of_R_pow(p)
-        rhs_inner_val, _ = _classical_double(gen, f, p, config)
-        lo, hi = gen.range_low, gen.range_high
-        lhs_value = float(gen.inverse(min(max(lhs_inner, lo), hi)))
-        rhs_value = float(gen.inverse(min(max(rhs_inner_val, lo), hi)))
+        rhs_inner_val = g_quadrature(
+            integrate_2d, gen, lambda s, t: f(s, t) ** p, UNIT_SQUARE,
+            tol=config.quad_tol, max_depth=config.max_depth,
+        ).value
+        lhs_value = _clamped_inverse(gen, lhs_inner)
+        rhs_value = _clamped_inverse(gen, rhs_inner_val)
         fails = (constant is None) or (constant * rhs_value < lhs_value)
         notes.append("right side is non-positive while the left side is positive"
                      if defined and constant is not None and constant <= 0 else
@@ -697,7 +664,7 @@ def remark_diagnostics(gen: Generator, f, p: float,
     if p < 0.0:
         try:
             value, res = g_integral_2d_result(
-                gen, lambda s, t: f(s, t) ** p, Rect(0.0, 1.0, 0.0, 1.0),
+                gen, lambda s, t: f(s, t) ** p, UNIT_SQUARE,
                 config.quad_tol, config.max_depth,
             )
             return DiagnosticsReport(
@@ -715,7 +682,7 @@ def remark_diagnostics(gen: Generator, f, p: float,
 
     # p == 0: both sides reduce to the pseudo-integral of f⁰ ≡ 1;
     # the criterion checked is the asserted ∫∫^⊕ f ≥ 1
-    value, res = g_integral_2d_result(gen, f, Rect(0.0, 1.0, 0.0, 1.0),
+    value, res = g_integral_2d_result(gen, f, UNIT_SQUARE,
                                       config.quad_tol, config.max_depth)
     return DiagnosticsReport(
         p=0.0, branch="p=0", constant=1.0, constant_defined=True,
@@ -724,14 +691,3 @@ def remark_diagnostics(gen: Generator, f, p: float,
         inequality_fails=not bool(value >= 1.0),
         notes=["criterion ∫∫^⊕ f ≥ 1 is asserted, not derived"],
     )
-
-
-def _classical_double(gen: Generator, f, p: float, config: HardyConfig):
-    """∬ g(f^p) over the unit square via iterated adaptive quadrature."""
-    res = integrate_2d(
-        lambda s, t: float(gen.forward(f(s, t) ** p)),
-        Rect(0.0, 1.0, 0.0, 1.0), config.quad_tol, config.max_depth,
-    )
-    if res.status == DIVERGED:
-        raise DivergenceError("classical double integral diverged", res)
-    return res.value, res

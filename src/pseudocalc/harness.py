@@ -30,6 +30,8 @@ from .hardy import (
     HardyConfig,
     HardyReport,
     HardyScenario,
+    record_from_dict,
+    record_to_dict,
     run_check,
 )
 from .pseudo_integral import DivergenceError
@@ -124,29 +126,11 @@ class FuzzConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "p_values": list(self.p_values),
-            "families": list(self.families),
-            "kinds": list(self.kinds),
-            "gens": list(self.gens),
-            "semirings": list(self.semirings),
-            "tolerance_overrides": dict(sorted(self.tolerance_overrides.items())),
-        }
+        return record_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FuzzConfig":
-        kwargs = {}
-        for key in ("seed", "trials"):
-            if key in d:
-                kwargs[key] = d[key]
-        for key in ("p_values", "families", "kinds", "gens", "semirings"):
-            if key in d:
-                kwargs[key] = tuple(d[key])
-        if "tolerance_overrides" in d:
-            kwargs["tolerance_overrides"] = dict(d["tolerance_overrides"])
-        return cls(**kwargs)
+        return record_from_dict(cls, d)
 
 
 @dataclass
@@ -239,16 +223,11 @@ def build_trial_scenario(cfg: FuzzConfig, index: int) -> HardyScenario:
 
 def run_campaign(cfg: FuzzConfig, corpus_dir: str | Path | None = None) -> CampaignReport:
     """Execute all trials; failures dump replayable scenario files to corpus_dir."""
-    hardy_cfg = cfg.hardy_config()
     records: list[TrialRecord] = []
     holds = violations = not_evaluable = 0
     violation_indices: list[int] = []
     for index in range(cfg.trials):
-        scenario = build_trial_scenario(cfg, index)
-        start = time.perf_counter()
-        report = run_check(scenario, hardy_cfg)
-        elapsed = time.perf_counter() - start
-        rec = TrialRecord(index, scenario, report, elapsed)
+        rec = replay_trial(cfg, index)
         records.append(rec)
         if rec.outcome == "holds":
             holds += 1
@@ -260,7 +239,7 @@ def run_campaign(cfg: FuzzConfig, corpus_dir: str | Path | None = None) -> Campa
                 path.mkdir(parents=True, exist_ok=True)
                 name = f"violation-{cfg.seed}-{index:05d}.json"
                 with open(path / name, "w") as fh:
-                    json.dump(scenario.to_dict(), fh, sort_keys=True, indent=2)
+                    json.dump(rec.scenario.to_dict(), fh, sort_keys=True, indent=2)
         else:
             not_evaluable += 1
     return CampaignReport(
@@ -291,15 +270,7 @@ class ConvergenceReport:
     notes: list
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "levels": list(self.levels),
-            "lhs_values": list(self.lhs_values),
-            "rhs_values": list(self.rhs_values),
-            "errors": list(self.errors),
-            "observed_order": self.observed_order,
-            "notes": list(self.notes),
-        }
+        return record_to_dict(self)
 
 
 def _config_for_level(kind: str, level: int) -> HardyConfig:

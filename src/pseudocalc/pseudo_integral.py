@@ -4,8 +4,8 @@ The g-integral reduces pseudo-integration to classical quadrature through the
 generator:  ∫^⊕ f = g⁻¹(∫ g∘f).  The sup-integral is the idempotent (⊕=max)
 counterpart: the sup over the domain of f ⊙ ψ with ψ the density of the
 sup-measure.  The Sugeno integral is sup_α min(α, μ{f ≥ α}) with μ the
-Lebesgue product measure, solved by bisection on the decreasing map
-α ↦ μ{f ≥ α} − α.
+Lebesgue product measure, taken exactly for the empirical measure of
+midpoint samples (sugeno_from_sorted).
 
 Decreasing generators are accepted: the formulas use g and g⁻¹ directly, the
 declared direction only matters for validation.
@@ -13,6 +13,7 @@ declared direction only matters for validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +29,12 @@ from .quadrature import (
     UNIT_SQUARE,
     QuadratureResult,
     Rect,
-    grid_eval,
     integrate_1d,
     integrate_2d,
     level_set_samples,
+    sup_scan_2d,
 )
 from .semiring import SUP_PLUS, SaturationFlags, Semiring, pseudo_mul
-
-SUGENO_BISECTION_TOL = 1e-9
 
 
 class DivergenceError(ArithmeticError):
@@ -90,38 +89,44 @@ def unit_psi(s: Semiring) -> PsiDensity:
     return PsiDensity.constant(1.0 if s.unit is None else s.unit)
 
 
-def _wrap_g_of_f_1d(gen: Generator, f):
-    def gf(x: float) -> float:
-        v = f(x)
-        if not np.isfinite(v):
-            raise DomainError(f"f({x!r}) is not finite")
+def _g_of_f(gen: Generator, f):
+    """g∘f for a scalar integrand of one or two variables; non-finite f raises."""
+
+    def gf(*point: float) -> float:
+        v = f(*point)
+        if not math.isfinite(v):
+            raise DomainError(f"f{point!r} is not finite")
         return float(gen.forward(v))
 
     return gf
 
 
-def _wrap_g_of_f_2d(gen: Generator, f):
-    def gf(s: float, t: float) -> float:
-        v = f(s, t)
-        if not np.isfinite(v):
-            raise DomainError(f"f({s!r},{t!r}) is not finite")
-        return float(gen.forward(v))
+def g_quadrature(integrate, gen: Generator, f, *domain,
+                 tol: float = DEFAULT_TOL,
+                 max_depth: int = DEFAULT_MAX_DEPTH) -> QuadratureResult:
+    """The classical integral of g∘f, before g⁻¹; raises DivergenceError if it diverges.
 
-    return gf
+    integrate is integrate_1d (domain low, high) or integrate_2d (domain a Rect).
+    """
+    res = integrate(_g_of_f(gen, f), *domain, tol, max_depth)
+    if res.status == DIVERGED:
+        raise DivergenceError("inner classical integral diverged", res)
+    return res
+
+
+def _g_inverse(gen: Generator, res: QuadratureResult) -> tuple[float, QuadratureResult]:
+    try:
+        return eval_inverse(gen, res.value), res
+    except RangeError as e:
+        raise DomainError(str(e)) from e
 
 
 def g_integral_1d_result(gen: Generator, f, low: float, high: float,
                          tol: float = DEFAULT_TOL,
                          max_depth: int = DEFAULT_MAX_DEPTH) -> tuple[float, QuadratureResult]:
     """g-integral with its inner quadrature result; raises on divergence."""
-    res = integrate_1d(_wrap_g_of_f_1d(gen, f), low, high, tol, max_depth)
-    if res.status == DIVERGED:
-        raise DivergenceError("inner classical integral diverged", res)
-    try:
-        value = eval_inverse(gen, res.value)
-    except RangeError as e:
-        raise DomainError(str(e)) from e
-    return value, res
+    return _g_inverse(gen, g_quadrature(integrate_1d, gen, f, low, high,
+                                        tol=tol, max_depth=max_depth))
 
 
 def g_integral_1d(gen: Generator, f, low: float, high: float,
@@ -133,14 +138,8 @@ def g_integral_1d(gen: Generator, f, low: float, high: float,
 def g_integral_2d_result(gen: Generator, f, r: Rect,
                          tol: float = DEFAULT_TOL,
                          max_depth: int = DEFAULT_MAX_DEPTH) -> tuple[float, QuadratureResult]:
-    res = integrate_2d(_wrap_g_of_f_2d(gen, f), r, tol, max_depth)
-    if res.status == DIVERGED:
-        raise DivergenceError("inner classical integral diverged", res)
-    try:
-        value = eval_inverse(gen, res.value)
-    except RangeError as e:
-        raise DomainError(str(e)) from e
-    return value, res
+    """2-D g-integral with its inner quadrature result; raises on divergence."""
+    return _g_inverse(gen, g_quadrature(integrate_2d, gen, f, r, tol=tol, max_depth=max_depth))
 
 
 def g_integral_2d(gen: Generator, f, r: Rect, tol: float = DEFAULT_TOL) -> float:
@@ -148,86 +147,64 @@ def g_integral_2d(gen: Generator, f, r: Rect, tol: float = DEFAULT_TOL) -> float
     return g_integral_2d_result(gen, f, r, tol)[0]
 
 
+def psi_weighted(s: Semiring, vals, psi_x, psi_y, flags: SaturationFlags | None = None):
+    """vals ⊙ ψ(y) ⊙ ψ(x), with psi_x and psi_y broadcast against vals."""
+    return pseudo_mul(s, pseudo_mul(s, vals, psi_y, flags), psi_x, flags)
+
+
+def sup_integral_1d(s: Semiring, f, psi: PsiDensity | None = None,
+                    low: float = 0.0, high: float = 1.0) -> float:
+    """sup_x f(x) ⊙ ψ(x) over 2^DEFAULT_SUP_LEVELS + 1 nodes of [low, high]."""
+    if psi is None:
+        psi = unit_psi(s)
+    xs = np.linspace(low, high, 2**DEFAULT_SUP_LEVELS + 1)
+    return float(np.max(pseudo_mul(s, f(xs), psi(xs))))
+
+
 def sup_integral_2d(s: Semiring, f, psi: PsiDensity | None = None,
                     r: Rect = UNIT_SQUARE, levels: int = DEFAULT_SUP_LEVELS,
                     flags: SaturationFlags | None = None) -> float:
     """Iterated sup-integral: sup_x ( (sup_y f(x,y) ⊙ ψ(y)) ⊙ ψ(x) ).
 
-    The weighted surface f(x,y) ⊙ ψ(y) ⊙ ψ(x) is scanned on a tensor grid
-    (⊙ is monotone, so the iterated sup equals the joint sup of the weighted
-    surface), with local refinement around the best cell up to `levels`.
+    ⊙ is monotone, so the iterated sup equals the joint sup of the weighted
+    surface f(x,y) ⊙ ψ(y) ⊙ ψ(x); sup_scan_2d scans it.
     """
     if psi is None:
         psi = unit_psi(s)
-    base = min(levels, 9)
-    n = 2**base + 1
-    xs = np.linspace(r.x_low, r.x_high, n)
-    ys = np.linspace(r.y_low, r.y_high, n)
-    best_x, best_y, best = _weighted_sup_on_grid(s, f, psi, xs, ys, flags)
-    span_x = (r.x_high - r.x_low) / 2**base
-    span_y = (r.y_high - r.y_low) / 2**base
-    for _ in range(base + 1, levels + 2):
-        span_x /= 2.0
-        span_y /= 2.0
-        xs = np.clip(np.linspace(best_x - 4 * span_x, best_x + 4 * span_x, 9), r.x_low, r.x_high)
-        ys = np.clip(np.linspace(best_y - 4 * span_y, best_y + 4 * span_y, 9), r.y_low, r.y_high)
-        bx, by, val = _weighted_sup_on_grid(s, f, psi, xs, ys, flags)
-        if val > best:
-            best_x, best_y, best = bx, by, val
-    return best
-
-
-def _weighted_sup_on_grid(s: Semiring, f, psi: PsiDensity, xs, ys,
-                          flags: SaturationFlags | None):
-    vals = grid_eval(f, xs, ys)
-    psix = np.asarray(psi(np.asarray(xs, dtype=float)), dtype=float)
-    psiy = np.asarray(psi(np.asarray(ys, dtype=float)), dtype=float)
-    psix = np.broadcast_to(psix, xs.shape)
-    psiy = np.broadcast_to(psiy, ys.shape)
-    weighted = pseudo_mul(s, vals, psiy[np.newaxis, :], flags)
-    weighted = pseudo_mul(s, weighted, psix[:, np.newaxis], flags)
-    weighted = np.where(np.isfinite(vals), weighted, -np.inf)
-    idx = np.unravel_index(np.argmax(weighted), weighted.shape)
-    return float(xs[idx[0]]), float(ys[idx[1]]), float(weighted[idx])
+    return sup_scan_2d(lambda x, y: psi_weighted(s, f(x, y), psi(x), psi(y), flags), r, levels)
 
 
 def sugeno_integral_2d(f, r: Rect = UNIT_SQUARE,
                        grid: int = DEFAULT_LEVEL_SET_GRID) -> float:
-    """Sugeno integral sup_α min(α, μ{f ≥ α} ∩ r) by bisection on μ(α) − α.
+    """Sugeno integral sup_α min(α, μ({f ≥ α} ∩ r)) for the empirical measure.
 
-    f is sampled once on the midpoint grid; level-set areas come from that
-    cache, so the bisection is cheap.
+    f is sampled once on the grid × grid midpoint cells; failed samples are
+    dropped and the rest sorted in place for sugeno_from_sorted.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     samples = level_set_samples(f, r, grid)
-    cell = r.area / (grid * grid)
-    finite = samples[np.isfinite(samples)]
-    if finite.size == 0:
-        return 0.0
-
-    def mu(alpha: float) -> float:
-        return float(np.sum(finite >= alpha)) * cell
-
-    lo, hi = 0.0, min(1.0, float(np.max(finite)))
-    if mu(hi) >= hi:
-        return hi
-    for _ in range(200):
-        if hi - lo <= SUGENO_BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if mu(mid) - mid >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    # lo is the crossing of μ(α) = α, which is sup_α min(α, μ(α)):
-    # below it min(α,μ)=α increases to lo, above it min=μ(α) ≤ μ(lo⁺) ≤ lo.
-    return lo
+    samples = samples[np.isfinite(samples)]
+    samples.sort()
+    return sugeno_from_sorted(samples[::-1], r.area / (grid * grid))
 
 
 def sugeno_from_sorted(descending: np.ndarray, cell_area: float) -> float:
-    """Exact Sugeno integral of the empirical measure: max_k min(v_(k), k·cell)."""
-    if descending.size == 0:
-        return 0.0
-    k = np.arange(1, descending.size + 1) * cell_area
-    return float(np.max(np.minimum(descending, k)))
+    """Exact Sugeno integral of the empirical measure: max_k min(v_(k), k·cell).
+
+    v_(k) − k·cell decreases in k, so min(v_(k), k·cell) is k·cell up to the
+    crossing rank k* = max{k : v_(k) ≥ k·cell} and v_(k) after it; the maximum
+    is max(k*·cell, v_(k*+1)).  k* is found by bisection over ranks, so no
+    array the size of the sample is allocated.
+    """
+    lo, hi = 0, descending.size
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if descending[mid - 1] >= mid * cell_area:
+            lo = mid
+        else:
+            hi = mid - 1
+    best = lo * cell_area
+    if lo < descending.size:
+        best = max(best, float(descending[lo]))
+    return float(best)

@@ -3,8 +3,9 @@
 integrate_1d is an adaptive composite Simpson rule with Richardson error
 estimation and explicit divergence classification; integrate_2d iterates it
 (inner in t, outer in s, matching the dtds ordering of the double integrals
-it serves).  sup_scan_2d and measure_level_set are the grid engines behind
-the sup- and Sugeno-integrals.
+it serves).  sup_scan_2d is the one grid sup scan (the sup-integral scans
+its ψ-weighted surface through it); level_set_samples gives the midpoint
+samples behind the Sugeno integral and measure_level_set.
 
 Divergence rule: a panel that reaches the refinement depth cap with a local
 error estimate above its tolerance budget is classified divergent iff it also
@@ -12,6 +13,8 @@ shows blow-up (a sampled |f| > 1e12 or a panel estimate > 1e8).  Integrands
 that fail to evaluate at a domain endpoint are retried on nodes shifted
 inward by 1e-12 first, so integrable endpoint singularities (x^{1/4},
 x^{-1/2}) converge while genuine divergences (x^{-2}) are reported as such.
+In integrate_2d a divergent inner integral counts as a failed outer node, so
+an edge where the integrand fails everywhere gets the same inward retry.
 
 Summation is pairwise by construction (panel tree), so results are
 reduction-order independent to ~1e-12.
@@ -73,12 +76,6 @@ class Rect:
 
 
 UNIT_SQUARE = Rect(0.0, 1.0, 0.0, 1.0)
-
-
-class _InnerDiverged(Exception):
-    def __init__(self, partial: float, evaluations: int):
-        self.partial = partial
-        self.evaluations = evaluations
 
 
 class _Budget(Exception):
@@ -209,15 +206,12 @@ def integrate_2d(f, r: Rect, tol: float = DEFAULT_TOL,
         res = integrate_1d(lambda t: f(s, t), r.y_low, r.y_high, inner_tol, max_depth)
         inner_evals[0] += res.evaluations
         if res.status == DIVERGED:
-            raise _InnerDiverged(res.value, inner_evals[0])
+            return math.nan  # a failed node: retried inward at an edge, else divergent
         if res.status == MAX_REFINEMENT:
             inner_worst[0] = MAX_REFINEMENT
         return res.value
 
-    try:
-        outer = integrate_1d(outer_integrand, r.x_low, r.x_high, tol, max_depth)
-    except _InnerDiverged as d:
-        return QuadratureResult(d.partial, math.inf, d.evaluations, DIVERGED)
+    outer = integrate_1d(outer_integrand, r.x_low, r.x_high, tol, max_depth)
     evaluations = inner_evals[0] + outer.evaluations
     status = outer.status
     if status == CONVERGED and inner_worst[0] == MAX_REFINEMENT:
@@ -257,12 +251,13 @@ def grid_eval(f, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def _best_on_grid(f, xs, ys, stats: dict | None):
     vals = grid_eval(f, xs, ys)
-    skipped = int(np.sum(~np.isfinite(vals)))
+    finite = np.isfinite(vals)
+    skipped = int(np.sum(~finite))
     if stats is not None:
         stats["skipped_nodes"] = stats.get("skipped_nodes", 0) + skipped
     if skipped == vals.size:
         return None, None, -math.inf
-    idx = np.unravel_index(np.nanargmax(vals), vals.shape)
+    idx = np.unravel_index(np.argmax(np.where(finite, vals, -np.inf)), vals.shape)
     return float(xs[idx[0]]), float(ys[idx[1]]), float(vals[idx])
 
 
@@ -270,13 +265,14 @@ def sup_scan_2d(f, r: Rect = UNIT_SQUARE, levels: int = DEFAULT_SUP_LEVELS,
                 stats: dict | None = None) -> float:
     """Maximum of f over a refining grid (effective 2^levels+1 nodes per axis).
 
-    A full tensor scan runs at level min(levels, 8); deeper levels refine a
+    A full tensor scan runs at level min(levels, 9); deeper levels refine a
     local window around the running best cell, with one extra local pass at
-    the end.  Failed nodes are skipped (count in stats["skipped_nodes"]).
+    the end.  Failed and non-finite nodes are skipped (count in
+    stats["skipped_nodes"]).
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    base = min(levels, 8)
+    base = min(levels, 9)
     xs = np.linspace(r.x_low, r.x_high, 2**base + 1)
     ys = np.linspace(r.y_low, r.y_high, 2**base + 1)
     xb, yb, best = _best_on_grid(f, xs, ys, stats)

@@ -62,6 +62,16 @@ class TestIntegrate:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.25, abs=1e-6)
 
+    def test_sup_integral_1d_evaluates_at_y_zero(self, capsys):
+        # the 1-D integrand is f(x, 0), as on the 1-D g path
+        values = []
+        for f in ("x+y", "x"):
+            code, out, _ = run_cli(capsys, "integrate", "--f", f, "--semiring",
+                                   "suptimes", "--dim", "1", "--domain", "0,1")
+            assert code == 0
+            values.append(json.loads(out)["value"])
+        assert values[0] == values[1] == 1.0
+
     def test_sugeno_flag(self, capsys):
         code, out, _ = run_cli(capsys, "integrate", "--f", "min(x,y)", "--sugeno",
                                "--dim", "2", "--grid", "512")

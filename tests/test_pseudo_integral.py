@@ -9,7 +9,7 @@ from pseudocalc import generators as G
 from pseudocalc import pseudo_integral as P
 from pseudocalc import semiring as S
 from pseudocalc.harness import SplitMix64
-from pseudocalc.quadrature import UNIT_SQUARE, Rect, integrate_1d, integrate_2d
+from pseudocalc.quadrature import UNIT_SQUARE, Rect, integrate_1d, integrate_2d, sup_scan_2d
 
 
 class TestGIntegral1D:
@@ -160,6 +160,9 @@ class TestSupIntegral:
     def test_unit_density_gives_sup(self):
         got = P.sup_integral_2d(S.sup_times(), lambda x, y: x * y)
         assert got == pytest.approx(1.0, abs=1e-12)
+        # with unit ψ the sup-integral is the plain sup scan, node for node
+        f = lambda x, y: np.sin(3.0 * x) * y * (1.5 - y)
+        assert P.sup_integral_2d(S.sup_times(), f) == sup_scan_2d(f)
 
     def test_sup_plus_zero_density(self):
         got = P.sup_integral_2d(S.sup_plus(), lambda x, y: x * y)
@@ -239,5 +242,22 @@ class TestSugeno:
         f = lambda x, y: np.minimum(x, y)
         samples = level_set_samples(f, UNIT_SQUARE, 512)
         emp = P.sugeno_from_sorted(np.sort(samples, axis=None)[::-1], 1.0 / 512**2)
-        bis = P.sugeno_integral_2d(f, grid=512)
-        assert emp == pytest.approx(bis, abs=2e-3)
+        assert P.sugeno_integral_2d(f, grid=512) == emp
+
+    def test_rank_search_matches_reference(self):
+        def reference(descending, cell):
+            if descending.size == 0:
+                return 0.0
+            k = np.arange(1, descending.size + 1) * cell
+            return float(np.max(np.minimum(descending, k)))
+
+        rng = np.random.default_rng(7)
+        cases = [np.array([]), np.full(1, 0.3), np.full(1000, 0.25), np.full(64, 2.0)]
+        for n in (1, 2, 3, 17, 1000):
+            cases.append(rng.random(n))
+            cases.append(rng.integers(0, 5, n) / 4.0)    # ties
+            cases.append(rng.random(n) * 3.0 - 1.0)      # outside [0, 1]
+        for values in cases:
+            descending = np.sort(values)[::-1]
+            for cell in (1.0 / max(values.size, 1), 1e-3, 0.37):
+                assert P.sugeno_from_sorted(descending, cell) == reference(descending, cell)

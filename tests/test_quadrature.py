@@ -69,6 +69,19 @@ class TestIntegrate2D:
     def test_inner_divergence_propagates(self):
         res = Q.integrate_2d(lambda s, t: (s * t) ** -2.0, Q.UNIT_SQUARE, 1e-8)
         assert res.status == "diverged"
+        # inner divergence at interior outer nodes only (s = 0.25)
+        res = Q.integrate_2d(lambda s, t: t**-2.0 if 0.2 < s < 0.3 else s * t,
+                             Q.UNIT_SQUARE, 1e-8)
+        assert res.status == "diverged"
+
+    def test_edge_singularity_on_either_axis(self):
+        # ∬ x^(-1/2) = 2; failing along the whole edge x = 0 gets the same
+        # inward retry as failing along y = 0
+        along_x = Q.integrate_2d(lambda s, t: s**-0.5, Q.UNIT_SQUARE)
+        along_y = Q.integrate_2d(lambda s, t: t**-0.5, Q.UNIT_SQUARE)
+        assert along_x.status != "diverged" and along_y.status != "diverged"
+        assert along_x.value == pytest.approx(along_y.value, abs=1e-9)
+        assert along_x.value == pytest.approx(2.0, abs=1e-4)
 
     def test_subrectangle(self):
         r = Q.Rect(0.0, 0.5, 0.0, 0.25)
