@@ -59,6 +59,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DIVERGED = 2
 
+DEFAULT_DOMAINS = {1: "0,1", 2: "0,1,0,1"}
+
 
 def _max_depth() -> int:
     raw = os.environ.get("PSEUDOCALC_MAX_DEPTH")
@@ -148,6 +150,8 @@ def cmd_integrate(args) -> int:
     f = expr_mod.as_function(expr_mod.parse(args.f))
     tol = args.tol
     depth = _max_depth()
+    if args.domain is None:
+        args.domain = DEFAULT_DOMAINS[args.dim]
     echo = {"f": args.f, "dim": args.dim, "domain": args.domain, "tol": tol,
             "max_depth": depth}
     try:
@@ -492,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", help="generator spec, e.g. sqrt, power:0.5, exp:4.0")
     p.add_argument("--semiring", help="semiring spec: g:<gen>, supplus, suptimes, maxmin")
     p.add_argument("--dim", type=int, choices=(1, 2), default=2)
-    p.add_argument("--domain", default="0,1,0,1", help="a,b (dim 1) or a,b,c,d (dim 2)")
+    p.add_argument("--domain", help="a,b (dim 1) or a,b,c,d (dim 2); default the unit interval or square")
     p.add_argument("--psi", help="sup-measure density expression in x (default: unit)")
     p.add_argument("--sugeno", action="store_true", help="two-dimensional Sugeno integral")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)

@@ -10,9 +10,15 @@ Expressions are written in the two variables x and y with the usual operators
     base   := number | ident | ident '(' expr (',' expr)* ')' | '(' expr ')'
 
 '^' is right-associative and binds tighter than unary minus, so -x^2 parses
-as -(x^2).  Evaluation is strict: division by zero, ln of a non-positive
-argument, and fractional powers of negative bases raise EvalError rather
-than producing infinities.
+as -(x^2).  The invalid operations are division by zero, sqrt of a negative
+value, ln of a non-positive value, a fractional power of a negative base and
+a negative power of zero.  Evaluation at a point (floats) is strict: an
+invalid operation raises EvalError rather than producing an infinity.
+Evaluation on numpy arrays is NaN-masked: an invalid operation gives NaN at
+the offending elements only, and the NaN propagates to the result, also
+through x^0, 1^x, min and max, where IEEE arithmetic would drop it.  So an
+array result is NaN exactly where evaluation at that point would raise, and
+elsewhere it agrees with it up to numpy's vectorised pow (within an ulp).
 """
 
 from __future__ import annotations
@@ -267,17 +273,64 @@ def _is_integer_exponent(e) -> bool:
     return bool(np.all(arr == np.floor(arr)))
 
 
+def _invalid(masked: bool, bad, node: Expr, message: str):
+    """The mask of invalid elements, or None if there are none.
+
+    On floats (masked False) an invalid operand raises EvalError instead.
+    """
+    if not np.any(bad):
+        return None
+    if not masked:
+        raise EvalError(message, node)
+    return bad
+
+
+def _pow(node: BinOp, a, b, masked: bool):
+    if not masked:
+        if a < 0.0 and not _is_integer_exponent(b):
+            raise EvalError("negative base with non-integer exponent", node)
+        if a == 0.0 and b < 0.0:
+            raise EvalError("zero base with negative exponent", node)
+        return float(a) ** float(b)
+    # a negative base with a non-integer exponent gives NaN by itself; IEEE
+    # gives NaN^0 = 1^NaN = 1, but a failed operand must still fail
+    out = np.power(a, b)
+    if isinstance(b, np.ndarray) and b.ndim:
+        bad = ((a == 0.0) & (b < 0.0)) | (np.isnan(a) & (b == 0.0)) | ((a == 1.0) & np.isnan(b))
+    elif b < 0.0:
+        bad = a == 0.0
+    elif b == 0.0:
+        bad = np.isnan(a)
+    elif b != b:
+        bad = a == 1.0
+    else:
+        return out
+    return np.where(bad, np.nan, out) if np.any(bad) else out
+
+
 def _eval(node: Expr, x, y):
-    """Recursive evaluator; x/y may be floats or numpy arrays (broadcasting)."""
+    """Recursive evaluator on floats (strict) or numpy arrays (NaN-masked, broadcasting).
+
+    On floats an invalid operation raises EvalError.  If x or y is an array,
+    it gives NaN at the offending elements only, and the NaN propagates to
+    the result.
+    """
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        with np.errstate(all="ignore"):
+            return _walk(node, x, y, True)
+    return _walk(node, x, y, False)
+
+
+def _walk(node: Expr, x, y, masked: bool):
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return x if node.name == "x" else y
     if isinstance(node, Neg):
-        return -_eval(node.operand, x, y)
+        return -_walk(node.operand, x, y, masked)
     if isinstance(node, BinOp):
-        a = _eval(node.left, x, y)
-        b = _eval(node.right, x, y)
+        a = _walk(node.left, x, y, masked)
+        b = _walk(node.right, x, y, masked)
         if node.op == "add":
             return a + b
         if node.op == "sub":
@@ -285,28 +338,19 @@ def _eval(node: Expr, x, y):
         if node.op == "mul":
             return a * b
         if node.op == "div":
-            if np.any(np.asarray(b) == 0.0):
-                raise EvalError("division by zero", node)
-            return a / b
-        # pow
-        a_arr = np.asarray(a, dtype=float)
-        if np.any(a_arr < 0.0) and not _is_integer_exponent(b):
-            raise EvalError("negative base with non-integer exponent", node)
-        if np.any((a_arr == 0.0) & (np.asarray(b, dtype=float) < 0.0)):
-            raise EvalError("zero base with negative exponent", node)
-        return np.power(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else float(a) ** float(b)
+            bad = _invalid(masked, b == 0.0, node, "division by zero")
+            return a / b if bad is None else np.where(bad, np.nan, a / np.where(bad, 1.0, b))
+        return _pow(node, a, b, masked)
     if isinstance(node, Call):
-        args = [_eval(arg, x, y) for arg in node.args]
+        args = [_walk(arg, x, y, masked) for arg in node.args]
         if node.name == "sqrt":
-            if np.any(np.asarray(args[0]) < 0.0):
-                raise EvalError("sqrt of negative value", node)
-            return np.sqrt(args[0])
+            _invalid(masked, args[0] < 0.0, node, "sqrt of negative value")
+            return np.sqrt(args[0])  # NaN below zero on arrays
         if node.name == "exp":
             return np.exp(args[0])
         if node.name == "ln":
-            if np.any(np.asarray(args[0]) <= 0.0):
-                raise EvalError("ln of non-positive value", node)
-            return np.log(args[0])
+            bad = _invalid(masked, args[0] <= 0.0, node, "ln of non-positive value")
+            return np.log(args[0]) if bad is None else np.where(bad, np.nan, np.log(args[0]))
         if node.name == "abs":
             return np.abs(args[0])
         if node.name == "min":
@@ -321,7 +365,7 @@ def evaluate(node: Expr, x: float = 0.0, y: float = 0.0) -> float:
 
 
 def evaluate_array(node: Expr, x, y):
-    """Evaluate on numpy arrays (broadcasting); same domain errors as evaluate()."""
+    """Evaluate on numpy arrays (broadcasting); NaN where evaluate() would raise EvalError."""
     out = _eval(node, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast_shapes(np.shape(x), np.shape(y))).copy()
 

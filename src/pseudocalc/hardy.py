@@ -49,14 +49,17 @@ from .pseudo_integral import (
     unit_psi,
 )
 from .quadrature import (
+    BOUNDARY_INSET,
     CONVERGED,
     DIVERGED,
     UNIT_SQUARE,
     Rect,
     cumulative_simpson,
+    eval_nodes,
     grid_eval,
     integrate_1d,
     integrate_2d,
+    integrate_batch,
     level_set_samples,
 )
 from .semiring import SaturationFlags, Semiring, parse_semiring
@@ -294,6 +297,13 @@ class GKernelGrid:
         du = self.u ** (grading - 1)
         self.jac = grading**2 * x_high * y_high * np.outer(du, du)
         self.fv = grid_eval(f, self.x, self.y)
+        failed = np.isnan(self.fv)
+        if failed.any():
+            # failed nodes on the axes get the adaptive engine's inward retry
+            ix, iy = np.nonzero(failed)
+            inset_x = np.where(self.x == 0.0, BOUNDARY_INSET, self.x)
+            inset_y = np.where(self.y == 0.0, BOUNDARY_INSET, self.y)
+            self.fv[ix, iy] = eval_nodes(f, inset_x[ix], inset_y[iy])
         if not np.all(np.isfinite(self.fv)):
             raise DomainError("f failed to evaluate on the kernel grid")
         W = np.asarray(gen.forward(self.fv), dtype=float)
@@ -532,25 +542,17 @@ def check_hardy_classical(f, p: float, low: float, high: float,
         raise HypothesisError("classical Hardy requires f not identically zero")
     constant = classical_hardy_constant(p)
 
-    def mean_pow(x: float) -> float:
-        F = integrate_1d(f, 0.0, x, tol * 0.01)
-        if F.status == DIVERGED:
-            raise DivergenceError("F(x) diverged", F)
-        return (F.value / x) ** p
+    def mean_pow(xs: np.ndarray) -> np.ndarray:
+        # F(x) = ∫₀ˣ f for every node of the level, as one batch; a divergent
+        # F(x) is a failed node
+        F = integrate_batch(f, np.zeros(xs.size), xs, tol * 0.01)
+        values = np.array([math.nan if r.status == DIVERGED else r.value for r in F])
+        return (values / xs) ** p
 
-    statuses = {}
-    try:
-        lhs_res = integrate_1d(mean_pow, low, high, tol)
-        statuses["lhs"] = lhs_res.status
-        rhs_res = integrate_1d(lambda x: f(x) ** p, low, high, tol)
-        statuses["rhs"] = rhs_res.status
-    except DivergenceError as e:
-        return HardyReport(
-            kind=CLASSICAL, p=p, lhs=None, rhs_integral=None, constant=constant,
-            rhs=None, holds=None, direction="lt", statuses={"lhs": DIVERGED},
-            notes=[str(e)], not_evaluable=True,
-        )
-    if DIVERGED in (lhs_res.status, rhs_res.status):
+    lhs_res = integrate_1d(mean_pow, low, high, tol)
+    rhs_res = integrate_1d(lambda x: f(x) ** p, low, high, tol)
+    statuses = {"lhs": lhs_res.status, "rhs": rhs_res.status}
+    if DIVERGED in statuses.values():
         return HardyReport(
             kind=CLASSICAL, p=p, lhs=lhs_res.value, rhs_integral=rhs_res.value,
             constant=constant, rhs=None, holds=None, direction="lt",

@@ -74,7 +74,9 @@ class PsiDensity:
 
     def validate(self, samples: int = 101):
         ts = np.linspace(0.0, 1.0, samples)
-        vals = np.asarray(self(ts), dtype=float)
+        vals = np.broadcast_to(np.asarray(self(ts), dtype=float), ts.shape)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"psi density {self.description!r} fails to evaluate on [0,1]")
         if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
             raise ValueError(f"psi density {self.description!r} leaves the carrier [0,1]")
 
@@ -90,13 +92,19 @@ def unit_psi(s: Semiring) -> PsiDensity:
 
 
 def _g_of_f(gen: Generator, f):
-    """g∘f for a scalar integrand of one or two variables; non-finite f raises."""
+    """g∘f for an integrand of one or two variables, on floats or node arrays.
 
-    def gf(*point: float) -> float:
+    A non-finite f is a failed node (NaN); on floats it raises DomainError.
+    """
+
+    def gf(*point):
         v = f(*point)
-        if not math.isfinite(v):
-            raise DomainError(f"f{point!r} is not finite")
-        return float(gen.forward(v))
+        if np.ndim(v) == 0:
+            if not math.isfinite(v):
+                raise DomainError(f"f{point!r} is not finite")
+            return float(gen.forward(v))
+        v = np.asarray(v, dtype=float)
+        return gen.forward(np.where(np.isfinite(v), v, np.nan))
 
     return gf
 

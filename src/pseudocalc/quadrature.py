@@ -1,23 +1,48 @@
 """Classical numerical integration and sup-scanning on [0,1] and [0,1]².
 
-integrate_1d is an adaptive composite Simpson rule with Richardson error
-estimation and explicit divergence classification; integrate_2d iterates it
-(inner in t, outer in s, matching the dtds ordering of the double integrals
-it serves).  sup_scan_2d is the one grid sup scan (the sup-integral scans
-its ψ-weighted surface through it); level_set_samples gives the midpoint
-samples behind the Sugeno integral and measure_level_set.
+One adaptive Simpson engine serves every classical integral.  It advances a
+batch of independent integrals (each with its own limits, evaluation count,
+status and partial sum) one refinement level at a time: all the panels still
+active at a depth are evaluated in one integrand call, after the manner of
+Gander & Gautschi, "Adaptive quadrature — revisited" (BIT 2000).  A panel is
+accepted when its Richardson estimate |S₂ − S₁|/15 is within tol/2^depth;
+otherwise it is split, up to max_depth.  integrate_1d is a batch of one.
+integrate_2d iterates it (inner in t, outer in s, matching the dtds ordering
+of the double integrals it serves): the inner integrals of all the outer
+nodes created at one outer level form one inner batch.  integrate_batch
+serves integrals of one integrand with varying limits.
 
-Divergence rule: a panel that reaches the refinement depth cap with a local
-error estimate above its tolerance budget is classified divergent iff it also
-shows blow-up (a sampled |f| > 1e12 or a panel estimate > 1e8).  Integrands
-that fail to evaluate at a domain endpoint are retried on nodes shifted
-inward by 1e-12 first, so integrable endpoint singularities (x^{1/4},
+Integrands are called on numpy arrays of nodes (eval_nodes); callables that
+cannot take arrays are called once per node.  A node fails when the
+integrand raises ArithmeticError or ValueError there or returns a non-finite
+value.  A failed node at an integration limit is retried once, shifted
+inward by BOUNDARY_INSET, so integrable endpoint singularities (x^{1/4},
 x^{-1/2}) converge while genuine divergences (x^{-2}) are reported as such.
-In integrate_2d a divergent inner integral counts as a failed outer node, so
-an edge where the integrand fails everywhere gets the same inward retry.
+A failed interior node makes the integral divergent.  In integrate_2d a
+divergent inner integral is a failed outer node, so an edge where the
+integrand fails everywhere gets the same inward retry.
 
-Summation is pairwise by construction (panel tree), so results are
-reduction-order independent to ~1e-12.
+Divergence rule: a panel that reaches the depth cap with a local error
+estimate above its tolerance budget is classified divergent iff it also shows
+blow-up (a sampled |f| > 1e12 or a panel estimate > 1e8).  Once the rule
+fires, the integral's remaining panels are dropped and only their whole-panel
+estimates enter its value.  Refining all of them level by level first could
+cost millions of evaluations, so an integral with a sample above 1e12 refines
+only its leftmost panels, in depth-first order: one at first, twice as many
+each time the leftmost one is done.  A dive to the depth cap thus stops where
+depth-first refinement would, while a long sweep of finished panels is still
+batched.  Without a firing the set of panels refined does not depend on this
+order.  EVAL_BUDGET bounds the evaluations of each integral (status
+max_refinement, with the partial sum of the panels done so far).
+
+Summation: each integral's accepted panel values (S₂ plus the Richardson
+correction) are summed sequentially in order of their left endpoints, the
+order of a depth-first traversal, so the value does not depend on how the
+panels were batched.
+
+sup_scan_2d is the one grid sup scan (the sup-integral scans its ψ-weighted
+surface through it); level_set_samples gives the midpoint samples behind the
+Sugeno integral and measure_level_set.
 """
 
 from __future__ import annotations
@@ -36,6 +61,7 @@ BOUNDARY_INSET = 1e-12
 BLOWUP_VALUE = 1e12
 BLOWUP_PANEL = 1e8
 EVAL_BUDGET = 2_000_000
+BATCH_CHUNK = 1 << 15  # nodes per integrand call when a level batch is large
 
 CONVERGED = "converged"
 MAX_REFINEMENT = "max_refinement"
@@ -78,143 +104,258 @@ class Rect:
 UNIT_SQUARE = Rect(0.0, 1.0, 0.0, 1.0)
 
 
-class _Budget(Exception):
-    pass
-
-
-def _finite_or_none(v) -> float | None:
+def _as_float(v) -> float:
     try:
-        v = float(v)
+        return float(v)
     except (TypeError, ValueError):
-        return None
-    return v if math.isfinite(v) else None
+        return math.nan
 
 
-class _Adaptive1D:
-    def __init__(self, f, low, high, tol, max_depth):
-        self.f = f
-        self.low = low
-        self.high = high
-        self.tol = tol
-        self.max_depth = max_depth
-        self.evaluations = 0
-        self.max_abs_sample = 0.0
-        self.divergent = False
-        self.node_failures = False
+def eval_nodes(f, *coords: np.ndarray) -> np.ndarray:
+    """f at the nodes given by equal-shape coordinate arrays; NaN marks a failed node.
 
-    def eval(self, x: float) -> float | None:
-        self.evaluations += 1
-        if self.evaluations > EVAL_BUDGET:
-            raise _Budget()
+    f is called once on the arrays.  A callable that cannot take arrays (it
+    raises, or returns a value of another shape) is called once per node with
+    Python floats instead.
+    """
+    shape = coords[0].shape
+    with np.errstate(all="ignore"):
         try:
-            v = _finite_or_none(self.f(x))
-        except (ArithmeticError, ValueError):
-            v = None
-        if v is None and (x == self.low or x == self.high):
-            # singular endpoint: retry on an inward-shifted node
-            shifted = x + BOUNDARY_INSET if x == self.low else x - BOUNDARY_INSET
-            self.evaluations += 1
-            try:
-                v = _finite_or_none(self.f(shifted))
-            except (ArithmeticError, ValueError):
-                v = None
-        if v is not None:
-            self.max_abs_sample = max(self.max_abs_sample, abs(v))
+            vals = np.asarray(f(*coords), dtype=float)
+            if vals.shape != shape:
+                vals = np.broadcast_to(vals, shape).copy()
+        except Exception:  # whatever the reason, f is retried node by node
+            vals = np.full(shape, np.nan)
+            for i, point in enumerate(zip(*(c.ravel().tolist() for c in coords))):
+                try:
+                    vals.flat[i] = _as_float(f(*point))
+                except (ArithmeticError, ValueError):
+                    pass
+        # a finite sum has no NaN or infinite term; one pass, no temporary array
+        if not np.isfinite(np.sum(vals)):
+            vals = np.where(np.isfinite(vals), vals, np.nan)
+    return vals
+
+
+# rows of the panel table the engine carries from one level to the next, and
+# the rows it appends while processing them (midpoint, quarter-point values,
+# half-panel estimates)
+_OWNER, _A, _B, _FA, _FM, _FB, _S0, _DEPTH = range(8)
+_M, _FLM, _FRM, _SL, _SR = range(8, 13)
+_LEFT_CHILD = [_OWNER, _A, _M, _FA, _FLM, _FM, _SL]
+_RIGHT_CHILD = [_OWNER, _M, _B, _FM, _FRM, _FB, _SR]
+
+
+def _blown_up(*values: np.ndarray) -> np.ndarray:
+    return np.maximum.reduce([np.abs(v) for v in values]) > BLOWUP_VALUE
+
+
+def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResult]:
+    """Adaptive Simpson estimates of ∫_low[k]^high[k], k < K, advanced level by level.
+
+    fk(x, k) gives the integrand values at nodes x of the integrals k.
+    """
+    low = np.asarray(low, dtype=float)
+    high = np.asarray(high, dtype=float)
+    K = low.size
+    evals = np.zeros(K, dtype=np.int64)
+
+    def call(x, k):
+        v = np.concatenate([np.asarray(fk(x[i:i + BATCH_CHUNK], k[i:i + BATCH_CHUNK]), dtype=float)
+                            for i in range(0, x.size, BATCH_CHUNK)])
+        v[~np.isfinite(v)] = np.nan
+        evals[:] += np.bincount(k, minlength=K)
         return v
 
-    def run(self) -> QuadratureResult:
-        a, b = self.low, self.high
-        fa, fb = self.eval(a), self.eval(b)
+    def values(x, k):
+        v = call(x, k)
+        failed = np.isnan(v)
+        if failed.any():
+            # a failed node at an integration limit is retried once, shifted inward
+            at_low = x == low[k]
+            retry = failed & (at_low | (x == high[k]))
+            if retry.any():
+                shifted = np.where(at_low, x + BOUNDARY_INSET, x - BOUNDARY_INSET)
+                v[retry] = call(shifted[retry], k[retry])
+        return v
+
+    ks = np.arange(K)
+    v = values(np.concatenate([low, high, 0.5 * (low + high)]), np.concatenate([ks, ks, ks]))
+    fa, fb, fm = v[:K], v[K:2 * K], v[2 * K:]
+    started = ~(np.isnan(fa) | np.isnan(fb) | np.isnan(fm))
+    s_whole = (high - low) / 6.0 * (fa + 4.0 * fm + fb)
+    panels = np.array([ks, low, high, fa, fm, fb, s_whole, np.zeros(K)])[:, started]
+    hot = _blown_up(fa, fb, fm)
+    width = np.ones(K, dtype=np.int64)
+    tol_at = np.array([tol * 0.5**d for d in range(max(max_depth, 0) + 1)])  # tol/2^depth
+    divergent = np.zeros(K, dtype=bool)
+    out_of_budget = np.zeros(K, dtype=bool)
+    parts = []   # rows owner, left end, s2 + err, |err| of the panels that are done
+    tails = {}   # fired integral -> (value, |error|) terms that follow its other panels
+
+    while panels.shape[1]:
+        owner = panels[_OWNER].astype(np.intp)
+        sel = None
+        if hot[owner].any():
+            # an integral that has shown blow-up advances its leftmost width[k]
+            # panels only
+            first = np.ones(owner.size, dtype=bool)
+            first[1:] = owner[1:] != owner[:-1]
+            rank = np.arange(owner.size)
+            rank -= np.maximum.accumulate(np.where(first, rank, 0))
+            sel = ~hot[owner] | (rank < width[owner])
+        if int(evals.max()) + 2 * owner.size > EVAL_BUDGET:
+            n_sel = np.bincount(owner if sel is None else owner[sel], minlength=K)
+            over = (evals + 2 * n_sel > EVAL_BUDGET)[owner]
+            if over.any():
+                out_of_budget[owner[over]] = True
+                panels, owner = panels[:, ~over], owner[~over]
+                sel = None if sel is None else sel[~over]
+                if not panels.shape[1]:
+                    break
+        cur = panels if sel is None else panels[:, sel]
+        k = owner if sel is None else owner[sel]
+        n = k.size
+        a, b, f0, f1, f2, s0, depth = cur[_A:]
         m = 0.5 * (a + b)
-        fm = self.eval(m)
-        if fa is None or fb is None or fm is None:
-            return QuadratureResult(0.0, math.inf, self.evaluations, DIVERGED)
-        s_whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        total = 0.0
-        err_total = 0.0
-        # explicit stack, leftmost-first, so boundary singularities are
-        # classified quickly and the remaining panels become the partial sum
-        stack = [(a, b, fa, fm, fb, s_whole, 0, self.tol)]
-        try:
-            while stack:
-                a0, b0, f0, f1, f2, s0, depth, tol_local = stack.pop()
-                m0 = 0.5 * (a0 + b0)
-                lm = 0.5 * (a0 + m0)
-                rm = 0.5 * (m0 + b0)
-                flm = self.eval(lm)
-                frm = self.eval(rm)
-                if flm is None or frm is None:
-                    # unresolvable interior singularity
-                    self.divergent = True
-                    self.node_failures = True
-                    continue
-                h6 = (m0 - a0) / 6.0
-                s_left = h6 * (f0 + 4.0 * flm + f1)
-                s_right = h6 * (f1 + 4.0 * frm + f2)
-                s2 = s_left + s_right
-                err = (s2 - s0) / 15.0
-                if abs(err) <= tol_local:
-                    total += s2 + err
-                    err_total += abs(err)
-                    continue
-                if depth >= self.max_depth:
-                    panel_max = max(abs(f0), abs(f1), abs(f2), abs(flm), abs(frm))
-                    if panel_max > BLOWUP_VALUE or abs(s2) > BLOWUP_PANEL:
-                        self.divergent = True
-                        total += s2
-                        err_total += abs(err)
-                        # no point refining the rest once divergence is certain
-                        for rest in stack:
-                            total += rest[5]
-                            err_total += abs(rest[5])
-                        stack.clear()
-                        continue
-                    total += s2 + err
-                    err_total += abs(err)
-                    continue
-                stack.append((m0, b0, f1, frm, f2, s_right, depth + 1, tol_local / 2.0))
-                stack.append((a0, m0, f0, flm, f1, s_left, depth + 1, tol_local / 2.0))
-        except _Budget:
-            return QuadratureResult(total, math.inf, self.evaluations, MAX_REFINEMENT)
-        if self.divergent:
-            return QuadratureResult(total, math.inf, self.evaluations, DIVERGED)
-        if err_total <= self.tol:
-            return QuadratureResult(total, err_total, self.evaluations, CONVERGED)
-        return QuadratureResult(total, err_total, self.evaluations, MAX_REFINEMENT)
+        v = values(np.concatenate([0.5 * (a + m), 0.5 * (m + b)]), np.concatenate([k, k]))
+        flm, frm = v[:n], v[n:]
+        h6 = (m - a) / 6.0
+        s_left = h6 * (f0 + 4.0 * flm + f1)
+        s_right = h6 * (f1 + 4.0 * frm + f2)
+        s2 = s_left + s_right
+        err = (s2 - s0) / 15.0
+        failed = np.isnan(flm) | np.isnan(frm)
+        accepted = np.abs(err) <= tol_at[depth.astype(np.intp)]
+        still_open = ~(accepted | failed)
+        capped = still_open & (depth >= max_depth)
+        refine = still_open & ~capped
+        hot[k[_blown_up(flm, frm)]] = True
+        if failed.any():
+            divergent[k[failed]] = True  # unresolvable interior singularity
+        fires = capped & (_blown_up(f0, f1, f2, flm, frm) | (np.abs(s2) > BLOWUP_PANEL))
+        done = accepted | (capped & ~fires)
+        keep = None
+        for kk in np.unique(k[fires]).tolist():
+            # no point refining the rest once divergence is certain: the firing
+            # panel's s2, then the whole-panel estimates of the integral's
+            # other unsettled panels, right to left, enter its value
+            mine = owner == kk
+            keep = ~mine if keep is None else keep & ~mine
+            rows = np.nonzero(k == kk)[0]
+            j = rows[fires[rows]][0]
+            settled = rows[(rows == j) | ((rows < j) & (done[rows] | failed[rows]))]
+            mine[settled if sel is None else np.nonzero(sel)[0][settled]] = False
+            s_rest = panels[_S0, mine][np.argsort(-panels[_A, mine], kind="stable")]
+            tails[kk] = [(float(s2[j]), float(abs(err[j])))] + [(s, abs(s)) for s in s_rest.tolist()]
+            divergent[kk] = True
+            done[rows[rows > j]] = False
+            refine[rows] = False
+        parts.append(np.stack((k, a, s2 + err, np.abs(err)))[:, done])
+        if sel is not None:
+            # the window doubles each time the leftmost panel is done
+            lead = np.ones(n, dtype=bool)
+            lead[1:] = k[1:] != k[:-1]
+            width[k[lead & done & hot[k]]] *= 2
+        # a refined panel gives way to its two halves; panels not processed
+        # this round keep their place, so each integral's panels stay in order
+        ext = np.concatenate((cur, [m, flm, frm, s_left, s_right]))[:, refine]
+        children = np.empty((8, 2 * ext.shape[1]))
+        children[:_DEPTH, 0::2] = ext[_LEFT_CHILD]
+        children[:_DEPTH, 1::2] = ext[_RIGHT_CHILD]
+        children[_DEPTH] = np.repeat(ext[_DEPTH] + 1.0, 2)
+        if sel is None and keep is None:
+            panels = children
+            continue
+        counts = np.ones(owner.size, dtype=np.intp)
+        if sel is None:
+            counts[:] = 2 * refine
+        else:
+            counts[sel] = 2 * refine
+        if keep is not None:
+            counts[~keep] = 0
+        pos = np.cumsum(counts) - counts
+        nxt = np.empty((8, int(counts.sum())))
+        stay = counts == 1
+        nxt[:, pos[stay]] = panels[:, stay]
+        at = pos[counts == 2]
+        nxt[:, at] = children[:, 0::2]
+        nxt[:, at + 1] = children[:, 1::2]
+        panels = nxt
+
+    totals = [0.0] * K
+    errors = [0.0] * K
+    if parts:
+        own, key, val, err = np.concatenate(parts, axis=1)
+        order = np.lexsort((key, own))
+        for kk, c, e in zip(own[order].astype(np.intp).tolist(), val[order].tolist(), err[order].tolist()):
+            totals[kk] += c
+            errors[kk] += e
+    for kk, tail in tails.items():
+        for c, e in tail:
+            totals[kk] += c
+            errors[kk] += e
+    results = []
+    for kk in range(K):
+        n_evals = int(evals[kk])
+        if not started[kk]:
+            results.append(QuadratureResult(0.0, math.inf, n_evals, DIVERGED))
+        elif out_of_budget[kk]:
+            results.append(QuadratureResult(totals[kk], math.inf, n_evals, MAX_REFINEMENT))
+        elif divergent[kk]:
+            results.append(QuadratureResult(totals[kk], math.inf, n_evals, DIVERGED))
+        elif errors[kk] <= tol:
+            results.append(QuadratureResult(totals[kk], errors[kk], n_evals, CONVERGED))
+        else:
+            results.append(QuadratureResult(totals[kk], errors[kk], n_evals, MAX_REFINEMENT))
+    return results
+
+
+def _check_tol(tol: float):
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+
+
+def integrate_batch(f, low, high, tol: float = DEFAULT_TOL,
+                    max_depth: int = DEFAULT_MAX_DEPTH) -> list[QuadratureResult]:
+    """Adaptive Simpson estimates of ∫_low[k]^high[k] f for each k, in one batch."""
+    low, high = np.broadcast_arrays(np.atleast_1d(np.asarray(low, dtype=float)),
+                                    np.asarray(high, dtype=float))
+    if not np.all(low < high):
+        raise ValueError("requires low < high")
+    _check_tol(tol)
+    return _adaptive(lambda x, k: eval_nodes(f, x), low, high, tol, max_depth)
 
 
 def integrate_1d(f, low: float, high: float, tol: float = DEFAULT_TOL,
                  max_depth: int = DEFAULT_MAX_DEPTH) -> QuadratureResult:
     """Adaptive Simpson estimate of ∫_low^high f with error estimate and status."""
-    if not low < high:
-        raise ValueError("requires low < high")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _Adaptive1D(f, low, high, tol, max_depth).run()
+    return integrate_batch(f, low, high, tol, max_depth)[0]
 
 
 def integrate_2d(f, r: Rect, tol: float = DEFAULT_TOL,
                  max_depth: int = DEFAULT_MAX_DEPTH) -> QuadratureResult:
     """Iterated adaptive integration of ∫∫_r f(s,t) dt ds (inner in t, outer in s)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     inner_tol = tol * 0.1
-    inner_evals = [0]
-    inner_worst = [CONVERGED]
+    inner_evals = 0
+    inner_worst = CONVERGED
 
-    def outer_integrand(s: float) -> float:
-        res = integrate_1d(lambda t: f(s, t), r.y_low, r.y_high, inner_tol, max_depth)
-        inner_evals[0] += res.evaluations
-        if res.status == DIVERGED:
-            return math.nan  # a failed node: retried inward at an edge, else divergent
-        if res.status == MAX_REFINEMENT:
-            inner_worst[0] = MAX_REFINEMENT
-        return res.value
+    def outer_integrand(s: np.ndarray, _owner) -> np.ndarray:
+        nonlocal inner_evals, inner_worst
+        results = _adaptive(lambda t, j: eval_nodes(f, s[j], t),
+                            np.full(s.size, r.y_low), np.full(s.size, r.y_high),
+                            inner_tol, max_depth)
+        inner_evals += sum(res.evaluations for res in results)
+        if any(res.status == MAX_REFINEMENT for res in results):
+            inner_worst = MAX_REFINEMENT
+        # a divergent inner integral is a failed node: retried inward at an edge, else divergent
+        return np.array([math.nan if res.status == DIVERGED else res.value for res in results])
 
-    outer = integrate_1d(outer_integrand, r.x_low, r.x_high, tol, max_depth)
-    evaluations = inner_evals[0] + outer.evaluations
+    outer = _adaptive(outer_integrand, [r.x_low], [r.x_high], tol, max_depth)[0]
+    evaluations = inner_evals + outer.evaluations
     status = outer.status
-    if status == CONVERGED and inner_worst[0] == MAX_REFINEMENT:
+    if status == CONVERGED and inner_worst == MAX_REFINEMENT:
         status = MAX_REFINEMENT
     return QuadratureResult(outer.value, outer.error_estimate, evaluations, status)
 
@@ -223,30 +364,9 @@ def integrate_2d(f, r: Rect, tol: float = DEFAULT_TOL,
 
 
 def grid_eval(f, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Evaluate f on the tensor grid xs × ys; failed nodes become NaN.
-
-    Tries one vectorized call first (meshgrid arrays); falls back to a scalar
-    double loop that skips failing nodes.
-    """
+    """Evaluate f on the tensor grid xs × ys; failed nodes become NaN."""
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    try:
-        vals = np.asarray(f(X, Y), dtype=float)
-        if vals.shape == X.shape:
-            return vals
-        if vals.size == 1:  # constant integrand
-            return np.broadcast_to(vals.reshape(()), X.shape).copy()
-    except Exception:
-        pass
-    out = np.full(X.shape, np.nan)
-    for i in range(X.shape[0]):
-        for j in range(X.shape[1]):
-            try:
-                v = float(f(X[i, j], Y[i, j]))
-            except (ArithmeticError, ValueError):
-                continue
-            if math.isfinite(v):
-                out[i, j] = v
-    return out
+    return eval_nodes(f, X, Y)
 
 
 def _best_on_grid(f, xs, ys, stats: dict | None):
@@ -311,16 +431,11 @@ def level_set_samples(f, r: Rect, grid: int) -> np.ndarray:
 
 
 def composite_simpson(f, a: float, b: float, n: int) -> float:
-    """Fixed-mesh composite Simpson with n (even) subintervals; test/diagnostic use."""
+    """Fixed-mesh composite Simpson with n (even) subintervals; NaN if a node fails."""
     if n % 2 != 0 or n < 2:
         raise ValueError("n must be a positive even integer")
     xs = np.linspace(a, b, n + 1)
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-        if vals.shape != xs.shape:
-            raise ValueError
-    except Exception:
-        vals = np.array([float(f(x)) for x in xs])
+    vals = eval_nodes(f, xs)
     h = (b - a) / n
     return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2]) + 2.0 * np.sum(vals[2:-2:2])))
 

@@ -6,8 +6,11 @@ import json
 
 import pytest
 
-from pseudocalc import cli
+from pseudocalc import cli, expr
+from pseudocalc.generators import make_generator
 from pseudocalc.hardy import HardyReport
+from pseudocalc.pseudo_integral import g_integral_2d_result
+from pseudocalc.quadrature import UNIT_SQUARE
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +93,24 @@ class TestIntegrate:
         code, _, err = run_cli(capsys, "integrate", "--f", "x*y")
         assert code == 1
 
+    @pytest.mark.parametrize("backend", [["--g", "sqrt"], ["--semiring", "suptimes"]])
+    def test_dim_1_default_domain(self, capsys, backend):
+        # without --domain, --dim 1 integrates over [0,1] and echoes "0,1"
+        code, out, _ = run_cli(capsys, "integrate", "--f", "x", *backend, "--dim", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["domain"] == "0,1"
+        _, explicit, _ = run_cli(capsys, "integrate", "--f", "x", *backend, "--dim", "1",
+                                 "--domain", "0,1")
+        assert out == explicit
+
+    def test_dim_2_default_domain_bytes(self, capsys):
+        _, default, _ = run_cli(capsys, "integrate", "--f", "x*y", "--g", "sqrt")
+        _, explicit, _ = run_cli(capsys, "integrate", "--f", "x*y", "--g", "sqrt",
+                                 "--dim", "2", "--domain", "0,1,0,1")
+        assert default == explicit
+        assert json.loads(default)["config"]["domain"] == "0,1,0,1"
+
 
 class TestHardyCommand:
     def test_scenario_file(self, capsys, tmp_path):
@@ -118,6 +139,19 @@ class TestHardyCommand:
         payload = json.loads(out)
         assert payload["branch"] == "p=0"
         assert payload["criterion_value"] == pytest.approx(1.0 / 16.0, abs=1e-8)
+
+    def test_singular_corner_is_evaluable(self, capsys):
+        # x/(x+y) fails only at the origin; the kernel grid retries it inward
+        # as the adaptive right-hand side does
+        code, out, _ = run_cli(capsys, "hardy", "--f", "x/(x+y)", "--g", "identity",
+                               "--p", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["not_evaluable"] is False and payload["holds"] is True
+        f = expr.as_function(expr.parse("x/(x+y)"))
+        rhs_integral, _ = g_integral_2d_result(make_generator("identity"),
+                                               lambda s, t: f(s, t) ** 2.0, UNIT_SQUARE)
+        assert payload["rhs_integral"] == rhs_integral
 
     def test_inline_sup(self, capsys):
         code, out, _ = run_cli(capsys, "hardy", "--f", "x*y", "--semiring", "suptimes",

@@ -1,5 +1,6 @@
 """Tokenizer, parser, and evaluator tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -132,8 +133,6 @@ class TestEvaluate:
         assert evaluate(parse("exp(x)"), 0.0) == 1.0
 
     def test_array_evaluation_matches_scalar(self):
-        import numpy as np
-
         e = parse("x^2*y + sqrt(y)/2")
         xs = np.array([0.1, 0.5, 0.9])
         ys = np.array([0.2, 0.4, 0.8])
@@ -183,3 +182,68 @@ def test_corpus_roundtrip_and_agreement(x, y):
         again = parse(to_string(tree))
         assert again == tree
         assert evaluate(again, x, y) == evaluate(tree, x, y)
+
+
+# masked array evaluation: NaN exactly where scalar evaluation raises
+
+_GRID = np.array([-1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+def _pow_free(depth: int):
+    leaf = st.one_of(
+        st.floats(min_value=0.0, max_value=3.0).map(Const),
+        st.sampled_from([Var("x"), Var("y")]),
+    )
+    if depth == 0:
+        return leaf
+    sub = _pow_free(depth - 1)
+    return st.one_of(
+        leaf,
+        sub.map(Neg),
+        st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), sub, sub).map(
+            lambda t: BinOp(*t)
+        ),
+        st.tuples(st.sampled_from(["sqrt", "ln", "abs"]), sub).map(
+            lambda t: Call(t[0], (t[1],))
+        ),
+        st.tuples(st.sampled_from(["min", "max"]), sub, sub).map(
+            lambda t: Call(t[0], (t[1], t[2]))
+        ),
+    )
+
+
+# numpy's vectorised pow may differ from the scalar one by an ulp, and a later
+# subtraction could magnify that, so '^' appears only at the root here
+_masking_trees = st.one_of(
+    _pow_free(3),
+    st.tuples(_pow_free(2), _pow_free(2)).map(lambda t: BinOp("pow", *t)),
+)
+
+
+@given(_masking_trees)
+def test_array_nan_exactly_where_scalar_raises(tree):
+    X, Y = np.meshgrid(_GRID, _GRID, indexing="ij")
+    arr = expr.evaluate_array(tree, X, Y)
+    for i, j in np.ndindex(X.shape):
+        try:
+            want = evaluate(tree, float(X[i, j]), float(Y[i, j]))
+        except EvalError:
+            assert np.isnan(arr[i, j]), (to_string(tree), X[i, j], Y[i, j])
+            continue
+        except OverflowError:
+            continue
+        got = arr[i, j]
+        assert not np.isnan(got), (to_string(tree), X[i, j], Y[i, j])
+        if np.isfinite(want):
+            assert abs(got - want) <= np.spacing(max(abs(got), abs(want)))
+
+
+@pytest.mark.parametrize("src", ["(1/x)^0", "1^ln(x)", "min(1/x,1)", "max(ln(x),0)"])
+def test_failed_operand_propagates(src):
+    # IEEE gives NaN^0 = 1^NaN = 1 and min/max may drop a NaN; a failed node
+    # must still fail, and only that node
+    got = expr.evaluate_array(parse(src), np.array([0.0, 2.0]), 0.0)
+    assert np.isnan(got[0]) and np.isfinite(got[1])
+    assert got[1] == evaluate(parse(src), 2.0)
+    with pytest.raises(EvalError):
+        evaluate(parse(src), 0.0)

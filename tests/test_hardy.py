@@ -228,6 +228,18 @@ class TestCheckHardyClassical:
         assert rep.rhs == pytest.approx(4.0, abs=1e-5)
         assert rep.holds is True
 
+    def test_scalar_only_integrand(self):
+        # F(x) for all lhs nodes of a level is one batch; an integrand that
+        # rejects arrays is called per node and gives the same report
+        numpy_f = lambda x: x * (2.0 - x)
+        scalar_f = lambda x: x * (2.0 - x) if x >= 0.0 else 0.0
+        assert (H.check_hardy_classical(scalar_f, 3.0, 1e-6, 1.0)
+                == H.check_hardy_classical(numpy_f, 3.0, 1e-6, 1.0))
+
+    def test_divergent_side_not_evaluable(self):
+        rep = H.check_hardy_classical(lambda x: 1.0 / (x - 0.5) ** 2, 2.0, 0.1, 1.0)
+        assert rep.not_evaluable is True and rep.holds is None
+
     def test_zero_rejected(self):
         with pytest.raises(H.HypothesisError):
             H.check_hardy_classical(lambda x: 0.0, 2.0, 0.01, 1.0)

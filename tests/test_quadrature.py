@@ -195,9 +195,87 @@ class TestRect:
         assert Q.Rect(0.0, 0.5, 0.0, 0.5).area == 0.25
 
     def test_reduction_order_independence(self):
-        # pairwise panel summation: permuting the integrand's panels through
-        # an offset must not move the result beyond ~1e-12
+        # panel values are summed sequentially in left-endpoint order; the
+        # mirrored integrand refines the mirrored panels, summed in the
+        # opposite order, so the two values agree up to rounding (~1e-12)
         f = lambda x: math.cos(17.0 * x) + 1.5
         a = Q.integrate_1d(f, 0.0, 1.0, 1e-10).value
         b = Q.integrate_1d(lambda x: f(1.0 - x), 0.0, 1.0, 1e-10).value
         assert a == pytest.approx(b, abs=1e-12)
+
+
+# (status, evaluations, value) of the depth-first scalar engine that the
+# level-synchronous engine replaced, recorded on the integrands above
+DEPTH_FIRST_RESULTS = {
+    "x^2": ("converged", 5, 0.3333333333333333),
+    "x^0.25": ("converged", 449, 0.7999999999741388),
+    "x^-0.5": ("max_refinement", 3714, 2.0000537600187673),
+    "x^-2": ("diverged", 66, 77618466456047.38),
+    "1/(x-0.5)": ("diverged", 3, 0.0),
+    "sin(10x)": ("converged", 501, 0.18390715290762874),
+    "s*t": ("converged", 30, 0.25),
+    "(s*t)^-2": ("diverged", 274, 0.0),
+    "s^-0.5": ("max_refinement", 22284, 2.0000537600187673),
+    "t^-0.5": ("max_refinement", 30695, 2.000053760007436),
+}
+
+ENGINE_CASES = {
+    "x^2": lambda: Q.integrate_1d(lambda x: x * x, 0.0, 1.0, 1e-10),
+    "x^0.25": lambda: Q.integrate_1d(lambda x: x**0.25, 0.0, 1.0, 1e-8),
+    "x^-0.5": lambda: Q.integrate_1d(lambda x: x**-0.5, 0.0, 1.0, 1e-8),
+    "x^-2": lambda: Q.integrate_1d(lambda x: x**-2.0, 0.0, 1.0, 1e-8),
+    "1/(x-0.5)": lambda: Q.integrate_1d(lambda x: 1.0 / (x - 0.5), 0.0, 1.0, 1e-10),
+    "sin(10x)": lambda: Q.integrate_1d(lambda x: math.sin(10 * x), 0.0, 1.0, 1e-9),
+    "s*t": lambda: Q.integrate_2d(lambda s, t: s * t, Q.UNIT_SQUARE, 1e-10),
+    "(s*t)^-2": lambda: Q.integrate_2d(lambda s, t: (s * t) ** -2.0, Q.UNIT_SQUARE, 1e-8),
+    "s^-0.5": lambda: Q.integrate_2d(lambda s, t: s**-0.5, Q.UNIT_SQUARE),
+    "t^-0.5": lambda: Q.integrate_2d(lambda s, t: t**-0.5, Q.UNIT_SQUARE),
+}
+
+
+class TestEngineContract:
+    @pytest.mark.parametrize("name", sorted(DEPTH_FIRST_RESULTS))
+    def test_matches_depth_first_engine(self, name):
+        # same nodes, same accept/refine decisions, same summation order: only
+        # numpy's array pow may move a node value by an ulp
+        status, evaluations, value = DEPTH_FIRST_RESULTS[name]
+        res = ENGINE_CASES[name]()
+        assert res.status == status
+        assert res.evaluations == evaluations
+        assert res.value == pytest.approx(value, rel=1e-15, abs=0.0)
+
+    def test_scalar_only_callable_matches_numpy_twin(self):
+        # the branch makes the first callable reject arrays, so it is called
+        # once per node; +, -, * and / give the same bits either way
+        scalar_1d = lambda x: x * x * (3.0 - x) if x >= 0.0 else 0.0
+        twin_1d = lambda x: x * x * (3.0 - x)
+        assert Q.integrate_1d(scalar_1d, 0.0, 1.0, 1e-12) == Q.integrate_1d(twin_1d, 0.0, 1.0, 1e-12)
+        scalar_2d = lambda s, t: 1.0 / (1.0 + s * t) if s >= 0.0 else 0.0
+        twin_2d = lambda s, t: 1.0 / (1.0 + s * t)
+        assert Q.integrate_2d(scalar_2d, Q.UNIT_SQUARE) == Q.integrate_2d(twin_2d, Q.UNIT_SQUARE)
+
+    def test_divergence_short_circuit(self):
+        # once the blow-up rule fires the integral's other panels are dropped;
+        # refining them first would cost millions of evaluations
+        res = Q.integrate_2d(lambda s, t: (s * t) ** -2.0, Q.UNIT_SQUARE, 1e-8)
+        assert res.status == "diverged"
+        assert res.evaluations <= 2 * DEPTH_FIRST_RESULTS["(s*t)^-2"][1]
+
+    def test_batch_matches_single_integrals(self):
+        f = lambda x: np.sqrt(x) * np.cos(3.0 * x)
+        highs = [0.1, 0.5, 1.0]
+        batch = Q.integrate_batch(f, np.zeros(3), np.array(highs), 1e-10)
+        assert batch == [Q.integrate_1d(f, 0.0, h, 1e-10) for h in highs]
+
+    def test_eval_nodes_marks_failures(self):
+        xs = np.array([0.0, 0.5, 1.0])
+        assert np.isnan(Q.eval_nodes(lambda x: 1.0 / x, xs)).tolist() == [True, False, False]
+
+        def scalar_only(x):
+            if x == 0.5:
+                raise ZeroDivisionError
+            return x
+
+        got = Q.eval_nodes(scalar_only, xs)
+        assert np.isnan(got[1]) and got[0] == 0.0 and got[2] == 1.0
+        assert Q.eval_nodes(lambda x: 2.0, xs).tolist() == [2.0, 2.0, 2.0]

@@ -1,0 +1,40 @@
+"""Smoke tests: the experiment drivers in scripts/ run end to end."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, cwd=cwd, env=env, timeout=600)
+
+
+def test_fuzz_campaign_digest_repeats(tmp_path):
+    digests = []
+    for run in ("a", "b"):
+        proc = run_script("run_fuzz_campaign.py", "--trials", "9",
+                          "--out", str(tmp_path / f"{run}.json"),
+                          "--corpus", str(tmp_path / f"corpus_{run}"), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(re.search(r"sha256 ([0-9a-f]{64})", proc.stdout).group(1))
+    assert digests[0] == digests[1]
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_reproduce_scenarios(tmp_path):
+    proc = run_script("reproduce_scenarios.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "8/8 scenario verdicts match" in proc.stdout
+
+
+def test_convergence_study(tmp_path):
+    proc = run_script("convergence_study.py", "--levels", "4,6", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "observed order" in proc.stdout
