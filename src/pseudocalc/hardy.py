@@ -21,7 +21,15 @@ The sup-kernel is the ψ-weighted running sup
 R(x,y) = sup_{s≤x,t≤y} f(s,t)⊙ψ(t)⊙ψ(s): the idempotent analogue of the
 averaging operator (the 1/(xy) normalization cancels against the sup-measure
 of the rectangle, which the proof chain of the sup theorem equates with xy).
-Reports note this convention.
+Reports note this convention.  Both kernel grids retry failed nodes on the
+axes once, BOUNDARY_INSET inward (quadrature.grid_eval_inward); a failed
+interior node makes the check not evaluable.
+
+The Sugeno kernel R(x,y) = ∫∫_{[0,x]×[0,y]} f dμ² is exact for the
+empirical measure of one n×n grid of midpoint samples: the values of all the
+nested blocks behind the outer grid's midpoints come from one sort of the
+samples plus 2-D prefix counts (pseudo_integral.sugeno_prefix_blocks), the
+same bits as sorting every block.
 
 The right-hand side combines the constant with the integral by ordinary real
 multiplication, exactly as the worked examples do, not by ⊙.
@@ -46,17 +54,16 @@ from .pseudo_integral import (
     psi_weighted,
     sugeno_from_sorted,
     sugeno_integral_2d,
+    sugeno_prefix_blocks,
     unit_psi,
 )
 from .quadrature import (
-    BOUNDARY_INSET,
     CONVERGED,
     DIVERGED,
     UNIT_SQUARE,
     Rect,
     cumulative_simpson,
-    eval_nodes,
-    grid_eval,
+    grid_eval_inward,
     integrate_1d,
     integrate_2d,
     integrate_batch,
@@ -296,14 +303,7 @@ class GKernelGrid:
         self.y = y_high * self.u**grading
         du = self.u ** (grading - 1)
         self.jac = grading**2 * x_high * y_high * np.outer(du, du)
-        self.fv = grid_eval(f, self.x, self.y)
-        failed = np.isnan(self.fv)
-        if failed.any():
-            # failed nodes on the axes get the adaptive engine's inward retry
-            ix, iy = np.nonzero(failed)
-            inset_x = np.where(self.x == 0.0, BOUNDARY_INSET, self.x)
-            inset_y = np.where(self.y == 0.0, BOUNDARY_INSET, self.y)
-            self.fv[ix, iy] = eval_nodes(f, inset_x[ix], inset_y[iy])
+        self.fv = grid_eval_inward(f, self.x, self.y)
         if not np.all(np.isfinite(self.fv)):
             raise DomainError("f failed to evaluate on the kernel grid")
         W = np.asarray(gen.forward(self.fv), dtype=float)
@@ -422,7 +422,7 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int,
     n = 2**level + 1
     xs = np.linspace(domain.x_low, domain.x_high, n)
     ys = np.linspace(domain.y_low, domain.y_high, n)
-    F = grid_eval(f, xs, ys)
+    F = grid_eval_inward(f, xs, ys)
     if not np.all(np.isfinite(F)):
         raise DomainError("f failed to evaluate on the sup grid")
     # ψ(x) as a column and ψ(y) as a row, ready to broadcast against F
@@ -502,19 +502,15 @@ def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG)
     F = level_set_samples(f, scn.domain, n)
     if not np.all(np.isfinite(F)):
         raise DomainError("f failed to evaluate on the Sugeno sample grid")
-    cell = scn.domain.area / (n * n)
     stride = n // m
-    h_vals = np.zeros((m, m))
     # outer midpoints (i+1/2)/m align exactly with sample-cell boundaries
-    for i in range(m):
-        a = stride * i + stride // 2
-        xi = (i + 0.5) / m * X
-        for j in range(m):
-            b = stride * j + stride // 2
-            yj = (j + 0.5) / m * Y
-            block = np.sort(F[:a, :b], axis=None)[::-1]
-            R = sugeno_from_sorted(block, cell)
-            h_vals[i, j] = (R / (xi * yj)) ** p
+    ends = stride * np.arange(m) + stride // 2
+    R = sugeno_prefix_blocks(F, ends, ends, scn.domain.area / (n * n))
+    xs = [(i + 0.5) / m * X for i in range(m)]
+    ys = [(j + 0.5) / m * Y for j in range(m)]
+    # a Python-float pow per element: numpy's array pow can differ by an ulp
+    h_vals = np.array([[(r / (x * y)) ** p for r, y in zip(row, ys)]
+                       for row, x in zip(R.tolist(), xs)])
     rhs_integral = sugeno_from_sorted(
         np.sort(h_vals, axis=None)[::-1], scn.domain.area / (m * m)
     )

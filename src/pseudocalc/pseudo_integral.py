@@ -5,7 +5,9 @@ generator:  ∫^⊕ f = g⁻¹(∫ g∘f).  The sup-integral is the idempotent (
 counterpart: the sup over the domain of f ⊙ ψ with ψ the density of the
 sup-measure.  The Sugeno integral is sup_α min(α, μ{f ≥ α}) with μ the
 Lebesgue product measure, taken exactly for the empirical measure of
-midpoint samples (sugeno_from_sorted).
+midpoint samples: sugeno_from_sorted on one sorted sample, and
+sugeno_prefix_blocks for all the nested blocks F[:a, :b] of one sample grid
+at once (one sort plus 2-D prefix counts, the same values bit for bit).
 
 Decreasing generators are accepted: the formulas use g and g⁻¹ directly, the
 declared direction only matters for validation.
@@ -216,3 +218,75 @@ def sugeno_from_sorted(descending: np.ndarray, cell_area: float) -> float:
     if lo < descending.size:
         best = max(best, float(descending[lo]))
     return float(best)
+
+
+def sugeno_prefix_blocks(F: np.ndarray, row_ends, col_ends, cell_area: float) -> np.ndarray:
+    """sugeno_from_sorted of every block F[:row_ends[i], :col_ends[j]], from one sort.
+
+    F holds finite samples; the ends are nondecreasing and cell_area > 0.  The
+    samples are sorted once, descending, and the ranks cut into chunks of L
+    (n for an n × n grid).  A sample's band on each axis is the number of
+    block ends at or below its index, so it lies in block (i, j) iff its bands
+    are ≤ (i, j); counting samples by (chunk, row band, column band) and
+    summing along all three axes gives K, the size of every block's part of
+    every rank prefix that ends a chunk.
+
+    A block element's own rank is at most K at its chunk's end and its value
+    at least the chunk's smallest value, so the whole chunk passes the test
+    v_(k) ≥ k·cell while K·cell does not exceed that smallest value; from the
+    first chunk c₀ where it does, no later element passes.  The crossing rank
+    k* is therefore found inside c₀, for all blocks at once, from the block
+    mask and a running count; the first element of c₀ that fails is v_(k*+1)
+    (if none fails, the next one lies below K·cell and the value is k*·cell).
+    These are the k* and the v_(k*+1) that each block's own sort would give,
+    so the values are the same bits.
+    """
+    row_ends = np.asarray(row_ends, dtype=np.intp)
+    col_ends = np.asarray(col_ends, dtype=np.intp)
+    rows, cols = len(row_ends), len(col_ends)
+    flat = F.ravel()
+    total = flat.size
+    if total == 0:
+        return np.zeros((rows, cols))
+    length = math.isqrt(total - 1) + 1
+    chunks = -(-total // length)
+    padded = chunks * length
+    order = np.argsort(-flat, kind="stable")
+    # value and bands of each rank, padded to whole chunks with samples in no block
+    values = np.zeros(padded)
+    values[:total] = flat[order]
+    band_type = np.min_scalar_type(max(rows, cols))
+    band_x = np.full(padded, rows, dtype=band_type)
+    band_y = np.full(padded, cols, dtype=band_type)
+    r, c = np.divmod(order, F.shape[1])
+    band_x[:total] = np.searchsorted(row_ends, np.arange(F.shape[0]), side="right")[r]
+    band_y[:total] = np.searchsorted(col_ends, np.arange(F.shape[1]), side="right")[c]
+    key = (np.arange(padded) // length * (rows + 1) + band_x) * (cols + 1) + band_y
+    counts = np.bincount(key, minlength=chunks * (rows + 1) * (cols + 1))
+    counts = counts.reshape(chunks, rows + 1, cols + 1)
+    for axis in range(3):
+        np.cumsum(counts, axis=axis, out=counts)
+    K = counts[:, :rows, :cols]
+    values = values.reshape(chunks, length)
+    band_x = band_x.reshape(chunks, length)
+    band_y = band_y.reshape(chunks, length)
+    smallest = values[np.arange(chunks), np.minimum(length, total - np.arange(chunks) * length) - 1]
+    # K·cell > smallest holds from c₀ on, so c₀ counts the chunks before it
+    c0 = np.count_nonzero(K * cell_area <= smallest[:, np.newaxis, np.newaxis], axis=0)
+    out = K[-1] * cell_area                 # no crossing: every element passes
+    bi, bj = np.nonzero(c0 < chunks)
+    c0 = c0[bi, bj]
+    rank_type = np.int32 if total < 2**31 else np.int64
+    before = np.where(c0 > 0, K[c0 - 1, bi, bj], 0).astype(rank_type)
+    member = (band_x[c0] <= bi[:, np.newaxis]) & (band_y[c0] <= bj[:, np.newaxis])
+    rank = np.cumsum(member, axis=1, dtype=rank_type)
+    rank += before[:, np.newaxis]
+    fails = member & (values[c0] < rank * cell_area)
+    failed = fails.any(axis=1)
+    first = fails.argmax(axis=1)
+    k_star = np.where(failed, rank[np.arange(bi.size), first] - 1, rank[:, -1])
+    best = k_star * cell_area
+    following = values[c0, first]
+    # max(best, v) as sugeno_from_sorted takes it: best unless v is larger
+    out[bi, bj] = np.where(failed & (following > best), following, best)
+    return out

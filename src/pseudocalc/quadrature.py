@@ -116,14 +116,15 @@ def eval_nodes(f, *coords: np.ndarray) -> np.ndarray:
 
     f is called once on the arrays.  A callable that cannot take arrays (it
     raises, or returns a value of another shape) is called once per node with
-    Python floats instead.
+    Python floats instead.  The result is always a new array the caller owns,
+    even when f hands back a coordinate array (a broadcast view in grid_eval).
     """
     shape = coords[0].shape
     with np.errstate(all="ignore"):
         try:
             vals = np.asarray(f(*coords), dtype=float)
-            if vals.shape != shape:
-                vals = np.broadcast_to(vals, shape).copy()
+            if vals.shape != shape or not vals.flags.owndata:
+                vals = np.array(np.broadcast_to(vals, shape))
         except Exception:  # whatever the reason, f is retried node by node
             vals = np.full(shape, np.nan)
             for i, point in enumerate(zip(*(c.ravel().tolist() for c in coords))):
@@ -365,8 +366,27 @@ def integrate_2d(f, r: Rect, tol: float = DEFAULT_TOL,
 
 def grid_eval(f, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Evaluate f on the tensor grid xs × ys; failed nodes become NaN."""
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    # broadcast views of xs and ys: no grid-sized coordinate copies
+    X, Y = np.meshgrid(xs, ys, indexing="ij", copy=False)
     return eval_nodes(f, X, Y)
+
+
+def grid_eval_inward(f, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """grid_eval, with failed nodes on the axes retried once BOUNDARY_INSET inward.
+
+    The grid engines' form of the adaptive engine's retry at its limits: a
+    failed node with x = 0 or y = 0 is evaluated again with that coordinate
+    at BOUNDARY_INSET.  Failed interior nodes stay NaN.
+    """
+    vals = grid_eval(f, xs, ys)
+    # failed nodes are NaN, so a sum that is not NaN rules them out in one pass
+    if np.isnan(np.sum(vals)):
+        on_axis = (xs == 0.0)[:, np.newaxis] | (ys == 0.0)[np.newaxis, :]
+        ix, iy = np.nonzero(np.isnan(vals) & on_axis)
+        inset_x = np.where(xs == 0.0, BOUNDARY_INSET, xs)
+        inset_y = np.where(ys == 0.0, BOUNDARY_INSET, ys)
+        vals[ix, iy] = eval_nodes(f, inset_x[ix], inset_y[iy])
+    return vals
 
 
 def _best_on_grid(f, xs, ys, stats: dict | None):

@@ -153,6 +153,13 @@ class TestHardyCommand:
                                                lambda s, t: f(s, t) ** 2.0, UNIT_SQUARE)
         assert payload["rhs_integral"] == rhs_integral
 
+    def test_singular_corner_is_evaluable_on_the_sup_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "hardy", "--f", "x/(x+y)", "--semiring", "suptimes",
+                               "--p", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["not_evaluable"] is False and payload["holds"] is True
+
     def test_inline_sup(self, capsys):
         code, out, _ = run_cli(capsys, "hardy", "--f", "x*y", "--semiring", "suptimes",
                                "--p", "2")

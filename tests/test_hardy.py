@@ -188,8 +188,62 @@ class TestCheckHardySup:
         rep = H.check_hardy_sup(scn)
         assert any("running sup" in n for n in rep.notes)
 
+    def test_singular_corner_is_retried_inward(self):
+        # x/(x+y) fails only at the origin, which the sup grid retries at the
+        # boundary inset, as the g-kernel grid does
+        scn = H.HardyScenario(f_src="x/(x+y)", check_kind="sup_hardy", p=2.0,
+                              semiring_spec="suptimes")
+        rep = H.check_hardy_sup(scn)
+        assert rep.not_evaluable is False and rep.holds is True
+        assert rep.rhs_integral == 1.0
+
+    def test_interior_failure_not_evaluable(self):
+        # 1/(x-0.5) fails on the grid line x = 0.5, off the axes: no retry
+        scn = H.HardyScenario(f_src="1/(x-0.5)+y", check_kind="sup_hardy", p=2.0,
+                              semiring_spec="suptimes")
+        rep = H.check_hardy_sup(scn)
+        assert rep.not_evaluable is True and rep.holds is None
+        # the g-kernel grid shares the policy
+        f = expr.as_function(expr.parse("1/(x-0.5)+y"))
+        with pytest.raises(H.DomainError, match="kernel grid"):
+            H.GKernelGrid(G.identity(), f, 1.0, 1.0, panels=8, grading=1)
+
+
+# (lhs, rhs_integral, rhs, holds) of check_hardy_sugeno with the default
+# config, recorded when every kernel block was sorted on its own: the first
+# default-campaign Sugeno trial of each (family, p) cell
+PER_BLOCK_SORT_RESULTS = {
+    ("0.273355237703685*(x+y)/2", 1.5):  # affine-mean
+        (0.5597023903623033, 0.3485243055555555, 0.3003491416832643, True),
+    ("0.21446861009434826*(x+y)/2", 2.0):
+        (0.5104887981496697, 0.2586805555555555, 0.2207242236523268, True),
+    ("0.8110920929506024*(x+y)/2", 3.0):
+        (0.7838533497204152, 0.4331597222222222, 0.36543645236794214, True),
+    ("x^2.5057546815834546*y^0.33032148405336637", 1.5):  # monomial
+        (0.69200328535679, 0.19750490458010744, 0.17020456715152824, True),
+    ("x^3.149996216594045*y^3.0615785330599126", 2.0):
+        (0.5867529812599194, 0.013202192773527056, 0.01126502818964019, True),
+    ("x^1.9213746415248831*y^0.779093692412514", 3.0):
+        (0.7339701387357681, 0.03510047917156187, 0.029612620765071585, True),
+    ("0.46915844908869275*x^2.5057546815834546*y^0.33032148405336637", 1.5):  # product
+        (0.5953585737860623, 0.13702040192065568, 0.11808060285598879, True),
+    ("0.6037129040992009*x^0.5343968246065969*y^3.6913235546128953", 2.0):
+        (0.6096160853092125, 0.05079822485207099, 0.04334457500800315, True),
+    ("0.3689448892419728*x^1.876633796354771*y^2.5057546815834546"
+     "+0.31718750422482817*x^0.33032148405336637*y^0.08182447617138511"
+     "+0.20176990243597703*x^0.8849779823065504*y^0.14488974404277588", 3.0):
+        (0.754325465811109, 0.484375, 0.40864436958178707, True),
+}
+
 
 class TestCheckHardySugeno:
+    @pytest.mark.parametrize("f_src,p", sorted(PER_BLOCK_SORT_RESULTS))
+    def test_matches_per_block_sorts(self, f_src, p):
+        # the kernel is the exact empirical Sugeno value of each block, so
+        # every figure of the report is the same bits as before
+        rep = H.check_hardy_sugeno(H.HardyScenario(f_src=f_src, check_kind="sugeno_hardy", p=p))
+        assert (rep.lhs, rep.rhs_integral, rep.rhs, rep.holds) == PER_BLOCK_SORT_RESULTS[f_src, p]
+
     def test_constant_one(self):
         scn = H.HardyScenario(f_src="1", check_kind="sugeno_hardy", p=1.0)
         rep = H.check_hardy_sugeno(scn)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pseudocalc import generators as G
 from pseudocalc import pseudo_integral as P
@@ -261,3 +263,88 @@ class TestSugeno:
             descending = np.sort(values)[::-1]
             for cell in (1.0 / max(values.size, 1), 1e-3, 0.37):
                 assert P.sugeno_from_sorted(descending, cell) == reference(descending, cell)
+
+
+def _blocks_by_sorting(F, row_ends, col_ends, cell):
+    return np.array([[P.sugeno_from_sorted(np.sort(F[:a, :b], axis=None)[::-1], cell)
+                      for b in col_ends] for a in row_ends]).reshape(len(row_ends), len(col_ends))
+
+
+def _assert_blocks_exact(F, row_ends, col_ends, cell):
+    got = P.sugeno_prefix_blocks(F, row_ends, col_ends, cell)
+    want = _blocks_by_sorting(F, row_ends, col_ends, cell)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()      # the same bits, signed zeros included
+    return got
+
+
+class TestSugenoPrefixBlocks:
+    """One sort plus prefix counts against a sort of every block, bit for bit."""
+
+    ENDS = [0, 1, 2, 5, 6, 13, 24]
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "constant", "outside"])
+    def test_matches_block_sorts(self, kind):
+        rng = np.random.default_rng(11)
+        F = {
+            "random": rng.random((24, 24)),
+            "ties": rng.integers(0, 5, (24, 24)) / 4.0,
+            "constant": np.full((24, 24), 0.3),
+            "outside": rng.random((24, 24)) * 3.0 - 1.0,
+        }[kind]
+        for cell in (1.0 / 24**2, 1e-3, 0.37):
+            _assert_blocks_exact(F, self.ENDS, self.ENDS, cell)
+            _assert_blocks_exact(F, [24], [3, 24], cell)
+
+    def test_every_element_passes(self):
+        # v_(k) = 1 ≥ k·cell for every k, so k* is the block size
+        n = 16
+        got = _assert_blocks_exact(np.ones((n, n)), self.ENDS[:5], self.ENDS[:5], 1.0 / n**2)
+        sizes = np.outer(self.ENDS[:5], self.ENDS[:5])
+        assert got.tolist() == (sizes * (1.0 / n**2)).tolist()
+
+    @pytest.mark.parametrize("crossing", [31, 32, 33, 64])
+    def test_crossing_at_chunk_boundary(self, crossing):
+        # chunks hold n = 16 ranks; the top `crossing` samples share the value
+        # crossing·cell, so v_(k) ≥ k·cell holds up to k = crossing, with
+        # equality there, and fails from the next rank on
+        n = 16
+        cell = 1.0 / n**2
+        F = np.zeros(n * n)
+        F[np.random.default_rng(crossing).permutation(n * n)[:crossing]] = crossing * cell
+        F = F.reshape(n, n)
+        got = _assert_blocks_exact(F, [3, 8, 16], [5, 16], cell)
+        assert got[-1, -1] == crossing * cell
+
+    @pytest.mark.parametrize("shape", [(7, 11), (13, 5), (1, 9), (9, 1)])
+    def test_sample_count_not_a_multiple_of_the_chunk(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        F = rng.integers(0, 7, shape) / 6.0
+        rows = sorted({0, 1, shape[0] // 2, shape[0]})
+        cols = sorted({0, 1, shape[1] // 2, shape[1]})
+        for cell in (1.0 / F.size, 0.05, 0.4):
+            _assert_blocks_exact(F, rows, cols, cell)
+
+    def test_one_block_is_the_whole_sample(self):
+        rng = np.random.default_rng(5)
+        F = rng.random((30, 30))
+        cell = 1.0 / 900
+        got = P.sugeno_prefix_blocks(F, [30], [30], cell)
+        assert got.shape == (1, 1)
+        assert got[0, 0] == P.sugeno_from_sorted(np.sort(F, axis=None)[::-1], cell)
+
+    def test_empty_sample(self):
+        assert P.sugeno_prefix_blocks(np.zeros((0, 0)), [0, 0], [0], 0.1).tolist() == [[0.0], [0.0]]
+
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 3, 1000]), st.sampled_from([1.0, 0.1, 1e-3]),
+    )
+    def test_property(self, nrows, ncols, seed, levels, cell_scale):
+        # levels = 1 is a constant array, 3 heavy ties, 1000 nearly distinct;
+        # values reach below 0 and above 1
+        rng = np.random.default_rng(seed)
+        F = rng.integers(0, levels, (nrows, ncols)) / max(levels - 1, 1) * 2.5 - 0.5
+        rows = np.sort(rng.integers(0, nrows + 1, rng.integers(1, 5)))
+        cols = np.sort(rng.integers(0, ncols + 1, rng.integers(1, 5)))
+        _assert_blocks_exact(F, rows, cols, cell_scale / F.size)

@@ -279,3 +279,24 @@ class TestEngineContract:
         got = Q.eval_nodes(scalar_only, xs)
         assert np.isnan(got[1]) and got[0] == 0.0 and got[2] == 1.0
         assert Q.eval_nodes(lambda x: 2.0, xs).tolist() == [2.0, 2.0, 2.0]
+
+    def test_grid_eval_returns_an_owned_array(self):
+        # grid_eval passes f broadcast views of xs and ys, and an f that
+        # returns its x argument hands one back; callers write into the result
+        xs, ys = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3)
+        vals = Q.grid_eval(lambda x, y: x, xs, ys)
+        assert vals.flags.owndata and vals.flags.writeable
+        assert vals.tolist() == [[x] * 3 for x in xs.tolist()]
+        vals[0, 0] = 7.0
+        assert xs[0] == 0.0
+
+    def test_grid_eval_inward_retries_axis_nodes_only(self):
+        f = lambda x, y: x / (x + y) + 1.0 / (x - 0.5) ** 2
+        xs = ys = np.array([0.0, 0.5, 1.0])
+        vals = Q.grid_eval_inward(f, xs, ys)
+        # the origin is retried at (BOUNDARY_INSET, BOUNDARY_INSET); the
+        # failures on x = 0.5 include (0.5, 0), which is on the y = 0 axis
+        # but fails again at y = BOUNDARY_INSET
+        assert vals[0, 0] == f(Q.BOUNDARY_INSET, Q.BOUNDARY_INSET)
+        assert np.isnan(vals[1]).all()
+        assert np.isfinite(np.delete(vals, 1, axis=0)).all()
