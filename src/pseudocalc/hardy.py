@@ -52,7 +52,7 @@ from .pseudo_integral import (
     g_integral_2d_result,
     g_quadrature,
     psi_weighted,
-    sugeno_from_sorted,
+    sugeno_from_samples,
     sugeno_integral_2d,
     sugeno_prefix_blocks,
     unit_psi,
@@ -381,11 +381,13 @@ def check_hardy_g(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> H
             config.max_depth,
         )
         statuses["rhs"] = rhs_quad.status
-    except DivergenceError as e:
+    except (DivergenceError, DomainError) as e:
+        # the inner integral diverged, or g⁻¹ is undefined at its value
         return HardyReport(
             kind=G_HARDY, p=p, lhs=None, rhs_integral=None, constant=constant,
             rhs=None, holds=None, direction="le",
-            statuses={"rhs": DIVERGED}, notes=[str(e)], not_evaluable=True,
+            statuses={"rhs": e.result.status},
+            notes=[str(e)], not_evaluable=True,
         )
 
     try:
@@ -428,8 +430,10 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int,
     # ψ(x) as a column and ψ(y) as a row, ready to broadcast against F
     psix = np.broadcast_to(np.asarray(psi(xs), dtype=float), xs.shape)[:, np.newaxis]
     psiy = np.broadcast_to(np.asarray(psi(ys), dtype=float), ys.shape)[np.newaxis, :]
-    weighted = psi_weighted(s, F, psix, psiy, flags)
-    R = np.maximum.accumulate(np.maximum.accumulate(weighted, axis=0), axis=1)
+    # the running maxima overwrite the weighted surface: no more grid-sized arrays
+    R = psi_weighted(s, F, psix, psiy, flags)
+    np.maximum.accumulate(R, axis=0, out=R)
+    np.maximum.accumulate(R, axis=1, out=R)
     return xs, ys, F, R, psix, psiy
 
 
@@ -463,11 +467,17 @@ def check_hardy_sup(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) ->
     if np.any(F < 0):
         notes.append("f takes negative values: theorem hypotheses not met")
 
-    lhs = float(np.max(psi_weighted(s, R**p, psix, psiy, flags)))
-    rhs_integral = float(np.max(psi_weighted(s, F**p, psix, psiy, flags)))
-    rhs = constant * rhs_integral
     diff = R - F
     k = np.unravel_index(np.argmax(diff), diff.shape)
+    pointwise_max = float(diff[k])
+    del diff   # freed before the weighted maxima: one grid-sized array fewer at the peak
+    # R and F are not needed past here, so they are raised to p in place
+    # (the same bits as R**p and F**p, without two more grid-sized arrays)
+    R **= p
+    lhs = float(np.max(psi_weighted(s, R, psix, psiy, flags)))
+    F **= p
+    rhs_integral = float(np.max(psi_weighted(s, F, psix, psiy, flags)))
+    rhs = constant * rhs_integral
     if flags.saturated:
         notes.append(
             f"saturation: {flags.add_saturations} add / {flags.mul_saturations} mul clamps"
@@ -475,7 +485,7 @@ def check_hardy_sup(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) ->
     return HardyReport(
         kind=SUP_HARDY, p=p, lhs=lhs, rhs_integral=rhs_integral, constant=constant,
         rhs=rhs, holds=_le_verdict(lhs, rhs), direction="le",
-        pointwise_max=float(diff[k]), pointwise_location=(float(xs[k[0]]), float(ys[k[1]])),
+        pointwise_max=pointwise_max, pointwise_location=(float(xs[k[0]]), float(ys[k[1]])),
         statuses={"lhs": CONVERGED, "rhs": CONVERGED}, notes=notes,
     )
 
@@ -489,19 +499,24 @@ def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG)
     p = scn.p
     constant = sugeno_hardy_constant(p)
     X, Y = scn.domain.x_high, scn.domain.y_high
-
-    lhs_integral = sugeno_integral_2d(
-        lambda x, y: f(x, y) ** p, scn.domain, grid=config.sugeno_lhs_grid
-    )
-    lhs = lhs_integral ** (1.0 / (2.0 * p + 1.0))
-
     n = config.sugeno_samples
     m = config.sugeno_outer
     if n % m != 0:
         raise ValueError("sugeno_samples must be a multiple of sugeno_outer")
     F = level_set_samples(f, scn.domain, n)
     if not np.all(np.isfinite(F)):
-        raise DomainError("f failed to evaluate on the Sugeno sample grid")
+        # midpoint samples never lie on the axes, so there is no inward retry
+        return HardyReport(
+            kind=SUGENO_HARDY, p=p, lhs=None, rhs_integral=None, constant=constant,
+            rhs=None, holds=None, direction="ge", statuses={"rhs": DIVERGED},
+            notes=["f failed to evaluate on the Sugeno sample grid"], not_evaluable=True,
+        )
+
+    lhs_integral = sugeno_integral_2d(
+        lambda x, y: f(x, y) ** p, scn.domain, grid=config.sugeno_lhs_grid
+    )
+    lhs = lhs_integral ** (1.0 / (2.0 * p + 1.0))
+
     stride = n // m
     # outer midpoints (i+1/2)/m align exactly with sample-cell boundaries
     ends = stride * np.arange(m) + stride // 2
@@ -511,9 +526,7 @@ def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG)
     # a Python-float pow per element: numpy's array pow can differ by an ulp
     h_vals = np.array([[(r / (x * y)) ** p for r, y in zip(row, ys)]
                        for row, x in zip(R.tolist(), xs)])
-    rhs_integral = sugeno_from_sorted(
-        np.sort(h_vals, axis=None)[::-1], scn.domain.area / (m * m)
-    )
+    rhs_integral = sugeno_from_samples(h_vals, scn.domain.area / (m * m))
     rhs = constant * rhs_integral
     return HardyReport(
         kind=SUGENO_HARDY, p=p, lhs=lhs, rhs_integral=rhs_integral, constant=constant,

@@ -5,9 +5,11 @@ generator:  ∫^⊕ f = g⁻¹(∫ g∘f).  The sup-integral is the idempotent (
 counterpart: the sup over the domain of f ⊙ ψ with ψ the density of the
 sup-measure.  The Sugeno integral is sup_α min(α, μ{f ≥ α}) with μ the
 Lebesgue product measure, taken exactly for the empirical measure of
-midpoint samples: sugeno_from_sorted on one sorted sample, and
-sugeno_prefix_blocks for all the nested blocks F[:a, :b] of one sample grid
-at once (one sort plus 2-D prefix counts, the same values bit for bit).
+midpoint samples: sugeno_from_sorted on one sorted sample,
+sugeno_from_samples on an unsorted one (a selection that sorts only the
+values around the crossing rank), and sugeno_prefix_blocks for all the
+nested blocks F[:a, :b] of one sample grid at once (one sort plus 2-D
+prefix counts).  All three give the same values bit for bit.
 
 Decreasing generators are accepted: the formulas use g and g⁻¹ directly, the
 declared direction only matters for validation.
@@ -49,6 +51,10 @@ class DivergenceError(ArithmeticError):
 
 class DomainError(ValueError):
     """g∘f left the generator's domain or range during integration."""
+
+    def __init__(self, message: str, result: QuadratureResult | None = None):
+        super().__init__(message)
+        self.result = result
 
 
 @dataclass(frozen=True)
@@ -128,7 +134,7 @@ def _g_inverse(gen: Generator, res: QuadratureResult) -> tuple[float, Quadrature
     try:
         return eval_inverse(gen, res.value), res
     except RangeError as e:
-        raise DomainError(str(e)) from e
+        raise DomainError(str(e), res) from e
 
 
 def g_integral_1d_result(gen: Generator, f, low: float, high: float,
@@ -188,15 +194,41 @@ def sugeno_integral_2d(f, r: Rect = UNIT_SQUARE,
                        grid: int = DEFAULT_LEVEL_SET_GRID) -> float:
     """Sugeno integral sup_α min(α, μ({f ≥ α} ∩ r)) for the empirical measure.
 
-    f is sampled once on the grid × grid midpoint cells; failed samples are
-    dropped and the rest sorted in place for sugeno_from_sorted.
+    f is sampled once on the grid × grid midpoint cells (one broadcast call,
+    see quadrature.grid_eval); failed samples are dropped, and only copied
+    out when there are any; sugeno_from_samples then finds the crossing rank
+    by selection instead of a full sort.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     samples = level_set_samples(f, r, grid)
-    samples = samples[np.isfinite(samples)]
-    samples.sort()
-    return sugeno_from_sorted(samples[::-1], r.area / (grid * grid))
+    # failed samples are NaN, so a sum that is not NaN rules them out in one pass
+    if np.isnan(np.sum(samples)):
+        samples = samples[~np.isnan(samples)]
+    return sugeno_from_samples(samples, r.area / (grid * grid))
+
+
+def _crossing_rank(descending, cell_area: float, lo: int, hi: int) -> int:
+    """max{k ∈ [lo, hi] : k = lo or v_(k) ≥ k·cell}, where descending[i] = v_(lo+1+i).
+
+    The test holds at lo and is monotone in k, so the ranks are bisected.
+    """
+    base = lo
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if descending[mid - base - 1] >= mid * cell_area:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _sugeno_value(k_star: int, cell_area: float, following) -> float:
+    """max(k*·cell, v_(k*+1)), following being v_(k*+1), or None past the last rank."""
+    best = k_star * cell_area
+    if following is not None:
+        best = max(best, float(following))
+    return float(best)
 
 
 def sugeno_from_sorted(descending: np.ndarray, cell_area: float) -> float:
@@ -207,17 +239,94 @@ def sugeno_from_sorted(descending: np.ndarray, cell_area: float) -> float:
     is max(k*·cell, v_(k*+1)).  k* is found by bisection over ranks, so no
     array the size of the sample is allocated.
     """
-    lo, hi = 0, descending.size
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if descending[mid - 1] >= mid * cell_area:
-            lo = mid
-        else:
-            hi = mid - 1
-    best = lo * cell_area
-    if lo < descending.size:
-        best = max(best, float(descending[lo]))
-    return float(best)
+    k_star = _crossing_rank(descending, cell_area, 0, descending.size)
+    return _sugeno_value(k_star, cell_area,
+                         descending[k_star] if k_star < descending.size else None)
+
+
+def sugeno_from_samples(values: np.ndarray, cell_area: float) -> float:
+    """sugeno_from_sorted of the finite values sorted descending, without a full sort.
+
+    A cut {v > t} or {v ≥ t} with c members bounds the crossing rank k*: its
+    c-th largest value is at least t and every value outside it at most t,
+    so c·cell ≤ t gives k* ≥ c (a lower cut) and c·cell > t gives k* ≤ c (an
+    upper cut).  Between a lower cut L and an upper cut U lie the ranks
+    c_L+1 … c_U, held by the members of U outside L.  Only those are sorted,
+    and k* is bisected among them; v_(k*+1) is the next of them or, when
+    k* = c_U, the largest value outside U.
+
+    The cuts come from a strided subsample, one value in about isqrt(n)/4
+    with the stride coprime to the last axis so that every column of a
+    sample grid is represented.  Its own crossing rank guesses k*.  Cuts are
+    probed about isqrt(subsample)/8 subsample ranks above and below the
+    guess, and a probe that lands on the wrong side moves out four times as
+    far, until it reaches the end of the subsample; then the trivial cut
+    (c = 0 above, c = n below) stands in, and with both trivial the band is
+    the whole sample, a full sort.  Ties have their own rule: the probe
+    above the guess is strict (v > t) and the one below inclusive (v ≥ t),
+    so when both land on one tied value t the band is {v = t}, which is
+    bisected as a constant without being extracted or sorted.  Fewer than
+    256 values (a stride below 4), or a cell_area that is not positive, are
+    sorted whole.  Each rank is tested as sugeno_from_sorted tests it, so
+    the value is the same bits.
+    """
+    flat = values.ravel()
+    n = flat.size
+    stride = math.isqrt(n) // 4
+    if stride < 4 or not cell_area > 0.0:
+        return sugeno_from_sorted(np.sort(flat)[::-1], cell_area)
+    side = values.shape[-1]
+    while math.gcd(stride, side) != 1:
+        stride += 1
+    sub = np.sort(flat[::stride])[::-1]
+    m = sub.size
+    guess = _crossing_rank(sub, n / m * cell_area, 0, m)
+    width = max(1, math.isqrt(m) // 8)
+    above, below = guess - 1 - width, guess + width   # subsample indices to probe
+    # the best (count, threshold, members) lower and upper cut so far,
+    # starting from the trivial ones, which need no mask
+    lower, upper = (0, math.inf, None), (n, -math.inf, None)
+    while True:
+        probes = []
+        if lower[2] is None and above is not None:
+            probes.append((max(above, 0), True))
+        if upper[2] is None and below is not None:
+            probes.append((min(below, m - 1), False))
+        if not probes:
+            break
+        for index, strict in probes:
+            t = float(sub[index])
+            mask = flat > t if strict else flat >= t
+            c = int(np.count_nonzero(mask))
+            if c * cell_area <= t:
+                if c >= lower[0]:
+                    lower = (c, t, mask)
+            elif c <= upper[0]:
+                upper = (c, t, mask)
+        # a probe still missing its cut moves out, or stops at the end
+        if lower[2] is None and above is not None:
+            above = None if above <= 0 else guess - 1 - 4 * (guess - 1 - above)
+        if upper[2] is None and below is not None:
+            below = None if below >= m - 1 else guess + 4 * (below - guess)
+
+    (c_lo, t_lo, in_lower), (c_hi, t_hi, in_upper) = lower, upper
+    if t_lo == t_hi:
+        # only a strict lower and an inclusive upper cut share a threshold:
+        # the band is the tie {v = t}
+        band = np.broadcast_to(t_lo, (c_hi - c_lo,))
+    else:
+        inside = np.ones(n, dtype=bool) if in_upper is None else in_upper
+        if in_lower is not None:
+            inside = inside & ~in_lower
+        band = np.sort(flat[inside])[::-1]
+    k_star = _crossing_rank(band, cell_area, c_lo, c_hi)
+    if k_star < c_hi:
+        following = band[k_star - c_lo]
+    elif c_hi < n:
+        following = np.max(flat, where=~in_upper, initial=-math.inf)
+    else:
+        following = None
+    return _sugeno_value(k_star, cell_area, following)
 
 
 def sugeno_prefix_blocks(F: np.ndarray, row_ends, col_ends, cell_area: float) -> np.ndarray:

@@ -40,9 +40,14 @@ correction) are summed sequentially in order of their left endpoints, the
 order of a depth-first traversal, so the value does not depend on how the
 panels were batched.
 
-sup_scan_2d is the one grid sup scan (the sup-integral scans its ψ-weighted
-surface through it); level_set_samples gives the midpoint samples behind the
-Sugeno integral and measure_level_set.
+Grids: grid_eval is the one tensor-grid evaluation behind every grid
+engine.  It calls the (pointwise) f once on the column xs[:, None] and the
+row ys[None, :] and broadcasts the result to the grid, so a monomial
+x^a·y^b costs 2n pows and one n² multiply instead of 2n² pows, with the same
+bits at every node; callables that reject that call get full coordinate
+arrays, then one call per node.  sup_scan_2d is the one grid sup scan (the
+sup-integral scans its ψ-weighted surface through it); level_set_samples
+gives the midpoint samples behind the Sugeno integral and measure_level_set.
 """
 
 from __future__ import annotations
@@ -111,6 +116,25 @@ def _as_float(v) -> float:
         return math.nan
 
 
+def _array_call(f, shape, *args) -> np.ndarray:
+    """f(*args) as a new float array of the given shape that the caller owns.
+
+    Raises whatever f raises, and ValueError if its result does not broadcast
+    to shape.
+    """
+    vals = np.asarray(f(*args), dtype=float)
+    if vals.shape != shape or not vals.flags.owndata:
+        vals = np.array(np.broadcast_to(vals, shape))
+    return vals
+
+
+def _nan_for_failed(vals: np.ndarray) -> np.ndarray:
+    # a finite sum has no NaN or infinite term; one pass, no temporary array
+    if not np.isfinite(np.sum(vals)):
+        vals = np.where(np.isfinite(vals), vals, np.nan)
+    return vals
+
+
 def eval_nodes(f, *coords: np.ndarray) -> np.ndarray:
     """f at the nodes given by equal-shape coordinate arrays; NaN marks a failed node.
 
@@ -122,9 +146,7 @@ def eval_nodes(f, *coords: np.ndarray) -> np.ndarray:
     shape = coords[0].shape
     with np.errstate(all="ignore"):
         try:
-            vals = np.asarray(f(*coords), dtype=float)
-            if vals.shape != shape or not vals.flags.owndata:
-                vals = np.array(np.broadcast_to(vals, shape))
+            vals = _array_call(f, shape, *coords)
         except Exception:  # whatever the reason, f is retried node by node
             vals = np.full(shape, np.nan)
             for i, point in enumerate(zip(*(c.ravel().tolist() for c in coords))):
@@ -132,10 +154,7 @@ def eval_nodes(f, *coords: np.ndarray) -> np.ndarray:
                     vals.flat[i] = _as_float(f(*point))
                 except (ArithmeticError, ValueError):
                     pass
-        # a finite sum has no NaN or infinite term; one pass, no temporary array
-        if not np.isfinite(np.sum(vals)):
-            vals = np.where(np.isfinite(vals), vals, np.nan)
-    return vals
+        return _nan_for_failed(vals)
 
 
 # rows of the panel table the engine carries from one level to the next, and
@@ -365,10 +384,24 @@ def integrate_2d(f, r: Rect, tol: float = DEFAULT_TOL,
 
 
 def grid_eval(f, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Evaluate f on the tensor grid xs × ys; failed nodes become NaN."""
-    # broadcast views of xs and ys: no grid-sized coordinate copies
-    X, Y = np.meshgrid(xs, ys, indexing="ij", copy=False)
-    return eval_nodes(f, X, Y)
+    """Evaluate f on the tensor grid xs × ys; failed nodes become NaN.
+
+    f is pointwise, so it is called once on the column xs[:, None] and the row
+    ys[None, :] and its result broadcast to the grid: a term in x alone costs
+    len(xs) evaluations, not len(xs)·len(ys), and each node gets the same bits
+    as on full coordinate arrays.  If f rejects that call or returns a shape
+    that does not broadcast to the grid, it gets eval_nodes' path instead:
+    full (broadcast-view) coordinate arrays, then one call per node.  Either
+    way the result is a new array the caller owns.
+    """
+    shape = (xs.size, ys.size)
+    with np.errstate(all="ignore"):
+        try:
+            vals = _array_call(f, shape, xs[:, np.newaxis], ys[np.newaxis, :])
+        except Exception:  # whatever the reason, f gets the full coordinate arrays
+            X, Y = np.meshgrid(xs, ys, indexing="ij", copy=False)
+            return eval_nodes(f, X, Y)
+        return _nan_for_failed(vals)
 
 
 def grid_eval_inward(f, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

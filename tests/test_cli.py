@@ -160,6 +160,22 @@ class TestHardyCommand:
         payload = json.loads(out)
         assert payload["not_evaluable"] is False and payload["holds"] is True
 
+    def test_undefined_rhs_inverse_exits_2(self, capsys):
+        code, out, _ = run_cli(capsys, "hardy", "--f", "x^(-0.2)", "--g", "sqrt", "--p", "2")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["not_evaluable"] is True and payload["holds"] is None
+        assert "outside range" in payload["notes"][0]
+
+    def test_failed_sugeno_sample_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"f": "ln(x-0.3)+2", "kind": "sugeno_hardy", "p": 2.0}))
+        code, out, _ = run_cli(capsys, "hardy", "--scenario", str(path))
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["not_evaluable"] is True and payload["holds"] is None
+        assert payload["notes"] == ["f failed to evaluate on the Sugeno sample grid"]
+
     def test_inline_sup(self, capsys):
         code, out, _ = run_cli(capsys, "hardy", "--f", "x*y", "--semiring", "suptimes",
                                "--p", "2")

@@ -3,13 +3,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pseudocalc import expr
 from pseudocalc import generators as G
 from pseudocalc import hardy as H
+from pseudocalc import pseudo_integral as P
 from pseudocalc.harness import SplitMix64, random_function, trial_rng
 from pseudocalc.quadrature import Rect
+from pseudocalc.semiring import parse_semiring
 
 
 class TestConstants:
@@ -112,6 +115,15 @@ class TestCheckHardyG:
         assert rep.holds is None
         assert rep.statuses["rhs"] == "diverged"
 
+    def test_rhs_outside_the_generator_range_not_evaluable(self):
+        # ∬ sqrt(x^(-0.4)) = 1.25 converges, but sqrt⁻¹ is undefined there
+        scn = H.HardyScenario(f_src="x^(-0.2)", check_kind="g_hardy", p=2.0, gen_spec="sqrt")
+        rep = H.run_check(scn)
+        assert rep.not_evaluable is True and rep.holds is None
+        assert rep.lhs is None and rep.rhs_integral is None
+        assert rep.statuses == {"rhs": "converged"}
+        assert rep.notes == ["sqrt: y=1.2500000078813367 outside range [0.0, 1.0]"]
+
     def test_hypothesis_gate(self):
         scn = H.HardyScenario(f_src="x*y", check_kind="g_hardy", p=0.5, gen_spec="sqrt")
         with pytest.raises(H.HypothesisError):
@@ -209,6 +221,48 @@ class TestCheckHardySup:
             H.GKernelGrid(G.identity(), f, 1.0, 1.0, panels=8, grading=1)
 
 
+# (lhs, rhs_integral, pointwise_max, pointwise_location, holds, notes past the
+# two fixed ones) of check_hardy_sup, recorded before the check raised R and F
+# to p in place and the running maxima overwrote the weighted surface; most
+# of the f are not monotone, so the running maxima do work
+SUP_CONTRACT = {
+    ('x*(1-x)+y*(1-y)', 'suptimes', None, 2.0):
+        (0.25, 0.25, 0.5, (1.0, 1.0), True, []),
+    ('(x+y)/2', 'supplus', '0.9', 1.5):
+        (1.0, 1.0, 1.0, (0.0, 0.0), True, ['saturation: 0 add / 1549127 mul clamps']),
+    ('x*y', 'g:sqrt', '1-x/2', 3.0):
+        (0.004508318925583704, 0.2500000000000001, 0.0, (0.0, 0.0), True, []),
+    ('max(x,y)-0.5*x*y', 'maxmin', None, 2.5):
+        (1.0, 1.0, 0.5, (1.0, 1.0), True, []),
+    ('0.5+0.4*x-0.6*y*y', 'supplus', '0.3*x', 2.0):
+        (1.0, 1.0, 0.8355468749999999, (0.66015625, 1.0), True, ['f takes negative values: theorem hypotheses not met', 'saturation: 0 add / 336189 mul clamps']),
+    ('x*(1-x)+y*(1-y)', 'suptimes', '1-x/2', 1.5):
+        (0.12079164203991816, 0.21283417072660013, 0.3098420798778534, (1.0, 1.0), True, []),
+    ('x*(1-x)*(0.5+y)', 'g:half', '0.5+x/2', 2.0):
+        (0.0013020762965112453, 0.026724832512781127, 0.07216858863830566, (1.0, 1.0), True, []),
+}
+
+
+class TestSupBuffers:
+    @pytest.mark.parametrize("f_src,semiring,psi,p", sorted(SUP_CONTRACT, key=repr))
+    def test_matches_fresh_temporaries(self, f_src, semiring, psi, p):
+        rep = H.check_hardy_sup(H.HardyScenario(f_src=f_src, check_kind="sup_hardy", p=p,
+                                                semiring_spec=semiring, psi_src=psi))
+        got = (rep.lhs, rep.rhs_integral, rep.pointwise_max, rep.pointwise_location,
+               rep.holds, rep.notes[2:])
+        assert got == SUP_CONTRACT[f_src, semiring, psi, p]
+
+    def test_running_sup_kernel_in_place(self):
+        s = parse_semiring("suptimes")
+        psi = P.PsiDensity.from_string("1-x/2")
+        f = expr.as_function(expr.parse("x*(1-x)+y*(1-y)"))
+        xs, ys, F, R, psix, psiy = H.sup_kernel_grid(s, f, psi, Rect(0.0, 1.0, 0.0, 1.0), 5)
+        weighted = P.psi_weighted(s, F, psix, psiy)
+        want = np.maximum.accumulate(np.maximum.accumulate(weighted, axis=0), axis=1)
+        assert R.tobytes() == want.tobytes()
+        assert not np.array_equal(R, weighted)     # the running maxima moved values
+
+
 # (lhs, rhs_integral, rhs, holds) of check_hardy_sugeno with the default
 # config, recorded when every kernel block was sorted on its own: the first
 # default-campaign Sugeno trial of each (family, p) cell
@@ -261,6 +315,16 @@ class TestCheckHardySugeno:
         scn = H.HardyScenario(f_src="min(x,y)", check_kind="sugeno_hardy", p=2.0)
         rep = H.check_hardy_sugeno(scn)
         assert rep.holds is True
+
+    def test_failed_kernel_sample_not_evaluable(self):
+        # ln(x-0.3) fails on the sample columns with x ≤ 0.3; the check reports
+        # it instead of raising, as the g and sup checks do
+        scn = H.HardyScenario(f_src="ln(x-0.3)+2", check_kind="sugeno_hardy", p=2.0)
+        rep = H.run_check(scn)
+        assert rep.not_evaluable is True and rep.holds is None
+        assert (rep.lhs, rep.rhs_integral, rep.rhs) == (None, None, None)
+        assert rep.statuses == {"rhs": "diverged"}
+        assert rep.notes == ["f failed to evaluate on the Sugeno sample grid"]
 
     def test_hypothesis_gate(self):
         scn = H.HardyScenario(f_src="x*y", check_kind="sugeno_hardy", p=0.5)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pseudocalc import expr
 from pseudocalc import generators as G
 from pseudocalc import pseudo_integral as P
 from pseudocalc import semiring as S
@@ -263,6 +264,186 @@ class TestSugeno:
             descending = np.sort(values)[::-1]
             for cell in (1.0 / max(values.size, 1), 1e-3, 0.37):
                 assert P.sugeno_from_sorted(descending, cell) == reference(descending, cell)
+
+
+def _sorted_sugeno(values, cell):
+    return P.sugeno_from_sorted(np.sort(values, axis=None)[::-1], cell)
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestSugenoFromSamples:
+    """Selection around the crossing rank against a full sort, bit for bit."""
+
+    @staticmethod
+    def assert_exact(values, cells=None):
+        n = max(values.size, 1)
+        for cell in cells or (1.0 / n, 0.1 / n, 10.0 / n, 1e-3, 0.37):
+            got = P.sugeno_from_samples(values, cell)
+            assert _same_bits(got, _sorted_sugeno(values, cell)), (values.shape, cell)
+
+    @pytest.mark.parametrize("shape", [(1024, 1024), (300, 257), (5000,)])
+    def test_random(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        self.assert_exact(rng.random(shape))
+        self.assert_exact(rng.random(shape) ** 6)        # crossing among small values
+
+    @pytest.mark.parametrize("levels", [2, 3, 17, 1000])
+    def test_heavy_ties(self, levels):
+        rng = np.random.default_rng(levels)
+        self.assert_exact(rng.integers(0, levels, (256, 256)) / (levels - 1))
+        # the affine-mean family on a midpoint grid: every anti-diagonal is one value
+        xs = (np.arange(512) + 0.5) / 512
+        self.assert_exact(0.8 * np.add.outer(xs, xs) / 2)
+
+    @pytest.mark.parametrize("value", [0.0, 0.3, 0.999, 1.0, 2.0, -0.5])
+    def test_constant(self, value):
+        # above the area every rank passes (k* = n); below it the tie rule
+        # decides, down to k* = n - 1 (the cell value/(n - 1/2))
+        values = np.full((128, 128), value)
+        n = values.size
+        self.assert_exact(values, (1.0 / n, 0.5 / n, 2.0 / n, 1e-6, abs(value) / (n - 0.5) or 1.0))
+
+    def test_failed_samples_are_dropped(self):
+        from pseudocalc.quadrature import level_set_samples
+
+        f = lambda x, y: np.log(x - 0.3) + 2.0 * y      # NaN on the columns x ≤ 0.3
+        samples = level_set_samples(f, UNIT_SQUARE, 256)
+        assert np.isnan(samples).any()
+        want = _sorted_sugeno(samples[~np.isnan(samples)], 1.0 / 256**2)
+        assert _same_bits(P.sugeno_integral_2d(f, grid=256), want)
+
+    def test_empty_and_all_failed(self):
+        assert P.sugeno_from_samples(np.zeros(0), 0.1) == 0.0
+        assert P.sugeno_integral_2d(lambda x, y: np.log(x - 2.0), grid=64) == 0.0
+        assert P.sugeno_integral_2d(lambda x, y: x / (x - x), grid=64) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 255, 256, 257, 1023])
+    def test_around_the_stride_threshold(self, n):
+        rng = np.random.default_rng(n)
+        self.assert_exact(rng.random(n))
+        self.assert_exact(rng.integers(0, 4, n) / 3.0)
+
+    def test_values_outside_the_unit_interval(self):
+        rng = np.random.default_rng(3)
+        self.assert_exact(rng.random((200, 200)) * 3.0 - 1.0)
+        self.assert_exact(-rng.random((200, 200)))
+        self.assert_exact(rng.random((200, 200)) + 5.0)
+
+    def test_crossing_at_rank_zero_and_at_n(self):
+        rng = np.random.default_rng(4)
+        values = rng.random((100, 100))
+        # every value below one cell: k* = 0 and the value is the largest sample
+        cell = 2.0
+        assert P.sugeno_from_samples(values, cell) == float(values.max())
+        self.assert_exact(values, [cell, 1.0 + 1e-12])
+        # every rank passes: k* = n
+        values = rng.random((100, 100)) * 0.5 + 0.5
+        cell = 0.5 / values.size
+        assert P.sugeno_from_samples(values, cell) == values.size * cell
+        self.assert_exact(values, [cell, 0.99 / values.size])
+
+    def test_signed_zeros(self):
+        values = np.zeros((64, 64))
+        values[::3] = -0.0
+        self.assert_exact(values)
+        self.assert_exact(np.where(np.arange(4096) % 2 == 0, 0.0, -0.0) * 1.0)
+
+    def test_subsample_that_misleads_the_guess(self):
+        # only the subsampled positions are large, so the first guess is far
+        # off and the probes have to move out
+        for n in (4096, 65536):
+            stride = math.isqrt(n) // 4
+            while math.gcd(stride, n) != 1:
+                stride += 1
+            values = np.zeros(n)
+            values[::stride] = 1.0
+            self.assert_exact(values)
+            values = np.ones(n)
+            values[::stride] = 0.0
+            self.assert_exact(values)
+
+    @given(
+        st.integers(0, 3000), st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 5, 100, 10**6]), st.sampled_from([1.0, 0.1, 0.5, 3.0, 1e-3]),
+        st.booleans(),
+    )
+    def test_property(self, n, seed, levels, cell_scale, outside):
+        # levels = 1 is a constant array, small levels heavy ties, 10^6 nearly distinct
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, levels, n) / max(levels - 1, 1)
+        if outside:
+            values = values * 2.5 - 0.5
+        cell = cell_scale / max(n, 1)
+        assert _same_bits(P.sugeno_from_samples(values, cell), _sorted_sugeno(values, cell))
+
+
+@pytest.fixture
+def sorted_sizes(monkeypatch):
+    """The sizes of the arrays np.sort is asked to sort while the test runs."""
+    sizes = []
+    real_sort = np.sort
+
+    def spy(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy)
+    return sizes
+
+
+class TestSelectionWork:
+    """The selection sorts a subsample and a band, not the sample."""
+
+    def test_tie_at_the_crossing_is_not_sorted(self, sorted_sizes):
+        values = np.full((256, 256), 0.3)
+        got = P.sugeno_from_samples(values, 1.0 / values.size)
+        # one sort, of a subsample of about 4·256 values: the tie is bisected as a constant
+        assert len(sorted_sizes) == 1 and sorted_sizes[0] <= 4 * 256 + 1
+        assert _same_bits(got, _sorted_sugeno(values, 1.0 / values.size))
+
+    @pytest.mark.parametrize("bias", [0.05, -0.05])
+    def test_probes_move_out_when_the_guess_is_off(self, sorted_sizes, bias):
+        # the subsampled positions read off by the bias, so the guess misses
+        # k* by more than the first probes reach: one of them has to move out
+        n = 65536
+        stride = math.isqrt(n) // 4 + 1              # 65, coprime to n
+        rng = np.random.default_rng(8)
+        values = rng.random(n)
+        values[::stride] += bias
+        got = P.sugeno_from_samples(values, 1.0 / n)
+        assert sum(sorted_sizes) < n // 4
+        assert _same_bits(got, _sorted_sugeno(values, 1.0 / n))
+
+
+# sugeno_integral_2d of f^p on the default 1024² lhs grid, recorded when the
+# whole finite sample was sorted: the first default-campaign Sugeno trial of
+# each (family, p) cell
+LHS_BY_FULL_SORT = {
+    ("0.273355237703685*(x+y)/2", 1.5): 0.0981360665405548,  # affine-mean
+    ("0.21446861009434826*(x+y)/2", 2.0): 0.0346681832250376,
+    ("0.8110920929506024*(x+y)/2", 3.0): 0.18182086944580078,
+    ("x^2.5057546815834546*y^0.33032148405336637", 1.5): 0.22931508525282387,  # monomial
+    ("x^3.149996216594045*y^3.0615785330599126", 2.0): 0.06954669952392578,
+    ("x^1.9213746415248831*y^0.779093692412514", 3.0): 0.11474895477294922,
+    ("0.46915844908869275*x^2.5057546815834546*y^0.33032148405336637", 1.5):  # product
+        0.12563610076904297,
+    ("0.6037129040992009*x^0.5343968246065969*y^3.6913235546128953", 2.0): 0.08419418334960938,
+    ("0.3689448892419728*x^1.876633796354771*y^2.5057546815834546"
+     "+0.31718750422482817*x^0.33032148405336637*y^0.08182447617138511"
+     "+0.20176990243597703*x^0.8849779823065504*y^0.14488974404277588", 3.0): 0.13896690567349837,
+}
+
+
+@pytest.mark.parametrize("f_src,p", sorted(LHS_BY_FULL_SORT))
+def test_lhs_matches_full_sort(f_src, p, sorted_sizes):
+    f = expr.as_function(expr.parse(f_src))
+    got = P.sugeno_integral_2d(lambda x, y: f(x, y) ** p, UNIT_SQUARE, grid=1024)
+    assert got == LHS_BY_FULL_SORT[f_src, p]
+    # a subsample of about 4·1024 values and a band of a few thousand
+    assert sum(sorted_sizes) <= 16 * 1024
 
 
 def _blocks_by_sorting(F, row_ends, col_ends, cell):

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pseudocalc import expr
+from pseudocalc import pseudo_integral as P
 from pseudocalc import quadrature as Q
+from pseudocalc import semiring as S
 
 
 class TestIntegrate1D:
@@ -300,3 +303,100 @@ class TestEngineContract:
         assert vals[0, 0] == f(Q.BOUNDARY_INSET, Q.BOUNDARY_INSET)
         assert np.isnan(vals[1]).all()
         assert np.isfinite(np.delete(vals, 1, axis=0)).all()
+
+
+def _full_mesh(f, xs, ys):
+    # the evaluation grid_eval replaces: f on full-size coordinate arrays
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return Q.eval_nodes(f, X, Y)
+
+
+def _parsed(src):
+    return expr.as_function(expr.parse(src))
+
+
+def _psi_weighted_sup(semiring, f_src, psi_src):
+    # the surface sup_integral_2d hands to sup_scan_2d
+    f, psi = _parsed(f_src), P.PsiDensity.from_string(psi_src)
+    return lambda x, y: P.psi_weighted(semiring, f(x, y), psi(x), psi(y))
+
+
+def _scalar_only(x, y):
+    if x >= 0.5:   # a branch on a float: an array raises
+        return math.sqrt(x) + y
+    return 1.0 / (x - 0.25) + y
+
+
+GRID_EVAL_CASES = {
+    "affine-mean": _parsed("0.273355237703685*(x+y)/2"),
+    "monomial": _parsed("x^2.5057546815834546*y^0.33032148405336637"),
+    "product": _parsed("0.3689448892419728*x^1.876633796354771*y^2.5057546815834546"
+                       "+0.31718750422482817*x^0.33032148405336637*y^0.08182447617138511"),
+    "monomial^p": (lambda f: lambda x, y: f(x, y) ** 1.5)(_parsed("x^3.149996216594045*y^3.0615785330599126")),
+    "x/(x+y)": _parsed("x/(x+y)"),
+    "ln(x-0.3)": _parsed("ln(x-0.3)"),
+    "psi-weighted suptimes": _psi_weighted_sup(S.sup_times(), "x*y", "1-x/2"),
+    "psi-weighted supplus": _psi_weighted_sup(S.sup_plus(), "(x+y)/2", "0.9"),
+    "numpy 1/x (inf on an axis)": lambda x, y: 1.0 / x + y,
+    "constant": lambda x, y: 0.37 + 0.0 * x,
+    "python constant": lambda x, y: 0.37,
+    "x": lambda x, y: x,
+    "scalar only": _scalar_only,
+    "does not broadcast": lambda x, y: np.zeros(3) + x.size + y.size if np.ndim(x) else x + y,
+}
+
+
+class TestSeparableGridEval:
+    """grid_eval calls f once on a column and a row: the same bits as full coordinate arrays."""
+
+    XS = np.linspace(0.0, 1.0, 33)
+    YS = (np.arange(17) + 0.5) / 17
+
+    @pytest.mark.parametrize("name", sorted(GRID_EVAL_CASES))
+    def test_matches_full_mesh(self, name):
+        f = GRID_EVAL_CASES[name]
+        for xs, ys in ((self.XS, self.YS), (self.YS, self.XS), (self.XS, self.XS)):
+            got = Q.grid_eval(f, xs, ys)
+            want = _full_mesh(f, xs, ys)
+            assert got.shape == (xs.size, ys.size)
+            assert got.tobytes() == want.tobytes()     # NaN where a node fails, the same bits elsewhere
+            assert got.flags.owndata and got.flags.writeable
+
+    def test_failed_nodes_are_nan(self):
+        vals = Q.grid_eval(GRID_EVAL_CASES["x/(x+y)"], self.XS, self.XS)
+        assert np.isnan(vals[0, 0]) and np.isfinite(np.delete(vals.ravel(), 0)).all()
+        vals = Q.grid_eval(GRID_EVAL_CASES["ln(x-0.3)"], self.XS, self.YS)
+        assert np.isnan(vals[self.XS <= 0.3]).all() and np.isfinite(vals[self.XS > 0.3]).all()
+
+    def test_separable_call_costs_a_row_and_a_column(self):
+        calls = []
+
+        def f(x, y):
+            calls.append((np.shape(x), np.shape(y)))
+            return x**2.5 * y**0.5
+
+        Q.grid_eval(f, self.XS, self.YS)
+        assert calls == [((33, 1), (1, 17))]
+
+    def test_fallbacks_get_full_coordinate_arrays(self):
+        # a callable that rejects the column and row is called on full
+        # (broadcast-view) coordinate arrays, then once per node with floats
+        seen = []
+
+        def scalar_only(x, y):
+            seen.append((np.shape(x), np.shape(y)))
+            return _scalar_only(x, y)
+
+        Q.grid_eval(scalar_only, self.XS, self.YS)
+        assert seen[:3] == [((33, 1), (1, 17)), ((33, 17), (33, 17)), ((), ())]
+        assert len(seen) == 2 + 33 * 17
+
+        shapes = []
+
+        def wrong_shape(x, y):
+            shapes.append(np.shape(x))
+            return GRID_EVAL_CASES["does not broadcast"](x, y)
+
+        vals = Q.grid_eval(wrong_shape, self.XS, self.YS)
+        assert shapes[:2] == [(33, 1), (33, 17)] and len(shapes) == 2 + 33 * 17
+        assert vals.tolist() == np.add.outer(self.XS, self.YS).tolist()

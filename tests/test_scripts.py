@@ -9,11 +9,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args, cwd):
+def run_python(*args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, cwd=cwd, env=env, timeout=600)
+
+
+def run_script(name, *args, cwd):
+    return run_python(str(ROOT / "scripts" / name), *args, cwd=cwd)
 
 
 def test_fuzz_campaign_digest_repeats(tmp_path):
@@ -38,3 +42,14 @@ def test_convergence_study(tmp_path):
     proc = run_script("convergence_study.py", "--levels", "4,6", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "observed order" in proc.stdout
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m pseudocalc` runs the CLI without an installed console script
+    proc = run_python("-m", "pseudocalc", "hardy", "--f", "(x+y)/2", "--g", "half", "--p", "2",
+                      "--format", "csv", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "g_hardy" in proc.stdout and "True" in proc.stdout
+    proc = run_python("-m", "pseudocalc", "hardy", "--f", "x^(-0.2)", "--g", "sqrt", "--p", "2",
+                      cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
