@@ -5,132 +5,9 @@ sup-integrals against a density, the two-dimensional Sugeno integral, and
 verifiers for the two-dimensional Hardy-type inequalities in their
 g-generated, sup-semiring, Sugeno, and classical forms, plus a seeded fuzz
 harness and a CLI front-end.
+
+Callers import the submodules (pseudocalc.hardy, pseudocalc.pseudo_integral,
+pseudocalc.cli, ...); the package itself holds only the version.
 """
 
 __version__ = "0.1.0"
-
-from .expr import EvalError, LexError, ParseError, evaluate, parse, to_string
-from .generators import (
-    Generator,
-    ValidationReport,
-    eval_forward,
-    eval_inverse,
-    make_generator,
-    validate_generator,
-)
-from .hardy import (
-    DiagnosticsReport,
-    HardyConfig,
-    HardyReport,
-    HardyScenario,
-    HypothesisError,
-    check_hardy_classical,
-    check_hardy_g,
-    check_hardy_sugeno,
-    check_hardy_sup,
-    hardy_constant,
-    hardy_kernel_g,
-    remark_diagnostics,
-    run_check,
-    sugeno_hardy_constant,
-)
-from .harness import (
-    CampaignReport,
-    ConvergenceReport,
-    FuzzConfig,
-    SplitMix64,
-    TrialRecord,
-    random_function,
-    refine_study,
-    run_campaign,
-)
-from .pseudo_integral import (
-    DivergenceError,
-    DomainError,
-    PsiDensity,
-    g_integral_1d,
-    g_integral_2d,
-    sugeno_integral_2d,
-    sup_integral_2d,
-)
-from .quadrature import (
-    UNIT_SQUARE,
-    QuadratureResult,
-    Rect,
-    integrate_1d,
-    integrate_2d,
-    measure_level_set,
-    sup_scan_2d,
-)
-from .semiring import (
-    SaturationFlags,
-    Semiring,
-    g_generated,
-    max_min,
-    parse_semiring,
-    pseudo_add,
-    pseudo_mul,
-    sup_plus,
-    sup_times,
-)
-
-__all__ = [
-    "__version__",
-    "EvalError",
-    "LexError",
-    "ParseError",
-    "evaluate",
-    "parse",
-    "to_string",
-    "Generator",
-    "ValidationReport",
-    "eval_forward",
-    "eval_inverse",
-    "make_generator",
-    "validate_generator",
-    "DiagnosticsReport",
-    "HardyConfig",
-    "HardyReport",
-    "HardyScenario",
-    "HypothesisError",
-    "check_hardy_classical",
-    "check_hardy_g",
-    "check_hardy_sugeno",
-    "check_hardy_sup",
-    "hardy_constant",
-    "hardy_kernel_g",
-    "remark_diagnostics",
-    "run_check",
-    "sugeno_hardy_constant",
-    "CampaignReport",
-    "ConvergenceReport",
-    "FuzzConfig",
-    "SplitMix64",
-    "TrialRecord",
-    "random_function",
-    "refine_study",
-    "run_campaign",
-    "DivergenceError",
-    "DomainError",
-    "PsiDensity",
-    "g_integral_1d",
-    "g_integral_2d",
-    "sugeno_integral_2d",
-    "sup_integral_2d",
-    "UNIT_SQUARE",
-    "QuadratureResult",
-    "Rect",
-    "integrate_1d",
-    "integrate_2d",
-    "measure_level_set",
-    "sup_scan_2d",
-    "SaturationFlags",
-    "Semiring",
-    "g_generated",
-    "max_min",
-    "parse_semiring",
-    "pseudo_add",
-    "pseudo_mul",
-    "sup_plus",
-    "sup_times",
-]

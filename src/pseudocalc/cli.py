@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import io
 import json
 import math
@@ -80,11 +82,16 @@ def _payload(kind: str, body: dict, config_echo: dict) -> dict:
     }
 
 
-def _flatten(prefix: str, obj, row: dict):
+def _flatten(prefix: str, obj, row: dict, text: bool = False):
+    """Nested dicts as one row with dotted keys.
+
+    For csv, keys keep their order and lists are joined with ';'; for text,
+    keys are sorted at every level and lists are kept whole.
+    """
     if isinstance(obj, dict):
-        for k, v in obj.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, row)
-    elif isinstance(obj, (list, tuple)):
+        for k in sorted(obj) if text else obj:
+            _flatten(f"{prefix}.{k}" if prefix else str(k), obj[k], row, text)
+    elif isinstance(obj, (list, tuple)) and not text:
         row[prefix] = ";".join(str(v) for v in obj)
     else:
         row[prefix] = obj
@@ -111,20 +118,9 @@ def _emit(payload: dict, fmt: str, output: str | None, rows: list[dict] | None =
             writer.writerow(r)
         text = buf.getvalue().rstrip("\n")
     else:  # text
-        lines = []
-
-        def walk(prefix, obj):
-            if isinstance(obj, dict):
-                for k in sorted(obj):
-                    walk(f"{prefix}{k}.", obj[k]) if isinstance(obj[k], dict) else walk_leaf(prefix, k, obj[k])
-            else:
-                lines.append(f"{prefix[:-1]}: {obj}")
-
-        def walk_leaf(prefix, k, v):
-            lines.append(f"{prefix}{k}: {v}")
-
-        walk("", payload)
-        text = "\n".join(lines)
+        row = {}
+        _flatten("", payload, row, text=True)
+        text = "\n".join(f"{k}: {v}" for k, v in row.items())
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
@@ -260,168 +256,129 @@ def cmd_hardy(args) -> int:
 # --- reproduce ----------------------------------------------------------------
 
 
-def _value_row(name: str, paper, recomputed, tol=None) -> dict:
+def _row(name: str, paper, recomputed, tol: float = 1e-6) -> dict:
+    """One paper-vs-recomputed row; agree is present only when both values are.
+
+    Numbers agree within tol, text when it is equal.
+    """
     row = {"name": name, "paper": paper, "recomputed": recomputed}
-    if paper is not None and recomputed is not None and isinstance(paper, (int, float)):
-        row["agree"] = bool(abs(paper - recomputed) <= (tol if tol is not None else 1e-6))
+    if paper is not None and recomputed is not None:
+        row["agree"] = (paper == recomputed if isinstance(paper, str)
+                        else bool(abs(paper - recomputed) <= tol))
     return row
 
 
-def _repro_ex32() -> dict:
-    scn = HardyScenario(f_src="x^2*y^2", check_kind=G_HARDY, p=2.0, gen_spec="sqrt")
-    rep = run_check(scn)
+def _theorem(rep, values: list, conclusion: str = "holds", **extra) -> dict:
+    """Values, conclusion and verdict of a theorem check that the source says holds."""
+    return {"values": values, "computed_conclusion": conclusion if rep.holds else "fails",
+            "verdict_matches": bool(rep.holds), **extra}
+
+
+def _g_hardy(f_src: str, gen_spec: str):
+    return run_check(HardyScenario(f_src=f_src, check_kind=G_HARDY, p=2.0, gen_spec=gen_spec))
+
+
+def _remark35(p: float):
+    """The p <= 1 diagnostics of Remark 3.5: g = sqrt(x), f = x^2*y^2."""
+    return remark_diagnostics(make_generator("sqrt"),
+                              expr_mod.as_function(expr_mod.parse("x^2*y^2")), p)
+
+
+def _ex32() -> dict:
+    rep = _g_hardy("x^2*y^2", "sqrt")
+    return _theorem(rep, [_row("lhs", (1.0 / 25.0) ** 2, rep.lhs),
+                          _row("rhs_integral", 2.0 / 9.0, rep.rhs_integral),
+                          _row("constant", 16.0, rep.constant)])
+
+
+def _ex33() -> dict:
+    rep = _g_hardy("(x+y)/2", "half")
+    values = [_row("lhs", 14.0 / 192.0, rep.lhs), _row("rhs_integral", 7.0 / 24.0, rep.rhs_integral),
+              _row("constant", 16.0, rep.constant), _row("rhs", 14.0 / 3.0, rep.rhs)]
+    out = _theorem(rep, values)
+    # no discrepancy is noted here, so the printed values must be reproduced too
+    out["verdict_matches"] = out["verdict_matches"] and all(v.get("agree", True) for v in values)
+    return out
+
+
+def _remark35a() -> dict:
+    diag = _remark35(1.0 / 6.0)
     values = [
-        _value_row("lhs", (1.0 / 25.0) ** 2, rep.lhs),
-        _value_row("rhs_integral", 2.0 / 9.0, rep.rhs_integral),
-        _value_row("constant", 16.0, rep.constant),
+        _row("constant", -0.5848, diag.constant, tol=1e-4),
+        _row("lhs_inner_integral", 0.507968, diag.lhs_inner, tol=1e-4),
+        _row("rhs_inner_integral", 0.734694, diag.rhs_inner, tol=1e-4),
+        _row("lhs_value", 1.015936, diag.lhs_value, tol=math.inf),
+        _row("rhs_value", 1.469388, diag.rhs_value, tol=math.inf),
     ]
-    discrepancies = [
+    return {"values": values, "computed_conclusion": "fails" if diag.inequality_fails else "holds",
+            "verdict_matches": bool(diag.inequality_fails)}
+
+
+def _remark35b() -> dict:
+    diag = _remark35(-2.0)
+    return {"values": [_row("lhs_status", "diverged", diag.lhs_status)],
+            "computed_conclusion": diag.lhs_status,
+            "verdict_matches": diag.lhs_status == "diverged"}
+
+
+def _remark35c() -> dict:
+    diag = _remark35(0.0)
+    criterion = "met" if diag.criterion_met else "fails"
+    return {"values": [_row("pseudo_integral_of_f", 0.25, diag.criterion_value, tol=math.inf),
+                       _row("criterion >= 1", "fails", criterion)],
+            "computed_conclusion": criterion, "verdict_matches": not diag.criterion_met}
+
+
+def _sup_hardy(semiring_spec: str) -> dict:
+    rep = run_check(HardyScenario(f_src="x*y", check_kind=SUP_HARDY, p=2.0,
+                                  semiring_spec=semiring_spec))
+    return _theorem(rep, [_row("lhs", None, rep.lhs), _row("rhs", None, rep.rhs)], notes=rep.notes)
+
+
+def _classical() -> dict:
+    rep = check_hardy_classical(lambda x: x, 2.0, 1e-6, 1.0)
+    return _theorem(rep, [_row("lhs_integral", 1.0 / 12.0, rep.lhs), _row("rhs", 4.0 / 3.0, rep.rhs)],
+                    conclusion="holds strictly")
+
+
+# the source's worked examples: name -> (description, paper conclusion,
+# runner, discrepancy notes); a runner returns the values, the computed
+# conclusion and whether the verdict matches the paper's
+SCENARIOS = {
+    "ex32": ("g=sqrt(x), f=x^2*y^2, p=2", "holds", _ex32, [
         "printed lhs (1/25)^2 comes from integrating sqrt(R) instead of sqrt(R^p); "
         "recomputation gives g^{-1}(1/256) = 1/65536",
         "printed rhs integral 2/9 applies g^{-1}(u)=2u, but g=sqrt(x) has g^{-1}(u)=u^2, "
         "giving 1/81",
-    ]
-    return {
-        "scenario": "ex32",
-        "description": "g=sqrt(x), f=x^2*y^2, p=2",
-        "values": values,
-        "discrepancies": discrepancies,
-        "paper_conclusion": "holds",
-        "computed_conclusion": "holds" if rep.holds else "fails",
-        "verdict_matches": bool(rep.holds),
-    }
-
-
-def _repro_ex33() -> dict:
-    scn = HardyScenario(f_src="(x+y)/2", check_kind=G_HARDY, p=2.0, gen_spec="half")
-    rep = run_check(scn)
-    values = [
-        _value_row("lhs", 14.0 / 192.0, rep.lhs),
-        _value_row("rhs_integral", 7.0 / 24.0, rep.rhs_integral),
-        _value_row("constant", 16.0, rep.constant),
-        _value_row("rhs", 14.0 / 3.0, rep.rhs),
-    ]
-    return {
-        "scenario": "ex33",
-        "description": "g=x/2, f=(x+y)/2, p=2",
-        "values": values,
-        "discrepancies": [],
-        "paper_conclusion": "holds",
-        "computed_conclusion": "holds" if rep.holds else "fails",
-        "verdict_matches": bool(rep.holds) and all(v.get("agree", True) for v in values),
-    }
-
-
-def _repro_remark35a() -> dict:
-    gen = make_generator("sqrt")
-    f = expr_mod.as_function(expr_mod.parse("x^2*y^2"))
-    diag = remark_diagnostics(gen, f, 1.0 / 6.0)
-    values = [
-        _value_row("constant", -0.5848, diag.constant, tol=1e-4),
-        _value_row("lhs_inner_integral", 0.507968, diag.lhs_inner, tol=1e-4),
-        _value_row("rhs_inner_integral", 0.734694, diag.rhs_inner, tol=1e-4),
-        _value_row("lhs_value", 1.015936, diag.lhs_value, tol=math.inf),
-        _value_row("rhs_value", 1.469388, diag.rhs_value, tol=math.inf),
-    ]
-    return {
-        "scenario": "remark35a",
-        "description": "p=1/6 breaks the inequality (negative constant)",
-        "values": values,
-        "discrepancies": [
-            "printed final values 1.015936 / 1.469388 apply g^{-1}(u)=2u under g=sqrt(x); "
-            "the recomputed g^{-1} values differ, the failure verdict is robust to either reading",
-        ],
-        "paper_conclusion": "fails",
-        "computed_conclusion": "fails" if diag.inequality_fails else "holds",
-        "verdict_matches": bool(diag.inequality_fails),
-    }
-
-
-def _repro_remark35b() -> dict:
-    gen = make_generator("sqrt")
-    f = expr_mod.as_function(expr_mod.parse("x^2*y^2"))
-    diag = remark_diagnostics(gen, f, -2.0)
-    return {
-        "scenario": "remark35b",
-        "description": "p=-2: the lhs integral does not converge",
-        "values": [{"name": "lhs_status", "paper": "diverged", "recomputed": diag.lhs_status,
-                    "agree": diag.lhs_status == "diverged"}],
-        "discrepancies": [],
-        "paper_conclusion": "diverges",
-        "computed_conclusion": diag.lhs_status,
-        "verdict_matches": diag.lhs_status == "diverged",
-    }
-
-
-def _repro_remark35c() -> dict:
-    gen = make_generator("sqrt")
-    f = expr_mod.as_function(expr_mod.parse("x^2*y^2"))
-    diag = remark_diagnostics(gen, f, 0.0)
-    values = [
-        _value_row("pseudo_integral_of_f", 0.25, diag.criterion_value, tol=math.inf),
-        {"name": "criterion >= 1", "paper": "fails", "recomputed": "fails" if not diag.criterion_met else "met",
-         "agree": not diag.criterion_met},
-    ]
-    return {
-        "scenario": "remark35c",
-        "description": "p=0: the asserted criterion needs the pseudo-integral of f >= 1",
-        "values": values,
-        "discrepancies": [
-            "printed 0.25 is the classical double integral; under g=sqrt(x) the pseudo-integral "
-            "is g^{-1}(1/4) = 1/16; the criterion fails under either reading",
-        ],
-        "paper_conclusion": "fails",
-        "computed_conclusion": "fails" if not diag.criterion_met else "met",
-        "verdict_matches": not diag.criterion_met,
-    }
-
-
-def _repro_sup(name: str, semiring_spec: str, psi: float) -> dict:
-    scn = HardyScenario(f_src="x*y", check_kind=SUP_HARDY, p=2.0,
-                        semiring_spec=semiring_spec)
-    rep = run_check(scn)
-    return {
-        "scenario": name,
-        "description": f"sup-semiring reduction ({semiring_spec}, psi = constant {psi:g}) with f=x*y, p=2",
-        "values": [
-            _value_row("lhs", None, rep.lhs),
-            _value_row("rhs", None, rep.rhs),
-        ],
-        "discrepancies": [],
-        "paper_conclusion": "holds",
-        "computed_conclusion": "holds" if rep.holds else "fails",
-        "verdict_matches": bool(rep.holds),
-        "notes": rep.notes,
-    }
-
-
-def _repro_classical() -> dict:
-    rep = check_hardy_classical(lambda x: x, 2.0, 1e-6, 1.0)
-    values = [
-        _value_row("lhs_integral", 1.0 / 12.0, rep.lhs),
-        _value_row("rhs", 4.0 / 3.0, rep.rhs),
-    ]
-    return {
-        "scenario": "classical",
-        "description": "classical baseline: f=x, p=2 on [1e-6, 1]",
-        "values": values,
-        "discrepancies": [],
-        "paper_conclusion": "holds strictly",
-        "computed_conclusion": "holds strictly" if rep.holds else "fails",
-        "verdict_matches": bool(rep.holds),
-    }
-
-
-REPRODUCE = {
-    "ex32": _repro_ex32,
-    "ex33": _repro_ex33,
-    "remark35a": _repro_remark35a,
-    "remark35b": _repro_remark35b,
-    "remark35c": _repro_remark35c,
-    "ex38": lambda: _repro_sup("ex38", "supplus", 0.0),
-    "ex39": lambda: _repro_sup("ex39", "suptimes", 1.0),
-    "classical": _repro_classical,
+    ]),
+    "ex33": ("g=x/2, f=(x+y)/2, p=2", "holds", _ex33, []),
+    "remark35a": ("p=1/6 breaks the inequality (negative constant)", "fails", _remark35a, [
+        "printed final values 1.015936 / 1.469388 apply g^{-1}(u)=2u under g=sqrt(x); "
+        "the recomputed g^{-1} values differ, the failure verdict is robust to either reading",
+    ]),
+    "remark35b": ("p=-2: the lhs integral does not converge", "diverges", _remark35b, []),
+    "remark35c": ("p=0: the asserted criterion needs the pseudo-integral of f >= 1", "fails",
+                  _remark35c, [
+        "printed 0.25 is the classical double integral; under g=sqrt(x) the pseudo-integral "
+        "is g^{-1}(1/4) = 1/16; the criterion fails under either reading",
+    ]),
+    "ex38": ("sup-semiring reduction (supplus, psi = constant 0) with f=x*y, p=2", "holds",
+             functools.partial(_sup_hardy, "supplus"), []),
+    "ex39": ("sup-semiring reduction (suptimes, psi = constant 1) with f=x*y, p=2", "holds",
+             functools.partial(_sup_hardy, "suptimes"), []),
+    "classical": ("classical baseline: f=x, p=2 on [1e-6, 1]", "holds strictly", _classical, []),
 }
+
+
+def _reproduce(name: str) -> dict:
+    """The report of one worked example: its values next to the paper's, and the verdict."""
+    description, paper_conclusion, run, discrepancies = SCENARIOS[name]
+    return {"scenario": name, "description": description, "discrepancies": list(discrepancies),
+            "paper_conclusion": paper_conclusion, **run()}
+
+
+# name -> zero-argument callable returning the report
+REPRODUCE = {name: functools.partial(_reproduce, name) for name in SCENARIOS}
 
 
 def cmd_reproduce(args) -> int:
@@ -445,10 +402,8 @@ def cmd_fuzz(args) -> int:
             cfg = FuzzConfig.from_dict(json.load(fh))
     else:
         cfg = FuzzConfig()
-    if args.trials is not None:
-        cfg = FuzzConfig.from_dict({**cfg.to_dict(), "trials": args.trials})
-    if args.seed is not None:
-        cfg = FuzzConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+    overrides = {"trials": args.trials, "seed": args.seed}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     report = run_campaign(cfg, corpus_dir=args.corpus)
     payload = _payload("campaign", report.to_dict(), cfg.to_dict())
     rows = [

@@ -364,12 +364,6 @@ def evaluate(node: Expr, x: float = 0.0, y: float = 0.0) -> float:
     return float(_eval(node, x, y))
 
 
-def evaluate_array(node: Expr, x, y):
-    """Evaluate on numpy arrays (broadcasting); NaN where evaluate() would raise EvalError."""
-    out = _eval(node, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast_shapes(np.shape(x), np.shape(y))).copy()
-
-
 def as_function(node: Expr):
     """Compile to a two-argument callable f(x, y) accepting floats or arrays."""
 

@@ -75,7 +75,6 @@ from .semiring import SaturationFlags, Semiring, parse_semiring
 VERDICT_REL = 1e-9
 VERDICT_ABS = 1e-12
 SUGENO_SLACK = 1e-6
-AXIS_INSET = 1e-6
 
 G_HARDY = "g_hardy"
 SUP_HARDY = "sup_hardy"
@@ -83,6 +82,7 @@ SUGENO_HARDY = "sugeno_hardy"
 CLASSICAL = "classical"
 
 CHECK_KINDS = (G_HARDY, SUP_HARDY, SUGENO_HARDY, CLASSICAL)
+DIRECTIONS = {G_HARDY: "le", SUP_HARDY: "le", SUGENO_HARDY: "ge", CLASSICAL: "lt"}
 
 
 class HypothesisError(ValueError):
@@ -160,6 +160,14 @@ class HardyReport:
     @classmethod
     def from_dict(cls, d: dict) -> "HardyReport":
         return record_from_dict(cls, d)
+
+
+def _not_evaluable(kind: str, p: float, constant: float, statuses: dict, note: str,
+                   lhs=None, rhs_integral=None, rhs=None) -> HardyReport:
+    """The report of a check whose sides cannot be compared, with the reason as its note."""
+    return HardyReport(kind=kind, p=p, lhs=lhs, rhs_integral=rhs_integral, constant=constant,
+                       rhs=rhs, holds=None, direction=DIRECTIONS[kind], statuses=statuses,
+                       notes=[note], not_evaluable=True)
 
 
 def _clamped_inverse(gen: Generator, value: float) -> float:
@@ -383,12 +391,7 @@ def check_hardy_g(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> H
         statuses["rhs"] = rhs_quad.status
     except (DivergenceError, DomainError) as e:
         # the inner integral diverged, or g⁻¹ is undefined at its value
-        return HardyReport(
-            kind=G_HARDY, p=p, lhs=None, rhs_integral=None, constant=constant,
-            rhs=None, holds=None, direction="le",
-            statuses={"rhs": e.result.status},
-            notes=[str(e)], not_evaluable=True,
-        )
+        return _not_evaluable(G_HARDY, p, constant, {"rhs": e.result.status}, str(e))
 
     try:
         kernel = GKernelGrid(gen, f, scn.domain.x_high, scn.domain.y_high,
@@ -396,17 +399,16 @@ def check_hardy_g(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> H
         lhs_inner = kernel.integral_of_g_of_R_pow(p)
         lo, hi = gen.range_low, gen.range_high
         if lhs_inner < lo - 1e-12 or lhs_inner > hi + 1e-12:
-            notes.append("lhs inner integral clamped to the generator range")
+            # g⁻¹ is undefined there: the lhs is no value of the carrier
+            raise DomainError(f"lhs inner integral {lhs_inner!r} is outside the "
+                              f"generator range [{lo!r}, {hi!r}]")
         lhs = _clamped_inverse(gen, lhs_inner)
         statuses["lhs"] = CONVERGED
         if kernel.clipped:
             notes.append("kernel prefix integrals clamped to the generator range")
     except (DomainError, DivergenceError) as e:
-        return HardyReport(
-            kind=G_HARDY, p=p, lhs=None, rhs_integral=rhs_integral, constant=constant,
-            rhs=constant * rhs_integral, holds=None, direction="le",
-            statuses={**statuses, "lhs": DIVERGED}, notes=[str(e)], not_evaluable=True,
-        )
+        return _not_evaluable(G_HARDY, p, constant, {**statuses, "lhs": DIVERGED}, str(e),
+                              rhs_integral=rhs_integral, rhs=constant * rhs_integral)
 
     pw_max, pw_loc = pointwise_proof_check(gen, f, scn.domain, config)
     rhs = constant * rhs_integral
@@ -459,11 +461,7 @@ def check_hardy_sup(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) ->
             s, f, psi, scn.domain, config.sup_level, flags
         )
     except DomainError as e:
-        return HardyReport(
-            kind=SUP_HARDY, p=p, lhs=None, rhs_integral=None, constant=constant,
-            rhs=None, holds=None, direction="le",
-            statuses={"lhs": DIVERGED}, notes=[str(e)], not_evaluable=True,
-        )
+        return _not_evaluable(SUP_HARDY, p, constant, {"lhs": DIVERGED}, str(e))
     if np.any(F < 0):
         notes.append("f takes negative values: theorem hypotheses not met")
 
@@ -506,11 +504,11 @@ def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG)
     F = level_set_samples(f, scn.domain, n)
     if not np.all(np.isfinite(F)):
         # midpoint samples never lie on the axes, so there is no inward retry
-        return HardyReport(
-            kind=SUGENO_HARDY, p=p, lhs=None, rhs_integral=None, constant=constant,
-            rhs=None, holds=None, direction="ge", statuses={"rhs": DIVERGED},
-            notes=["f failed to evaluate on the Sugeno sample grid"], not_evaluable=True,
-        )
+        return _not_evaluable(SUGENO_HARDY, p, constant, {"rhs": DIVERGED},
+                              "f failed to evaluate on the Sugeno sample grid")
+    notes = ["kernel Sugeno integrals use the empirical measure of midpoint samples"]
+    if np.any(F < 0):
+        notes.append("f takes negative values: theorem hypotheses not met")
 
     lhs_integral = sugeno_integral_2d(
         lambda x, y: f(x, y) ** p, scn.domain, grid=config.sugeno_lhs_grid
@@ -531,8 +529,7 @@ def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG)
     return HardyReport(
         kind=SUGENO_HARDY, p=p, lhs=lhs, rhs_integral=rhs_integral, constant=constant,
         rhs=rhs, holds=bool(lhs >= rhs - SUGENO_SLACK), direction="ge",
-        statuses={"lhs": CONVERGED, "rhs": CONVERGED},
-        notes=["kernel Sugeno integrals use the empirical measure of midpoint samples"],
+        statuses={"lhs": CONVERGED, "rhs": CONVERGED}, notes=notes,
     )
 
 
@@ -562,11 +559,8 @@ def check_hardy_classical(f, p: float, low: float, high: float,
     rhs_res = integrate_1d(lambda x: f(x) ** p, low, high, tol)
     statuses = {"lhs": lhs_res.status, "rhs": rhs_res.status}
     if DIVERGED in statuses.values():
-        return HardyReport(
-            kind=CLASSICAL, p=p, lhs=lhs_res.value, rhs_integral=rhs_res.value,
-            constant=constant, rhs=None, holds=None, direction="lt",
-            statuses=statuses, notes=["divergent side"], not_evaluable=True,
-        )
+        return _not_evaluable(CLASSICAL, p, constant, statuses, "divergent side",
+                              lhs=lhs_res.value, rhs_integral=rhs_res.value)
     lhs = lhs_res.value
     rhs_integral = rhs_res.value
     rhs = constant * rhs_integral

@@ -47,7 +47,7 @@ x^a·y^b costs 2n pows and one n² multiply instead of 2n² pows, with the same
 bits at every node; callables that reject that call get full coordinate
 arrays, then one call per node.  sup_scan_2d is the one grid sup scan (the
 sup-integral scans its ψ-weighted surface through it); level_set_samples
-gives the midpoint samples behind the Sugeno integral and measure_level_set.
+gives the midpoint samples behind the Sugeno integrals.
 """
 
 from __future__ import annotations
@@ -465,15 +465,6 @@ def sup_scan_2d(f, r: Rect = UNIT_SQUARE, levels: int = DEFAULT_SUP_LEVELS,
     return best
 
 
-def measure_level_set(f, r: Rect, alpha: float, grid: int = DEFAULT_LEVEL_SET_GRID) -> float:
-    """Lebesgue area estimate of {(s,t) ∈ r : f(s,t) ≥ alpha} by midpoint cells."""
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    vals = level_set_samples(f, r, grid)
-    cell = r.area / (grid * grid)
-    return float(np.sum(vals >= alpha)) * cell
-
-
 def level_set_samples(f, r: Rect, grid: int) -> np.ndarray:
     """Midpoint-cell samples of f on r (grid × grid), NaN where evaluation fails."""
     dx = (r.x_high - r.x_low) / grid
@@ -481,16 +472,6 @@ def level_set_samples(f, r: Rect, grid: int) -> np.ndarray:
     xs = r.x_low + (np.arange(grid) + 0.5) * dx
     ys = r.y_low + (np.arange(grid) + 0.5) * dy
     return grid_eval(f, xs, ys)
-
-
-def composite_simpson(f, a: float, b: float, n: int) -> float:
-    """Fixed-mesh composite Simpson with n (even) subintervals; NaN if a node fails."""
-    if n % 2 != 0 or n < 2:
-        raise ValueError("n must be a positive even integer")
-    xs = np.linspace(a, b, n + 1)
-    vals = eval_nodes(f, xs)
-    h = (b - a) / n
-    return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2]) + 2.0 * np.sum(vals[2:-2:2])))
 
 
 def cumulative_simpson(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:

@@ -1,6 +1,7 @@
 """CLI surface: flags, exit codes, output formats, reproduction fixtures."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -176,6 +177,23 @@ class TestHardyCommand:
         assert payload["not_evaluable"] is True and payload["holds"] is None
         assert payload["notes"] == ["f failed to evaluate on the Sugeno sample grid"]
 
+    def test_undefined_lhs_exits_2(self, capsys):
+        # the lhs inner integral leaves the power:2 range; it was clamped and
+        # reported as holding before
+        code, out, _ = run_cli(capsys, "hardy", "--f", "1", "--g", "power:2", "--p", "2")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["not_evaluable"] is True and payload["holds"] is None
+        assert payload["lhs"] is None and payload["statuses"]["lhs"] == "diverged"
+        assert "outside the generator range" in payload["notes"][0]
+
+    def test_negative_sugeno_f_warns(self, capsys):
+        code, out, _ = run_cli(capsys, "hardy", "--f", "x-0.5", "--kind", "sugeno_hardy",
+                               "--p", "1.5")
+        assert code == 0
+        payload = json.loads(out)
+        assert "f takes negative values: theorem hypotheses not met" in payload["notes"]
+
     def test_inline_sup(self, capsys):
         code, out, _ = run_cli(capsys, "hardy", "--f", "x*y", "--semiring", "suptimes",
                                "--p", "2")
@@ -240,6 +258,70 @@ class TestReproduce:
         assert "verdict_matches: True" in out
 
 
+# SHA-256 of the stdout of `reproduce <name> --format <fmt>`, recorded before
+# the fixtures became one table; every one exits 0
+REPRODUCE_DIGESTS = {
+    ("ex32", "json"): "6a6c2f8997dd69b3db352c33918fa4a214d505355f8dedf28d695d12a31b2046",
+    ("ex32", "csv"): "86a292a86f400f0c953fd308b0df3cdca40ee4cabd584b0792c6442609ca5e3b",
+    ("ex32", "text"): "f2b2a7c79023a0f4ead9e164e41fb9177f8ce401b9fdd4b544a014f265c92e51",
+    ("ex33", "json"): "9c7ed607fdd18a22f34b3278ec509ee2b15c4477f5c898ebcb97d5063cd74c05",
+    ("ex33", "csv"): "03d1e55b67eec40c6935710b03fe1bc8e41d15745a9cc1097913d17c9f3eef14",
+    ("ex33", "text"): "8488a00f5b36e392496918f0a2700df3e3de5c438f50d1afb50f2ee8ba6b042f",
+    ("remark35a", "json"): "a756cf02dbd2613974e278ddcf31e68a159f9eee3db8944679c85adc83c4675e",
+    ("remark35a", "csv"): "8b9135196504dc2b7d8e5269728e0f2450d86c736b101e5f41a438909ae1d89e",
+    ("remark35a", "text"): "ca853f82224f38112b84691f66f431b97b11b6476a851fae5f3e29bd19e53595",
+    ("remark35b", "json"): "4309ad55b8b289343b945843cd8fded0759361337b440d7b4d5f258f6413284b",
+    ("remark35b", "csv"): "e2074487c460eaa92c723562cb93d4e95445bf95c4cb9dcaa3de1d6dfdcaf48f",
+    ("remark35b", "text"): "59528d180e06fe86066b7912ea4de937e8f94ff10dd1d1de4490a7c9e00eb9be",
+    ("remark35c", "json"): "dc7250978e28cd37546f44269f7b36404bdebfe79811bfed055ccd23623cb26e",
+    ("remark35c", "csv"): "2ef9d9083e1ae349b04f206a7ba714c71f8e1c4ffa62f25925064615ca86b5d8",
+    ("remark35c", "text"): "7f3eb8ab86552c67fcf25067bcf907b64a3edcbc0b60df4bbef47b2b5d22a664",
+    ("ex38", "json"): "31881b68c96f247842555da1cd9db97a8f44bce294752762ae81f50119f60fe1",
+    ("ex38", "csv"): "c0beb205d5fbc31831efdcde898f05b60f1043f6409415d3708b654309ac31ba",
+    ("ex38", "text"): "76dab30301d21843401a4d3ec790ab0af3ec275b7a28aa409e3508e3bbd1f252",
+    ("ex39", "json"): "885259ac0a4f9c0e96ad5151a7c1158ca20bc15fccbfea0a2d3f3082adbf82f4",
+    ("ex39", "csv"): "c0beb205d5fbc31831efdcde898f05b60f1043f6409415d3708b654309ac31ba",
+    ("ex39", "text"): "953e4cef3fde6fe1ca95b310be147ad7bad9766049008a057fc63de3664d36df",
+    ("classical", "json"): "2cc8d7c1bb8fd4f38be16537c3f9418598885bcc51370ebc54ea97589be22443",
+    ("classical", "csv"): "027ffeb7bf3a34aea4d54fe13322d3edb79081278ecb8ef8b08710f79be6aa97",
+    ("classical", "text"): "338bcb7139ec35bbcc5167e6b7a70d3ecda5d6ee77d51ffc810d37b7f05f80fc",
+}
+
+
+class TestReproduceTable:
+    def test_every_fixture_has_a_digest(self):
+        assert set(cli.REPRODUCE) == set(cli.SCENARIOS)
+        assert {name for name, _ in REPRODUCE_DIGESTS} == set(cli.SCENARIOS)
+
+    @pytest.mark.parametrize("name,fmt", sorted(REPRODUCE_DIGESTS))
+    def test_output_bytes(self, capsys, name, fmt):
+        code, out, _ = run_cli(capsys, "reproduce", name, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == REPRODUCE_DIGESTS[name, fmt]
+
+    def test_reproduce_returns_a_fresh_report(self):
+        first = cli.REPRODUCE["ex32"]()
+        first["discrepancies"].append("changed by a caller")
+        assert len(cli.REPRODUCE["ex32"]()["discrepancies"]) == 2
+
+    def test_row_rule(self):
+        assert cli._row("v", 1.0, 1.0 + 1e-7) == {
+            "name": "v", "paper": 1.0, "recomputed": 1.0 + 1e-7, "agree": True}
+        assert cli._row("v", 1.0, 1.0 + 1e-5)["agree"] is False
+        assert cli._row("v", 1.0, 1.5, tol=1.0)["agree"] is True
+        assert cli._row("s", "fails", "fails")["agree"] is True
+        assert cli._row("s", "fails", "met")["agree"] is False
+        assert "agree" not in cli._row("v", None, 2.0)
+        assert "agree" not in cli._row("v", 2.0, None)
+        # csv columns follow the key order
+        assert list(cli._row("v", 1.0, 1.0)) == ["name", "paper", "recomputed", "agree"]
+
+    def test_text_keys_sorted_at_every_level(self, capsys):
+        payload = {"b": 1, "a": {"z": [1, 2], "y": (3, 4)}, "a-b": {"c": None}, "e": {}}
+        cli._emit(payload, "text", None)
+        assert capsys.readouterr().out == "a.y: (3, 4)\na.z: [1, 2]\na-b.c: None\nb: 1\n"
+
+
 class TestFuzzAndRefine:
     def test_small_fuzz(self, capsys):
         code, out, _ = run_cli(capsys, "fuzz", "--trials", "6", "--seed", "3")
@@ -256,6 +338,15 @@ class TestFuzzAndRefine:
         payload = json.loads(out)
         assert payload["config"]["trials"] == 3
         assert all(t["scenario"]["kind"] == "g_hardy" for t in payload["trials"])
+
+    def test_flags_override_the_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 4, "trials": 3, "kinds": ["g_hardy"]}))
+        code, out, _ = run_cli(capsys, "fuzz", "--config", str(cfg), "--trials", "2",
+                               "--seed", "5")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["seed"], config["trials"], config["kinds"]) == (5, 2, ["g_hardy"])
 
     def test_fuzz_csv(self, capsys):
         code, out, _ = run_cli(capsys, "fuzz", "--trials", "3", "--seed", "9",

@@ -136,7 +136,7 @@ class TestEvaluate:
         e = parse("x^2*y + sqrt(y)/2")
         xs = np.array([0.1, 0.5, 0.9])
         ys = np.array([0.2, 0.4, 0.8])
-        arr = expr.evaluate_array(e, xs, ys)
+        arr = np.broadcast_to(expr.as_function(e)(xs, ys), xs.shape)
         for i in range(3):
             assert arr[i] == pytest.approx(evaluate(e, float(xs[i]), float(ys[i])), abs=0)
 
@@ -223,7 +223,7 @@ _masking_trees = st.one_of(
 @given(_masking_trees)
 def test_array_nan_exactly_where_scalar_raises(tree):
     X, Y = np.meshgrid(_GRID, _GRID, indexing="ij")
-    arr = expr.evaluate_array(tree, X, Y)
+    arr = np.broadcast_to(expr.as_function(tree)(X, Y), X.shape)
     for i, j in np.ndindex(X.shape):
         try:
             want = evaluate(tree, float(X[i, j]), float(Y[i, j]))
@@ -242,7 +242,8 @@ def test_array_nan_exactly_where_scalar_raises(tree):
 def test_failed_operand_propagates(src):
     # IEEE gives NaN^0 = 1^NaN = 1 and min/max may drop a NaN; a failed node
     # must still fail, and only that node
-    got = expr.evaluate_array(parse(src), np.array([0.0, 2.0]), 0.0)
+    xs = np.array([0.0, 2.0])
+    got = np.broadcast_to(expr.as_function(parse(src))(xs, 0.0), xs.shape)
     assert np.isnan(got[0]) and np.isfinite(got[1])
     assert got[1] == evaluate(parse(src), 2.0)
     with pytest.raises(EvalError):

@@ -124,6 +124,19 @@ class TestCheckHardyG:
         assert rep.statuses == {"rhs": "converged"}
         assert rep.notes == ["sqrt: y=1.2500000078813367 outside range [0.0, 1.0]"]
 
+    def test_lhs_outside_the_generator_range_not_evaluable(self):
+        # f = 1 gives R = g⁻¹(xy)/(xy) = (xy)^(-1/2) under power:2, and ∬ g(R^2) =
+        # ∬ (xy)^(-2) diverges: the lhs is undefined, not clamped to 1 and "holds"
+        scn = H.HardyScenario(f_src="1", check_kind="g_hardy", p=2.0, gen_spec="power:2")
+        rep = H.run_check(scn)
+        assert rep.not_evaluable is True and rep.holds is None
+        assert rep.lhs is None and rep.pointwise_max is None
+        assert (rep.rhs_integral, rep.rhs) == (1.0, 16.0)
+        assert rep.statuses == {"rhs": "converged", "lhs": "diverged"}
+        assert len(rep.notes) == 1
+        assert "lhs inner integral" in rep.notes[0]
+        assert "outside the generator range [0.0, 1.0]" in rep.notes[0]
+
     def test_hypothesis_gate(self):
         scn = H.HardyScenario(f_src="x*y", check_kind="g_hardy", p=0.5, gen_spec="sqrt")
         with pytest.raises(H.HypothesisError):
@@ -326,6 +339,18 @@ class TestCheckHardySugeno:
         assert rep.statuses == {"rhs": "diverged"}
         assert rep.notes == ["f failed to evaluate on the Sugeno sample grid"]
 
+    def test_negative_f_is_flagged(self):
+        # f^1.5 is NaN where f < 0 and the lhs drops those samples; the report
+        # says that the hypotheses are not met, as the sup check does
+        scn = H.HardyScenario(f_src="x-0.5", check_kind="sugeno_hardy", p=1.5)
+        rep = H.run_check(scn)
+        assert rep.notes == [
+            "kernel Sugeno integrals use the empirical measure of midpoint samples",
+            "f takes negative values: theorem hypotheses not met",
+        ]
+        nonneg = H.run_check(H.HardyScenario(f_src="x*y", check_kind="sugeno_hardy", p=1.5))
+        assert not any("negative" in note for note in nonneg.notes)
+
     def test_hypothesis_gate(self):
         scn = H.HardyScenario(f_src="x*y", check_kind="sugeno_hardy", p=0.5)
         with pytest.raises(H.HypothesisError):
@@ -458,3 +483,29 @@ def test_report_verdict_tolerance():
     assert H._le_verdict(1.0, 1.0)
     assert H._le_verdict(1.0 + 1e-10, 1.0)
     assert not H._le_verdict(1.0 + 1e-8, 1.0)
+
+
+# one evaluable and one not-evaluable scenario per check kind
+NOT_EVALUABLE_PAIRS = [
+    (dict(f_src="x*y", check_kind="g_hardy", p=2.0, gen_spec="sqrt"),
+     dict(f_src="(x*y)^(-2)", check_kind="g_hardy", p=2.0, gen_spec="sqrt")),
+    (dict(f_src="x*y", check_kind="sup_hardy", p=2.0, semiring_spec="suptimes"),
+     dict(f_src="ln(x-0.3)", check_kind="sup_hardy", p=2.0, semiring_spec="suptimes")),
+    (dict(f_src="x*y", check_kind="sugeno_hardy", p=2.0),
+     dict(f_src="ln(x-0.3)+2", check_kind="sugeno_hardy", p=2.0)),
+    (dict(f_src="x", check_kind="classical", p=2.0, domain=Rect(0.1, 1.0, 0.0, 1.0)),
+     dict(f_src="1/(x-0.5)^2", check_kind="classical", p=2.0,
+          domain=Rect(0.1, 1.0, 0.0, 1.0))),
+]
+
+
+@pytest.mark.parametrize("good,bad", NOT_EVALUABLE_PAIRS,
+                         ids=[g["check_kind"] for g, _ in NOT_EVALUABLE_PAIRS])
+def test_not_evaluable_report_keeps_the_direction_of_its_kind(good, bad):
+    evaluable = H.run_check(H.HardyScenario(**good))
+    rep = H.run_check(H.HardyScenario(**bad))
+    assert evaluable.not_evaluable is False and rep.not_evaluable is True
+    assert rep.holds is None and len(rep.notes) == 1
+    assert rep.kind == evaluable.kind
+    assert rep.direction == evaluable.direction == H.DIRECTIONS[rep.kind]
+    assert rep.constant == evaluable.constant

@@ -53,3 +53,27 @@ def test_module_entry_point(tmp_path):
     proc = run_python("-m", "pseudocalc", "hardy", "--f", "x^(-0.2)", "--g", "sqrt", "--p", "2",
                       cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
+
+
+def test_code_lines(tmp_path):
+    (tmp_path / "sample.py").write_text(
+        '"""Module docstring,\nover two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # code with a comment\n"
+        "\n"
+        "def f(a):\n"
+        '    """Function docstring."""\n'
+        "    return (a +\n"
+        "            X)\n"
+    )
+    proc = run_script("code_lines.py", str(tmp_path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["     4  sample.py", "     4  total"]
+    # the library itself, by default
+    proc = run_script("code_lines.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1].endswith("total")
+    assert sum(int(line.split()[0]) for line in lines[:-1]) == int(lines[-1].split()[0])
+    assert any(line.endswith("  hardy.py") for line in lines)
