@@ -1,7 +1,8 @@
 """Command-line front-end: integrate, hardy, reproduce, fuzz, refine.
 
 Exit codes: 0 success (and, for `reproduce`, verdict matches the source
-conclusion), 1 usage or hypothesis error, 2 numeric non-convergence.
+conclusion), 1 usage or hypothesis error, 2 numeric non-convergence or an
+inner integral outside the generator's range (g⁻¹ undefined).
 `fuzz` exits 1 when a campaign records violations.
 
 Reproduction scenarios are compiled-in fixtures that print each quantity
@@ -193,8 +194,11 @@ def cmd_integrate(args) -> int:
         res = e.result
         body = {"value": res.value if res else None, "status": "diverged",
                 "integral": "g", "detail": str(e)}
-        _emit(_payload("integral", body, echo), args.format, args.output)
-        return EXIT_DIVERGED
+    except DomainError as e:
+        # g⁻¹ is undefined at the inner integral: no value, as `hardy` reports it
+        body = {"value": None, "status": e.result.status, "integral": "g", "detail": str(e)}
+    _emit(_payload("integral", body, echo), args.format, args.output)
+    return EXIT_DIVERGED
 
 
 # --- hardy ----------------------------------------------------------------
@@ -239,7 +243,8 @@ def cmd_hardy(args) -> int:
         report = run_check(scenario, config)
     except HypothesisError as e:
         print(f"hypothesis error: {e}", file=sys.stderr)
-        print("for the p <= 1 regime rerun with --diagnostics", file=sys.stderr)
+        if scenario.check_kind == G_HARDY and scenario.p <= 1.0:
+            print("for the p <= 1 regime rerun with --diagnostics", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)

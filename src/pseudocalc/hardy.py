@@ -10,12 +10,13 @@ Checks:
 
 The g-kernel is R(x,y) = (1/(xy)) ∫∫^⊕_{[0,x]×[0,y]} f.  One prefix-grid
 class, GKernelGrid, holds 4th-order cumulative Simpson prefix integrals of
-g∘f on a graded tensor grid.  For the check's own double integral of R^p the
-grading is cubic (it concentrates nodes near the axes where monomial
-integrands have unbounded derivatives, and its Jacobian vanishes on the axes,
-so the 1/(xy) factor needs no boundary handling); the pointwise R ≤ f check
-uses the uniform grading.  The public hardy_kernel_g and the right-hand side
-use adaptive quadrature directly.  Exact for polynomial data, O(h⁴) otherwise.
+g∘f on a cubic-graded tensor grid (it concentrates nodes near the axes where
+monomial integrands have unbounded derivatives, and its Jacobian vanishes on
+the axes, so the 1/(xy) factor needs no boundary handling).  The grid forms R
+once on its interior nodes; the check's double integral of R^p and the
+pointwise R ≤ f proof step both read it.  The public hardy_kernel_g and the
+right-hand side use adaptive quadrature directly.  Exact for polynomial data,
+O(h⁴) otherwise.
 
 The sup-kernel is the ψ-weighted running sup
 R(x,y) = sup_{s≤x,t≤y} f(s,t)⊙ψ(t)⊙ψ(s): the idempotent analogue of the
@@ -126,12 +127,9 @@ def record_from_dict(cls, d: dict):
 class HardyConfig:
     quad_tol: float = 1e-8
     max_depth: int = 30             # adaptive refinement depth cap
-    kernel_panels: int = 256        # graded prefix grid for the lhs integral
-    pointwise_panels: int = 512     # uniform prefix grid behind the R≤f check
-    pointwise_points: int = 64      # check grid is pointwise_points² interior points
+    kernel_panels: int = 256        # graded prefix grid for the lhs and the R≤f check
     sup_level: int = 9              # 2^level+1 nodes per axis for sup checks
-    sugeno_outer: int = 48          # outer Sugeno grid for the kernel side
-    sugeno_samples: int = 192       # f-sample grid behind kernel Sugeno prefixes
+    sugeno_outer: int = 48          # outer Sugeno grid for the kernel side (4× as many samples)
     sugeno_lhs_grid: int = 1024     # grid for the f^p Sugeno side
 
 
@@ -168,6 +166,14 @@ def _not_evaluable(kind: str, p: float, constant: float, statuses: dict, note: s
     return HardyReport(kind=kind, p=p, lhs=lhs, rhs_integral=rhs_integral, constant=constant,
                        rhs=rhs, holds=None, direction=DIRECTIONS[kind], statuses=statuses,
                        notes=[note], not_evaluable=True)
+
+
+def _range_violation(gen: Generator, side: str, inner: float) -> str | None:
+    """Why g⁻¹ is undefined at a side's inner integral, or None if it lies in g's range."""
+    lo, hi = gen.range_low, gen.range_high
+    if inner < lo - 1e-12 or inner > hi + 1e-12:
+        return f"{side} inner integral {inner!r} is outside the generator range [{lo!r}, {hi!r}]"
+    return None
 
 
 def _clamped_inverse(gen: Generator, value: float) -> float:
@@ -294,23 +300,22 @@ def hardy_kernel_g(gen: Generator, f, x: float, y: float, tol: float = 1e-9) -> 
 class GKernelGrid:
     """Prefix g-integrals P = ∬_{[0,x]×[0,y]} g∘f on a graded grid over [0,X]×[0,Y].
 
-    Nodes are x_i = X·(i/M)^grading.  The kernel uses cubic grading: nodes
-    pack toward the axes and the substitution Jacobian 9XY·u²v² vanishes
-    there, so integrals of R-based integrands need no boundary values of R.
-    The pointwise R ≤ f check uses the uniform grading (1).
+    Nodes are x_i = X·(i/M)³: they pack toward the axes and the substitution
+    Jacobian 9XY·u²v² vanishes there, so integrals of R-based integrands need
+    no boundary values of R.  R = g⁻¹(P)/(xy), with P clamped to g's range, is
+    formed once on the M² interior nodes (i, j ≥ 1); the lhs integral and the
+    pointwise R ≤ f check both read it.
     """
 
-    def __init__(self, gen: Generator, f, x_high: float, y_high: float,
-                 panels: int = 256, grading: int = 3):
+    def __init__(self, gen: Generator, f, x_high: float, y_high: float, panels: int = 256):
         if panels % 2 != 0 or panels < 8:
             raise ValueError("panels must be even and >= 8")
         self.gen = gen
         self.u = np.linspace(0.0, 1.0, panels + 1)
         self.h = 1.0 / panels
-        self.x = x_high * self.u**grading
-        self.y = y_high * self.u**grading
-        du = self.u ** (grading - 1)
-        self.jac = grading**2 * x_high * y_high * np.outer(du, du)
+        self.x = x_high * self.u**3
+        self.y = y_high * self.u**3
+        self.jac = 9 * x_high * y_high * np.outer(self.u**2, self.u**2)
         self.fv = grid_eval_inward(f, self.x, self.y)
         if not np.all(np.isfinite(self.fv)):
             raise DomainError("f failed to evaluate on the kernel grid")
@@ -321,23 +326,24 @@ class GKernelGrid:
         self.prefix = cumulative_simpson(inner, self.h, axis=0)
         lo, hi = gen.range_low, gen.range_high
         self.clipped = bool(np.any(self.prefix < lo - 1e-12) or np.any(self.prefix > hi + 1e-12))
-
-    def R(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-        """R = g⁻¹(P)/(xy) on the nodes ix × iy (indices ≥ 1), P clamped to g's range."""
-        lo, hi = self.gen.range_low, self.gen.range_high
-        pref = np.clip(self.prefix[np.ix_(ix, iy)], lo, hi)
-        return np.asarray(self.gen.inverse(pref), dtype=float) / np.outer(self.x[ix], self.y[iy])
+        pref = np.clip(self.prefix[1:, 1:], lo, hi)
+        self.R = np.asarray(gen.inverse(pref), dtype=float) / np.outer(self.x[1:], self.y[1:])
 
     def integral_of_g_of_R_pow(self, p: float) -> float:
         """Classical value ∬ g(R^p) dxdy over [0,X]×[0,Y] (Simpson on the grid)."""
-        interior = np.arange(1, len(self.u))
-        values = np.asarray(self.gen.forward(self.R(interior, interior) ** p), dtype=float)
+        values = np.asarray(self.gen.forward(self.R ** p), dtype=float)
         if not np.all(np.isfinite(values)):
             raise DomainError("g(R^p) is not finite on the kernel grid")
         integrand = np.zeros_like(self.prefix)
         integrand[1:, 1:] = values
         w = _simpson_weights(len(self.u), self.h)
         return float(w @ (integrand * self.jac) @ w)
+
+    def pointwise_max(self) -> tuple[float, tuple[float, float]]:
+        """max of R − f over the interior nodes and its location."""
+        diff = self.R - self.fv[1:, 1:]
+        i, j = np.unravel_index(np.argmax(diff), diff.shape)
+        return float(diff[i, j]), (float(self.x[i + 1]), float(self.y[j + 1]))
 
 
 def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
@@ -349,18 +355,12 @@ def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
 
 def pointwise_proof_check(gen: Generator, f, domain: Rect,
                           config: HardyConfig = DEFAULT_CONFIG) -> tuple[float, tuple[float, float]]:
-    """max over an n×n interior grid of R(x,y) − f(x,y) and its location.
+    """max over the kernel grid's interior nodes of R(x,y) − f(x,y) and its location.
 
     The proof step of the g-Hardy theorem needs R ≤ f whenever f is
     nondecreasing in each coordinate.
     """
-    M = config.pointwise_panels
-    n = config.pointwise_points
-    grid = GKernelGrid(gen, f, domain.x_high, domain.y_high, M, grading=1)
-    idx = np.arange(1, n + 1) * (M // n)
-    diff = grid.R(idx, idx) - grid.fv[np.ix_(idx, idx)]
-    k = np.unravel_index(np.argmax(diff), diff.shape)
-    return float(diff[k]), (float(grid.x[idx[k[0]]]), float(grid.y[idx[k[1]]]))
+    return GKernelGrid(gen, f, domain.x_high, domain.y_high, config.kernel_panels).pointwise_max()
 
 
 # --- checks ------------------------------------------------------------------
@@ -397,11 +397,9 @@ def check_hardy_g(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> H
         kernel = GKernelGrid(gen, f, scn.domain.x_high, scn.domain.y_high,
                              config.kernel_panels)
         lhs_inner = kernel.integral_of_g_of_R_pow(p)
-        lo, hi = gen.range_low, gen.range_high
-        if lhs_inner < lo - 1e-12 or lhs_inner > hi + 1e-12:
+        if violation := _range_violation(gen, "lhs", lhs_inner):
             # g⁻¹ is undefined there: the lhs is no value of the carrier
-            raise DomainError(f"lhs inner integral {lhs_inner!r} is outside the "
-                              f"generator range [{lo!r}, {hi!r}]")
+            raise DomainError(violation)
         lhs = _clamped_inverse(gen, lhs_inner)
         statuses["lhs"] = CONVERGED
         if kernel.clipped:
@@ -410,7 +408,7 @@ def check_hardy_g(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> H
         return _not_evaluable(G_HARDY, p, constant, {**statuses, "lhs": DIVERGED}, str(e),
                               rhs_integral=rhs_integral, rhs=constant * rhs_integral)
 
-    pw_max, pw_loc = pointwise_proof_check(gen, f, scn.domain, config)
+    pw_max, pw_loc = kernel.pointwise_max()
     rhs = constant * rhs_integral
     return HardyReport(
         kind=G_HARDY, p=p, lhs=lhs, rhs_integral=rhs_integral, constant=constant,
@@ -497,10 +495,9 @@ def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG)
     p = scn.p
     constant = sugeno_hardy_constant(p)
     X, Y = scn.domain.x_high, scn.domain.y_high
-    n = config.sugeno_samples
     m = config.sugeno_outer
-    if n % m != 0:
-        raise ValueError("sugeno_samples must be a multiple of sugeno_outer")
+    stride = 4                      # f samples per outer cell along each axis
+    n = stride * m
     F = level_set_samples(f, scn.domain, n)
     if not np.all(np.isfinite(F)):
         # midpoint samples never lie on the axes, so there is no inward retry
@@ -515,7 +512,6 @@ def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG)
     )
     lhs = lhs_integral ** (1.0 / (2.0 * p + 1.0))
 
-    stride = n // m
     # outer midpoints (i+1/2)/m align exactly with sample-cell boundaries
     ends = stride * np.arange(m) + stride // 2
     R = sugeno_prefix_blocks(F, ends, ends, scn.domain.area / (n * n))
@@ -655,6 +651,9 @@ def remark_diagnostics(gen: Generator, f, p: float,
         ).value
         lhs_value = _clamped_inverse(gen, lhs_inner)
         rhs_value = _clamped_inverse(gen, rhs_inner_val)
+        for side, inner in (("lhs", lhs_inner), ("rhs", rhs_inner_val)):
+            if violation := _range_violation(gen, side, inner):
+                notes.append(f"{violation}; {side}_value inverts it clamped to the range")
         fails = (constant is None) or (constant * rhs_value < lhs_value)
         notes.append("right side is non-positive while the left side is positive"
                      if defined and constant is not None and constant <= 0 else

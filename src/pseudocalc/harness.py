@@ -278,12 +278,10 @@ def _config_for_level(kind: str, level: int) -> HardyConfig:
     cfg.quad_tol = 10.0 ** (-level)
     if kind == G_HARDY:
         cfg.kernel_panels = 2 ** min(max(level, 4), 9)
-        cfg.pointwise_panels = 2 ** min(max(level, 6), 9)
     elif kind == SUP_HARDY:
         cfg.sup_level = min(max(level, 3), 10)
     elif kind == SUGENO_HARDY:
         cfg.sugeno_outer = 2 ** min(max(level - 2, 3), 6)
-        cfg.sugeno_samples = 4 * cfg.sugeno_outer
         cfg.sugeno_lhs_grid = 2 ** min(max(level + 2, 6), 11)
     return cfg
 

@@ -170,11 +170,15 @@ def psi_weighted(s: Semiring, vals, psi_x, psi_y, flags: SaturationFlags | None 
 
 def sup_integral_1d(s: Semiring, f, psi: PsiDensity | None = None,
                     low: float = 0.0, high: float = 1.0) -> float:
-    """sup_x f(x) ⊙ ψ(x) over 2^DEFAULT_SUP_LEVELS + 1 nodes of [low, high]."""
+    """sup_x f(x) ⊙ ψ(x) over 2^DEFAULT_SUP_LEVELS + 1 nodes of [low, high].
+
+    Failed and non-finite nodes are skipped, as in sup_scan_2d; -inf if all fail.
+    """
     if psi is None:
         psi = unit_psi(s)
     xs = np.linspace(low, high, 2**DEFAULT_SUP_LEVELS + 1)
-    return float(np.max(pseudo_mul(s, f(xs), psi(xs))))
+    vals = pseudo_mul(s, f(xs), psi(xs))
+    return float(np.max(vals, where=np.isfinite(vals), initial=-math.inf))
 
 
 def sup_integral_2d(s: Semiring, f, psi: PsiDensity | None = None,

@@ -76,6 +76,25 @@ class TestIntegrate:
             values.append(json.loads(out)["value"])
         assert values[0] == values[1] == 1.0
 
+    @pytest.mark.parametrize("f_src", ["1/x", "1/(x-0.5)"])
+    def test_sup_integral_1d_skips_failed_nodes(self, capsys, f_src):
+        # as in 2-D, nodes where f fails are skipped instead of making the sup NaN
+        code, out, _ = run_cli(capsys, "integrate", "--f", f_src, "--semiring",
+                               "suptimes", "--dim", "1")
+        assert code == 0
+        assert json.loads(out)["value"] == 4096.0
+
+    def test_inverse_undefined_exit_code(self, capsys):
+        # ∬ x^{-1/2} = 2 lies outside [0, 1], the range of the identity generator
+        code, out, _ = run_cli(capsys, "integrate", "--f", "x^(-0.5)", "--g", "identity",
+                               "--dim", "2")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["value"] is None
+        assert payload["integral"] == "g"
+        assert payload["status"] == "max_refinement"
+        assert "outside range" in payload["detail"]
+
     def test_sugeno_flag(self, capsys):
         code, out, _ = run_cli(capsys, "integrate", "--f", "min(x,y)", "--sugeno",
                                "--dim", "2", "--grid", "512")
@@ -132,6 +151,18 @@ class TestHardyCommand:
                                "--p", "0.5")
         assert code == 1
         assert "--diagnostics" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--f", "x", "--kind", "classical", "--p", "2"),      # 0 < low < high fails
+        ("--f", "x", "--kind", "classical", "--p", "0.5", "--domain", "0.1,1"),
+        ("--f", "x*y", "--semiring", "suptimes", "--p", "0.5"),
+    ])
+    def test_hypothesis_gate_without_diagnostics_hint(self, capsys, argv):
+        # --diagnostics serves only the g check with p <= 1
+        code, _, err = run_cli(capsys, "hardy", *argv)
+        assert code == 1
+        assert "hypothesis error" in err
+        assert "--diagnostics" not in err
 
     def test_diagnostics_mode(self, capsys):
         code, out, _ = run_cli(capsys, "hardy", "--f", "x^2*y^2", "--g", "sqrt",

@@ -158,6 +158,132 @@ class TestCheckHardyG:
             assert verdicts[0] is True and len(set(verdicts)) == 1
 
 
+CLAMPED = "kernel prefix integrals clamped to the generator range"
+
+# (lhs, rhs_integral, rhs, holds, statuses, notes) of check_hardy_g with the
+# default config, recorded while the pointwise R ≤ f check built a second,
+# uniform kernel grid: the first default-campaign g trial of each
+# (family, generator, p) cell; the campaign draws no monomial trial with
+# g = sqrt and p = 1.5
+G_CONTRACT = {
+    ("0.7967663477680926*(x+y)/2", "half", 1.5):  # affine-mean
+        (0.09462830762123747, 0.26764927407250455, 7.226530399957623, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.7169889702825283*(x+y)/2", "half", 2.0):
+        (0.03748450273962112, 0.14993801185615002, 2.3990081896984004, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.8052265768968715*(x+y)/2", "half", 3.0):
+        (0.01223673585777664, 0.09789388715090436, 1.11507255832827, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.6407214212094212*(x+y)/2", "identity", 1.5):
+        (0.06823834175523809, 0.1930071782296859, 5.21119381220152, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.8045342327845465*(x+y)/2", "identity", 2.0):
+        (0.04719715932217992, 0.18878863841898047, 3.0206182147036875, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.4174397676601952*(x+y)/2", "identity", 3.0):
+        (0.001704875791040942, 0.013639006368549271, 0.15535680691675655, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.4216968830217932*(x+y)/2", "sqrt", 1.5):
+        (0.004746749767654888, 0.09341503729000546, 2.5222060068301473, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.23460536673502186*(x+y)/2", "sqrt", 2.0):
+        (0.00034294240438563934, 0.013759919525218519, 0.2201587124034963, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.320859772944036*(x+y)/2", "sqrt", 3.0):
+        (3.401759431596808e-05, 0.004678267033227805, 0.05328838542536046, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("x^1.3251732730028123*y^0.6799441833238431", "half", 1.5):  # monomial
+        (0.021463259168768695, 0.16569940085505613, 4.473883823086515, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("x^3.1899713347936793*y^1.1268893374936737", "half", 2.0):
+        (0.0005243812217255881, 0.04164462956845506, 0.666314073095281, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("x^0.14488974404277588*y^2.8609050101365163", "half", 3.0):
+        (0.0008421734069973085, 0.07273771277360991, 0.8285280095619003, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("x^3.826531714502769*y^0.6712914082018271", "identity", 1.5):
+        (0.0032269208715266077, 0.07392977510804781, 1.996103927917291, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("x^1.1606381400781407*y^1.2482947727555103", "identity", 2.0):
+        (0.0036490495521957467, 0.08610935582598676, 1.3777496932157882, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("x^3.551609183611112*y^1.876633796354771", "identity", 3.0):
+        (5.765527269569811e-06, 0.012941573564007382, 0.1474126113775216, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("x^0.1213852114053191*y^2.624270596650848", "sqrt", 2.0):
+        (0.00028725217144240687, 0.06054093439198103, 0.9686549502716965, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("x^3.5618101666183417*y^0.00034952450163494575", "sqrt", 3.0):
+        (5.616074194503439e-06, 0.024831005118972824, 0.28284066768329985, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.023969985926720987*x^3.177046297940177*y^3.6540526063596293"
+     "+0.06865779266312624*x^3.4540200649733204*y^0.901736376767905"
+     "+0.0799307609056921*x^3.405188558148662*y^2.9802762198873816", "half", 1.5):  # product-of-monotone
+        (8.154727116597297e-05, 0.003033724150101204, 0.08191055205273251, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.009966859406221707*x^2.117539005743623*y^1.9960589807813869"
+     "+0.15986803078238493*x^0.9949941191520053*y^3.283760762924185"
+     "+0.2281488209474199*x^0.3665509096476436*y^0.8133566336409657", "half", 2.0):
+        (0.0021800303905341535, 0.019093652555109093, 0.3054984408817455, True,
+         {"lhs": "converged", "rhs": "converged"}, [CLAMPED]),
+    ("0.2212444955766376*x^0.14488974404277588*y^2.8609050101365163", "half", 3.0):
+        (9.120506293022383e-06, 0.0007877288023263722, 0.008972723388998833, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.12439843249399336*x^0.4398854438879938*y^2.999224410335451"
+     "+0.07037499060913514*x^1.534586476460476*y^1.3193066543244294", "identity", 1.5):
+        (0.0006373707642192088, 0.008900977500159278, 0.2403263925043005, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.08484432750038352*x^2.4148516163968035*y^0.5343968246065969"
+     "+0.08885561484931191*x^3.6913235546128953*y^1.2752570603019975", "identity", 2.0):
+        (3.7570987328153555e-05, 0.0016173264885691457, 0.025877223817106332, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.20980958400762073*x^3.551609183611112*y^1.876633796354771", "identity", 3.0):
+        (5.3249434334542375e-08, 0.00011952995212298028, 0.0013615208609008224, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.3947557888809729*x^3.7173860024741225*y^2.6039875472832192"
+     "+0.36017730097142886*x^0.8485038172948873*y^3.952545437164559"
+     "+0.17397888892216962*x^1.6331893646111624*y^3.136009932748353", "sqrt", 1.5):
+        (5.118749451636843e-05, 0.014312280183027883, 0.38643156494175285, True,
+         {"lhs": "converged", "rhs": "converged"}, [CLAMPED]),
+    ("0.5050577887389373*x^2.9584611868554296*y^2.932442645525937"
+     "+0.07324532823926949*x^2.716560908223856*y^3.9510157296356017", "sqrt", 2.0):
+        (3.684246720042829e-07, 0.0013268460309432558, 0.021229536495092093, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+    ("0.25137690868231044*x^0.18163260441854057*y^1.7569074086834178"
+     "+0.22704057704914532*x^3.2707648162834695*y^1.871451270762793"
+     "+0.025739460888309324*x^1.6220199877659613*y^3.903683580250028", "sqrt", 3.0):
+        (1.4452762926680495e-06, 0.0016310406622501452, 0.01857857254344306, True,
+         {"lhs": "converged", "rhs": "converged"}, []),
+}
+
+
+class TestGContract:
+    @pytest.mark.parametrize("f_src,gen_spec,p", sorted(G_CONTRACT))
+    def test_sides_unchanged(self, f_src, gen_spec, p):
+        rep = H.check_hardy_g(H.HardyScenario(f_src=f_src, check_kind="g_hardy", p=p,
+                                              gen_spec=gen_spec))
+        got = (rep.lhs, rep.rhs_integral, rep.rhs, rep.holds, rep.statuses, rep.notes)
+        assert got == G_CONTRACT[f_src, gen_spec, p]
+        assert rep.pointwise_max <= 1e-9    # R ≤ f: every f here is monotone
+
+    def test_one_kernel_grid_per_check(self, monkeypatch):
+        built = []
+
+        class CountingGrid(H.GKernelGrid):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(H, "GKernelGrid", CountingGrid)
+        f_src, gen_spec, p = sorted(G_CONTRACT)[-1]
+        scn = H.HardyScenario(f_src=f_src, check_kind="g_hardy", p=p, gen_spec=gen_spec)
+        rep = H.check_hardy_g(scn)
+        assert len(built) == 1
+        want = H.pointwise_proof_check(scn.generator, expr.as_function(scn.f), scn.domain)
+        assert (rep.pointwise_max, rep.pointwise_location) == want
+
+
 class TestPointwiseProofStep:
     @pytest.mark.parametrize("gen_spec", ["identity", "sqrt", "half"])
     def test_fuzzed_monotone_functions(self, gen_spec):
@@ -228,10 +354,10 @@ class TestCheckHardySup:
                               semiring_spec="suptimes")
         rep = H.check_hardy_sup(scn)
         assert rep.not_evaluable is True and rep.holds is None
-        # the g-kernel grid shares the policy
-        f = expr.as_function(expr.parse("1/(x-0.5)+y"))
+        # the g-kernel grid shares the policy: x = 0.125 is the cubic node u = 1/2
+        f = expr.as_function(expr.parse("1/(x-0.125)+y"))
         with pytest.raises(H.DomainError, match="kernel grid"):
-            H.GKernelGrid(G.identity(), f, 1.0, 1.0, panels=8, grading=1)
+            H.GKernelGrid(G.identity(), f, 1.0, 1.0, panels=8)
 
 
 # (lhs, rhs_integral, pointwise_max, pointwise_location, holds, notes past the
@@ -432,6 +558,22 @@ class TestRemarkDiagnostics:
             H.remark_diagnostics(gen, f, 2.0)
         with pytest.raises(H.HypothesisError):
             H.remark_diagnostics(gen, f, 1.0)
+
+    def test_out_of_range_inner_integral_is_noted(self):
+        # ∬ g(R^{1/2}) = ∬ (xy)⁻¹ ≈ 4 on the kernel grid lies outside [0, 1],
+        # the range of g = x²: the clamp-then-invert value stays, with a note
+        diag = H.remark_diagnostics(G.make_generator("power:2"),
+                                    expr.as_function(expr.parse("1")), 0.5)
+        assert diag.lhs_inner > 1.0 and diag.lhs_value == 1.0
+        assert diag.rhs_inner == pytest.approx(1.0, abs=1e-12)
+        range_notes = [n for n in diag.notes if "outside the generator range" in n]
+        assert len(range_notes) == 1
+        assert range_notes[0].startswith(f"lhs inner integral {diag.lhs_inner!r} ")
+
+    def test_in_range_inner_integrals_carry_no_range_note(self):
+        diag = H.remark_diagnostics(G.sqrt_gen(), expr.as_function(expr.parse("x^2*y^2")),
+                                    1.0 / 6.0)
+        assert not any("outside the generator range" in n for n in diag.notes)
 
     def test_undefined_constant(self):
         gen = G.identity()

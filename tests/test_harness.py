@@ -75,6 +75,14 @@ class TestFuzzConfig:
         with pytest.raises(ValueError):
             cfg.hardy_config()
 
+    @pytest.mark.parametrize("name", ["pointwise_panels", "pointwise_points", "sugeno_samples"])
+    def test_removed_knobs_rejected(self, name):
+        # R ≤ f is read off the kernel grid and the Sugeno sample grid is
+        # 4 × sugeno_outer, so neither has a knob of its own
+        cfg = HA.FuzzConfig(tolerance_overrides={name: 64})
+        with pytest.raises(ValueError, match="unknown tolerance override"):
+            cfg.hardy_config()
+
 
 class TestCampaign:
     def test_small_campaign_all_hold(self, tmp_path):
