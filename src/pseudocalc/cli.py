@@ -66,10 +66,7 @@ DEFAULT_DOMAINS = {1: "0,1", 2: "0,1,0,1"}
 
 
 def _max_depth() -> int:
-    raw = os.environ.get("PSEUDOCALC_MAX_DEPTH")
-    if raw is None:
-        return DEFAULT_MAX_DEPTH
-    return int(raw)
+    return int(os.environ.get("PSEUDOCALC_MAX_DEPTH", DEFAULT_MAX_DEPTH))
 
 
 def _payload(kind: str, body: dict, config_echo: dict) -> dict:
@@ -107,16 +104,11 @@ def _emit(payload: dict, fmt: str, output: str | None, rows: list[dict] | None =
             row: dict = {}
             _flatten("", payload, row)
             rows = [row]
-        keys: list[str] = []
-        for r in rows:
-            for k in r:
-                if k not in keys:
-                    keys.append(k)
+        keys = list(dict.fromkeys(k for r in rows for k in r))   # in order of first use
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=keys)
         writer.writeheader()
-        for r in rows:
-            writer.writerow(r)
+        writer.writerows(rows)
         text = buf.getvalue().rstrip("\n")
     else:  # text
         row = {}
@@ -131,13 +123,9 @@ def _emit(payload: dict, fmt: str, output: str | None, rows: list[dict] | None =
 
 def _parse_domain(raw: str, dim: int):
     parts = [float(v) for v in raw.split(",")]
-    if dim == 1:
-        if len(parts) != 2:
-            raise ValueError("--domain for dim 1 takes a,b")
-        return parts
-    if len(parts) != 4:
-        raise ValueError("--domain for dim 2 takes a,b,c,d")
-    return Rect(*parts)
+    if len(parts) != 2 * dim:
+        raise ValueError(f"--domain for dim {dim} takes {'a,b' if dim == 1 else 'a,b,c,d'}")
+    return parts if dim == 1 else Rect(*parts)
 
 
 # --- integrate ----------------------------------------------------------------
@@ -237,7 +225,7 @@ def cmd_hardy(args) -> int:
             return EXIT_USAGE
         echo = {"f": args.f, "g": args.g, "p": args.p, "mode": "diagnostics"}
         _emit(_payload("diagnostics", diag.to_dict(), echo), args.format, args.output)
-        return EXIT_OK
+        return EXIT_DIVERGED if diag.not_evaluable else EXIT_OK
     try:
         scenario = _scenario_from_args(args)
         report = run_check(scenario, config)

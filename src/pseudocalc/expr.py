@@ -1,4 +1,4 @@
-"""Arithmetic expression front-end: tokenizer, recursive-descent parser, evaluator.
+"""Arithmetic expression front-end: tokenizer, recursive-descent parser, compiled evaluator.
 
 Expressions are written in the two variables x and y with the usual operators
 (+ - * / ^, unary minus, parentheses) and a fixed whitelist of calls
@@ -12,7 +12,11 @@ Expressions are written in the two variables x and y with the usual operators
 '^' is right-associative and binds tighter than unary minus, so -x^2 parses
 as -(x^2).  The invalid operations are division by zero, sqrt of a negative
 value, ln of a non-positive value, a fractional power of a negative base and
-a negative power of zero.  Evaluation at a point (floats) is strict: an
+a negative power of zero.
+
+as_function compiles a tree once into nested closures, one per node; that is
+the one evaluation path.  It builds a strict and a NaN-masked closure tree
+and picks one per call.  Evaluation at a point (floats) is strict: an
 invalid operation raises EvalError rather than producing an infinity.
 Evaluation on numpy arrays is NaN-masked: an invalid operation gives NaN at
 the offending elements only, and the NaN propagates to the result, also
@@ -23,6 +27,7 @@ elsewhere it agrees with it up to numpy's vectorised pow (within an ulp).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -308,69 +313,77 @@ def _pow(node: BinOp, a, b, masked: bool):
     return np.where(bad, np.nan, out) if np.any(bad) else out
 
 
-def _eval(node: Expr, x, y):
-    """Recursive evaluator on floats (strict) or numpy arrays (NaN-masked, broadcasting).
-
-    On floats an invalid operation raises EvalError.  If x or y is an array,
-    it gives NaN at the offending elements only, and the NaN propagates to
-    the result.
-    """
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        with np.errstate(all="ignore"):
-            return _walk(node, x, y, True)
-    return _walk(node, x, y, False)
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_ELEMENTWISE = {"exp": np.exp, "abs": np.abs, "min": np.minimum, "max": np.maximum}
 
 
-def _walk(node: Expr, x, y, masked: bool):
+def _compile(node: Expr, masked: bool):
+    """node as a closure of (x, y), built once: strict (masked False) or NaN-masked."""
     if isinstance(node, Const):
-        return node.value
+        value = node.value
+        return lambda x, y: value
     if isinstance(node, Var):
-        return x if node.name == "x" else y
+        return (lambda x, y: x) if node.name == "x" else (lambda x, y: y)
     if isinstance(node, Neg):
-        return -_walk(node.operand, x, y, masked)
+        operand = _compile(node.operand, masked)
+        return lambda x, y: -operand(x, y)
     if isinstance(node, BinOp):
-        a = _walk(node.left, x, y, masked)
-        b = _walk(node.right, x, y, masked)
-        if node.op == "add":
-            return a + b
-        if node.op == "sub":
-            return a - b
-        if node.op == "mul":
-            return a * b
+        left, right = _compile(node.left, masked), _compile(node.right, masked)
+        if node.op in _ARITHMETIC:
+            return lambda x, y, op=_ARITHMETIC[node.op]: op(left(x, y), right(x, y))
         if node.op == "div":
-            bad = _invalid(masked, b == 0.0, node, "division by zero")
-            return a / b if bad is None else np.where(bad, np.nan, a / np.where(bad, 1.0, b))
-        return _pow(node, a, b, masked)
+            def div(x, y):
+                a, b = left(x, y), right(x, y)
+                bad = _invalid(masked, b == 0.0, node, "division by zero")
+                return a / b if bad is None else np.where(bad, np.nan, a / np.where(bad, 1.0, b))
+            return div
+        if masked and isinstance(node.right, Const) and node.right.value > 0.0:
+            # no element can fail a power with this exponent
+            return lambda x, y, e=node.right.value: np.power(left(x, y), e)
+        return lambda x, y: _pow(node, left(x, y), right(x, y), masked)
     if isinstance(node, Call):
-        args = [_walk(arg, x, y, masked) for arg in node.args]
+        args = [_compile(arg, masked) for arg in node.args]
+        if node.name in _ELEMENTWISE:  # min and max propagate a NaN operand
+            return lambda x, y, fn=_ELEMENTWISE[node.name]: fn(*[arg(x, y) for arg in args])
+        (arg,) = args
         if node.name == "sqrt":
-            _invalid(masked, args[0] < 0.0, node, "sqrt of negative value")
-            return np.sqrt(args[0])  # NaN below zero on arrays
-        if node.name == "exp":
-            return np.exp(args[0])
-        if node.name == "ln":
-            bad = _invalid(masked, args[0] <= 0.0, node, "ln of non-positive value")
-            return np.log(args[0]) if bad is None else np.where(bad, np.nan, np.log(args[0]))
-        if node.name == "abs":
-            return np.abs(args[0])
-        if node.name == "min":
-            return np.minimum(args[0], args[1])
-        return np.maximum(args[0], args[1])
+            def sqrt(x, y):
+                a = arg(x, y)
+                if not masked:  # on arrays a negative element gives NaN by itself
+                    _invalid(False, a < 0.0, node, "sqrt of negative value")
+                return np.sqrt(a)
+            return sqrt
+
+        def ln(x, y):
+            a = arg(x, y)
+            bad = _invalid(masked, a <= 0.0, node, "ln of non-positive value")
+            return np.log(a) if bad is None else np.where(bad, np.nan, np.log(a))
+        return ln
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _evaluator(node: Expr):
+    """node compiled once: strict on floats, NaN-masked when x or y is an array."""
+    strict = _compile(node, False)
+    masked = _compile(node, True)
+
+    def f(x, y):
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            with np.errstate(all="ignore"):
+                return masked(x, y)
+        return strict(x, y)
+
+    return f
 
 
 def evaluate(node: Expr, x: float = 0.0, y: float = 0.0) -> float:
     """Evaluate at a point. Pure: identical inputs give bit-identical outputs."""
-    return float(_eval(node, x, y))
+    return float(_evaluator(node)(x, y))
 
 
 def as_function(node: Expr):
     """Compile to a two-argument callable f(x, y) accepting floats or arrays."""
-
-    def f(x, y):
-        return _eval(node, x, y)
-
-    return f
+    return _evaluator(node)
 
 
 _PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2, "pow": 4}

@@ -402,6 +402,8 @@ def check_hardy_g(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> H
             raise DomainError(violation)
         lhs = _clamped_inverse(gen, lhs_inner)
         statuses["lhs"] = CONVERGED
+        if np.any(kernel.fv < 0):
+            notes.append("f takes negative values: theorem hypotheses not met")
         if kernel.clipped:
             notes.append("kernel prefix integrals clamped to the generator range")
     except (DomainError, DivergenceError) as e:
@@ -601,6 +603,12 @@ class DiagnosticsReport:
     criterion_met: bool | None = None
     notes: list = field(default_factory=list)
 
+    @property
+    def not_evaluable(self) -> bool:
+        """No side has a value: an integral diverged before one could be found, or
+        g⁻¹ is undefined at it (the reason is the last note)."""
+        return (self.inequality_fails, self.lhs_value, self.criterion_value) == (None, None, None)
+
     def to_dict(self) -> dict:
         return record_to_dict(self)
 
@@ -656,7 +664,7 @@ def remark_diagnostics(gen: Generator, f, p: float,
                 notes.append(f"{violation}; {side}_value inverts it clamped to the range")
         fails = (constant is None) or (constant * rhs_value < lhs_value)
         notes.append("right side is non-positive while the left side is positive"
-                     if defined and constant is not None and constant <= 0 else
+                     if constant is not None and constant * rhs_value <= 0 < lhs_value else
                      "inequality direction checked against the recomputed sides")
         return DiagnosticsReport(
             p=p, branch="0<p<1", constant=constant, constant_defined=defined,
@@ -683,11 +691,18 @@ def remark_diagnostics(gen: Generator, f, p: float,
                 lhs_status=DIVERGED, inequality_fails=True,
                 notes=["the lhs integral does not converge"],
             )
+        except DomainError as e:  # g⁻¹ is undefined at the lhs inner integral
+            return DiagnosticsReport(p=p, branch="p<0", constant=None, constant_defined=False,
+                                     lhs_status=e.result.status, notes=[str(e)])
 
     # p == 0: both sides reduce to the pseudo-integral of f⁰ ≡ 1;
     # the criterion checked is the asserted ∫∫^⊕ f ≥ 1
-    value, res = g_integral_2d_result(gen, f, UNIT_SQUARE,
-                                      config.quad_tol, config.max_depth)
+    try:
+        value, res = g_integral_2d_result(gen, f, UNIT_SQUARE, config.quad_tol, config.max_depth)
+    except (DivergenceError, DomainError) as e:
+        # the integral diverged, or g⁻¹ is undefined at its value
+        return DiagnosticsReport(p=0.0, branch="p=0", constant=1.0, constant_defined=True,
+                                 lhs_status=e.result.status, notes=[str(e)])
     return DiagnosticsReport(
         p=0.0, branch="p=0", constant=1.0, constant_defined=True,
         criterion_value=value, criterion_met=bool(value >= 1.0),

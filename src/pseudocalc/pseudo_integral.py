@@ -33,6 +33,7 @@ from .quadrature import (
     UNIT_SQUARE,
     QuadratureResult,
     Rect,
+    _nan_for_failed,
     integrate_1d,
     integrate_2d,
     level_set_samples,
@@ -89,7 +90,7 @@ class PsiDensity:
             raise ValueError(f"psi density {self.description!r} leaves the carrier [0,1]")
 
     def __call__(self, t):
-        return expr_mod._eval(self.expr, t, t)
+        return expr_mod._evaluator(self.expr)(t, t)
 
 
 def unit_psi(s: Semiring) -> PsiDensity:
@@ -103,6 +104,7 @@ def _g_of_f(gen: Generator, f):
     """g∘f for an integrand of one or two variables, on floats or node arrays.
 
     A non-finite f is a failed node (NaN); on floats it raises DomainError.
+    g is never applied to an infinite f, since g(±∞) may be finite.
     """
 
     def gf(*point):
@@ -111,8 +113,7 @@ def _g_of_f(gen: Generator, f):
             if not math.isfinite(v):
                 raise DomainError(f"f{point!r} is not finite")
             return float(gen.forward(v))
-        v = np.asarray(v, dtype=float)
-        return gen.forward(np.where(np.isfinite(v), v, np.nan))
+        return gen.forward(_nan_for_failed(np.asarray(v, dtype=float)))
 
     return gf
 

@@ -35,10 +35,22 @@ batched.  Without a firing the set of panels refined does not depend on this
 order.  EVAL_BUDGET bounds the evaluations of each integral (status
 max_refinement, with the partial sum of the panels done so far).
 
+Cost of a level: all the panels live in one table, one column per panel,
+and a level is a fixed handful of numpy calls on it whatever the number of
+panels: the quarter nodes, one integrand call, the Simpson pair, the accept
+test and the split, which writes the refined panels' children into a new
+table.  The integrand's values come back from eval_nodes with failed nodes
+already NaN (one finiteness pass), and the engine adds no pass of its own;
+a level with no NaN among them skips the retry.  The blow-up window,
+the EVAL_BUDGET test and the divergence rule each sit behind a scalar
+trigger and run only when it fires: some integral is hot, the evaluations
+spent come within two per panel of the budget, a panel is capped.
+
 Summation: each integral's accepted panel values (S₂ plus the Richardson
 correction) are summed sequentially in order of their left endpoints, the
 order of a depth-first traversal, so the value does not depend on how the
-panels were batched.
+panels were batched.  One np.cumsum per integral does it from +0.0, as a
+loop would; a pairwise np.sum would not give the same bits.
 
 Grids: grid_eval is the one tensor-grid evaluation behind every grid
 engine.  It calls the (pointwise) f once on the column xs[:, None] and the
@@ -52,6 +64,7 @@ gives the midpoint samples behind the Sugeno integrals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -130,7 +143,7 @@ def _array_call(f, shape, *args) -> np.ndarray:
 
 def _nan_for_failed(vals: np.ndarray) -> np.ndarray:
     # a finite sum has no NaN or infinite term; one pass, no temporary array
-    if not np.isfinite(np.sum(vals)):
+    if not np.isfinite(np.add.reduce(vals, axis=None)):
         vals = np.where(np.isfinite(vals), vals, np.nan)
     return vals
 
@@ -157,66 +170,80 @@ def eval_nodes(f, *coords: np.ndarray) -> np.ndarray:
         return _nan_for_failed(vals)
 
 
-# rows of the panel table the engine carries from one level to the next, and
-# the rows it appends while processing them (midpoint, quarter-point values,
-# half-panel estimates)
-_OWNER, _A, _B, _FA, _FM, _FB, _S0, _DEPTH = range(8)
-_M, _FLM, _FRM, _SL, _SR = range(8, 13)
-_LEFT_CHILD = [_OWNER, _A, _M, _FA, _FLM, _FM, _SL]
-_RIGHT_CHILD = [_OWNER, _M, _B, _FM, _FRM, _FB, _SR]
+# rows of the panel table.  A panel is (owner, a, b, f(a), f(m), f(b), whole-
+# panel estimate, depth); the level fills the other rows in place: the
+# midpoint and quarter-point values, the half-panel estimates, and for a
+# panel that is done its record, the rows [_OWNER, _VAL, _ERR, _A] that
+# come first.  a, m, b and f(a), f(m), f(b) are adjacent, so a slice of two
+# rows holds the left-half and the right-half operands of one operation
+_OWNER, _VAL, _ERR, _A, _M, _B, _FA, _FM, _FB, _FLM, _FRM, _SL, _SR, _S0, _DEPTH = range(15)
+_ROWS = _DEPTH + 1
+_CHILD = np.array([_OWNER, _A, _B, _FA, _FM, _FB, _S0, _DEPTH])
+_LEFT_CHILD = np.array([_OWNER, _A, _M, _FA, _FLM, _FM, _SL, _DEPTH])
+_RIGHT_CHILD = np.array([_OWNER, _M, _B, _FM, _FRM, _FB, _SR, _DEPTH])
 
 
 def _blown_up(*values: np.ndarray) -> np.ndarray:
-    return np.maximum.reduce([np.abs(v) for v in values]) > BLOWUP_VALUE
+    # the elementwise max of the |values|, NaN where any of them is NaN
+    return functools.reduce(np.maximum, map(np.abs, values)) > BLOWUP_VALUE
 
 
 def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResult]:
     """Adaptive Simpson estimates of ∫_low[k]^high[k], k < K, advanced level by level.
 
-    fk(x, k) gives the integrand values at nodes x of the integrals k.
+    fk(x, k) gives the integrand values at nodes x of the integrals k, as a
+    new float array with NaN for failed nodes.
     """
     low = np.asarray(low, dtype=float)
     high = np.asarray(high, dtype=float)
     K = low.size
     evals = np.zeros(K, dtype=np.int64)
+    spent = 0  # evaluations of all K integrals: none of them has spent more
 
     def call(x, k):
-        v = np.concatenate([np.asarray(fk(x[i:i + BATCH_CHUNK], k[i:i + BATCH_CHUNK]), dtype=float)
-                            for i in range(0, x.size, BATCH_CHUNK)])
-        v[~np.isfinite(v)] = np.nan
-        evals[:] += np.bincount(k, minlength=K)
+        nonlocal spent
+        v = fk(x, k) if x.size <= BATCH_CHUNK else np.concatenate(
+            [fk(x[i:i + BATCH_CHUNK], k[i:i + BATCH_CHUNK]) for i in range(0, x.size, BATCH_CHUNK)])
+        spent += x.size
+        evals[:] += x.size if K == 1 else np.bincount(k, minlength=K)
         return v
 
     def values(x, k):
+        """fk at x, a failed node at a limit retried once inward; also the NaN mask or None."""
         v = call(x, k)
+        # v holds finite values and NaN, so a sum that is not NaN rules failures out
+        if not np.isnan(np.add.reduce(v)):
+            return v, None
         failed = np.isnan(v)
-        if failed.any():
-            # a failed node at an integration limit is retried once, shifted inward
-            at_low = x == low[k]
-            retry = failed & (at_low | (x == high[k]))
-            if retry.any():
-                shifted = np.where(at_low, x + BOUNDARY_INSET, x - BOUNDARY_INSET)
-                v[retry] = call(shifted[retry], k[retry])
-        return v
+        at_low = x == low[k]
+        retry = failed & (at_low | (x == high[k]))
+        if retry.any():
+            shifted = np.where(at_low, x + BOUNDARY_INSET, x - BOUNDARY_INSET)
+            v[retry] = call(shifted[retry], k[retry])
+            failed = np.isnan(v)
+        return v, (failed if failed.any() else None)
 
     ks = np.arange(K)
-    v = values(np.concatenate([low, high, 0.5 * (low + high)]), np.concatenate([ks, ks, ks]))
+    v, _ = values(np.concatenate([low, high, 0.5 * (low + high)]), np.concatenate([ks, ks, ks]))
     fa, fb, fm = v[:K], v[K:2 * K], v[2 * K:]
     started = ~(np.isnan(fa) | np.isnan(fb) | np.isnan(fm))
-    s_whole = (high - low) / 6.0 * (fa + 4.0 * fm + fb)
-    panels = np.array([ks, low, high, fa, fm, fb, s_whole, np.zeros(K)])[:, started]
+    panels = np.zeros((_ROWS, K))
+    panels[[_OWNER, _A, _B, _FA, _FM, _FB, _S0]] = (
+        ks, low, high, fa, fm, fb, (high - low) / 6.0 * (fa + 4.0 * fm + fb))
+    panels = panels[:, started]
     hot = _blown_up(fa, fb, fm)
+    any_hot = bool(hot.any())
     width = np.ones(K, dtype=np.int64)
     tol_at = np.array([tol * 0.5**d for d in range(max(max_depth, 0) + 1)])  # tol/2^depth
     divergent = np.zeros(K, dtype=bool)
     out_of_budget = np.zeros(K, dtype=bool)
-    parts = []   # rows owner, left end, s2 + err, |err| of the panels that are done
+    parts = []   # the records (owner, value s2 + err, |err|, left end) of the panels that are done
     tails = {}   # fired integral -> (value, |error|) terms that follow its other panels
 
     while panels.shape[1]:
         owner = panels[_OWNER].astype(np.intp)
         sel = None
-        if hot[owner].any():
+        if any_hot:
             # an integral that has shown blow-up advances its leftmost width[k]
             # panels only
             first = np.ones(owner.size, dtype=bool)
@@ -224,7 +251,7 @@ def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResul
             rank = np.arange(owner.size)
             rank -= np.maximum.accumulate(np.where(first, rank, 0))
             sel = ~hot[owner] | (rank < width[owner])
-        if int(evals.max()) + 2 * owner.size > EVAL_BUDGET:
+        if spent + 2 * owner.size > EVAL_BUDGET and int(evals.max()) + 2 * owner.size > EVAL_BUDGET:
             n_sel = np.bincount(owner if sel is None else owner[sel], minlength=K)
             over = (evals + 2 * n_sel > EVAL_BUDGET)[owner]
             if over.any():
@@ -236,42 +263,52 @@ def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResul
         cur = panels if sel is None else panels[:, sel]
         k = owner if sel is None else owner[sel]
         n = k.size
-        a, b, f0, f1, f2, s0, depth = cur[_A:]
-        m = 0.5 * (a + b)
-        v = values(np.concatenate([0.5 * (a + m), 0.5 * (m + b)]), np.concatenate([k, k]))
-        flm, frm = v[:n], v[n:]
-        h6 = (m - a) / 6.0
-        s_left = h6 * (f0 + 4.0 * flm + f1)
-        s_right = h6 * (f1 + 4.0 * frm + f2)
-        s2 = s_left + s_right
-        err = (s2 - s0) / 15.0
-        failed = np.isnan(flm) | np.isnan(frm)
-        accepted = np.abs(err) <= tol_at[depth.astype(np.intp)]
-        still_open = ~(accepted | failed)
-        capped = still_open & (depth >= max_depth)
-        refine = still_open & ~capped
-        hot[k[_blown_up(flm, frm)]] = True
-        if failed.any():
+        a, m, b, depth = cur[_A], cur[_M], cur[_B], cur[_DEPTH]
+        np.multiply(a + b, 0.5, out=m)
+        x = (cur[_A:_M + 1] + cur[_M:_B + 1]) * 0.5   # rows (a + m)/2 and (m + b)/2
+        v, bad = values(x.ravel(), np.concatenate((k, k)))
+        quarter = cur[_FLM:_FRM + 1]
+        quarter[...] = v.reshape(2, n)
+        # the Simpson pair: h/6·(f(a) + 4 f(a+h/4) + f(m)) on the left half, likewise on the right
+        cur[_SL:_SR + 1] = (4.0 * quarter + cur[_FA:_FM + 1] + cur[_FM:_FB + 1]) * ((m - a) / 6.0)
+        s2 = cur[_SL] + cur[_SR]
+        err = (s2 - cur[_S0]) / 15.0
+        np.add(s2, err, out=cur[_VAL])
+        np.abs(err, out=cur[_ERR])
+        accepted = cur[_ERR] <= tol_at[depth.astype(np.intp)]
+        refine = ~accepted
+        if bad is not None:
+            failed = bad[:n] | bad[n:]
             divergent[k[failed]] = True  # unresolvable interior singularity
-        fires = capped & (_blown_up(f0, f1, f2, flm, frm) | (np.abs(s2) > BLOWUP_PANEL))
-        done = accepted | (capped & ~fires)
+            refine &= ~failed
+        if np.fmax.reduce(np.abs(v)) > BLOWUP_VALUE:
+            hot[k[_blown_up(quarter[0], quarter[1])]] = True
+            any_hot = bool(hot.any())
+        done = accepted
         keep = None
-        for kk in np.unique(k[fires]).tolist():
-            # no point refining the rest once divergence is certain: the firing
-            # panel's s2, then the whole-panel estimates of the integral's
-            # other unsettled panels, right to left, enter its value
-            mine = owner == kk
-            keep = ~mine if keep is None else keep & ~mine
-            rows = np.nonzero(k == kk)[0]
-            j = rows[fires[rows]][0]
-            settled = rows[(rows == j) | ((rows < j) & (done[rows] | failed[rows]))]
-            mine[settled if sel is None else np.nonzero(sel)[0][settled]] = False
-            s_rest = panels[_S0, mine][np.argsort(-panels[_A, mine], kind="stable")]
-            tails[kk] = [(float(s2[j]), float(abs(err[j])))] + [(s, abs(s)) for s in s_rest.tolist()]
-            divergent[kk] = True
-            done[rows[rows > j]] = False
-            refine[rows] = False
-        parts.append(np.stack((k, a, s2 + err, np.abs(err)))[:, done])
+        capped = refine & (depth >= max_depth)
+        if capped.any():
+            failed = ~(accepted | refine)
+            refine &= ~capped
+            fires = capped & (_blown_up(cur[_FA], cur[_FM], cur[_FB], quarter[0], quarter[1])
+                              | (np.abs(s2) > BLOWUP_PANEL))
+            done = accepted | (capped & ~fires)
+            for kk in np.unique(k[fires]).tolist():
+                # no point refining the rest once divergence is certain: the firing
+                # panel's s2, then the whole-panel estimates of the integral's
+                # other unsettled panels, right to left, enter its value
+                mine = owner == kk
+                keep = ~mine if keep is None else keep & ~mine
+                rows = np.nonzero(k == kk)[0]
+                j = rows[fires[rows]][0]
+                settled = rows[(rows == j) | ((rows < j) & (done[rows] | failed[rows]))]
+                mine[settled if sel is None else np.nonzero(sel)[0][settled]] = False
+                s_rest = panels[_S0, mine][np.argsort(-panels[_A, mine], kind="stable")]
+                tails[kk] = [(float(s2[j]), float(abs(err[j])))] + [(s, abs(s)) for s in s_rest.tolist()]
+                divergent[kk] = True
+                done[rows[rows > j]] = False
+                refine[rows] = False
+        parts.append(cur[:_A + 1, done])
         if sel is not None:
             # the window doubles each time the leftmost panel is done
             lead = np.ones(n, dtype=bool)
@@ -279,11 +316,11 @@ def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResul
             width[k[lead & done & hot[k]]] *= 2
         # a refined panel gives way to its two halves; panels not processed
         # this round keep their place, so each integral's panels stay in order
-        ext = np.concatenate((cur, [m, flm, frm, s_left, s_right]))[:, refine]
-        children = np.empty((8, 2 * ext.shape[1]))
-        children[:_DEPTH, 0::2] = ext[_LEFT_CHILD]
-        children[:_DEPTH, 1::2] = ext[_RIGHT_CHILD]
-        children[_DEPTH] = np.repeat(ext[_DEPTH] + 1.0, 2)
+        split = cur[:, refine]
+        children = np.empty((_ROWS, 2 * split.shape[1]))
+        children[_CHILD, 0::2] = split[_LEFT_CHILD]
+        children[_CHILD, 1::2] = split[_RIGHT_CHILD]
+        children[_DEPTH] += 1.0
         if sel is None and keep is None:
             panels = children
             continue
@@ -295,7 +332,7 @@ def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResul
         if keep is not None:
             counts[~keep] = 0
         pos = np.cumsum(counts) - counts
-        nxt = np.empty((8, int(counts.sum())))
+        nxt = np.empty((_ROWS, int(counts.sum())))
         stay = counts == 1
         nxt[:, pos[stay]] = panels[:, stay]
         at = pos[counts == 2]
@@ -303,31 +340,33 @@ def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResul
         nxt[:, at + 1] = children[:, 1::2]
         panels = nxt
 
-    totals = [0.0] * K
-    errors = [0.0] * K
+    # each integral's terms in order of their left ends, summed left to right
+    # from +0.0 as a loop over them would: one np.add.accumulate (np.cumsum)
+    # per integral, which adds sequentially where np.sum would add pairwise
+    sums = np.zeros((2, K))
     if parts:
-        own, key, val, err = np.concatenate(parts, axis=1)
-        order = np.lexsort((key, own))
-        for kk, c, e in zip(own[order].astype(np.intp).tolist(), val[order].tolist(), err[order].tolist()):
-            totals[kk] += c
-            errors[kk] += e
+        records = np.concatenate(parts, axis=1)
+        order = np.lexsort((records[_A], records[_OWNER])) if K > 1 else np.argsort(records[_A])
+        terms = records[_VAL:_ERR + 1, order]
+        bounds = np.searchsorted(records[_OWNER, order], np.arange(K + 1))
+        some = np.flatnonzero(bounds[1:] > bounds[:-1])   # the integrals with terms
+        terms[:, bounds[some]] += 0.0   # 0.0 + (-0.0) is +0.0
+        for lo, hi in zip(bounds[some].tolist(), bounds[some + 1].tolist()):
+            np.add.accumulate(terms[:, lo:hi], axis=1, out=terms[:, lo:hi])
+        sums[:, some] = terms[:, bounds[some + 1] - 1]
+    totals, errors = sums.tolist()
     for kk, tail in tails.items():
         for c, e in tail:
             totals[kk] += c
             errors[kk] += e
     results = []
     for kk in range(K):
-        n_evals = int(evals[kk])
-        if not started[kk]:
-            results.append(QuadratureResult(0.0, math.inf, n_evals, DIVERGED))
-        elif out_of_budget[kk]:
-            results.append(QuadratureResult(totals[kk], math.inf, n_evals, MAX_REFINEMENT))
-        elif divergent[kk]:
-            results.append(QuadratureResult(totals[kk], math.inf, n_evals, DIVERGED))
-        elif errors[kk] <= tol:
-            results.append(QuadratureResult(totals[kk], errors[kk], n_evals, CONVERGED))
-        else:
-            results.append(QuadratureResult(totals[kk], errors[kk], n_evals, MAX_REFINEMENT))
+        error = errors[kk]
+        status = CONVERGED if error <= tol else MAX_REFINEMENT
+        # an integral that never started has no terms, so its total is 0.0
+        if not started[kk] or out_of_budget[kk] or divergent[kk]:
+            error, status = math.inf, MAX_REFINEMENT if out_of_budget[kk] else DIVERGED
+        results.append(QuadratureResult(totals[kk], error, int(evals[kk]), status))
     return results
 
 
@@ -370,7 +409,8 @@ def integrate_2d(f, r: Rect, tol: float = DEFAULT_TOL,
         if any(res.status == MAX_REFINEMENT for res in results):
             inner_worst = MAX_REFINEMENT
         # a divergent inner integral is a failed node: retried inward at an edge, else divergent
-        return np.array([math.nan if res.status == DIVERGED else res.value for res in results])
+        return _nan_for_failed(np.array([math.nan if res.status == DIVERGED else res.value
+                                         for res in results]))
 
     outer = _adaptive(outer_integrand, [r.x_low], [r.x_high], tol, max_depth)[0]
     evaluations = inner_evals + outer.evaluations

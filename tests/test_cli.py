@@ -172,6 +172,20 @@ class TestHardyCommand:
         assert payload["branch"] == "p=0"
         assert payload["criterion_value"] == pytest.approx(1.0 / 16.0, abs=1e-8)
 
+    @pytest.mark.parametrize("f_src,status,note", [
+        ("x^(-2)", "diverged", "inner classical integral diverged"),
+        ("2", "converged", "sqrt: y=1.4142135623730951 outside range [0.0, 1.0]"),
+    ])
+    def test_diagnostics_without_a_value_exit_2(self, capsys, f_src, status, note):
+        gen = "identity" if status == "diverged" else "sqrt"
+        code, out, err = run_cli(capsys, "hardy", "--f", f_src, "--g", gen, "--p", "0",
+                                 "--diagnostics")
+        assert code == 2 and err == ""
+        payload = json.loads(out)
+        assert payload["criterion_value"] is None and payload["criterion_met"] is None
+        assert payload["lhs_status"] == status
+        assert payload["notes"] == [note]
+
     def test_singular_corner_is_evaluable(self, capsys):
         # x/(x+y) fails only at the origin; the kernel grid retries it inward
         # as the adaptive right-hand side does

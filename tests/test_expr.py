@@ -248,3 +248,98 @@ def test_failed_operand_propagates(src):
     assert got[1] == evaluate(parse(src), 2.0)
     with pytest.raises(EvalError):
         evaluate(parse(src), 0.0)
+
+
+# every node type, evaluated at the point (0.3, 0.7) (float.hex of the value, or
+# "raises") and on the arrays x = (0, 0.3, 2, 0.75), y = (0.5, 0.7, 0.25, 0)
+# ("nan" marks a failed node), recorded on the tree-walking evaluator that
+# the compiled closures replaced: the bits are the same on both paths
+EVALUATION_BITS = {
+    "2.5": ("0x1.4000000000000p+1",
+           ["0x1.4000000000000p+1", "0x1.4000000000000p+1", "0x1.4000000000000p+1", "0x1.4000000000000p+1"]),
+    "x": ("0x1.3333333333333p-2",
+         ["0x0.0p+0", "0x1.3333333333333p-2", "0x1.0000000000000p+1", "0x1.8000000000000p-1"]),
+    "y": ("0x1.6666666666666p-1",
+         ["0x1.0000000000000p-1", "0x1.6666666666666p-1", "0x1.0000000000000p-2", "0x0.0p+0"]),
+    "-x": ("-0x1.3333333333333p-2",
+          ["-0x0.0p+0", "-0x1.3333333333333p-2", "-0x1.0000000000000p+1", "-0x1.8000000000000p-1"]),
+    "x+y": ("0x1.0000000000000p+0",
+           ["0x1.0000000000000p-1", "0x1.0000000000000p+0", "0x1.2000000000000p+1", "0x1.8000000000000p-1"]),
+    "x-y": ("-0x1.9999999999999p-2",
+           ["-0x1.0000000000000p-1", "-0x1.9999999999999p-2", "0x1.c000000000000p+0", "0x1.8000000000000p-1"]),
+    "x*y": ("0x1.ae147ae147ae1p-3",
+           ["0x0.0p+0", "0x1.ae147ae147ae1p-3", "0x1.0000000000000p-1", "0x0.0p+0"]),
+    "x/y": ("0x1.b6db6db6db6dcp-2",
+           ["0x0.0p+0", "0x1.b6db6db6db6dcp-2", "0x1.0000000000000p+3", "nan"]),
+    "1/x": ("0x1.aaaaaaaaaaaabp+1",
+           ["nan", "0x1.aaaaaaaaaaaabp+1", "0x1.0000000000000p-1", "0x1.5555555555555p+0"]),
+    "x^2.5": ("0x1.93d32bceafc29p-5",
+             ["0x0.0p+0", "0x1.93d32bceafc29p-5", "0x1.6a09e667f3bcdp+2", "0x1.f2d4a45635640p-2"]),
+    "x^(-1.5)": ("0x1.857dd943cb7f5p+2",
+                ["nan", "0x1.857dd943cb7f5p+2", "0x1.6a09e667f3bcdp-2", "0x1.8a2345cc04426p+0"]),
+    "x^0": ("0x1.0000000000000p+0",
+           ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"]),
+    "x^y": ("0x1.b8d809c615f41p-2",
+           ["0x0.0p+0", "0x1.b8d809c615f41p-2", "0x1.306fe0a31b715p+0", "0x1.0000000000000p+0"]),
+    "y^x": ("0x1.cc0b43ba5c3d9p-1",
+           ["0x1.0000000000000p+0", "0x1.cc0b43ba5c3d9p-1", "0x1.0000000000000p-4", "0x0.0p+0"]),
+    "1^ln(x)": ("0x1.0000000000000p+0",
+               ["nan", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"]),
+    "(1/x)^0": ("0x1.0000000000000p+0",
+               ["nan", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"]),
+    "sqrt(x-0.1)": ("0x1.c9f25c5bfedd9p-2",
+                   ["nan", "0x1.c9f25c5bfedd9p-2", "0x1.60df2453ab723p+0", "0x1.9cc99ff02c481p-1"]),
+    "exp(x*y)": ("0x1.3bd253494e939p+0",
+                ["0x1.0000000000000p+0", "0x1.3bd253494e939p+0", "0x1.a61298e1e069cp+0", "0x1.0000000000000p+0"]),
+    "ln(x)": ("-0x1.34378fcbda721p+0",
+             ["nan", "-0x1.34378fcbda721p+0", "0x1.62e42fefa39efp-1", "-0x1.269621134db92p-2"]),
+    "abs(x-y)": ("0x1.9999999999999p-2",
+                ["0x1.0000000000000p-1", "0x1.9999999999999p-2", "0x1.c000000000000p+0", "0x1.8000000000000p-1"]),
+    "min(x,y)": ("0x1.3333333333333p-2",
+                ["0x0.0p+0", "0x1.3333333333333p-2", "0x1.0000000000000p-2", "0x0.0p+0"]),
+    "max(x,y)": ("0x1.6666666666666p-1",
+                ["0x1.0000000000000p-1", "0x1.6666666666666p-1", "0x1.0000000000000p+1", "0x1.8000000000000p-1"]),
+    "min(1/x,1)": ("0x1.0000000000000p+0",
+                  ["nan", "0x1.0000000000000p+0", "0x1.0000000000000p-1", "0x1.0000000000000p+0"]),
+    "max(ln(x),0)": ("0x0.0p+0",
+                    ["nan", "0x0.0p+0", "0x1.62e42fefa39efp-1", "0x0.0p+0"]),
+    "-x^2+3*x*y-y/2": ("0x1.851eb851eb850p-3",
+                      ["-0x1.0000000000000p-2", "0x1.851eb851eb850p-3", "-0x1.5000000000000p+1", "-0x1.2000000000000p-1"]),
+    "(x+y)^(1/3)*exp(-x)": ("0x1.7b4c869c37c05p-1",
+                           ["0x1.965fea53d6e3dp-1", "0x1.7b4c869c37c05p-1", "0x1.6b30e9ef6a989p-3", "0x1.b77941b85a894p-2"]),
+    "(x-y)^3": ("-0x1.0624dd2f1a9fbp-4",
+               ["-0x1.0000000000000p-3", "-0x1.0624dd2f1a9fbp-4", "0x1.5700000000000p+2", "0x1.b000000000000p-2"]),
+    "x^(y-0.5)": ("0x1.926eff16629a5p-1",
+                 ["0x1.0000000000000p+0", "0x1.926eff16629a5p-1", "0x1.ae89f995ad3adp-1", "0x1.279a74590331cp+0"]),
+    "ln(x-y)": ("raises",
+               ["nan", "nan", "0x1.1e85f5e7040d0p-1", "-0x1.269621134db92p-2"]),
+    "sqrt(x-y)": ("raises",
+                 ["nan", "nan", "0x1.52a7fa9d2f8eap+0", "0x1.bb67ae8584caap-1"]),
+    "(x-y)^0.5": ("raises",
+                 ["nan", "nan", "0x1.52a7fa9d2f8eap+0", "0x1.bb67ae8584caap-1"]),
+    "x^(-2)": ("0x1.638e38e38e38fp+3",
+              ["nan", "0x1.638e38e38e38fp+3", "0x1.0000000000000p-2", "0x1.c71c71c71c71cp+0"]),
+}
+_XS = np.array([0.0, 0.3, 2.0, 0.75])
+_YS = np.array([0.5, 0.7, 0.25, 0.0])
+
+
+def _bits(v) -> str:
+    v = float(v)
+    return "nan" if np.isnan(v) else v.hex()
+
+
+@pytest.mark.parametrize("src", sorted(EVALUATION_BITS))
+def test_compiled_evaluation_keeps_the_recorded_bits(src):
+    at_point, on_arrays = EVALUATION_BITS[src]
+    tree = parse(src)
+    try:
+        got = _bits(evaluate(tree, 0.3, 0.7))
+    except EvalError:
+        got = "raises"
+    assert got == at_point
+    f = expr.as_function(tree)
+    assert [_bits(v) for v in np.broadcast_to(f(_XS, _YS), _XS.shape)] == on_arrays
+    # a float point gets the strict path, an array the masked one, from one compiled f
+    if at_point != "raises":
+        assert _bits(f(0.3, 0.7)) == at_point

@@ -137,6 +137,16 @@ class TestCheckHardyG:
         assert "lhs inner integral" in rep.notes[0]
         assert "outside the generator range [0.0, 1.0]" in rep.notes[0]
 
+    def test_negative_f_is_flagged(self):
+        # as in the sup and Sugeno checks: the verdict stands, with a note
+        scn = H.HardyScenario(f_src="-1", check_kind="g_hardy", p=2.0, gen_spec="identity")
+        rep = H.check_hardy_g(scn)
+        assert rep.holds is True
+        assert rep.notes == ["f takes negative values: theorem hypotheses not met",
+                             "kernel prefix integrals clamped to the generator range"]
+        scn = H.HardyScenario(f_src="x*y", check_kind="g_hardy", p=2.0, gen_spec="identity")
+        assert not any("negative" in note for note in H.check_hardy_g(scn).notes)
+
     def test_hypothesis_gate(self):
         scn = H.HardyScenario(f_src="x*y", check_kind="g_hardy", p=0.5, gen_spec="sqrt")
         with pytest.raises(H.HypothesisError):
@@ -574,6 +584,45 @@ class TestRemarkDiagnostics:
         diag = H.remark_diagnostics(G.sqrt_gen(), expr.as_function(expr.parse("x^2*y^2")),
                                     1.0 / 6.0)
         assert not any("outside the generator range" in n for n in diag.notes)
+
+    def test_zero_p_divergent_integral_is_reported(self):
+        diag = H.remark_diagnostics(G.identity(), expr.as_function(expr.parse("x^(-2)")), 0.0)
+        assert diag.branch == "p=0" and diag.lhs_status == "diverged"
+        assert diag.criterion_value is None and diag.criterion_met is None
+        assert diag.notes == ["inner classical integral diverged"]
+        assert diag.not_evaluable
+
+    def test_zero_p_undefined_inverse_is_reported(self):
+        # ∬ sqrt(2) = 1.414… lies outside [0, 1], the range of g = sqrt
+        diag = H.remark_diagnostics(G.sqrt_gen(), expr.as_function(expr.parse("2")), 0.0)
+        assert diag.lhs_status == "converged"
+        assert diag.criterion_value is None and diag.criterion_met is None
+        assert "outside range" in diag.notes[0]
+        assert diag.not_evaluable
+
+    def test_negative_p_undefined_inverse_is_reported(self):
+        # ∬ g(0.5^(-1)) = sqrt(2) lies outside the range of g = sqrt
+        diag = H.remark_diagnostics(G.sqrt_gen(), expr.as_function(expr.parse("0.5")), -1.0)
+        assert diag.branch == "p<0" and diag.lhs_status == "converged"
+        assert diag.lhs_value is None and diag.inequality_fails is None
+        assert "outside range" in diag.notes[0]
+        assert diag.not_evaluable
+
+    def test_reported_cases_are_evaluable(self):
+        f = expr.as_function(expr.parse("x^2*y^2"))
+        for p in (1.0 / 6.0, -2.0, 0.0):
+            assert not H.remark_diagnostics(G.sqrt_gen(), f, p).not_evaluable
+
+    def test_note_follows_the_recomputed_sides(self):
+        # the constant is -1 at p = 1/2, but with f = 0 both sides are 0 and
+        # the right side is not below the left
+        diag = H.remark_diagnostics(G.identity(), expr.as_function(expr.parse("0")), 0.5)
+        assert diag.constant == -1.0 and diag.lhs_value == 0.0
+        assert diag.inequality_fails is False
+        assert diag.notes[-1] == "inequality direction checked against the recomputed sides"
+        diag = H.remark_diagnostics(G.sqrt_gen(), expr.as_function(expr.parse("x^2*y^2")),
+                                    1.0 / 6.0)
+        assert diag.notes[-1] == "right side is non-positive while the left side is positive"
 
     def test_undefined_constant(self):
         gen = G.identity()

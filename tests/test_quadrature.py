@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pseudocalc import expr
+from pseudocalc import generators as G
 from pseudocalc import pseudo_integral as P
 from pseudocalc import quadrature as Q
 from pseudocalc import semiring as S
@@ -244,6 +245,46 @@ ENGINE_CASES = {
     "s^-0.5": lambda: Q.integrate_2d(lambda s, t: s**-0.5, Q.UNIT_SQUARE),
     "t^-0.5": lambda: Q.integrate_2d(lambda s, t: t**-0.5, Q.UNIT_SQUARE),
 }
+
+
+# integrand calls, evaluations and value of two deep g-Hardy right-hand sides
+# (∬ g(f^p) over the unit square at the checks' tol 1e-8 and depth cap 30),
+# recorded on the engine whose level loop built its children with one large
+# concatenate and summed its panels in a Python loop: the engine must refine,
+# batch and sum them exactly as it did
+REFINEMENT_CONTRACT = {
+    # Remark 3.5(a): g = sqrt, f = x²y², p = 1/6
+    ("x^2*y^2", "sqrt", 1.0 / 6.0): (1024, 302838, 0.7346938775161368),
+    # the slowest right-hand side of the benchmark's 80 g_hardy checks
+    ("x^0.17393906703204287*y^0.1740217941277593", "identity", 2.0):
+        (1024, 138586, 0.5503581939872035),
+}
+
+
+class TestRefinementContract:
+    @pytest.mark.parametrize("f_src,gen_spec,p", sorted(REFINEMENT_CONTRACT))
+    def test_deep_right_hand_side(self, f_src, gen_spec, p):
+        f = expr.as_function(expr.parse(f_src))
+        calls = 0
+
+        def f_pow(s, t):
+            nonlocal calls
+            calls += 1
+            return f(s, t) ** p
+
+        res = P.g_quadrature(Q.integrate_2d, G.make_generator(gen_spec), f_pow, Q.UNIT_SQUARE,
+                             tol=1e-8, max_depth=30)
+        assert res.status == "converged"
+        # one call per level (1,023 levels) plus the first one
+        assert (calls, res.evaluations, res.value) == REFINEMENT_CONTRACT[f_src, gen_spec, p]
+
+    def test_sum_is_sequential_in_left_end_order(self):
+        # about 5,000 accepted panels of both signs, from 1e-3 to 1e5 in size;
+        # the value was recorded when a Python loop summed them, and a pairwise
+        # sum (np.sum) of the same terms gives 1007.9482479317211
+        f = lambda x: np.exp(12.0 * x) * np.sin(90.0 * x) + 1e-3 / (x + 1e-3)
+        res = Q.integrate_1d(f, 0.0, 1.0, 1e-8)
+        assert (res.evaluations, res.value) == (19917, 1007.9482479317206)
 
 
 class TestEngineContract:
