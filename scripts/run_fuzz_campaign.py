@@ -4,14 +4,16 @@
 Usage: python scripts/run_fuzz_campaign.py [--trials N] [--seed S]
                                            [--out campaign.json] [--corpus DIR]
 
-Prints the counts, per-kind p50/p95 wall times and the SHA-256 of the report
-file; identical seeds give identical digests.  Exit code 0 iff the campaign
-records zero violations.
+Prints the counts, the wall time, the user and system CPU seconds and minor
+page faults of the campaign (resource.getrusage of this process), per-kind
+p50/p95 wall times and the SHA-256 of the report file; identical seeds give
+identical digests.  Exit code 0 iff the campaign records zero violations.
 """
 
 import argparse
 import hashlib
 import math
+import resource
 import sys
 import time
 
@@ -33,9 +35,11 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg = FuzzConfig(seed=args.seed, trials=args.trials)
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     report = run_campaign(cfg, corpus_dir=args.corpus)
     elapsed = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_SELF)
 
     data = (report.to_json() + "\n").encode()
     with open(args.out, "wb") as fh:
@@ -43,6 +47,9 @@ def main() -> int:
     print(f"trials={cfg.trials} holds={report.holds} violations={report.violations} "
           f"not_evaluable={report.not_evaluable}")
     print(f"elapsed {elapsed:.1f}s")
+    print(f"cpu user {after.ru_utime - usage.ru_utime:.1f}s "
+          f"system {after.ru_stime - usage.ru_stime:.1f}s, "
+          f"minor page faults {after.ru_minflt - usage.ru_minflt}")
     for kind in cfg.kinds:
         times = [t.wall_time for t in report.trials if t.scenario.check_kind == kind]
         if times:

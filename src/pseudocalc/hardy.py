@@ -29,8 +29,9 @@ interior node makes the check not evaluable.
 The Sugeno kernel R(x,y) = ∫∫_{[0,x]×[0,y]} f dμ² is exact for the
 empirical measure of one n×n grid of midpoint samples: the values of all the
 nested blocks behind the outer grid's midpoints come from one sort of the
-samples plus 2-D prefix counts (pseudo_integral.sugeno_prefix_blocks), the
-same bits as sorting every block.
+samples plus 2-D prefix counts (pseudo_integral.sugeno_prefix_blocks), whose
+crossing tests are integer compares on narrow count tables; the values are
+the same bits as sorting every block.
 
 The right-hand side combines the constant with the integral by ordinary real
 multiplication, exactly as the worked examples do, not by ⊙.
@@ -651,12 +652,22 @@ def remark_diagnostics(gen: Generator, f, p: float,
             constant = signed_real_root(base, *rat)
             defined = True
             notes = [f"constant via real root: ({base!r})^{{{rat[0]}/{rat[1]}}}"]
-        kernel = GKernelGrid(gen, f, 1.0, 1.0, config.kernel_panels)
-        lhs_inner = kernel.integral_of_g_of_R_pow(p)
-        rhs_inner_val = g_quadrature(
-            integrate_2d, gen, lambda s, t: f(s, t) ** p, UNIT_SQUARE,
-            tol=config.quad_tol, max_depth=config.max_depth,
-        ).value
+        try:
+            kernel = GKernelGrid(gen, f, 1.0, 1.0, config.kernel_panels)
+            lhs_inner = kernel.integral_of_g_of_R_pow(p)
+        except DomainError as e:        # f or g(R^p) failed on the kernel grid
+            return DiagnosticsReport(p=p, branch="0<p<1", constant=constant,
+                                     constant_defined=defined, lhs_status=DIVERGED,
+                                     notes=[*notes, str(e)])
+        try:
+            rhs_inner_val = g_quadrature(
+                integrate_2d, gen, lambda s, t: f(s, t) ** p, UNIT_SQUARE,
+                tol=config.quad_tol, max_depth=config.max_depth,
+            ).value
+        except (DivergenceError, DomainError) as e:
+            return DiagnosticsReport(p=p, branch="0<p<1", constant=constant,
+                                     constant_defined=defined, lhs_inner=lhs_inner,
+                                     lhs_status=CONVERGED, notes=[*notes, str(e)])
         lhs_value = _clamped_inverse(gen, lhs_inner)
         rhs_value = _clamped_inverse(gen, rhs_inner_val)
         for side, inner in (("lhs", lhs_inner), ("rhs", rhs_inner_val)):

@@ -9,7 +9,9 @@ midpoint samples: sugeno_from_sorted on one sorted sample,
 sugeno_from_samples on an unsorted one (a selection that sorts only the
 values around the crossing rank), and sugeno_prefix_blocks for all the
 nested blocks F[:a, :b] of one sample grid at once (one sort plus 2-D
-prefix counts).  All three give the same values bit for bit.
+prefix counts, with every crossing test an integer compare of a count
+against a per-value pass count).  All three give the same values bit for
+bit.
 
 Decreasing generators are accepted: the formulas use g and g⁻¹ directly, the
 declared direction only matters for validation.
@@ -334,6 +336,42 @@ def sugeno_from_samples(values: np.ndarray, cell_area: float) -> float:
     return _sugeno_value(k_star, cell_area, following)
 
 
+# entries of the int64 table that one bincount fills before it is narrowed
+# into sugeno_prefix_blocks' count table
+_SLAB_ENTRIES = 2**14
+
+
+def _pass_counts(values: np.ndarray, cell_area: float, total: int, dtype) -> np.ndarray:
+    """#{K ∈ [0, total] : fl(K·cell) ≤ v} for every v, in dtype (which holds total + 1).
+
+    fl(K·cell) is nondecreasing in K, so the count is q + 1 for the largest
+    passing K = q, and 0 when K = 0 already fails.  The correctly rounded
+    quotient v/cell has its floor at the floor r of the real quotient or at
+    r + 1, and q is r or r + 1, so floor(v/cell), clipped to [−1, total], is
+    q after one step up and one step down, each tested with the same
+    floating-point product K·cell that sugeno_from_sorted forms.
+    """
+    with np.errstate(over="ignore"):      # an infinite quotient or product is clipped or fails
+        q = np.floor(values / cell_area)
+        np.clip(q, -1.0, total, out=q)
+        q += (q < total) & ((q + 1.0) * cell_area <= values)
+        q -= (q >= 0.0) & (q * cell_area > values)
+    q += 1.0
+    return q.astype(dtype)
+
+
+def _prefix_sums(table: np.ndarray) -> None:
+    """Running sums of table along every axis, in place and in its own dtype.
+
+    Each axis is moved to the front and summed by adding each slice into the
+    next, one numpy call per slice.
+    """
+    for axis in range(table.ndim):
+        slices = list(np.moveaxis(table, axis, 0))
+        for prev, row in zip(slices, slices[1:]):
+            np.add(row, prev, out=row)
+
+
 def sugeno_prefix_blocks(F: np.ndarray, row_ends, col_ends, cell_area: float) -> np.ndarray:
     """sugeno_from_sorted of every block F[:row_ends[i], :col_ends[j]], from one sort.
 
@@ -345,15 +383,26 @@ def sugeno_prefix_blocks(F: np.ndarray, row_ends, col_ends, cell_area: float) ->
     summing along all three axes gives K, the size of every block's part of
     every rank prefix that ends a chunk.
 
+    Every test is an integer compare on narrow arrays.  Each sample value v
+    gets its pass count Q(v) = #{K ∈ [0, total] : fl(K·cell) ≤ v}
+    (_pass_counts), so K·cell ≤ v iff K < Q(v), and v < k·cell iff
+    k ≥ Q(v), for the very floating-point products a block's own sort would
+    test.  Counts, ranks and pass counts share the narrowest unsigned type
+    that holds total + 1 (uint16 up to 65,534 samples); the count table is
+    filled from one bincount per slab of chunks and summed by in-place slice
+    adds (_prefix_sums), so no int64 table is held.
+
     A block element's own rank is at most K at its chunk's end and its value
     at least the chunk's smallest value, so the whole chunk passes the test
     v_(k) ≥ k·cell while K·cell does not exceed that smallest value; from the
     first chunk c₀ where it does, no later element passes.  The crossing rank
     k* is therefore found inside c₀, for all blocks at once, from the block
-    mask and a running count; the first element of c₀ that fails is v_(k*+1)
-    (if none fails, the next one lies below K·cell and the value is k*·cell).
-    These are the k* and the v_(k*+1) that each block's own sort would give,
-    so the values are the same bits.
+    mask and a running count (one contiguous row of L ranks per block); the
+    first element of c₀ that fails is v_(k*+1) (if none fails, the next one
+    lies below K·cell and the value is k*·cell).  These are the k* and the
+    v_(k*+1) that each block's own sort would give, so the values are the
+    same bits.  Tied values are one number in any order, so the sort need not
+    be stable.
     """
     row_ends = np.asarray(row_ends, dtype=np.intp)
     col_ends = np.asarray(col_ends, dtype=np.intp)
@@ -365,42 +414,62 @@ def sugeno_prefix_blocks(F: np.ndarray, row_ends, col_ends, cell_area: float) ->
     length = math.isqrt(total - 1) + 1
     chunks = -(-total // length)
     padded = chunks * length
-    order = np.argsort(-flat, kind="stable")
-    # value and bands of each rank, padded to whole chunks with samples in no block
-    values = np.zeros(padded)
-    values[:total] = flat[order]
+    count_type = np.min_scalar_type(total + 1)
     band_type = np.min_scalar_type(max(rows, cols))
+    order = np.argsort(flat)[::-1]
+    # pass count and bands of each rank, padded to whole chunks with samples in no block
+    passes = np.zeros(padded, dtype=count_type)
+    passes[:total] = _pass_counts(flat, cell_area, total, count_type)[order]
     band_x = np.full(padded, rows, dtype=band_type)
     band_y = np.full(padded, cols, dtype=band_type)
-    r, c = np.divmod(order, F.shape[1])
-    band_x[:total] = np.searchsorted(row_ends, np.arange(F.shape[0]), side="right")[r]
-    band_y[:total] = np.searchsorted(col_ends, np.arange(F.shape[1]), side="right")[c]
-    key = (np.arange(padded) // length * (rows + 1) + band_x) * (cols + 1) + band_y
-    counts = np.bincount(key, minlength=chunks * (rows + 1) * (cols + 1))
-    counts = counts.reshape(chunks, rows + 1, cols + 1)
-    for axis in range(3):
-        np.cumsum(counts, axis=axis, out=counts)
+    row_bands = np.searchsorted(row_ends, np.arange(F.shape[0]), side="right")
+    col_bands = np.searchsorted(col_ends, np.arange(F.shape[1]), side="right")
+    band_x[:total] = np.repeat(row_bands.astype(band_type), F.shape[1])[order]
+    band_y[:total] = np.tile(col_bands.astype(band_type), F.shape[0])[order]
+
+    plane = (rows + 1) * (cols + 1)
+    slab = max(1, _SLAB_ENTRIES // plane)        # chunks per bincount
+    offsets = np.repeat(np.arange(slab, dtype=np.intp) * plane, length)
+    counts = np.empty((chunks, rows + 1, cols + 1), dtype=count_type)
+    for start in range(0, chunks, slab):
+        stop = min(start + slab, chunks)
+        ranks = slice(start * length, stop * length)
+        key = band_x[ranks].astype(np.intp)
+        key *= cols + 1
+        key += band_y[ranks]
+        key += offsets[:key.size]
+        counts[start:stop] = np.bincount(key, minlength=(stop - start) * plane).reshape(
+            stop - start, rows + 1, cols + 1)
+    _prefix_sums(counts)
     K = counts[:, :rows, :cols]
-    values = values.reshape(chunks, length)
-    band_x = band_x.reshape(chunks, length)
-    band_y = band_y.reshape(chunks, length)
-    smallest = values[np.arange(chunks), np.minimum(length, total - np.arange(chunks) * length) - 1]
+
+    # the smallest value of a chunk has its smallest pass count
+    smallest = passes[np.minimum(np.arange(1, chunks + 1) * length, total) - 1]
     # K·cell > smallest holds from c₀ on, so c₀ counts the chunks before it
-    c0 = np.count_nonzero(K * cell_area <= smallest[:, np.newaxis, np.newaxis], axis=0)
+    c0 = (K < smallest[:, np.newaxis, np.newaxis]).sum(axis=0, dtype=count_type)
     out = K[-1] * cell_area                 # no crossing: every element passes
     bi, bj = np.nonzero(c0 < chunks)
-    c0 = c0[bi, bj]
-    rank_type = np.int32 if total < 2**31 else np.int64
-    before = np.where(c0 > 0, K[c0 - 1, bi, bj], 0).astype(rank_type)
-    member = (band_x[c0] <= bi[:, np.newaxis]) & (band_y[c0] <= bj[:, np.newaxis])
-    rank = np.cumsum(member, axis=1, dtype=rank_type)
-    rank += before[:, np.newaxis]
-    fails = member & (values[c0] < rank * cell_area)
-    failed = fails.any(axis=1)
+    c0 = c0[bi, bj].astype(np.intp)
+    before = np.where(c0 > 0, K[c0 - 1, bi, bj], 0)
+    del counts, K
+
+    def in_chunk(a):
+        """The per-rank a of each crossing block's c₀, one row per block."""
+        return a.reshape(chunks, length)[c0]
+
+    member = in_chunk(band_x) <= bi.astype(band_type)[:, np.newaxis]
+    member &= in_chunk(band_y) <= bj.astype(band_type)[:, np.newaxis]
+    rank = member.astype(count_type)
+    rank[:, 0] += before
+    np.add.accumulate(rank, axis=1, out=rank)
+    fails = rank >= in_chunk(passes)
+    fails &= member
     first = fails.argmax(axis=1)
-    k_star = np.where(failed, rank[np.arange(bi.size), first] - 1, rank[:, -1])
+    blocks = np.arange(bi.size)
+    failed = fails[blocks, first]
+    k_star = np.where(failed, rank[blocks, first] - 1, rank[:, -1])
     best = k_star * cell_area
-    following = values[c0, first]
+    following = flat[order[c0 * length + first]]
     # max(best, v) as sugeno_from_sorted takes it: best unless v is larger
     out[bi, bj] = np.where(failed & (following > best), following, best)
     return out

@@ -186,6 +186,19 @@ class TestHardyCommand:
         assert payload["lhs_status"] == status
         assert payload["notes"] == [note]
 
+    @pytest.mark.parametrize("f_src,note", [
+        ("x^(-3)", "inner classical integral diverged"),
+        ("ln(x-0.5)", "f failed to evaluate on the kernel grid"),
+    ])
+    def test_fractional_p_diagnostics_without_a_value_exit_2(self, capsys, f_src, note):
+        code, out, err = run_cli(capsys, "hardy", "--f", f_src, "--g", "identity",
+                                 "--p", "0.5", "--diagnostics")
+        assert code == 2 and err == ""
+        payload = json.loads(out)
+        assert payload["branch"] == "0<p<1"
+        assert payload["lhs_value"] is None and payload["inequality_fails"] is None
+        assert payload["notes"][-1] == note
+
     def test_singular_corner_is_evaluable(self, capsys):
         # x/(x+y) fails only at the origin; the kernel grid retries it inward
         # as the adaptive right-hand side does

@@ -608,6 +608,21 @@ class TestRemarkDiagnostics:
         assert "outside range" in diag.notes[0]
         assert diag.not_evaluable
 
+    @pytest.mark.parametrize("f_src,lhs_status,note", [
+        # the rhs ∬ x^(-3/2) diverges; the kernel side has a value
+        ("x^(-3)", "converged", "inner classical integral diverged"),
+        # f fails on the kernel grid (x < 1/2), before either side has a value
+        ("ln(x-0.5)", "diverged", "f failed to evaluate on the kernel grid"),
+    ])
+    def test_fractional_p_without_a_value_is_reported(self, f_src, lhs_status, note):
+        diag = H.remark_diagnostics(G.identity(), expr.as_function(expr.parse(f_src)), 0.5)
+        assert diag.branch == "0<p<1" and diag.lhs_status == lhs_status
+        assert diag.constant == -1.0 and diag.constant_defined
+        assert (diag.lhs_value, diag.rhs_inner, diag.rhs_value) == (None, None, None)
+        assert diag.inequality_fails is None
+        assert diag.notes[-1] == note
+        assert diag.not_evaluable
+
     def test_reported_cases_are_evaluable(self):
         f = expr.as_function(expr.parse("x^2*y^2"))
         for p in (1.0 / 6.0, -2.0, 0.0):

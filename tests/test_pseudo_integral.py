@@ -1,6 +1,7 @@
 """g-integrals, sup-integrals, Sugeno integral: values and order properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -516,6 +517,96 @@ class TestSugenoPrefixBlocks:
 
     def test_empty_sample(self):
         assert P.sugeno_prefix_blocks(np.zeros((0, 0)), [0, 0], [0], 0.1).tolist() == [[0.0], [0.0]]
+
+    @pytest.mark.parametrize("cell", [1.0 / 24**2, 0.1 / 24**2, 3e-3])
+    def test_values_on_and_next_to_rank_products(self, cell):
+        # every value is a product K·cell itself or one ulp above or below it,
+        # so each test v_(k) ≥ k·cell is decided by the last bit
+        rng = np.random.default_rng(7)
+        K = rng.integers(0, 24 * 24 + 2, (24, 24)).astype(float)
+        on = K * cell
+        F = np.choose(rng.integers(0, 3, on.shape),
+                      [on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)])
+        _assert_blocks_exact(F, self.ENDS, self.ENDS, cell)
+        _assert_blocks_exact(on, self.ENDS, self.ENDS, cell)
+
+    @pytest.mark.parametrize("cell", [0.1 / 24**2, 1.0 / 3.0 / 24**2, 0.3, 1e-300, 5e-324])
+    def test_pass_counts_match_their_definition(self, cell):
+        # Q(v) = #{K ∈ [0, total] : fl(K·cell) ≤ v}, counted by brute force
+        total = 24 * 24
+        products = np.arange(total + 1) * cell
+        on = products[1:]
+        v = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf),
+                            [-1.0, -0.0, 0.0, 1e300, 5e-324, -5e-324]])
+        got = P._pass_counts(v, cell, total, np.min_scalar_type(total + 1))
+        assert got.tolist() == np.searchsorted(products, v, side="right").tolist()
+
+    @pytest.mark.parametrize("cell", [0.1 / 24**2, 1.0 / 3.0 / 24**2, 0.3])
+    def test_crossing_on_a_rounded_product(self, cell):
+        # the top k samples share the value fl(k·cell), or one ulp below or
+        # above it, so the crossing is decided at rank k by the last bit; the
+        # ranks taken are those where floor(v/cell) is one off: below k for
+        # v = fl(k·cell), which rank k passes, and k for the ulp below it,
+        # which rank k fails
+        n = 24
+        ks = np.arange(1, n * n + 1)
+        on = ks * cell
+        below, above = np.nextafter(on, -np.inf), np.nextafter(on, np.inf)
+        ranks = np.concatenate([np.flatnonzero(np.floor(on / cell) < ks)[:2],
+                                np.flatnonzero(np.floor(below / cell) >= ks)[:2]])
+        assert ranks.size == 4
+        for i in ranks:
+            for v in (on[i], below[i], above[i]):
+                F = np.zeros(n * n)
+                F[np.random.default_rng(int(i)).permutation(n * n)[:ks[i]]] = v
+                _assert_blocks_exact(F.reshape(n, n), [3, 8, 17, 24], [5, 24], cell)
+
+    @pytest.mark.parametrize("scale,cell", [
+        (1.0, 1e-12),           # v/cell far above the sample count
+        (1e10, 1e-300),         # v/cell overflows to inf
+        (1.0, 5e-324),          # subnormal cell, quotient overflows
+        (5e-324, 5e-324),       # subnormal values and cell: v/cell is an exact integer
+        (1e-320, 3e-323),       # subnormal values and a subnormal cell of a few ulps
+    ])
+    def test_tiny_cells(self, scale, cell):
+        rng = np.random.default_rng(3)
+        F = rng.integers(0, 2 * 24 * 24, (24, 24)) * scale
+        _assert_blocks_exact(F, self.ENDS, self.ENDS, cell)
+
+    def test_all_negative(self):
+        # no rank passes v_(k) ≥ k·cell, so every block is k* = 0 and the value 0
+        F = -np.random.default_rng(2).random((24, 24)) - 1e-3
+        got = _assert_blocks_exact(F, self.ENDS, self.ENDS, 1.0 / 24**2)
+        assert got.tolist() == np.zeros((len(self.ENDS), len(self.ENDS))).tolist()
+
+    @pytest.mark.parametrize("shape", [(151, 434), (255, 257), (256, 256)])
+    def test_count_type_boundary(self, shape):
+        # 65,534, 65,535 and 65,536 samples: the pass counts reach total + 1,
+        # which needs uint16 for the first and uint32 for the other two
+        rng = np.random.default_rng(shape[1])
+        cell = 1.0 / (shape[0] * shape[1])
+        rows, cols = [0, 7, shape[0] // 2, shape[0]], [3, shape[1] - 1, shape[1]]
+        _assert_blocks_exact(rng.random(shape), rows, cols, cell)
+        # constant samples: the whole sample, or all but one rank, passes
+        got = _assert_blocks_exact(np.ones(shape), rows, cols, cell)
+        assert got[-1, -1] >= (shape[0] * shape[1] - 1) * cell
+
+    def test_footprint(self):
+        # the check's shape: 192² samples, 48 × 48 blocks; no 8-byte table of
+        # (chunk, row band, column band) counts and no 8-byte per-rank copies
+        # of the crossing chunks, which took the peak to 14.4 MiB
+        n = 192
+        xs = (np.arange(n) + 0.5) / n
+        F = np.add.outer(xs**1.3, xs**0.4) * 0.4
+        ends = 4 * np.arange(48) + 2
+        tracemalloc.start()
+        try:
+            P.sugeno_prefix_blocks(F, ends, ends, 1.0 / n**2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
+
 
     @given(
         st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),

@@ -27,6 +27,8 @@ def test_fuzz_campaign_digest_repeats(tmp_path):
                           "--out", str(tmp_path / f"{run}.json"),
                           "--corpus", str(tmp_path / f"corpus_{run}"), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
+        assert re.search(r"^cpu user \d+\.\ds system \d+\.\ds, minor page faults \d+$",
+                         proc.stdout, re.MULTILINE)
         digests.append(re.search(r"sha256 ([0-9a-f]{64})", proc.stdout).group(1))
     assert digests[0] == digests[1]
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
