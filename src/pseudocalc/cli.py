@@ -178,12 +178,8 @@ def cmd_integrate(args) -> int:
                 "evaluations": quad.evaluations, "integral": "g"}
         _emit(_payload("integral", body, echo), args.format, args.output)
         return EXIT_OK
-    except DivergenceError as e:
-        res = e.result
-        body = {"value": res.value if res else None, "status": "diverged",
-                "integral": "g", "detail": str(e)}
-    except DomainError as e:
-        # g⁻¹ is undefined at the inner integral: no value, as `hardy` reports it
+    except (DivergenceError, DomainError) as e:
+        # the inner integral diverged, or g⁻¹ is undefined at it: no value, as `hardy` reports it
         body = {"value": None, "status": e.result.status, "integral": "g", "detail": str(e)}
     _emit(_payload("integral", body, echo), args.format, args.output)
     return EXIT_DIVERGED

@@ -17,34 +17,35 @@ cannot take arrays are called once per node.  A node fails when the
 integrand raises ArithmeticError or ValueError there or returns a non-finite
 value.  A failed node at an integration limit is retried once, shifted
 inward by BOUNDARY_INSET, so integrable endpoint singularities (x^{1/4},
-x^{-1/2}) converge while genuine divergences (x^{-2}) are reported as such.
-A failed interior node makes the integral divergent.  In integrate_2d a
-divergent inner integral is a failed outer node, so an edge where the
-integrand fails everywhere gets the same inward retry.
+x^{-1/2}) converge.  A failed interior node makes the integral divergent.
+In integrate_2d a divergent inner integral is a failed outer node, so an
+edge where the integrand fails everywhere gets the same inward retry.
 
-Divergence rule: a panel that reaches the depth cap with a local error
-estimate above its tolerance budget is classified divergent iff it also shows
-blow-up (a sampled |f| > 1e12 or a panel estimate > 1e8).  Once the rule
-fires, the integral's remaining panels are dropped and only their whole-panel
-estimates enter its value.  Refining all of them level by level first could
-cost millions of evaluations, so an integral with a sample above 1e12 refines
-only its leftmost panels, in depth-first order: one at first, twice as many
-each time the leftmost one is done.  A dive to the depth cap thus stops where
-depth-first refinement would, while a long sweep of finished panels is still
-batched.  Without a firing the set of panels refined does not depend on this
-order.  EVAL_BUDGET bounds the evaluations of each integral (status
-max_refinement, with the partial sum of the panels done so far).
+Divergence at a limit is read from the integrand's power law there.  A
+limit that fails and comes back finite from its retry gets one probe at
+PROBE_DISTANCE·(b − a) inside the same limit, and the integral is divergent
+when the mass |x − limit|·|f| at the retry node is at least the mass at the
+probe (up to rounding): |f| ~ |x − limit|^α with α ≤ -1.  The test is
+scale-free, so x^{-1} and 1e-30·x^{-2} diverge while x^{-0.99} does not,
+and ∬ (x*y)^(-2) is decided in 30 evaluations; a zero or failed probe
+decides nothing.  The probe is evaluated through eval_nodes, under
+np.errstate, so it adds no RuntimeWarning.  Every other integral refines
+all its unsettled panels level by level, and a panel that reaches the depth
+cap with a local error estimate above its tolerance budget makes the
+integral divergent iff it also shows blow-up (a sampled |f| > 1e12 or a
+panel estimate > 1e8).  EVAL_BUDGET bounds the evaluations of each integral
+(status max_refinement, with the partial sum of the panels done so far).
 
 Cost of a level: all the panels live in one table, one column per panel,
 and a level is a fixed handful of numpy calls on it whatever the number of
 panels: the quarter nodes, one integrand call, the Simpson pair, the accept
-test and the split, which writes the refined panels' children into a new
-table.  The integrand's values come back from eval_nodes with failed nodes
-already NaN (one finiteness pass), and the engine adds no pass of its own;
-a level with no NaN among them skips the retry.  The blow-up window,
-the EVAL_BUDGET test and the divergence rule each sit behind a scalar
-trigger and run only when it fires: some integral is hot, the evaluations
-spent come within two per panel of the budget, a panel is capped.
+test and the split, which writes the refined panels' children into the
+next level's table.  The integrand's values come back from eval_nodes with
+failed nodes already NaN (one finiteness pass), and the engine adds no pass
+of its own; a level with no NaN among them skips the failure test.  The
+EVAL_BUDGET test and the divergence rule each sit behind a scalar trigger
+and run only when it fires: the evaluations spent come within two per panel
+of the budget, a panel is capped.
 
 Summation: each integral's accepted panel values (S₂ plus the Richardson
 correction) are summed sequentially in order of their left endpoints, the
@@ -64,7 +65,6 @@ gives the midpoint samples behind the Sugeno integrals.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -79,6 +79,7 @@ BOUNDARY_INSET = 1e-12
 BLOWUP_VALUE = 1e12
 BLOWUP_PANEL = 1e8
 EVAL_BUDGET = 2_000_000
+PROBE_DISTANCE = 2.0**-20  # of the endpoint probe from a limit, per unit of b − a
 BATCH_CHUNK = 1 << 15  # nodes per integrand call when a level batch is large
 
 CONVERGED = "converged"
@@ -183,11 +184,6 @@ _LEFT_CHILD = np.array([_OWNER, _A, _M, _FA, _FLM, _FM, _SL, _DEPTH])
 _RIGHT_CHILD = np.array([_OWNER, _M, _B, _FM, _FRM, _FB, _SR, _DEPTH])
 
 
-def _blown_up(*values: np.ndarray) -> np.ndarray:
-    # the elementwise max of the |values|, NaN where any of them is NaN
-    return functools.reduce(np.maximum, map(np.abs, values)) > BLOWUP_VALUE
-
-
 def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResult]:
     """Adaptive Simpson estimates of ∫_low[k]^high[k], k < K, advanced level by level.
 
@@ -208,137 +204,81 @@ def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResul
         evals[:] += x.size if K == 1 else np.bincount(k, minlength=K)
         return v
 
-    def values(x, k):
-        """fk at x, a failed node at a limit retried once inward; also the NaN mask or None."""
-        v = call(x, k)
-        # v holds finite values and NaN, so a sum that is not NaN rules failures out
-        if not np.isnan(np.add.reduce(v)):
-            return v, None
-        failed = np.isnan(v)
-        at_low = x == low[k]
-        retry = failed & (at_low | (x == high[k]))
-        if retry.any():
-            shifted = np.where(at_low, x + BOUNDARY_INSET, x - BOUNDARY_INSET)
-            v[retry] = call(shifted[retry], k[retry])
-            failed = np.isnan(v)
-        return v, (failed if failed.any() else None)
-
     ks = np.arange(K)
-    v, _ = values(np.concatenate([low, high, 0.5 * (low + high)]), np.concatenate([ks, ks, ks]))
+    x = np.concatenate([low, high, 0.5 * (low + high)])
+    v = call(x, np.concatenate([ks, ks, ks]))
+    retry = np.flatnonzero(np.isnan(v[:2 * K]))
+    if retry.size:
+        # a failed limit is retried once, BOUNDARY_INSET inward.  Where that
+        # comes back finite, one probe further in asks whether the mass
+        # |x − limit|·|f| shrinks toward the limit, as it does for
+        # |f| ~ |x − limit|^α with α > -1 only; where it does not, the limit
+        # fails after all, and the integral diverges
+        limit, k = x[retry], retry % K
+        inward = np.where(retry < K, 1.0, -1.0)
+        near = limit + inward * BOUNDARY_INSET
+        v[retry] = fn = call(near, k)
+        far = limit + inward * (PROBE_DISTANCE * (high - low)[k])
+        probe = ~np.isnan(fn) & (np.abs(far - limit) > np.abs(near - limit))
+        if probe.any():
+            near_mass = np.abs((near - limit) * fn)[probe]
+            far_mass = np.abs((far - limit)[probe] * call(far[probe], k[probe]))
+            # a zero or failed probe is no evidence; the slack absorbs rounding
+            diverges = (far_mass > 0.0) & (near_mass >= far_mass * (1.0 - 1e-9))
+            v[retry[probe][diverges]] = np.nan
     fa, fb, fm = v[:K], v[K:2 * K], v[2 * K:]
     started = ~(np.isnan(fa) | np.isnan(fb) | np.isnan(fm))
     panels = np.zeros((_ROWS, K))
     panels[[_OWNER, _A, _B, _FA, _FM, _FB, _S0]] = (
         ks, low, high, fa, fm, fb, (high - low) / 6.0 * (fa + 4.0 * fm + fb))
     panels = panels[:, started]
-    hot = _blown_up(fa, fb, fm)
-    any_hot = bool(hot.any())
-    width = np.ones(K, dtype=np.int64)
     tol_at = np.array([tol * 0.5**d for d in range(max(max_depth, 0) + 1)])  # tol/2^depth
     divergent = np.zeros(K, dtype=bool)
     out_of_budget = np.zeros(K, dtype=bool)
     parts = []   # the records (owner, value s2 + err, |err|, left end) of the panels that are done
-    tails = {}   # fired integral -> (value, |error|) terms that follow its other panels
 
     while panels.shape[1]:
         owner = panels[_OWNER].astype(np.intp)
-        sel = None
-        if any_hot:
-            # an integral that has shown blow-up advances its leftmost width[k]
-            # panels only
-            first = np.ones(owner.size, dtype=bool)
-            first[1:] = owner[1:] != owner[:-1]
-            rank = np.arange(owner.size)
-            rank -= np.maximum.accumulate(np.where(first, rank, 0))
-            sel = ~hot[owner] | (rank < width[owner])
         if spent + 2 * owner.size > EVAL_BUDGET and int(evals.max()) + 2 * owner.size > EVAL_BUDGET:
-            n_sel = np.bincount(owner if sel is None else owner[sel], minlength=K)
-            over = (evals + 2 * n_sel > EVAL_BUDGET)[owner]
+            over = (evals + 2 * np.bincount(owner, minlength=K) > EVAL_BUDGET)[owner]
             if over.any():
                 out_of_budget[owner[over]] = True
                 panels, owner = panels[:, ~over], owner[~over]
-                sel = None if sel is None else sel[~over]
                 if not panels.shape[1]:
                     break
-        cur = panels if sel is None else panels[:, sel]
-        k = owner if sel is None else owner[sel]
-        n = k.size
-        a, m, b, depth = cur[_A], cur[_M], cur[_B], cur[_DEPTH]
+        n = owner.size
+        a, m, b, depth = panels[_A], panels[_M], panels[_B], panels[_DEPTH]
         np.multiply(a + b, 0.5, out=m)
-        x = (cur[_A:_M + 1] + cur[_M:_B + 1]) * 0.5   # rows (a + m)/2 and (m + b)/2
-        v, bad = values(x.ravel(), np.concatenate((k, k)))
-        quarter = cur[_FLM:_FRM + 1]
+        x = (panels[_A:_M + 1] + panels[_M:_B + 1]) * 0.5   # rows (a + m)/2 and (m + b)/2
+        v = call(x.ravel(), np.concatenate((owner, owner)))
+        quarter = panels[_FLM:_FRM + 1]
         quarter[...] = v.reshape(2, n)
         # the Simpson pair: h/6·(f(a) + 4 f(a+h/4) + f(m)) on the left half, likewise on the right
-        cur[_SL:_SR + 1] = (4.0 * quarter + cur[_FA:_FM + 1] + cur[_FM:_FB + 1]) * ((m - a) / 6.0)
-        s2 = cur[_SL] + cur[_SR]
-        err = (s2 - cur[_S0]) / 15.0
-        np.add(s2, err, out=cur[_VAL])
-        np.abs(err, out=cur[_ERR])
-        accepted = cur[_ERR] <= tol_at[depth.astype(np.intp)]
+        panels[_SL:_SR + 1] = (4.0 * quarter + panels[_FA:_FM + 1] + panels[_FM:_FB + 1]) * ((m - a) / 6.0)
+        s2 = panels[_SL] + panels[_SR]
+        err = (s2 - panels[_S0]) / 15.0
+        np.add(s2, err, out=panels[_VAL])
+        np.abs(err, out=panels[_ERR])
+        accepted = panels[_ERR] <= tol_at[depth.astype(np.intp)]
         refine = ~accepted
-        if bad is not None:
-            failed = bad[:n] | bad[n:]
-            divergent[k[failed]] = True  # unresolvable interior singularity
+        # v holds finite values and NaN, so a sum that is not NaN rules failures out
+        if np.isnan(np.add.reduce(v)):
+            failed = np.isnan(quarter[0]) | np.isnan(quarter[1])
+            divergent[owner[failed]] = True  # unresolvable interior singularity
             refine &= ~failed
-        if np.fmax.reduce(np.abs(v)) > BLOWUP_VALUE:
-            hot[k[_blown_up(quarter[0], quarter[1])]] = True
-            any_hot = bool(hot.any())
-        done = accepted
-        keep = None
         capped = refine & (depth >= max_depth)
         if capped.any():
-            failed = ~(accepted | refine)
+            # a capped panel that blows up makes its integral divergent
             refine &= ~capped
-            fires = capped & (_blown_up(cur[_FA], cur[_FM], cur[_FB], quarter[0], quarter[1])
-                              | (np.abs(s2) > BLOWUP_PANEL))
-            done = accepted | (capped & ~fires)
-            for kk in np.unique(k[fires]).tolist():
-                # no point refining the rest once divergence is certain: the firing
-                # panel's s2, then the whole-panel estimates of the integral's
-                # other unsettled panels, right to left, enter its value
-                mine = owner == kk
-                keep = ~mine if keep is None else keep & ~mine
-                rows = np.nonzero(k == kk)[0]
-                j = rows[fires[rows]][0]
-                settled = rows[(rows == j) | ((rows < j) & (done[rows] | failed[rows]))]
-                mine[settled if sel is None else np.nonzero(sel)[0][settled]] = False
-                s_rest = panels[_S0, mine][np.argsort(-panels[_A, mine], kind="stable")]
-                tails[kk] = [(float(s2[j]), float(abs(err[j])))] + [(s, abs(s)) for s in s_rest.tolist()]
-                divergent[kk] = True
-                done[rows[rows > j]] = False
-                refine[rows] = False
-        parts.append(cur[:_A + 1, done])
-        if sel is not None:
-            # the window doubles each time the leftmost panel is done
-            lead = np.ones(n, dtype=bool)
-            lead[1:] = k[1:] != k[:-1]
-            width[k[lead & done & hot[k]]] *= 2
-        # a refined panel gives way to its two halves; panels not processed
-        # this round keep their place, so each integral's panels stay in order
-        split = cur[:, refine]
-        children = np.empty((_ROWS, 2 * split.shape[1]))
-        children[_CHILD, 0::2] = split[_LEFT_CHILD]
-        children[_CHILD, 1::2] = split[_RIGHT_CHILD]
-        children[_DEPTH] += 1.0
-        if sel is None and keep is None:
-            panels = children
-            continue
-        counts = np.ones(owner.size, dtype=np.intp)
-        if sel is None:
-            counts[:] = 2 * refine
-        else:
-            counts[sel] = 2 * refine
-        if keep is not None:
-            counts[~keep] = 0
-        pos = np.cumsum(counts) - counts
-        nxt = np.empty((_ROWS, int(counts.sum())))
-        stay = counts == 1
-        nxt[:, pos[stay]] = panels[:, stay]
-        at = pos[counts == 2]
-        nxt[:, at] = children[:, 0::2]
-        nxt[:, at + 1] = children[:, 1::2]
-        panels = nxt
+            peak = np.abs(panels[[_FA, _FM, _FB, _FLM, _FRM]]).max(axis=0)
+            divergent[owner[capped & ((peak > BLOWUP_VALUE) | (np.abs(s2) > BLOWUP_PANEL))]] = True
+        parts.append(panels[:_A + 1, accepted | capped])
+        # a refined panel gives way to its two halves, so each integral's panels stay in order
+        split = panels[:, refine]
+        panels = np.empty((_ROWS, 2 * split.shape[1]))
+        panels[_CHILD, 0::2] = split[_LEFT_CHILD]
+        panels[_CHILD, 1::2] = split[_RIGHT_CHILD]
+        panels[_DEPTH] += 1.0
 
     # each integral's terms in order of their left ends, summed left to right
     # from +0.0 as a loop over them would: one np.add.accumulate (np.cumsum)
@@ -354,19 +294,13 @@ def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResul
         for lo, hi in zip(bounds[some].tolist(), bounds[some + 1].tolist()):
             np.add.accumulate(terms[:, lo:hi], axis=1, out=terms[:, lo:hi])
         sums[:, some] = terms[:, bounds[some + 1] - 1]
-    totals, errors = sums.tolist()
-    for kk, tail in tails.items():
-        for c, e in tail:
-            totals[kk] += c
-            errors[kk] += e
     results = []
-    for kk in range(K):
-        error = errors[kk]
+    for kk, (total, error) in enumerate(zip(*sums.tolist())):
         status = CONVERGED if error <= tol else MAX_REFINEMENT
         # an integral that never started has no terms, so its total is 0.0
         if not started[kk] or out_of_budget[kk] or divergent[kk]:
             error, status = math.inf, MAX_REFINEMENT if out_of_budget[kk] else DIVERGED
-        results.append(QuadratureResult(totals[kk], error, int(evals[kk]), status))
+        results.append(QuadratureResult(total, error, int(evals[kk]), status))
     return results
 
 

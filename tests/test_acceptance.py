@@ -9,6 +9,7 @@ down, a nonlinear generator gives g⁻¹(g(1)·xy) instead.  The failure is
 executed and reported rather than hidden.
 """
 
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -25,6 +26,7 @@ from pseudocalc.cli import REPRODUCE
 from pseudocalc.quadrature import Rect
 
 LINES: list[str] = []
+DEFAULT_CAMPAIGN_SHA256 = "c1f729a393c414037b4b3c005b135fb66675594c99a885f34f9382c4e8605b90"
 
 
 def record(n, name, ok, detail=""):
@@ -268,7 +270,9 @@ def test_criterion_11_classical_baseline():
 def test_criterion_12_campaign_determinism(default_campaign):
     cfg, first, _elapsed = default_campaign
     again = HA.run_campaign(cfg)
-    ok = first.to_json() == again.to_json()
+    # the bytes scripts/run_fuzz_campaign.py writes; a change to them is named in CHANGES.md
+    digest = hashlib.sha256((first.to_json() + "\n").encode()).hexdigest()
+    ok = first.to_json() == again.to_json() and digest == DEFAULT_CAMPAIGN_SHA256
     record(12, "same seed: byte-identical campaign report", ok,
-           f"bytes={len(first.to_json())}")
+           f"bytes={len(first.to_json())} sha256={digest[:8]}")
     assert ok

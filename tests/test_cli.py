@@ -40,7 +40,17 @@ class TestIntegrate:
         code, out, _ = run_cli(capsys, "integrate", "--f", "(x*y)^(-2)", "--g", "sqrt",
                                "--dim", "2")
         assert code == 2
-        assert json.loads(out)["status"] == "diverged"
+        body = json.loads(out)
+        assert body["status"] == "diverged"
+        assert body["value"] is None   # a partial sum of a divergent integral means nothing
+
+    def test_log_divergence_is_diverged(self, capsys):
+        # ∫₀¹ x⁻¹: the endpoint probe calls it divergent, not a value outside g's range
+        code, out, _ = run_cli(capsys, "integrate", "--f", "x^(-1)", "--g", "identity",
+                               "--dim", "1")
+        assert code == 2
+        body = json.loads(out)
+        assert (body["status"], body["value"]) == ("diverged", None)
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "integrate", "--f", "x +* y", "--g", "sqrt")

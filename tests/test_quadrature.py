@@ -55,6 +55,44 @@ class TestIntegrate1D:
             Q.integrate_1d(lambda x: x, 0.0, 1.0, tol=0.0)
 
 
+# (status, evaluation bound, value or None) of integrals with a failed limit:
+# the endpoint probe decides divergence from the power law |f| ~ |x − limit|^α
+# there (α ≤ -1 diverges), whatever the scale of f
+ENDPOINT_CASES = {
+    "x^-1": (lambda: Q.integrate_1d(lambda x: x**-1.0, 0.0, 1.0, 1e-8), "diverged", 5, None),
+    # its two masses differ by rounding only, and the mass nearer the limit is the smaller
+    "0.1/x": (lambda: Q.integrate_1d(lambda x: 0.1 / x, 0.0, 1.0, 1e-8), "diverged", 5, None),
+    "1e-30*x^-2": (lambda: Q.integrate_1d(lambda x: 1e-30 * x**-2.0, 0.0, 1.0, 1e-8),
+                   "diverged", 5, None),
+    "(1-x)^-2": (lambda: Q.integrate_1d(lambda x: (1.0 - x) ** -2.0, 0.0, 1.0, 1e-8),
+                 "diverged", 10, None),
+    # the right-edge mirror of TestEngineContract.test_divergence_short_circuit
+    "((1-s)(1-t))^-2": (lambda: Q.integrate_2d(lambda s, t: ((1.0 - s) * (1.0 - t)) ** -2.0,
+                                               Q.UNIT_SQUARE, 1e-8), "diverged", 30, None),
+    # integrable, so the probe must not fire: the value bits are those of the
+    # engine without a probe, which costs one evaluation more
+    "x^-0.99": (lambda: Q.integrate_1d(lambda x: x**-0.99, 0.0, 1.0, 1e-8),
+                "max_refinement", 14395, 75.52480054923747),
+    # integrable with a zero at the probe: a zero mass there is no evidence
+    "(x-2^-20)*x^-0.5": (lambda: Q.integrate_1d(lambda x: (x - 2.0**-20) * x**-0.5, 0.0, 1.0, 1e-8),
+                         "converged", 371, 0.6666647592412405),
+    # on so short an interval the probe would lie nearer the limit than the
+    # retry node, so it is not made
+    "x^-0.5 on [0, 1e-7]": (lambda: Q.integrate_1d(lambda x: x**-0.5, 0.0, 1e-7, 1e-8),
+                            "converged", 646, 0.0006324497570021109),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENDPOINT_CASES))
+def test_endpoint_power_law(name):
+    run, status, max_evaluations, value = ENDPOINT_CASES[name]
+    res = run()
+    assert res.status == status
+    assert res.evaluations <= max_evaluations
+    if value is not None:
+        assert res.value == value
+
+
 class TestIntegrate2D:
     def test_product(self):
         res = Q.integrate_2d(lambda s, t: s * t, Q.UNIT_SQUARE, 1e-10)
@@ -219,18 +257,21 @@ class TestRect:
 
 
 # (status, evaluations, value) of the depth-first scalar engine that the
-# level-synchronous engine replaced, recorded on the integrands above
+# level-synchronous engine replaced, recorded on the integrands above; the
+# singular rows were re-recorded when the endpoint probe came in: it costs
+# x^-0.5 one evaluation and each t^-0.5 inner integral one, s^-0.5 one outer
+# node (an inner integral of 5), and decides x^-2 and (s*t)^-2 at the first level
 DEPTH_FIRST_RESULTS = {
     "x^2": ("converged", 5, 0.3333333333333333),
     "x^0.25": ("converged", 449, 0.7999999999741388),
-    "x^-0.5": ("max_refinement", 3714, 2.0000537600187673),
-    "x^-2": ("diverged", 66, 77618466456047.38),
+    "x^-0.5": ("max_refinement", 3715, 2.0000537600187673),
+    "x^-2": ("diverged", 5, 0.0),
     "1/(x-0.5)": ("diverged", 3, 0.0),
     "sin(10x)": ("converged", 501, 0.18390715290762874),
     "s*t": ("converged", 30, 0.25),
-    "(s*t)^-2": ("diverged", 274, 0.0),
-    "s^-0.5": ("max_refinement", 22284, 2.0000537600187673),
-    "t^-0.5": ("max_refinement", 30695, 2.000053760007436),
+    "(s*t)^-2": ("diverged", 30, 0.0),
+    "s^-0.5": ("max_refinement", 22290, 2.0000537600187673),
+    "t^-0.5": ("max_refinement", 30700, 2.000053760007436),
 }
 
 ENGINE_CASES = {
@@ -309,8 +350,8 @@ class TestEngineContract:
         assert Q.integrate_2d(scalar_2d, Q.UNIT_SQUARE) == Q.integrate_2d(twin_2d, Q.UNIT_SQUARE)
 
     def test_divergence_short_circuit(self):
-        # once the blow-up rule fires the integral's other panels are dropped;
-        # refining them first would cost millions of evaluations
+        # the endpoint probe decides the divergence at the first level;
+        # refining the square first would cost millions of evaluations
         res = Q.integrate_2d(lambda s, t: (s * t) ** -2.0, Q.UNIT_SQUARE, 1e-8)
         assert res.status == "diverged"
         assert res.evaluations <= 2 * DEPTH_FIRST_RESULTS["(s*t)^-2"][1]
