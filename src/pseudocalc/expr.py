@@ -1,18 +1,23 @@
-"""Arithmetic expression front-end: tokenizer, recursive-descent parser, compiled evaluator.
+"""Arithmetic expression front-end: a whitelisted reading of Python's parse, compiled evaluator.
 
 Expressions are written in the two variables x and y with the usual operators
 (+ - * / ^, unary minus, parentheses) and a fixed whitelist of calls
-(sqrt, exp, ln, abs, min, max).  Grammar:
+(sqrt, exp, ln, abs, min, max).  The language is
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := '-' factor | base ('^' factor)?
-    base   := number | ident | ident '(' expr (',' expr)* ')' | '(' expr ')'
+    base   := number | 'x' | 'y' | call '(' expr (',' expr)* ')' | '(' expr ')'
 
-'^' is right-associative and binds tighter than unary minus, so -x^2 parses
-as -(x^2).  The invalid operations are division by zero, sqrt of a negative
-value, ln of a non-positive value, a fractional power of a negative base and
-a negative power of zero.
+with decimal numbers (digits, an optional fraction, an optional exponent;
+leading zeros allowed) and blanks anywhere between tokens.  '^' is
+right-associative and binds tighter than unary minus, so -x^2 parses as
+-(x^2).  Python's own grammar orders these operators the same way once '^'
+is read as '**', so parse hands the source to ast.parse and admits only the
+nodes of this language from the result; nothing is compiled or evaluated
+by Python.  The invalid operations are division by zero, sqrt of a
+negative value, ln of a non-positive value, a fractional power of a
+negative base and a negative power of zero.
 
 as_function compiles a tree once into nested closures, one per node; that is
 the one evaluation path.  It builds a strict and a NaN-masked closure tree
@@ -27,34 +32,14 @@ elsewhere it agrees with it up to numpy's vectorised pow (within an ulp).
 
 from __future__ import annotations
 
+import ast
 import operator
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-# token kinds
-NUMBER = "number"
-IDENT = "ident"
-PLUS = "plus"
-MINUS = "minus"
-STAR = "star"
-SLASH = "slash"
-CARET = "caret"
-LPAREN = "lparen"
-RPAREN = "rparen"
-COMMA = "comma"
-
-_SINGLE_CHAR = {
-    "+": PLUS,
-    "-": MINUS,
-    "*": STAR,
-    "/": SLASH,
-    "^": CARET,
-    "(": LPAREN,
-    ")": RPAREN,
-    ",": COMMA,
-}
 
 # call name -> arity
 CALL_WHITELIST = {"sqrt": 1, "exp": 1, "ln": 1, "abs": 1, "min": 2, "max": 2}
@@ -82,13 +67,6 @@ class EvalError(ValueError):
             message = f"{message} in '{to_string(subexpr)}'"
         super().__init__(message)
         self.subexpr = subexpr
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    position: int
 
 
 @dataclass(frozen=True)
@@ -121,156 +99,76 @@ class Call:
 
 Expr = Union[Const, Var, Neg, BinOp, Call]
 
-
-def tokenize(src: str) -> list[Token]:
-    """Lex a source string into tokens; whitespace separates, everything else must lex."""
-    if not src.strip():
-        raise LexError("empty expression", 0)
-    tokens: list[Token] = []
-    i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _SINGLE_CHAR:
-            tokens.append(Token(_SINGLE_CHAR[c], c, i))
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == ".":
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            tokens.append(Token(NUMBER, src[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(Token(IDENT, src[i:j], i))
-            i = j
-            continue
-        raise LexError(f"illegal character {c!r}", i)
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token], src_len: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.src_len = src_len
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {kind}, found end of input", self.src_len)
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.text!r}", tok.position)
-        return self.advance()
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok.text!r}", tok.position)
-        return e
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while (tok := self.peek()) is not None and tok.kind in (PLUS, MINUS):
-            self.advance()
-            rhs = self.term()
-            node = BinOp("add" if tok.kind == PLUS else "sub", node, rhs)
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while (tok := self.peek()) is not None and tok.kind in (STAR, SLASH):
-            self.advance()
-            rhs = self.factor()
-            node = BinOp("mul" if tok.kind == STAR else "div", node, rhs)
-        return node
-
-    def factor(self) -> Expr:
-        tok = self.peek()
-        if tok is not None and tok.kind == MINUS:
-            self.advance()
-            return Neg(self.factor())
-        node = self.base()
-        tok = self.peek()
-        if tok is not None and tok.kind == CARET:
-            self.advance()
-            return BinOp("pow", node, self.factor())
-        return node
-
-    def base(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected expression, found end of input", self.src_len)
-        if tok.kind == NUMBER:
-            self.advance()
-            value = float(tok.text)
-            if not np.isfinite(value):
-                raise ParseError(f"constant {tok.text!r} overflows", tok.position)
-            return Const(value)
-        if tok.kind == LPAREN:
-            self.advance()
-            inner = self.expr()
-            self.expect(RPAREN)
-            return inner
-        if tok.kind == IDENT:
-            self.advance()
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == LPAREN:
-                if tok.text not in CALL_WHITELIST:
-                    raise ParseError(f"unknown function {tok.text!r}", tok.position)
-                self.advance()
-                args = [self.expr()]
-                while (t := self.peek()) is not None and t.kind == COMMA:
-                    self.advance()
-                    args.append(self.expr())
-                self.expect(RPAREN)
-                arity = CALL_WHITELIST[tok.text]
-                if len(args) != arity:
-                    raise ParseError(
-                        f"{tok.text} takes {arity} argument(s), got {len(args)}",
-                        tok.position,
-                    )
-                return Call(tok.text, tuple(args))
-            if tok.text in VARIABLES:
-                return Var(tok.text)
-            raise ParseError(f"unknown identifier {tok.text!r}", tok.position)
-        raise ParseError(f"unexpected {tok.text!r}", tok.position)
-
-
-def parse_tokens(tokens: list[Token], src_len: int = 0) -> Expr:
-    return _Parser(tokens, src_len).parse()
+# on the source with every whitespace character made a blank: a character
+# outside the language, or a '.' that cannot belong to a number
+_ILLEGAL = re.compile(r"[^0-9A-Za-z_.+\-*/^(), ]|(?<!\d)\.(?!\d)")
+# Python reads a written '**' and a trailing comma in a call; the language does not
+_UNEXPECTED = re.compile(r"\*\*|, *\)")
+# zeros that lead the integer part of a number, which Python refuses
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![eE][+-])0+(?=\d)")
+_DECIMAL = frozenset("0123456789.eE+-")
+_BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
 
 
 def parse(src: str) -> Expr:
-    return parse_tokens(tokenize(src), len(src))
+    """The tree of src; LexError or ParseError, at a position in src, if src is not in the language."""
+    text = re.sub(r"\s", " ", src)
+    if bad := _ILLEGAL.search(text):
+        raise LexError(f"illegal character {bad.group()!r}", bad.start())
+    body = _LEADING_ZEROS.sub(lambda m: " " * len(m.group()), text).lstrip(" ")
+    if not body:
+        raise LexError("empty expression", 0)
+    lead = len(text) - len(body)
+    if bad := _UNEXPECTED.search(body):
+        raise ParseError(f"unexpected {bad.group()[-1]!r}", lead + bad.end() - 1)
+    py = body.replace("^", "**")
+
+    def error(message: str, column: int) -> ParseError:
+        # each '^' of body is two columns of py
+        cols = [i for i, c in enumerate(body) for _ in range(1 + (c == "^"))]
+        return ParseError(message, lead + cols[column] if column < len(cols) else len(src))
+
+    def tree(node: ast.expr) -> Expr:
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return BinOp(_BINARY[type(node.op)], tree(node.left), tree(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return Neg(tree(node.operand))
+        if isinstance(node, ast.Constant):  # also True, None, 0x1, 1_0 and 1j
+            literal = py[node.col_offset:node.end_col_offset]
+            if set(literal) <= _DECIMAL:
+                value = float(literal)
+                if not np.isfinite(value):
+                    raise error(f"constant {literal!r} overflows", node.col_offset)
+                return Const(value)
+        if isinstance(node, ast.Name):
+            if node.id in VARIABLES:
+                return Var(node.id)
+            raise error(f"unknown identifier {node.id!r}", node.col_offset)
+        # a call names its function, unparenthesized; '=' does not lex, so a
+        # keyword can only be the ** of a '^' that starts an argument
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.col_offset == node.col_offset:
+            name, args = node.func.id, node.args
+            if name not in CALL_WHITELIST:
+                raise error(f"unknown function {name!r}", node.col_offset)
+            if node.keywords:
+                raise error("unexpected '^'", node.keywords[0].col_offset)
+            if len(args) != CALL_WHITELIST[name]:
+                raise error(f"{name} takes {CALL_WHITELIST[name]} argument(s), got {len(args)}",
+                            node.col_offset)
+            return Call(name, tuple(tree(arg) for arg in args))
+        if isinstance(node, ast.Call):
+            raise error("unexpected '('", py.index("(", node.func.end_col_offset))
+        raise error(f"unexpected {py[node.col_offset:node.end_col_offset]!r}", node.col_offset)
+
+    try:
+        with warnings.catch_warnings():  # a number run into a keyword (1if) only warns
+            warnings.simplefilter("error", SyntaxWarning)
+            return tree(ast.parse(py, mode="eval").body)
+    except SyntaxError as e:
+        raise error(e.msg, (e.offset or 1) - 1) from None
+    except (RecursionError, MemoryError):  # nested deeper than Python's parser or stack allows
+        raise error("expression nested too deeply", 0) from None
 
 
 def _is_integer_exponent(e) -> bool:
@@ -383,7 +281,10 @@ def evaluate(node: Expr, x: float = 0.0, y: float = 0.0) -> float:
 
 def as_function(node: Expr):
     """Compile to a two-argument callable f(x, y) accepting floats or arrays."""
-    return _evaluator(node)
+    try:
+        return _evaluator(node)
+    except RecursionError:  # a tree parsed higher up the stack than it is compiled
+        raise ParseError("expression nested too deeply", 0) from None
 
 
 _PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2, "pow": 4}

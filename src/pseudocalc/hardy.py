@@ -354,16 +354,6 @@ def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
     return w * h / 3.0
 
 
-def pointwise_proof_check(gen: Generator, f, domain: Rect,
-                          config: HardyConfig = DEFAULT_CONFIG) -> tuple[float, tuple[float, float]]:
-    """max over the kernel grid's interior nodes of R(x,y) − f(x,y) and its location.
-
-    The proof step of the g-Hardy theorem needs R ≤ f whenever f is
-    nondecreasing in each coordinate.
-    """
-    return GKernelGrid(gen, f, domain.x_high, domain.y_high, config.kernel_panels).pointwise_max()
-
-
 # --- checks ------------------------------------------------------------------
 
 

@@ -36,6 +36,7 @@ from .quadrature import (
     QuadratureResult,
     Rect,
     _nan_for_failed,
+    eval_nodes,
     integrate_1d,
     integrate_2d,
     level_set_samples,
@@ -175,12 +176,13 @@ def sup_integral_1d(s: Semiring, f, psi: PsiDensity | None = None,
                     low: float = 0.0, high: float = 1.0) -> float:
     """sup_x f(x) ⊙ ψ(x) over 2^DEFAULT_SUP_LEVELS + 1 nodes of [low, high].
 
-    Failed and non-finite nodes are skipped, as in sup_scan_2d; -inf if all fail.
+    The weighted values go through eval_nodes, so f may take floats only;
+    failed and non-finite nodes are skipped, as in sup_scan_2d; -inf if all fail.
     """
     if psi is None:
         psi = unit_psi(s)
     xs = np.linspace(low, high, 2**DEFAULT_SUP_LEVELS + 1)
-    vals = pseudo_mul(s, f(xs), psi(xs))
+    vals = eval_nodes(lambda x: pseudo_mul(s, f(x), psi(x)), xs)
     return float(np.max(vals, where=np.isfinite(vals), initial=-math.inf))
 
 

@@ -94,10 +94,6 @@ class QuadratureResult:
     evaluations: int
     status: str
 
-    @property
-    def converged(self) -> bool:
-        return self.status == CONVERGED
-
 
 @dataclass(frozen=True)
 class Rect:

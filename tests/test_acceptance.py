@@ -179,7 +179,7 @@ def test_criterion_07_pointwise_proof_step():
         f_src = HA.random_function(rng, family)
         f = expr.as_function(expr.parse(f_src))
         for gen in gens:
-            diff, _loc = H.pointwise_proof_check(gen, f, Rect(0, 1, 0, 1))
+            diff, _loc = H.GKernelGrid(gen, f, 1.0, 1.0).pointwise_max()
             worst = max(worst, diff)
             ok = ok and diff <= 1e-8
     record(7, "R ≤ f on the 256² interior nodes of the cubic kernel grid "

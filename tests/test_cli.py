@@ -57,6 +57,15 @@ class TestIntegrate:
         assert code == 1
         assert "position" in err
 
+    @pytest.mark.parametrize("f_src", ["(" * 400 + "x" + ")" * 400, "+".join(["x"] * 3000),
+                                       "^".join(["x"] * 3000)],
+                             ids=["400-parens", "3000-sum", "3000-power"])
+    def test_deep_expression_is_an_expression_error(self, capsys, f_src):
+        code, out, err = run_cli(capsys, "integrate", "--g", "identity", "--dim", "1",
+                                 "--f", f_src)
+        assert (code, out) == (1, "")
+        assert err.startswith("expression error: ")
+
     def test_sup_integral(self, capsys):
         code, out, _ = run_cli(capsys, "integrate", "--f", "x*y", "--semiring",
                                "suptimes", "--dim", "2")
@@ -143,6 +152,21 @@ class TestIntegrate:
 
 
 class TestHardyCommand:
+    def test_csv_format(self, capsys):
+        # one row of dotted keys, with the values of the json report; lists are
+        # joined with ';'
+        argv = ("hardy", "--f", "x^2*y^2", "--g", "half", "--p", "2", "--kind", "g_hardy")
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        (row,) = list(csv.DictReader(io.StringIO(out)))
+        _, out, _ = run_cli(capsys, *argv)
+        report = json.loads(out)
+        assert (row["report"], row["scenario.f"], row["holds"]) == ("hardy", "x^2*y^2", "True")
+        assert row["scenario.domain"] == "0.0;1.0;0.0;1.0"
+        assert [float(v) for v in row["pointwise_location"].split(";")] == report["pointwise_location"]
+        assert float(row["lhs"]) == report["lhs"]
+        assert (row["statuses.lhs"], row["notes"]) == ("converged", "")
+
     def test_scenario_file(self, capsys, tmp_path):
         path = tmp_path / "scn.json"
         path.write_text(json.dumps({"f": "(x+y)/2", "g": "half", "p": 2.0,

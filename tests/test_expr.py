@@ -1,4 +1,4 @@
-"""Tokenizer, parser, and evaluator tests."""
+"""Parser and evaluator tests."""
 
 import numpy as np
 import pytest
@@ -18,38 +18,112 @@ from pseudocalc.expr import (
     evaluate,
     parse,
     to_string,
-    tokenize,
 )
 
 
 class TestTokenize:
-    def test_power_product(self):
-        kinds = [t.kind for t in tokenize("x^2*y^2")]
-        assert kinds == ["ident", "caret", "number", "star", "ident", "caret", "number"]
-
     def test_paren_mean(self):
-        toks = tokenize("(x+y)/2")
-        assert len(toks) == 7
-        assert toks[-1].kind == "number" and toks[-1].text == "2"
+        assert parse("(x+y)/2") == BinOp("div", BinOp("add", Var("x"), Var("y")), Const(2.0))
 
     def test_illegal_character_position(self):
         with pytest.raises(LexError) as err:
-            tokenize("x $ y")
+            parse("x $ y")
         assert err.value.position == 2
 
-    def test_positions_strictly_increase(self):
-        toks = tokenize("min(x, 1.5e-3) + .5*y")
-        positions = [t.position for t in toks]
-        assert positions == sorted(set(positions))
-        assert all(t.text for t in toks)
-
     def test_scientific_and_leading_dot(self):
-        assert [t.text for t in tokenize("1.5e-3")] == ["1.5e-3"]
-        assert [t.text for t in tokenize(".5")] == [".5"]
+        assert parse("1.5e-3") == Const(1.5e-3)
+        assert parse(".5") == Const(0.5)
 
     def test_empty_is_error(self):
         with pytest.raises(LexError):
-            tokenize("   ")
+            parse("   ")
+
+
+X, Y = Var("x"), Var("y")
+
+# the language, pinned input by input: the tree, or the error class (the
+# hand-written lexer and recursive-descent parser gave the same results)
+LANGUAGE = [
+    ("01", Const(1.0)),
+    ("00", Const(0.0)),
+    (".5", Const(0.5)),
+    ("5.", Const(5.0)),
+    ("1.e3", Const(1000.0)),
+    ("1E+5", Const(100000.0)),
+    ("3.0e-07*x^2", BinOp("mul", Const(3e-07), BinOp("pow", X, Const(2.0)))),
+    ("1e01", Const(10.0)),
+    ("2^-x^2", BinOp("pow", Const(2.0), Neg(BinOp("pow", X, Const(2.0))))),
+    ("x--y", BinOp("sub", X, Neg(Y))),
+    ("sqrt (x)", Call("sqrt", (X,))),
+    ("x\n+y", BinOp("add", X, Y)),
+    ("\tx", X),
+    ("x +y", BinOp("add", X, Y)),
+    ("x**2", ParseError),
+    ("x* *2", ParseError),
+    ("min(x,y,)", ParseError),
+    ("min(x,y, )", ParseError),
+    ("min(x,^y)", ParseError),
+    ("+x", ParseError),
+    ("(x,y)", ParseError),
+    ("(x)(y)", ParseError),
+    ("(sqrt)(x)", ParseError),
+    ("0x1", ParseError),
+    ("1_0", ParseError),
+    ("1j", ParseError),
+    ("True", ParseError),
+    ("x<y", LexError),
+    ("x if y else 1", ParseError),
+    ("[x]", LexError),
+    ("x.y", LexError),
+    ("x%y", LexError),
+    ("x//y", ParseError),
+    ("min(x,y=1)", LexError),
+    ("sin(x)", ParseError),
+    ("z", ParseError),
+    ("1e400", ParseError),
+    ("9" * 400, ParseError),
+]
+
+
+@pytest.mark.parametrize("src, want", LANGUAGE, ids=[repr(src)[:24] for src, _ in LANGUAGE])
+def test_language(src, want):
+    if isinstance(want, type):
+        with pytest.raises(want):
+            parse(src)
+    else:
+        assert parse(src) == want
+
+
+def test_positions_are_source_positions():
+    # each '^' is read as two characters and leading blanks are dropped; a
+    # reported position still indexes the source string
+    for src, position in [("x**2", 2), ("x* *2", 3), ("min(x,y,)", 8), ("min(x,\n)", 7),
+                          ("x^2^ *y", 5), ("  z", 2), ("x^y^(1e400)", 5), ("min(x,^y)", 6),
+                          ("(x)(y)", 3)]:
+        with pytest.raises(ParseError) as err:
+            parse(src)
+        assert err.value.position == position, src
+
+
+def test_non_ascii_digits_do_not_lex():
+    with pytest.raises(LexError) as err:
+        parse("x+\u0663")  # ARABIC-INDIC DIGIT THREE
+    assert err.value.position == 2
+
+
+@pytest.mark.parametrize("src", ["(" * 400 + "x" + ")" * 400, "+".join(["x"] * 3000),
+                                 "^".join(["x"] * 3000)])
+def test_deep_input_is_a_parse_error(src):
+    with pytest.raises(ParseError):
+        parse(src)
+
+
+def test_compiling_a_tree_deeper_than_the_stack_is_a_parse_error():
+    tree = X
+    for _ in range(5000):
+        tree = Neg(tree)
+    with pytest.raises(ParseError):
+        expr.as_function(tree)
 
 
 class TestParse:

@@ -290,7 +290,8 @@ class TestGContract:
         scn = H.HardyScenario(f_src=f_src, check_kind="g_hardy", p=p, gen_spec=gen_spec)
         rep = H.check_hardy_g(scn)
         assert len(built) == 1
-        want = H.pointwise_proof_check(scn.generator, expr.as_function(scn.f), scn.domain)
+        want = H.GKernelGrid(scn.generator, expr.as_function(scn.f), scn.domain.x_high,
+                             scn.domain.y_high, H.DEFAULT_CONFIG.kernel_panels).pointwise_max()
         assert (rep.pointwise_max, rep.pointwise_location) == want
 
 
@@ -302,7 +303,7 @@ class TestPointwiseProofStep:
             rng = trial_rng(1000 + i, i)
             family = ("monomial", "affine-mean", "product-of-monotone")[i % 3]
             f = expr.as_function(expr.parse(random_function(rng, family)))
-            diff, _loc = H.pointwise_proof_check(gen, f, Rect(0, 1, 0, 1))
+            diff, _loc = H.GKernelGrid(gen, f, 1.0, 1.0).pointwise_max()
             assert diff <= 1e-8
 
     def test_area_identity_for_linear_generators(self):

@@ -166,6 +166,21 @@ class TestRefineStudy:
         assert all(e == 0.0 for e in report.errors)
         assert "zero variation across levels" in report.notes
 
+    def test_sup_ladder_refines_the_scan(self):
+        # the level-3 scan nodes are among the level-5 ones, so the sup can only grow
+        scn = HardyScenario(f_src="x*y*(1.3-x*y)", check_kind="sup_hardy", p=2.0,
+                            semiring_spec="suptimes")
+        report = HA.refine_study(scn, [3, 5])
+        assert report.lhs_values[0] < report.lhs_values[1] < 0.4225
+        assert report.errors[0] > 0.0 and report.notes == []
+
+    def test_sugeno_ladder_refines_the_grids(self):
+        # levels up to 4 share the coarsest grids; level 6 has finer ones
+        scn = HardyScenario(f_src="(x+y)/2", check_kind="sugeno_hardy", p=3.0)
+        report = HA.refine_study(scn, [2, 4, 6])
+        assert report.lhs_values[0] == report.lhs_values[1] != report.lhs_values[2]
+        assert report.errors[0] == report.errors[1] > 0.0
+
     def test_divergent_scenario_rejected(self):
         scn = HardyScenario(f_src="(x*y)^(-2)", check_kind="g_hardy", p=2.0,
                             gen_spec="sqrt")

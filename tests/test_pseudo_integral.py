@@ -194,6 +194,20 @@ class TestSupIntegral:
                           P.PsiDensity.constant(0.9), flags=flags)
         assert flags.saturated
 
+    @pytest.mark.parametrize("semiring", [S.sup_times(), S.sup_plus(), S.max_min(),
+                                          S.g_generated(G.sqrt_gen())])
+    def test_1d_takes_a_float_only_callable(self, semiring):
+        # as integrate_1d and sup_integral_2d do, a callable that refuses arrays
+        # is evaluated node by node; the node at 0.5 fails and is skipped
+        f = expr.as_function(expr.parse("x*(1-x)+1/(x-0.5)"))
+
+        def floats_only(x):  # branching on an array raises ValueError
+            return f(x, 0.0) if x >= 0.0 else math.nan
+
+        want = P.sup_integral_1d(semiring, lambda x: f(x, 0.0))
+        assert math.isfinite(want)
+        assert P.sup_integral_1d(semiring, floats_only) == want
+
 
 def _bisect(fn, lo, hi, iters=200):
     for _ in range(iters):
