@@ -10,7 +10,8 @@ Expressions are written in the two variables x and y with the usual operators
     base   := number | 'x' | 'y' | call '(' expr (',' expr)* ')' | '(' expr ')'
 
 with decimal numbers (digits, an optional fraction, an optional exponent;
-leading zeros allowed) and blanks anywhere between tokens.  '^' is
+leading zeros allowed) and blanks anywhere between tokens, at most
+MAX_DEPTH levels deep (a chain of n operators is n + 1 levels).  '^' is
 right-associative and binds tighter than unary minus, so -x^2 parses as
 -(x^2).  Python's own grammar orders these operators the same way once '^'
 is read as '**', so parse hands the source to ast.parse and admits only the
@@ -45,6 +46,9 @@ import numpy as np
 CALL_WHITELIST = {"sqrt": 1, "exp": 1, "ln": 1, "abs": 1, "min": 2, "max": 2}
 
 VARIABLES = ("x", "y")
+# levels a tree may have: compiling and evaluating take a frame or two per
+# level, so this keeps both far inside Python's recursion limit
+MAX_DEPTH = 400
 
 
 class LexError(ValueError):
@@ -128,11 +132,14 @@ def parse(src: str) -> Expr:
         cols = [i for i, c in enumerate(body) for _ in range(1 + (c == "^"))]
         return ParseError(message, lead + cols[column] if column < len(cols) else len(src))
 
-    def tree(node: ast.expr) -> Expr:
+    def tree(node: ast.expr, depth: int = 1) -> Expr:
+        if depth > MAX_DEPTH:
+            raise error("expression nested too deeply", node.col_offset)
         if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            return BinOp(_BINARY[type(node.op)], tree(node.left), tree(node.right))
+            return BinOp(_BINARY[type(node.op)], tree(node.left, depth + 1),
+                         tree(node.right, depth + 1))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return Neg(tree(node.operand))
+            return Neg(tree(node.operand, depth + 1))
         if isinstance(node, ast.Constant):  # also True, None, 0x1, 1_0 and 1j
             literal = py[node.col_offset:node.end_col_offset]
             if set(literal) <= _DECIMAL:
@@ -156,7 +163,7 @@ def parse(src: str) -> Expr:
             if len(args) != CALL_WHITELIST[name]:
                 raise error(f"{name} takes {CALL_WHITELIST[name]} argument(s), got {len(args)}",
                             node.col_offset)
-            return Call(name, tuple(tree(arg) for arg in args))
+            return Call(name, tuple(tree(arg, depth + 1) for arg in args))
         if isinstance(node, ast.Call):
             raise error("unexpected '('", py.index("(", node.func.end_col_offset))
         raise error(f"unexpected {py[node.col_offset:node.end_col_offset]!r}", node.col_offset)

@@ -22,9 +22,11 @@ The sup-kernel is the ψ-weighted running sup
 R(x,y) = sup_{s≤x,t≤y} f(s,t)⊙ψ(t)⊙ψ(s): the idempotent analogue of the
 averaging operator (the 1/(xy) normalization cancels against the sup-measure
 of the rectangle, which the proof chain of the sup theorem equates with xy).
-Reports note this convention.  Both kernel grids retry failed nodes on the
-axes once, BOUNDARY_INSET inward (quadrature.grid_eval_inward); a failed
-interior node makes the check not evaluable.
+Reports note this convention.  sup_kernel_grid forms it, and the check's
+maxima from it, in one pass over cache-sized row bands of the grid.  Both
+kernel grids retry failed nodes on the axes once, BOUNDARY_INSET inward
+(quadrature.grid_eval_inward); a failed interior node makes the check not
+evaluable.
 
 The Sugeno kernel R(x,y) = ∫∫_{[0,x]×[0,y]} f dμ² is exact for the
 empirical measure of one n×n grid of midpoint samples: the values of all the
@@ -77,6 +79,9 @@ from .semiring import SaturationFlags, Semiring, parse_semiring
 VERDICT_REL = 1e-9
 VERDICT_ABS = 1e-12
 SUGENO_SLACK = 1e-6
+# nodes per row band of the sup kernel: 2^14 floats are 128 KiB, so a band
+# and its few temporaries stay in cache and no grid-sized array is made
+SUP_BAND_ELEMENTS = 2**14
 
 G_HARDY = "g_hardy"
 SUP_HARDY = "sup_hardy"
@@ -411,23 +416,51 @@ def check_hardy_g(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> H
     )
 
 
-def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int,
+def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p: float,
                     flags: SaturationFlags | None = None):
-    """(xs, ys, F, R) with R the ψ-weighted running sup of f over [0,x]×[0,y]."""
+    """The sup check's maxima of R, the ψ-weighted running sup of f over [0,x]×[0,y].
+
+    One pass over row bands of the (2^level+1)² grid, SUP_BAND_ELEMENTS
+    nodes each, so no array is grid-sized.  Returns max(R − f), its (x, y),
+    max R^p ⊙ ψ(y) ⊙ ψ(x), max f^p ⊙ ψ(y) ⊙ ψ(x) and whether f < 0 somewhere;
+    raises DomainError if f fails at a node.  The bits are those of the whole
+    grid: a band carries the column maxima on from the rows above before its
+    row maxima, as the two accumulates over the grid do, the pointwise max
+    keeps np.argmax's first location, and a max is exact in any order.
+    """
     n = 2**level + 1
     xs = np.linspace(domain.x_low, domain.x_high, n)
     ys = np.linspace(domain.y_low, domain.y_high, n)
-    F = grid_eval_inward(f, xs, ys)
-    if not np.all(np.isfinite(F)):
-        raise DomainError("f failed to evaluate on the sup grid")
-    # ψ(x) as a column and ψ(y) as a row, ready to broadcast against F
+    # ψ(x) as a column and ψ(y) as a row, ready to broadcast against a band
     psix = np.broadcast_to(np.asarray(psi(xs), dtype=float), xs.shape)[:, np.newaxis]
     psiy = np.broadcast_to(np.asarray(psi(ys), dtype=float), ys.shape)[np.newaxis, :]
-    # the running maxima overwrite the weighted surface: no more grid-sized arrays
-    R = psi_weighted(s, F, psix, psiy, flags)
-    np.maximum.accumulate(R, axis=0, out=R)
-    np.maximum.accumulate(R, axis=1, out=R)
-    return xs, ys, F, R, psix, psiy
+    rows = max(1, SUP_BAND_ELEMENTS // n)
+    column_max = np.full(n, -np.inf)    # of the weighted surface, over the rows so far
+    best, negative, lhs, rhs = None, False, [], []
+    for start in range(0, n, rows):
+        band = slice(start, start + rows)
+        F = grid_eval_inward(f, xs[band], ys)
+        if not np.all(np.isfinite(F)):
+            raise DomainError("f failed to evaluate on the sup grid")
+        negative = negative or bool(np.any(F < 0))
+        # the running maxima overwrite the weighted band; down the columns a
+        # maximum per row is the accumulate's own step, at a third of its time
+        R = psi_weighted(s, F, psix[band], psiy, flags)
+        for i, row in enumerate(R):
+            np.maximum(R[i - 1] if i else column_max, row, out=row)
+        column_max = R[-1].copy()
+        np.maximum.accumulate(R, axis=1, out=R)
+        diff = R - F
+        k = np.unravel_index(np.argmax(diff), diff.shape)
+        # np.argmax's first-location rule across bands: a later band wins only if greater
+        if best is None or diff[k] > best[0]:
+            best = (float(diff[k]), (float(xs[start + k[0]]), float(ys[k[1]])))
+        # R and F are not needed past here, so they are raised to p in place
+        R **= p
+        F **= p
+        lhs.append(np.max(psi_weighted(s, R, psix[band], psiy, flags)))
+        rhs.append(np.max(psi_weighted(s, F, psix[band], psiy, flags)))
+    return *best, float(np.max(lhs)), float(np.max(rhs)), negative
 
 
 def check_hardy_sup(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> HardyReport:
@@ -448,24 +481,13 @@ def check_hardy_sup(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) ->
     ]
 
     try:
-        xs, ys, F, R, psix, psiy = sup_kernel_grid(
-            s, f, psi, scn.domain, config.sup_level, flags
+        pointwise_max, location, lhs, rhs_integral, negative = sup_kernel_grid(
+            s, f, psi, scn.domain, config.sup_level, p, flags
         )
     except DomainError as e:
         return _not_evaluable(SUP_HARDY, p, constant, {"lhs": DIVERGED}, str(e))
-    if np.any(F < 0):
+    if negative:
         notes.append("f takes negative values: theorem hypotheses not met")
-
-    diff = R - F
-    k = np.unravel_index(np.argmax(diff), diff.shape)
-    pointwise_max = float(diff[k])
-    del diff   # freed before the weighted maxima: one grid-sized array fewer at the peak
-    # R and F are not needed past here, so they are raised to p in place
-    # (the same bits as R**p and F**p, without two more grid-sized arrays)
-    R **= p
-    lhs = float(np.max(psi_weighted(s, R, psix, psiy, flags)))
-    F **= p
-    rhs_integral = float(np.max(psi_weighted(s, F, psix, psiy, flags)))
     rhs = constant * rhs_integral
     if flags.saturated:
         notes.append(
@@ -474,7 +496,7 @@ def check_hardy_sup(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) ->
     return HardyReport(
         kind=SUP_HARDY, p=p, lhs=lhs, rhs_integral=rhs_integral, constant=constant,
         rhs=rhs, holds=_le_verdict(lhs, rhs), direction="le",
-        pointwise_max=pointwise_max, pointwise_location=(float(xs[k[0]]), float(ys[k[1]])),
+        pointwise_max=pointwise_max, pointwise_location=location,
         statuses={"lhs": CONVERGED, "rhs": CONVERGED}, notes=notes,
     )
 
@@ -500,9 +522,7 @@ def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG)
     if np.any(F < 0):
         notes.append("f takes negative values: theorem hypotheses not met")
 
-    lhs_integral = sugeno_integral_2d(
-        lambda x, y: f(x, y) ** p, scn.domain, grid=config.sugeno_lhs_grid
-    )
+    lhs_integral = sugeno_integral_2d(f, scn.domain, grid=config.sugeno_lhs_grid, power=p)
     lhs = lhs_integral ** (1.0 / (2.0 * p + 1.0))
 
     # outer midpoints (i+1/2)/m align exactly with sample-cell boundaries

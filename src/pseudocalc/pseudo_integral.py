@@ -200,20 +200,27 @@ def sup_integral_2d(s: Semiring, f, psi: PsiDensity | None = None,
 
 
 def sugeno_integral_2d(f, r: Rect = UNIT_SQUARE,
-                       grid: int = DEFAULT_LEVEL_SET_GRID) -> float:
-    """Sugeno integral sup_α min(α, μ({f ≥ α} ∩ r)) for the empirical measure.
+                       grid: int = DEFAULT_LEVEL_SET_GRID, power: float = 1.0) -> float:
+    """Sugeno integral sup_α min(α, μ({f^power ≥ α} ∩ r)) for the empirical measure.
 
     f is sampled once on the grid × grid midpoint cells (one broadcast call,
-    see quadrature.grid_eval); failed samples are dropped, and only copied
-    out when there are any; sugeno_from_samples then finds the crossing rank
-    by selection instead of a full sort.
+    see quadrature.grid_eval) into an array this function owns, which is
+    raised to power in place: `**=` keeps numpy's scalar-exponent fast paths
+    (2 → square), the bits of f(x, y) ** power on an array.  Failed samples
+    and non-finite powers (a negative base with a fractional power, an
+    overflow) are dropped, and only copied out when there are any;
+    sugeno_from_samples then finds the crossing rank by selection instead of
+    a full sort.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     samples = level_set_samples(f, r, grid)
-    # failed samples are NaN, so a sum that is not NaN rules them out in one pass
-    if np.isnan(np.sum(samples)):
-        samples = samples[~np.isnan(samples)]
+    with np.errstate(all="ignore"):  # what fails or overflows here is dropped
+        if power != 1.0:
+            samples **= power
+        # a finite sum has no NaN or infinite term, so one pass rules them out
+        if not np.isfinite(np.sum(samples)):
+            samples = samples[np.isfinite(samples)]
     return sugeno_from_samples(samples, r.area / (grid * grid))
 
 

@@ -58,8 +58,9 @@ class TestIntegrate:
         assert "position" in err
 
     @pytest.mark.parametrize("f_src", ["(" * 400 + "x" + ")" * 400, "+".join(["x"] * 3000),
-                                       "^".join(["x"] * 3000)],
-                             ids=["400-parens", "3000-sum", "3000-power"])
+                                       "^".join(["x"] * 3000), "+".join(["x"] * 985),
+                                       "^".join(["x"] * 985)],
+                             ids=["400-parens", "3000-sum", "3000-power", "985-sum", "985-power"])
     def test_deep_expression_is_an_expression_error(self, capsys, f_src):
         code, out, err = run_cli(capsys, "integrate", "--g", "identity", "--dim", "1",
                                  "--f", f_src)

@@ -118,6 +118,17 @@ def test_deep_input_is_a_parse_error(src):
         parse(src)
 
 
+@pytest.mark.parametrize("op", ["+", "^"])
+def test_depth_limit(op):
+    # a chain of MAX_DEPTH terms has MAX_DEPTH levels and evaluates; one more term does not parse
+    src = op.join(["x"] * expr.MAX_DEPTH)
+    f = expr.as_function(parse(src))
+    assert f(1.0, 0.0) == (expr.MAX_DEPTH if op == "+" else 1.0)
+    assert f(np.ones(3), 0.0).tolist() == [f(1.0, 0.0)] * 3
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(src + op + "x")
+
+
 def test_compiling_a_tree_deeper_than_the_stack_is_a_parse_error():
     tree = X
     for _ in range(5000):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from pseudocalc import generators as G
 from pseudocalc import hardy as H
 from pseudocalc import pseudo_integral as P
 from pseudocalc.harness import SplitMix64, random_function, trial_rng
-from pseudocalc.quadrature import Rect
-from pseudocalc.semiring import parse_semiring
+from pseudocalc.quadrature import Rect, grid_eval_inward
+from pseudocalc.semiring import SaturationFlags, parse_semiring
 
 
 class TestConstants:
@@ -393,6 +394,26 @@ SUP_CONTRACT = {
 }
 
 
+UNIT = Rect(0.0, 1.0, 0.0, 1.0)
+
+
+def _whole_grid_sup_kernel(s, f, psi, level, p):
+    """sup_kernel_grid's figures and saturation counts from whole-grid arrays."""
+    xs = np.linspace(0.0, 1.0, 2**level + 1)
+    F = grid_eval_inward(f, xs, xs)
+    psix = np.broadcast_to(np.asarray(psi(xs), dtype=float), xs.shape)[:, np.newaxis]
+    psiy = psix.reshape(1, -1)
+    flags = SaturationFlags()
+    weighted = P.psi_weighted(s, F, psix, psiy, flags)
+    R = np.maximum.accumulate(np.maximum.accumulate(weighted, axis=0), axis=1)
+    diff = R - F
+    i, j = np.unravel_index(np.argmax(diff), diff.shape)
+    lhs = np.max(P.psi_weighted(s, R**p, psix, psiy, flags))
+    rhs = np.max(P.psi_weighted(s, F**p, psix, psiy, flags))
+    return (float(diff[i, j]), (float(xs[i]), float(xs[j])), float(lhs), float(rhs),
+            bool(np.any(F < 0)), flags.add_saturations, flags.mul_saturations)
+
+
 class TestSupBuffers:
     @pytest.mark.parametrize("f_src,semiring,psi,p", sorted(SUP_CONTRACT, key=repr))
     def test_matches_fresh_temporaries(self, f_src, semiring, psi, p):
@@ -402,15 +423,55 @@ class TestSupBuffers:
                rep.holds, rep.notes[2:])
         assert got == SUP_CONTRACT[f_src, semiring, psi, p]
 
-    def test_running_sup_kernel_in_place(self):
+    @pytest.mark.parametrize("level", [3, 9, 10])     # one band; a partial last band
+    @pytest.mark.parametrize("psi_src", [None, "1-x/2", "0.9"])
+    @pytest.mark.parametrize("spec", ["suptimes", "supplus"])
+    @pytest.mark.parametrize("f_src", ["x*(1-x)+y*(1-y)", "0.5+0.4*x-0.6*y*y"])
+    def test_banded_kernel_matches_whole_grid(self, f_src, spec, psi_src, level):
+        s = parse_semiring(spec)
+        psi = P.PsiDensity.from_string(psi_src) if psi_src else P.unit_psi(s)
+        f = expr.as_function(expr.parse(f_src))
+        flags = SaturationFlags()
+        with np.errstate(invalid="ignore"):  # f < 0 somewhere: f^2.5 is NaN there
+            got = H.sup_kernel_grid(s, f, psi, UNIT, level, 2.5, flags)
+            want = _whole_grid_sup_kernel(s, f, psi, level, 2.5)
+        assert repr((*got, flags.add_saturations, flags.mul_saturations)) == repr(want)
+
+    def test_first_location_wins_a_tie_across_bands(self):
+        # R − f = (b − 1/2) − |i − b + 1/2| on row i peaks at rows b − 1 and b,
+        # the last row of the first band and the first row of the second
+        b = H.SUP_BAND_ELEMENTS // 513
         s = parse_semiring("suptimes")
-        psi = P.PsiDensity.from_string("1-x/2")
-        f = expr.as_function(expr.parse("x*(1-x)+y*(1-y)"))
-        xs, ys, F, R, psix, psiy = H.sup_kernel_grid(s, f, psi, Rect(0.0, 1.0, 0.0, 1.0), 5)
-        weighted = P.psi_weighted(s, F, psix, psiy)
-        want = np.maximum.accumulate(np.maximum.accumulate(weighted, axis=0), axis=1)
-        assert R.tobytes() == want.tobytes()
-        assert not np.array_equal(R, weighted)     # the running maxima moved values
+        f = expr.as_function(expr.parse(f"abs(512*x-{b - 0.5})"))
+        got = H.sup_kernel_grid(s, f, P.unit_psi(s), UNIT, 9, 2.0)
+        assert got[:2] == (b - 1.0, ((b - 1) / 512, 0.0))
+        assert repr((*got, 0, 0)) == repr(_whole_grid_sup_kernel(s, f, P.unit_psi(s), 9, 2.0))
+
+    def test_footprint(self):
+        # a check holds a few row bands at a time, never one of the 513² arrays
+        # (2.1 MB each) that took the peak to 8-10 MiB
+        scn = H.HardyScenario(f_src="x*(1-x)+y*(1-y)", check_kind="sup_hardy", p=2.0,
+                              semiring_spec="supplus", psi_src="1-x/2")
+        H.check_hardy_sup(scn)
+        tracemalloc.start()
+        try:
+            H.check_hardy_sup(scn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # a node that fails on an axis is retried inward; one off the axes fails the check
+        retried = H.check_hardy_sup(H.HardyScenario(f_src="x/(x+y)", check_kind="sup_hardy",
+                                                    p=2.0, semiring_spec="suptimes"))
+        assert (retried.holds, retried.pointwise_max, retried.pointwise_location) == (
+            True, 0.9980506822612085, (0.001953125, 1.0))
+        failed = H.check_hardy_sup(H.HardyScenario(f_src="ln(x-0.3)+2", check_kind="sup_hardy",
+                                                   p=2.0, semiring_spec="suptimes"))
+        assert failed.to_dict() == {
+            "kind": "sup_hardy", "p": 2.0, "lhs": None, "rhs_integral": None, "constant": 16.0,
+            "rhs": None, "holds": None, "direction": "le", "pointwise_max": None,
+            "pointwise_location": None, "statuses": {"lhs": "diverged"},
+            "notes": ["f failed to evaluate on the sup grid"], "not_evaluable": True}
 
 
 # (lhs, rhs_integral, rhs, holds) of check_hardy_sugeno with the default
@@ -487,6 +548,19 @@ class TestCheckHardySugeno:
         ]
         nonneg = H.run_check(H.HardyScenario(f_src="x*y", check_kind="sugeno_hardy", p=1.5))
         assert not any("negative" in note for note in nonneg.notes)
+
+    @pytest.mark.parametrize("f_src,p", [("1e160*x^40", 2.0), ("x-0.5", 1.5), ("x", 2.0),
+                                         ("0.7", 3.0)])
+    def test_lhs_power_in_place_drops_what_f_to_the_p_dropped(self, f_src, p):
+        # the lhs raises its own samples to p; an f^p that overflows (here
+        # where x > 0.71) or is NaN (a negative base) is still dropped, and
+        # f = "x" hands back its coordinate column, which must not be written
+        f = expr.as_function(expr.parse(f_src))
+        with np.errstate(all="ignore"):
+            want = P.sugeno_integral_2d(lambda x, y: f(x, y) ** p, grid=1024)
+            assert f_src != "1e160*x^40" or np.isinf(np.float64(f(1.0, 1.0)) ** p)
+        rep = H.check_hardy_sugeno(H.HardyScenario(f_src=f_src, check_kind="sugeno_hardy", p=p))
+        assert rep.lhs == want ** (1.0 / (2.0 * p + 1.0))
 
     def test_hypothesis_gate(self):
         scn = H.HardyScenario(f_src="x*y", check_kind="sugeno_hardy", p=0.5)
