@@ -9,17 +9,25 @@ Hardy-check scenarios: identity, sqrt, half (x/2), power:a (x^a), exp:λ
 
 The forward/inverse callables are numpy-polymorphic (work on floats and
 arrays) so grid pipelines can evaluate them vectorized.
+
+This module alone knows where g⁻¹ is defined: on g's range, widened by a
+slack of RANGE_SLACK·max(1, |y|) at a value y (outside_range).  eval_inverse
+inverts a value within that slack, clamped to the range, and raises
+RangeError farther out; every engine that inverts a classical integral goes
+through it, so an undefined side reads the same everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 ROUNDTRIP_TOL = 1e-9  # fixed, not configurable: failures mean a wrong inverse
 SINGULAR_CLAMP = 1e-6  # domain_low clamp for generators unbounded at 0
+RANGE_SLACK = 1e-12  # g⁻¹ is taken this far outside g's range, relative to max(1, |y|)
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -30,11 +38,7 @@ class GeneratorError(ValueError):
 
 
 class RangeError(GeneratorError):
-    """Argument outside the generator's domain or range closure."""
-
-
-class SingularityError(GeneratorError):
-    """Evaluation at a singular endpoint (g unbounded there)."""
+    """Argument outside the closure of the generator's range."""
 
 
 @dataclass(frozen=True)
@@ -48,35 +52,35 @@ class Generator:
     singular_at_zero: bool = False
     notes: tuple[str, ...] = field(default=())
 
-    @property
+    # cached: the range rule reads both ends at every g⁻¹ (a frozen dataclass
+    # keeps its own __dict__, which cached_property fills)
+    @cached_property
     def range_low(self) -> float:
         if self.direction == INCREASING:
             return float(self.forward(self.domain_low))
         return float(self.forward(self.domain_high))
 
-    @property
+    @cached_property
     def range_high(self) -> float:
         if self.direction == INCREASING:
             return float(self.forward(self.domain_high))
         return float(self.forward(self.domain_low))
 
 
-def eval_forward(gen: Generator, x: float) -> float:
-    """g(x), with domain checking; singular endpoints are rejected."""
-    if x < gen.domain_low - 1e-15 or x > gen.domain_high + 1e-15:
-        raise RangeError(
-            f"{gen.name}: x={x!r} outside domain [{gen.domain_low}, {gen.domain_high}]"
-        )
-    if gen.singular_at_zero and x <= gen.domain_low:
-        raise SingularityError(f"{gen.name}: g is unbounded at {gen.domain_low}")
-    return float(gen.forward(x))
+def outside_range(gen: Generator, y: float) -> bool:
+    """Whether y lies farther than RANGE_SLACK·max(1, |y|) outside g's range.
+
+    y ± slack(y) is monotone in y, so an array lies within the slack iff its
+    minimum and maximum do.
+    """
+    slack = RANGE_SLACK * max(1.0, abs(y))
+    return y < gen.range_low - slack or y > gen.range_high + slack
 
 
 def eval_inverse(gen: Generator, y: float) -> float:
-    """g⁻¹(y) for y in the closure of g's range."""
+    """g⁻¹(y), clamped to g's range, for y within the slack of it; RangeError farther out."""
     lo, hi = gen.range_low, gen.range_high
-    slack = 1e-12 * max(1.0, abs(y))
-    if y < lo - slack or y > hi + slack:
+    if outside_range(gen, y):
         raise RangeError(f"{gen.name}: y={y!r} outside range [{lo}, {hi}]")
     return float(gen.inverse(min(max(y, lo), hi)))
 

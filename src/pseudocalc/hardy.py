@@ -37,6 +37,12 @@ the same bits as sorting every block.
 
 The right-hand side combines the constant with the integral by ordinary real
 multiplication, exactly as the worked examples do, not by ⊙.
+
+Every g⁻¹ of a classical integral goes through generators.eval_inverse, so
+one range rule holds in the g check and in all three branches of the p ≤ 1
+remark_diagnostics (0<p<1, p<0, p=0): a side whose integral diverges, or
+whose g⁻¹ is undefined, leaves the report not evaluable with the reason as
+its last note.  A check whose f fails to evaluate is not evaluable too.
 """
 
 from __future__ import annotations
@@ -48,13 +54,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as expr_mod
-from .generators import Generator, make_generator
+from .generators import Generator, RangeError, eval_inverse, make_generator, outside_range
 from .pseudo_integral import (
     DivergenceError,
     DomainError,
     PsiDensity,
     g_integral_2d_result,
-    g_quadrature,
     psi_weighted,
     sugeno_from_samples,
     sugeno_integral_2d,
@@ -67,9 +72,9 @@ from .quadrature import (
     UNIT_SQUARE,
     Rect,
     cumulative_simpson,
+    eval_nodes,
     grid_eval_inward,
     integrate_1d,
-    integrate_2d,
     integrate_batch,
     level_set_samples,
 )
@@ -172,19 +177,6 @@ def _not_evaluable(kind: str, p: float, constant: float, statuses: dict, note: s
     return HardyReport(kind=kind, p=p, lhs=lhs, rhs_integral=rhs_integral, constant=constant,
                        rhs=rhs, holds=None, direction=DIRECTIONS[kind], statuses=statuses,
                        notes=[note], not_evaluable=True)
-
-
-def _range_violation(gen: Generator, side: str, inner: float) -> str | None:
-    """Why g⁻¹ is undefined at a side's inner integral, or None if it lies in g's range."""
-    lo, hi = gen.range_low, gen.range_high
-    if inner < lo - 1e-12 or inner > hi + 1e-12:
-        return f"{side} inner integral {inner!r} is outside the generator range [{lo!r}, {hi!r}]"
-    return None
-
-
-def _clamped_inverse(gen: Generator, value: float) -> float:
-    lo, hi = gen.range_low, gen.range_high
-    return float(gen.inverse(min(max(value, lo), hi)))
 
 
 def _le_verdict(lhs: float, rhs: float) -> bool:
@@ -310,7 +302,9 @@ class GKernelGrid:
     Jacobian 9XY·u²v² vanishes there, so integrals of R-based integrands need
     no boundary values of R.  R = g⁻¹(P)/(xy), with P clamped to g's range, is
     formed once on the M² interior nodes (i, j ≥ 1); the lhs integral and the
-    pointwise R ≤ f check both read it.
+    pointwise R ≤ f check both read it.  clipped flags a P outside the slack
+    of generators.outside_range; the rule is monotone in P, so testing the
+    smallest and the largest P decides it for all.
     """
 
     def __init__(self, gen: Generator, f, x_high: float, y_high: float, panels: int = 256):
@@ -330,9 +324,9 @@ class GKernelGrid:
             raise DomainError("g∘f is not finite on the kernel grid")
         inner = cumulative_simpson(W * self.jac, self.h, axis=1)
         self.prefix = cumulative_simpson(inner, self.h, axis=0)
-        lo, hi = gen.range_low, gen.range_high
-        self.clipped = bool(np.any(self.prefix < lo - 1e-12) or np.any(self.prefix > hi + 1e-12))
-        pref = np.clip(self.prefix[1:, 1:], lo, hi)
+        self.clipped = (outside_range(gen, float(self.prefix.min()))
+                        or outside_range(gen, float(self.prefix.max())))
+        pref = np.clip(self.prefix[1:, 1:], gen.range_low, gen.range_high)
         self.R = np.asarray(gen.inverse(pref), dtype=float) / np.outer(self.x[1:], self.y[1:])
 
     def integral_of_g_of_R_pow(self, p: float) -> float:
@@ -392,17 +386,14 @@ def check_hardy_g(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> H
     try:
         kernel = GKernelGrid(gen, f, scn.domain.x_high, scn.domain.y_high,
                              config.kernel_panels)
-        lhs_inner = kernel.integral_of_g_of_R_pow(p)
-        if violation := _range_violation(gen, "lhs", lhs_inner):
-            # g⁻¹ is undefined there: the lhs is no value of the carrier
-            raise DomainError(violation)
-        lhs = _clamped_inverse(gen, lhs_inner)
+        lhs = eval_inverse(gen, kernel.integral_of_g_of_R_pow(p))
         statuses["lhs"] = CONVERGED
         if np.any(kernel.fv < 0):
             notes.append("f takes negative values: theorem hypotheses not met")
         if kernel.clipped:
             notes.append("kernel prefix integrals clamped to the generator range")
-    except (DomainError, DivergenceError) as e:
+    except (DomainError, RangeError) as e:
+        # f or g(R^p) failed on the kernel grid, or g⁻¹ is undefined at the lhs
         return _not_evaluable(G_HARDY, p, constant, {**statuses, "lhs": DIVERGED}, str(e),
                               rhs_integral=rhs_integral, rhs=constant * rhs_integral)
 
@@ -549,13 +540,15 @@ def check_hardy_classical(f, p: float, low: float, high: float,
         raise HypothesisError("classical Hardy requires p > 1")
     if not (0.0 < low < high):
         raise HypothesisError("requires 0 < low < high")
-    probe = np.linspace(low, high, 101)
-    vals = np.array([f(x) for x in probe])
+    constant = classical_hardy_constant(p)
+    vals = eval_nodes(f, np.linspace(low, high, 101))
+    if np.isnan(np.sum(vals)):
+        return _not_evaluable(CLASSICAL, p, constant, {"rhs": DIVERGED},
+                              f"f failed to evaluate on [{low}, {high}]")
     if np.any(vals < -1e-12):
         raise HypothesisError("classical Hardy requires f >= 0")
     if np.max(np.abs(vals)) <= 1e-12:
         raise HypothesisError("classical Hardy requires f not identically zero")
-    constant = classical_hardy_constant(p)
 
     def mean_pow(xs: np.ndarray) -> np.ndarray:
         # F(x) = ∫₀ˣ f for every node of the level, as one batch; a divergent
@@ -669,20 +662,21 @@ def remark_diagnostics(gen: Generator, f, p: float,
             return DiagnosticsReport(p=p, branch="0<p<1", constant=constant,
                                      constant_defined=defined, lhs_status=DIVERGED,
                                      notes=[*notes, str(e)])
+        # the rhs first, so that a divergent rhs keeps its own note
+        rhs_inner_val = None
         try:
-            rhs_inner_val = g_quadrature(
-                integrate_2d, gen, lambda s, t: f(s, t) ** p, UNIT_SQUARE,
-                tol=config.quad_tol, max_depth=config.max_depth,
-            ).value
-        except (DivergenceError, DomainError) as e:
+            rhs_value, res = g_integral_2d_result(gen, lambda s, t: f(s, t) ** p, UNIT_SQUARE,
+                                                  config.quad_tol, config.max_depth)
+            rhs_inner_val = res.value
+            lhs_value = eval_inverse(gen, lhs_inner)
+        except (DivergenceError, DomainError, RangeError) as e:
+            # no value to compare: the rhs diverged, or g⁻¹ is undefined at a side
+            if isinstance(e, DomainError):
+                rhs_inner_val = e.result.value
             return DiagnosticsReport(p=p, branch="0<p<1", constant=constant,
                                      constant_defined=defined, lhs_inner=lhs_inner,
-                                     lhs_status=CONVERGED, notes=[*notes, str(e)])
-        lhs_value = _clamped_inverse(gen, lhs_inner)
-        rhs_value = _clamped_inverse(gen, rhs_inner_val)
-        for side, inner in (("lhs", lhs_inner), ("rhs", rhs_inner_val)):
-            if violation := _range_violation(gen, side, inner):
-                notes.append(f"{violation}; {side}_value inverts it clamped to the range")
+                                     rhs_inner=rhs_inner_val, lhs_status=CONVERGED,
+                                     notes=[*notes, str(e)])
         fails = (constant is None) or (constant * rhs_value < lhs_value)
         notes.append("right side is non-positive while the left side is positive"
                      if constant is not None and constant * rhs_value <= 0 < lhs_value else

@@ -13,6 +13,10 @@ prefix counts, with every crossing test an integer compare of a count
 against a per-value pass count).  All three give the same values bit for
 bit.
 
+g_integral_1d_result and g_integral_2d_result also return the classical
+integral's result; they raise DivergenceError when it diverges and
+DomainError when generators.eval_inverse finds its value out of g's range.
+
 Decreasing generators are accepted: the formulas use g and g⁻¹ directly, the
 declared direction only matters for validation.
 """
@@ -121,20 +125,17 @@ def _g_of_f(gen: Generator, f):
     return gf
 
 
-def g_quadrature(integrate, gen: Generator, f, *domain,
-                 tol: float = DEFAULT_TOL,
-                 max_depth: int = DEFAULT_MAX_DEPTH) -> QuadratureResult:
-    """The classical integral of g∘f, before g⁻¹; raises DivergenceError if it diverges.
+def _g_integral(integrate, gen: Generator, f, *domain, tol: float,
+                max_depth: int) -> tuple[float, QuadratureResult]:
+    """g⁻¹ of the classical integral of g∘f, with that integral's result.
 
-    integrate is integrate_1d (domain low, high) or integrate_2d (domain a Rect).
+    integrate is integrate_1d (domain low, high) or integrate_2d (domain a
+    Rect).  Raises DivergenceError if the integral diverges and DomainError
+    if g⁻¹ is undefined at its value; both carry the result.
     """
     res = integrate(_g_of_f(gen, f), *domain, tol, max_depth)
     if res.status == DIVERGED:
         raise DivergenceError("inner classical integral diverged", res)
-    return res
-
-
-def _g_inverse(gen: Generator, res: QuadratureResult) -> tuple[float, QuadratureResult]:
     try:
         return eval_inverse(gen, res.value), res
     except RangeError as e:
@@ -144,9 +145,8 @@ def _g_inverse(gen: Generator, res: QuadratureResult) -> tuple[float, Quadrature
 def g_integral_1d_result(gen: Generator, f, low: float, high: float,
                          tol: float = DEFAULT_TOL,
                          max_depth: int = DEFAULT_MAX_DEPTH) -> tuple[float, QuadratureResult]:
-    """g-integral with its inner quadrature result; raises on divergence."""
-    return _g_inverse(gen, g_quadrature(integrate_1d, gen, f, low, high,
-                                        tol=tol, max_depth=max_depth))
+    """g-integral with its inner quadrature result; raises on divergence or an undefined g⁻¹."""
+    return _g_integral(integrate_1d, gen, f, low, high, tol=tol, max_depth=max_depth)
 
 
 def g_integral_1d(gen: Generator, f, low: float, high: float,
@@ -158,8 +158,8 @@ def g_integral_1d(gen: Generator, f, low: float, high: float,
 def g_integral_2d_result(gen: Generator, f, r: Rect,
                          tol: float = DEFAULT_TOL,
                          max_depth: int = DEFAULT_MAX_DEPTH) -> tuple[float, QuadratureResult]:
-    """2-D g-integral with its inner quadrature result; raises on divergence."""
-    return _g_inverse(gen, g_quadrature(integrate_2d, gen, f, r, tol=tol, max_depth=max_depth))
+    """2-D g-integral with its inner quadrature result; raises as g_integral_1d_result."""
+    return _g_integral(integrate_2d, gen, f, r, tol=tol, max_depth=max_depth)
 
 
 def g_integral_2d(gen: Generator, f, r: Rect, tol: float = DEFAULT_TOL) -> float:

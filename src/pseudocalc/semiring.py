@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import Generator, make_generator
+from .generators import Generator, RangeError, eval_inverse, make_generator
 
 G_GENERATED = "g_generated"
 SUP_PLUS = "sup_plus"
@@ -74,27 +74,17 @@ def max_min() -> Semiring:
     return Semiring(MAX_MIN, zero=0.0, unit=1.0)
 
 
-def _in_closed_range(gen: Generator, v: float) -> bool:
-    lo, hi = gen.range_low, gen.range_high
-    slack = 1e-12 * max(1.0, abs(v))
-    return lo - slack <= v <= hi + slack
-
-
 def g_generated(gen: Generator) -> Semiring:
-    zero = None
-    unit = None
-    try:
-        if _in_closed_range(gen, 0.0):
-            z = float(gen.inverse(0.0))
-            if CARRIER_LOW - 1e-12 <= z <= CARRIER_HIGH + 1e-12:
-                zero = z
-        if _in_closed_range(gen, 1.0):
-            u = float(gen.inverse(1.0))
-            if CARRIER_LOW - 1e-12 <= u <= CARRIER_HIGH + 1e-12:
-                unit = u
-    except ArithmeticError:
-        pass
-    return Semiring(G_GENERATED, gen=gen, zero=zero, unit=unit)
+    """The g-generated semiring; a neutral element is None where g⁻¹ or the carrier has none."""
+
+    def neutral(y: float) -> float | None:
+        try:
+            v = eval_inverse(gen, y)
+        except (RangeError, ArithmeticError):
+            return None
+        return v if CARRIER_LOW - 1e-12 <= v <= CARRIER_HIGH + 1e-12 else None
+
+    return Semiring(G_GENERATED, gen=gen, zero=neutral(0.0), unit=neutral(1.0))
 
 
 def _clamp_to_range(gen: Generator, v, flags: SaturationFlags | None, which: str):

@@ -221,12 +221,14 @@ class TestHardyCommand:
         assert payload["lhs_status"] == status
         assert payload["notes"] == [note]
 
-    @pytest.mark.parametrize("f_src,note", [
-        ("x^(-3)", "inner classical integral diverged"),
-        ("ln(x-0.5)", "f failed to evaluate on the kernel grid"),
+    @pytest.mark.parametrize("f_src,gen,note", [
+        ("x^(-3)", "identity", "inner classical integral diverged"),
+        ("ln(x-0.5)", "identity", "f failed to evaluate on the kernel grid"),
+        # ∬ g(R^{1/2}) ≈ 4 lies outside the power:2 range [0, 1]: no clamped lhs value
+        ("1", "power:2", "power:2: y=3.9997621579728033 outside range [0.0, 1.0]"),
     ])
-    def test_fractional_p_diagnostics_without_a_value_exit_2(self, capsys, f_src, note):
-        code, out, err = run_cli(capsys, "hardy", "--f", f_src, "--g", "identity",
+    def test_fractional_p_diagnostics_without_a_value_exit_2(self, capsys, f_src, gen, note):
+        code, out, err = run_cli(capsys, "hardy", "--f", f_src, "--g", gen,
                                  "--p", "0.5", "--diagnostics")
         assert code == 2 and err == ""
         payload = json.loads(out)
@@ -278,7 +280,17 @@ class TestHardyCommand:
         payload = json.loads(out)
         assert payload["not_evaluable"] is True and payload["holds"] is None
         assert payload["lhs"] is None and payload["statuses"]["lhs"] == "diverged"
-        assert "outside the generator range" in payload["notes"][0]
+        assert payload["notes"] == ["power:2: y=4951048217572968.0 outside range [0.0, 1.0]"]
+
+    def test_failing_classical_f_exits_2(self, capsys):
+        # a report, as the g, sup and Sugeno checks give, not an error
+        code, out, err = run_cli(capsys, "hardy", "--f", "ln(x-0.3)", "--kind", "classical",
+                                 "--p", "2", "--domain", "0.1,1,0,1")
+        assert code == 2 and err == ""
+        payload = json.loads(out)
+        assert payload["not_evaluable"] is True and payload["holds"] is None
+        assert payload["statuses"] == {"rhs": "diverged"}
+        assert payload["notes"] == ["f failed to evaluate on [0.1, 1.0]"]
 
     def test_negative_sugeno_f_warns(self, capsys):
         code, out, _ = run_cli(capsys, "hardy", "--f", "x-0.5", "--kind", "sugeno_hardy",

@@ -1,9 +1,12 @@
-"""Generator catalog: round trips, monotonicity, validation, spec parsing."""
+"""Generator catalog: the range rule, round trips, monotonicity, validation, spec parsing."""
+
+import re
 
 import numpy as np
 import pytest
 
 from pseudocalc import generators as G
+from pseudocalc import semiring as S
 
 CATALOG = [
     G.identity(),
@@ -18,34 +21,69 @@ CATALOG = [
 
 
 class TestEval:
-    def test_forward_examples(self):
-        assert G.eval_forward(G.sqrt_gen(), 0.25) == 0.5
-        assert G.eval_forward(G.half(), 1.0) == 0.5
-        assert G.eval_forward(G.identity(), 0.7) == 0.7
-
     def test_inverse_examples(self):
         assert G.eval_inverse(G.sqrt_gen(), 1.0 / 3.0) == pytest.approx(1.0 / 9.0, abs=1e-15)
         # worked value: g(x)=x/2 has g^{-1}(7/192) = 14/192
         assert G.eval_inverse(G.half(), 7.0 / 192.0) == pytest.approx(14.0 / 192.0, abs=1e-15)
         assert G.eval_inverse(G.identity(), 0.3) == 0.3
 
-    def test_forward_domain_error(self):
-        with pytest.raises(G.RangeError):
-            G.eval_forward(G.sqrt_gen(), 1.5)
-        with pytest.raises(G.RangeError):
-            G.eval_forward(G.sqrt_gen(), -0.1)
-
-    def test_singular_endpoint(self):
-        gen = G.inv_power(2.0)
-        with pytest.raises(G.SingularityError):
-            G.eval_forward(gen, gen.domain_low)
-        assert G.eval_forward(gen, 0.5) == 4.0
-
     def test_inverse_range_error(self):
         with pytest.raises(G.RangeError):
             G.eval_inverse(G.sqrt_gen(), 2.0)
         with pytest.raises(G.RangeError):
             G.eval_inverse(G.inv_power(2.0), 0.5)
+
+
+# each generator's range rule, with the ⊕-zero and ⊙-unit g_generated finds
+# through it (values recorded before the rule moved into generators)
+RANGE_RULE = {
+    "identity": (0.0, 1.0),
+    "sqrt": (0.0, 1.0),
+    "half": (0.0, None),
+    "power:2": (0.0, 1.0),
+    "power:0.5": (0.0, 1.0),
+    "exp:2": (None, 0.0),
+    "invpower:1": (None, 1.0),
+}
+
+
+def slack(y: float) -> float:
+    return G.RANGE_SLACK * max(1.0, abs(y))
+
+
+class TestRangeRule:
+    @pytest.mark.parametrize("spec", sorted(RANGE_RULE))
+    def test_neutral_elements(self, spec):
+        s = S.g_generated(G.make_generator(spec))
+        assert (s.zero, s.unit) == RANGE_RULE[spec]
+
+    @pytest.mark.parametrize("spec", sorted(RANGE_RULE))
+    def test_within_half_a_slack_inverts_the_clamped_end(self, spec):
+        gen = G.make_generator(spec)
+        lo, hi = gen.range_low, gen.range_high
+        assert G.eval_inverse(gen, lo - 0.5 * slack(lo)) == float(gen.inverse(lo))
+        assert G.eval_inverse(gen, hi + 0.5 * slack(hi)) == float(gen.inverse(hi))
+        assert not G.outside_range(gen, lo - 0.5 * slack(lo))
+        assert not G.outside_range(gen, hi + 0.5 * slack(hi))
+
+    @pytest.mark.parametrize("spec", sorted(RANGE_RULE))
+    def test_two_slacks_out_is_refused(self, spec):
+        gen = G.make_generator(spec)
+        lo, hi = gen.range_low, gen.range_high
+        for y in (lo - 2.0 * slack(lo), hi + 2.0 * slack(hi)):
+            assert G.outside_range(gen, y)
+            note = f"{spec}: y={y!r} outside range [{lo}, {hi}]"
+            with pytest.raises(G.RangeError, match=f"^{re.escape(note)}$"):
+                G.eval_inverse(gen, y)
+
+    def test_slack_is_relative(self):
+        # hi = e² ≈ 7.39, so a fixed slack of 1e-12 would refuse hi + 2e-12
+        gen = G.make_generator("exp:2")
+        hi = gen.range_high
+        assert hi > 7.0
+        assert G.eval_inverse(gen, hi + 2e-12) == float(gen.inverse(hi))
+        with pytest.raises(G.RangeError):
+            G.eval_inverse(gen, hi + 2.0 * slack(hi))
 
 
 class TestValidation:

@@ -81,6 +81,31 @@ class TestKernel:
         with pytest.raises(ValueError):
             H.hardy_kernel_g(G.identity(), lambda s, t: 1.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("spec", ["identity", "sqrt", "half", "power:2", "power:0.5",
+                                      "exp:2", "invpower:1"])
+    def test_clipped_flag_is_the_elementwise_range_rule(self, spec, monkeypatch):
+        # the flag tests only the smallest and the largest prefix integral;
+        # the elementwise rule tests each against the slack at its own value
+        gen = G.make_generator(spec)
+        lo, hi = gen.range_low, gen.range_high
+        rng = np.random.default_rng(20261019)
+        prefix = None
+        monkeypatch.setattr(H, "cumulative_simpson", lambda values, h, axis: prefix)
+        seen = set()
+        for _ in range(200):
+            # prefixes within a few slacks of both ends, at scales on either side of 1
+            scale_lo, scale_hi = rng.choice([0.0, 0.5, 0.99, 1.01, 2.0], size=2)
+            u = rng.random((9, 9))
+            prefix = np.where(rng.random((9, 9)) < 0.5,
+                              lo - scale_lo * G.RANGE_SLACK * max(1.0, abs(lo)) * u,
+                              hi + scale_hi * G.RANGE_SLACK * max(1.0, abs(hi)) * u)
+            slack = G.RANGE_SLACK * np.maximum(1.0, np.abs(prefix))
+            elementwise = bool(np.any((prefix < lo - slack) | (prefix > hi + slack)))
+            kernel = H.GKernelGrid(gen, lambda s, t: 0.5, 1.0, 1.0, panels=8)
+            assert kernel.clipped == elementwise
+            seen.add(elementwise)
+        assert seen == {False, True}
+
 
 class TestCheckHardyG:
     def test_worked_half_scenario(self):
@@ -134,9 +159,7 @@ class TestCheckHardyG:
         assert rep.lhs is None and rep.pointwise_max is None
         assert (rep.rhs_integral, rep.rhs) == (1.0, 16.0)
         assert rep.statuses == {"rhs": "converged", "lhs": "diverged"}
-        assert len(rep.notes) == 1
-        assert "lhs inner integral" in rep.notes[0]
-        assert "outside the generator range [0.0, 1.0]" in rep.notes[0]
+        assert rep.notes == ["power:2: y=4951048217572968.0 outside range [0.0, 1.0]"]
 
     def test_negative_f_is_flagged(self):
         # as in the sup and Sugeno checks: the verdict stands, with a note
@@ -594,6 +617,20 @@ class TestCheckHardyClassical:
         rep = H.check_hardy_classical(lambda x: 1.0 / (x - 0.5) ** 2, 2.0, 0.1, 1.0)
         assert rep.not_evaluable is True and rep.holds is None
 
+    @pytest.mark.parametrize("f", [
+        # ln(x - 0.3) fails on [0.1, 0.3] and is negative past it: the failure
+        # is reported before the f >= 0 gate could raise
+        lambda x: expr.as_function(expr.parse("ln(x-0.3)"))(x, 0.0),
+        # math.log rejects the probe array and then each node below 0.3
+        lambda x: math.log(x - 0.3),
+    ], ids=["expression", "scalar_only"])
+    def test_failing_f_not_evaluable(self, f):
+        rep = H.check_hardy_classical(f, 2.0, 0.1, 1.0)
+        assert rep.not_evaluable is True and rep.holds is None
+        assert (rep.lhs, rep.rhs_integral, rep.rhs, rep.constant) == (None, None, None, 4.0)
+        assert rep.statuses == {"rhs": "diverged"}
+        assert rep.notes == ["f failed to evaluate on [0.1, 1.0]"]
+
     def test_zero_rejected(self):
         with pytest.raises(H.HypothesisError):
             H.check_hardy_classical(lambda x: 0.0, 2.0, 0.01, 1.0)
@@ -644,21 +681,33 @@ class TestRemarkDiagnostics:
         with pytest.raises(H.HypothesisError):
             H.remark_diagnostics(gen, f, 1.0)
 
-    def test_out_of_range_inner_integral_is_noted(self):
+    def test_out_of_range_lhs_inner_integral_is_not_evaluable(self):
         # ∬ g(R^{1/2}) = ∬ (xy)⁻¹ ≈ 4 on the kernel grid lies outside [0, 1],
-        # the range of g = x²: the clamp-then-invert value stays, with a note
+        # the range of g = x²: no lhs value, as in the p < 0 and p = 0 branches
         diag = H.remark_diagnostics(G.make_generator("power:2"),
                                     expr.as_function(expr.parse("1")), 0.5)
-        assert diag.lhs_inner > 1.0 and diag.lhs_value == 1.0
+        assert diag.branch == "0<p<1" and diag.lhs_status == "converged"
+        assert diag.lhs_inner > 1.0
         assert diag.rhs_inner == pytest.approx(1.0, abs=1e-12)
-        range_notes = [n for n in diag.notes if "outside the generator range" in n]
-        assert len(range_notes) == 1
-        assert range_notes[0].startswith(f"lhs inner integral {diag.lhs_inner!r} ")
+        assert (diag.lhs_value, diag.rhs_value, diag.inequality_fails) == (None, None, None)
+        assert diag.notes[-1] == f"power:2: y={diag.lhs_inner!r} outside range [0.0, 1.0]"
+        assert diag.not_evaluable
+
+    def test_out_of_range_rhs_inner_integral_is_not_evaluable(self):
+        # ∬ sqrt(4^(1/2)) = sqrt(2) lies outside [0, 1], the range of g = sqrt;
+        # the rhs is inverted first, so its note is the reason
+        diag = H.remark_diagnostics(G.sqrt_gen(), expr.as_function(expr.parse("4")), 0.5)
+        assert diag.branch == "0<p<1" and diag.lhs_status == "converged"
+        assert diag.rhs_inner == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert (diag.lhs_value, diag.rhs_value, diag.inequality_fails) == (None, None, None)
+        assert diag.notes[-1] == f"sqrt: y={diag.rhs_inner!r} outside range [0.0, 1.0]"
+        assert diag.not_evaluable
 
     def test_in_range_inner_integrals_carry_no_range_note(self):
         diag = H.remark_diagnostics(G.sqrt_gen(), expr.as_function(expr.parse("x^2*y^2")),
                                     1.0 / 6.0)
-        assert not any("outside the generator range" in n for n in diag.notes)
+        assert not any("outside range" in n for n in diag.notes)
+        assert not diag.not_evaluable
 
     def test_zero_p_divergent_integral_is_reported(self):
         diag = H.remark_diagnostics(G.identity(), expr.as_function(expr.parse("x^(-2)")), 0.0)

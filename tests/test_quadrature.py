@@ -313,8 +313,8 @@ class TestRefinementContract:
             calls += 1
             return f(s, t) ** p
 
-        res = P.g_quadrature(Q.integrate_2d, G.make_generator(gen_spec), f_pow, Q.UNIT_SQUARE,
-                             tol=1e-8, max_depth=30)
+        _, res = P.g_integral_2d_result(G.make_generator(gen_spec), f_pow, Q.UNIT_SQUARE,
+                                        tol=1e-8, max_depth=30)
         assert res.status == "converged"
         # one call per level (1,023 levels) plus the first one
         assert (calls, res.evaluations, res.value) == REFINEMENT_CONTRACT[f_src, gen_spec, p]
