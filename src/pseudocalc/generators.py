@@ -67,14 +67,14 @@ class Generator:
         return float(self.forward(self.domain_low))
 
 
-def outside_range(gen: Generator, y: float) -> bool:
-    """Whether y lies farther than RANGE_SLACK·max(1, |y|) outside g's range.
+def outside_range(gen: Generator, y):
+    """Whether y lies farther than RANGE_SLACK·max(1, |y|) outside g's range (elementwise).
 
     y ± slack(y) is monotone in y, so an array lies within the slack iff its
     minimum and maximum do.
     """
-    slack = RANGE_SLACK * max(1.0, abs(y))
-    return y < gen.range_low - slack or y > gen.range_high + slack
+    slack = RANGE_SLACK * np.maximum(1.0, np.abs(y))
+    return (y < gen.range_low - slack) | (y > gen.range_high + slack)
 
 
 def eval_inverse(gen: Generator, y: float) -> float:

@@ -7,10 +7,24 @@ active at a depth are evaluated in one integrand call, after the manner of
 Gander & Gautschi, "Adaptive quadrature — revisited" (BIT 2000).  A panel is
 accepted when its Richardson estimate |S₂ − S₁|/15 is within tol/2^depth;
 otherwise it is split, up to max_depth.  integrate_1d is a batch of one.
+integrate_batch serves integrals of one integrand with varying limits.
+
 integrate_2d iterates it (inner in t, outer in s, matching the dtds ordering
-of the double integrals it serves): the inner integrals of all the outer
-nodes created at one outer level form one inner batch.  integrate_batch
-serves integrals of one integrand with varying limits.
+of the double integrals it serves), and computes inner integrals ahead of
+the outer engine, which shows it each level's nodes and panel ends first.
+When a level asks for outer nodes whose inner integrals are not done yet,
+one inner batch computes them together with those at the quarter nodes of
+the next LOOKAHEAD outer levels below the level's panels, formed with the
+engine's own float operations; results are kept by the outer node's exact
+value.  An inner integral does not depend on the others in its batch, and
+only the inner results the outer engine consumes count toward evaluations
+and the status, so every value, error estimate, status and evaluation
+count is the same as with one inner batch per outer level.  An inner
+integral computed ahead gets SPECULATIVE_BUDGET evaluations instead of
+EVAL_BUDGET; one that runs out is dropped, and from then on that 2-D
+integral computes only the nodes its levels ask for.  As an inner level
+costs a fixed handful of numpy calls (below), one batch for about three
+outer levels is the saving.
 
 Integrands are called on numpy arrays of nodes (eval_nodes); callables that
 cannot take arrays are called once per node.  A node fails when the
@@ -50,8 +64,9 @@ of the budget, a panel is capped.
 Summation: each integral's accepted panel values (S₂ plus the Richardson
 correction) are summed sequentially in order of their left endpoints, the
 order of a depth-first traversal, so the value does not depend on how the
-panels were batched.  One np.cumsum per integral does it from +0.0, as a
-loop would; a pairwise np.sum would not give the same bits.
+panels were batched.  One np.cumsum per integral of two or more terms does
+it from +0.0, as a loop would; a pairwise np.sum would not give the same
+bits.
 
 Grids: grid_eval is the one tensor-grid evaluation behind every grid
 engine.  It calls the (pointwise) f once on the column xs[:, None] and the
@@ -81,6 +96,8 @@ BLOWUP_PANEL = 1e8
 EVAL_BUDGET = 2_000_000
 PROBE_DISTANCE = 2.0**-20  # of the endpoint probe from a limit, per unit of b − a
 BATCH_CHUNK = 1 << 15  # nodes per integrand call when a level batch is large
+LOOKAHEAD = 2  # outer levels whose inner integrals integrate_2d computes ahead
+SPECULATIVE_BUDGET = 1024  # evaluations of an inner integral computed ahead, ~one level's cost
 
 CONVERGED = "converged"
 MAX_REFINEMENT = "max_refinement"
@@ -180,17 +197,23 @@ _LEFT_CHILD = np.array([_OWNER, _A, _M, _FA, _FLM, _FM, _SL, _DEPTH])
 _RIGHT_CHILD = np.array([_OWNER, _M, _B, _FM, _FRM, _FB, _SR, _DEPTH])
 
 
-def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResult]:
+def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
+              ahead=None) -> list[QuadratureResult]:
     """Adaptive Simpson estimates of ∫_low[k]^high[k], k < K, advanced level by level.
 
     fk(x, k) gives the integrand values at nodes x of the integrals k, as a
-    new float array with NaN for failed nodes.
+    new float array with NaN for failed nodes.  budget caps the evaluations
+    of each integral: one cap for all, or an array of K.  ahead, if given, is
+    called as ahead(x, lo, hi) before the first call and before each level's
+    call evaluates the nodes x; lo and hi are the ends of the panels whose
+    quarter nodes the next level evaluates if no panel is accepted.
     """
     low = np.asarray(low, dtype=float)
     high = np.asarray(high, dtype=float)
     K = low.size
     evals = np.zeros(K, dtype=np.int64)
     spent = 0  # evaluations of all K integrals: none of them has spent more
+    least_budget = int(np.min(budget))
 
     def call(x, k):
         nonlocal spent
@@ -202,6 +225,8 @@ def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResul
 
     ks = np.arange(K)
     x = np.concatenate([low, high, 0.5 * (low + high)])
+    if ahead is not None:
+        ahead(x, low, high)
     v = call(x, np.concatenate([ks, ks, ks]))
     retry = np.flatnonzero(np.isnan(v[:2 * K]))
     if retry.size:
@@ -235,8 +260,9 @@ def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResul
 
     while panels.shape[1]:
         owner = panels[_OWNER].astype(np.intp)
-        if spent + 2 * owner.size > EVAL_BUDGET and int(evals.max()) + 2 * owner.size > EVAL_BUDGET:
-            over = (evals + 2 * np.bincount(owner, minlength=K) > EVAL_BUDGET)[owner]
+        if (spent + 2 * owner.size > least_budget
+                and int(np.max(evals - budget)) + 2 * owner.size > 0):
+            over = (evals + 2 * np.bincount(owner, minlength=K) > budget)[owner]
             if over.any():
                 out_of_budget[owner[over]] = True
                 panels, owner = panels[:, ~over], owner[~over]
@@ -246,6 +272,9 @@ def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResul
         a, m, b, depth = panels[_A], panels[_M], panels[_B], panels[_DEPTH]
         np.multiply(a + b, 0.5, out=m)
         x = (panels[_A:_M + 1] + panels[_M:_B + 1]) * 0.5   # rows (a + m)/2 and (m + b)/2
+        if ahead is not None:
+            # the children: left ends a, m (rows _A, _M) and right ends m, b (rows _M, _B)
+            ahead(x.ravel(), panels[_A:_M + 1].ravel(), panels[_M:_B + 1].ravel())
         v = call(x.ravel(), np.concatenate((owner, owner)))
         quarter = panels[_FLM:_FRM + 1]
         quarter[...] = v.reshape(2, n)
@@ -287,16 +316,18 @@ def _adaptive(fk, low, high, tol: float, max_depth: int) -> list[QuadratureResul
         bounds = np.searchsorted(records[_OWNER, order], np.arange(K + 1))
         some = np.flatnonzero(bounds[1:] > bounds[:-1])   # the integrals with terms
         terms[:, bounds[some]] += 0.0   # 0.0 + (-0.0) is +0.0
-        for lo, hi in zip(bounds[some].tolist(), bounds[some + 1].tolist()):
+        many = some[bounds[some + 1] - bounds[some] > 1]   # a single term is its own sum
+        for lo, hi in zip(bounds[many].tolist(), bounds[many + 1].tolist()):
             np.add.accumulate(terms[:, lo:hi], axis=1, out=terms[:, lo:hi])
         sums[:, some] = terms[:, bounds[some + 1] - 1]
     results = []
-    for kk, (total, error) in enumerate(zip(*sums.tolist())):
+    for total, error, count, over, failed in zip(*sums.tolist(), evals.tolist(), out_of_budget.tolist(),
+                                                 (divergent | ~started).tolist()):
         status = CONVERGED if error <= tol else MAX_REFINEMENT
         # an integral that never started has no terms, so its total is 0.0
-        if not started[kk] or out_of_budget[kk] or divergent[kk]:
-            error, status = math.inf, MAX_REFINEMENT if out_of_budget[kk] else DIVERGED
-        results.append(QuadratureResult(total, error, int(evals[kk]), status))
+        if over or failed:
+            error, status = math.inf, MAX_REFINEMENT if over else DIVERGED
+        results.append(QuadratureResult(total, error, count, status))
     return results
 
 
@@ -327,14 +358,40 @@ def integrate_2d(f, r: Rect, tol: float = DEFAULT_TOL,
     """Iterated adaptive integration of ∫∫_r f(s,t) dt ds (inner in t, outer in s)."""
     _check_tol(tol)
     inner_tol = tol * 0.1
+    done = {}   # outer node -> the QuadratureResult of its inner integral
+    speculate = True
     inner_evals = 0
     inner_worst = CONVERGED
 
+    def inner_batch(x: np.ndarray, lo=None, hi=None):
+        # one inner batch for the outer nodes x not done yet and, while
+        # speculating, the quarter nodes of the LOOKAHEAD levels below the
+        # panels (lo, hi), formed as the outer engine forms them
+        nonlocal speculate
+        todo = [node for node in dict.fromkeys(x.tolist()) if node not in done]
+        if not todo:
+            return
+        wanted = len(todo)
+        if speculate and lo is not None:
+            for _ in range(LOOKAHEAD):
+                m = (lo + hi) * 0.5
+                todo += ((lo + m) * 0.5).tolist() + ((m + hi) * 0.5).tolist()
+                lo, hi = np.concatenate((lo, m)), np.concatenate((m, hi))
+            todo = [node for node in dict.fromkeys(todo) if node not in done]
+        s = np.array(todo)
+        budget = np.where(np.arange(s.size) < wanted, EVAL_BUDGET, SPECULATIVE_BUDGET)
+        results = _adaptive(lambda t, j: eval_nodes(f, s[j], t), np.full(s.size, r.y_low),
+                            np.full(s.size, r.y_high), inner_tol, max_depth, budget)
+        for i, (node, res) in enumerate(zip(todo, results)):
+            if i >= wanted and res.status == MAX_REFINEMENT and res.error_estimate == math.inf:
+                speculate = False   # out of its speculative budget: dropped
+            else:
+                done[node] = res
+
     def outer_integrand(s: np.ndarray, _owner) -> np.ndarray:
         nonlocal inner_evals, inner_worst
-        results = _adaptive(lambda t, j: eval_nodes(f, s[j], t),
-                            np.full(s.size, r.y_low), np.full(s.size, r.y_high),
-                            inner_tol, max_depth)
+        inner_batch(s)   # the retries at a limit, which come without a level
+        results = [done[node] for node in s.tolist()]
         inner_evals += sum(res.evaluations for res in results)
         if any(res.status == MAX_REFINEMENT for res in results):
             inner_worst = MAX_REFINEMENT
@@ -342,7 +399,7 @@ def integrate_2d(f, r: Rect, tol: float = DEFAULT_TOL,
         return _nan_for_failed(np.array([math.nan if res.status == DIVERGED else res.value
                                          for res in results]))
 
-    outer = _adaptive(outer_integrand, [r.x_low], [r.x_high], tol, max_depth)[0]
+    outer = _adaptive(outer_integrand, [r.x_low], [r.x_high], tol, max_depth, ahead=inner_batch)[0]
     evaluations = inner_evals + outer.evaluations
     status = outer.status
     if status == CONVERGED and inner_worst == MAX_REFINEMENT:

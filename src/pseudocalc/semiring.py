@@ -10,8 +10,10 @@ Four kinds:
 sup_plus and sup_times are the λ→∞ limit semirings of the generator families
 e^{λx} and x^{-λ}; the limits are implemented in closed form since large λ
 overflows doubles.  Results outside [0,1] (sup_plus addition) or outside a
-generator's range (g-generated) clamp to the boundary and are flagged through
-an optional SaturationFlags accumulator rather than silently accepted.
+generator's range (g-generated) clamp to the boundary and are counted in an
+optional SaturationFlags accumulator rather than silently accepted; for a
+generator the count takes the range rule of generators.outside_range, so
+rounding at a range end is clamped but not counted.
 
 All operations are numpy-polymorphic: floats or arrays.
 """
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import Generator, RangeError, eval_inverse, make_generator
+from .generators import Generator, RangeError, eval_inverse, make_generator, outside_range
 
 G_GENERATED = "g_generated"
 SUP_PLUS = "sup_plus"
@@ -88,15 +90,14 @@ def g_generated(gen: Generator) -> Semiring:
 
 
 def _clamp_to_range(gen: Generator, v, flags: SaturationFlags | None, which: str):
-    lo, hi = gen.range_low, gen.range_high
-    clipped = np.clip(v, lo, hi)
-    if np.any(np.asarray(v) != np.asarray(clipped)):
-        if flags is not None:
-            if which == "add":
-                flags.add_saturations += int(np.sum(np.asarray(v) != np.asarray(clipped)))
-            else:
-                flags.mul_saturations += int(np.sum(np.asarray(v) != np.asarray(clipped)))
-    return clipped
+    if flags is not None:
+        # rounding at a range end is no saturation: count only what g⁻¹ refuses
+        refused = int(np.count_nonzero(outside_range(gen, v)))
+        if which == "add":
+            flags.add_saturations += refused
+        else:
+            flags.mul_saturations += refused
+    return np.clip(v, gen.range_low, gen.range_high)
 
 
 def pseudo_add(s: Semiring, a, b, flags: SaturationFlags | None = None):

@@ -291,14 +291,16 @@ ENGINE_CASES = {
 # integrand calls, evaluations and value of two deep g-Hardy right-hand sides
 # (∬ g(f^p) over the unit square at the checks' tol 1e-8 and depth cap 30),
 # recorded on the engine whose level loop built its children with one large
-# concatenate and summed its panels in a Python loop: the engine must refine,
-# batch and sum them exactly as it did
+# concatenate and summed its panels in a Python loop: the engine must refine
+# and sum them exactly as it did.  Only the calls moved since: 32 inner
+# batches of 32 calls when each outer level ran its own batch, 11 now that one
+# batch also computes the inner integrals of the next LOOKAHEAD outer levels
 REFINEMENT_CONTRACT = {
     # Remark 3.5(a): g = sqrt, f = x²y², p = 1/6
-    ("x^2*y^2", "sqrt", 1.0 / 6.0): (1024, 302838, 0.7346938775161368),
+    ("x^2*y^2", "sqrt", 1.0 / 6.0): (352, 302838, 0.7346938775161368),
     # the slowest right-hand side of the benchmark's 80 g_hardy checks
     ("x^0.17393906703204287*y^0.1740217941277593", "identity", 2.0):
-        (1024, 138586, 0.5503581939872035),
+        (352, 138586, 0.5503581939872035),
 }
 
 
@@ -316,7 +318,7 @@ class TestRefinementContract:
         _, res = P.g_integral_2d_result(G.make_generator(gen_spec), f_pow, Q.UNIT_SQUARE,
                                         tol=1e-8, max_depth=30)
         assert res.status == "converged"
-        # one call per level (1,023 levels) plus the first one
+        # per inner batch, one call for its first nodes and one per level (31 levels)
         assert (calls, res.evaluations, res.value) == REFINEMENT_CONTRACT[f_src, gen_spec, p]
 
     def test_sum_is_sequential_in_left_end_order(self):
@@ -326,6 +328,51 @@ class TestRefinementContract:
         f = lambda x: np.exp(12.0 * x) * np.sin(90.0 * x) + 1e-3 / (x + 1e-3)
         res = Q.integrate_1d(f, 0.0, 1.0, 1e-8)
         assert (res.evaluations, res.value) == (19917, 1007.9482479317206)
+
+
+# integrate_2d results recorded when each outer level ran its own inner batch,
+# as (value.hex(), error_estimate, evaluations, status), at tol 1e-8: computing
+# inner integrals ahead of the outer engine must keep every bit and count
+LOOKAHEAD_BITS = {
+    "x^(-0.5)": ("0x1.0001c2f8c2df4p+1", 4.64755084571537e-06, 22290, "max_refinement"),
+    "y^(-0.5)": ("0x1.0001c2f8bca48p+1", 0.0, 30700, "max_refinement"),
+    "(x*y)^(-0.6)": ("0x0.0p+0", math.inf, 322454, "diverged"),
+    "(x*y)^(-2)": ("0x0.0p+0", math.inf, 30, "diverged"),
+    "x/(x+y)": ("0x1.ffffffff87f7ep-2", 3.952187118128966e-09, 61384, "converged"),
+    "x^0.1447*y^0.3377": ("0x1.4e5d31127532fp-1", 3.088700349926929e-09, 243434, "converged"),
+    "exp(80*x*y)": ("0x0.0p+0", math.inf, 3551232, "diverged"),
+    "scalar only: 1/(1+s*t)": ("0x1.a51a66254abacp-1", 3.2778811294894204e-09, 2090, "converged"),
+    "scalar only: t^-2 on 0.2<s<0.3": ("0x0.0p+0", math.inf, 30, "diverged"),
+}
+SCALAR_ONLY_2D = {
+    "scalar only: 1/(1+s*t)": lambda s, t: 1.0 / (1.0 + s * t) if s >= 0.0 else 0.0,
+    "scalar only: t^-2 on 0.2<s<0.3": lambda s, t: t**-2.0 if 0.2 < s < 0.3 else s * t,
+}
+# integrand nodes per reported evaluation, at most: an inner integral computed
+# ahead spends at most SPECULATIVE_BUDGET, and after one is dropped nothing
+# more is computed ahead (y^(-0.5) drops the six of its first batch; were it
+# to go on computing ahead it would evaluate 1.59 nodes per evaluation)
+LOOKAHEAD_WASTE = {"exp(80*x*y)": 1.01, "(x*y)^(-0.6)": 1.05, "y^(-0.5)": 1.25}
+
+
+class TestInnerLookahead:
+    @pytest.mark.parametrize("name", sorted(LOOKAHEAD_BITS))
+    def test_same_bits_as_one_inner_batch_per_outer_level(self, name):
+        if name in SCALAR_ONLY_2D:
+            integrand = SCALAR_ONLY_2D[name]
+        else:
+            f = _parsed(name)
+            nodes = 0
+
+            def integrand(s, t):
+                nonlocal nodes
+                nodes += t.size
+                return f(s, t)
+
+        res = Q.integrate_2d(integrand, Q.UNIT_SQUARE, 1e-8)
+        assert (res.value.hex(), res.error_estimate, res.evaluations, res.status) == LOOKAHEAD_BITS[name]
+        if name in LOOKAHEAD_WASTE:
+            assert nodes <= LOOKAHEAD_WASTE[name] * res.evaluations
 
 
 class TestEngineContract:

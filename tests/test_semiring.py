@@ -55,6 +55,24 @@ class TestExamples:
         assert S.pseudo_add(KINDS["g_sqrt"], 0.81, 0.81, flags) == 1.0
         assert flags.add_saturations == 1
 
+    def test_rounding_at_a_range_end_is_not_saturation(self):
+        # exp:2: x ⊙ (1 − x) = g⁻¹(e^{2x}·e^{2(1−x)}) is exactly the range end e²;
+        # the rounded product lands on either side of it and is clamped, but
+        # g⁻¹ takes it, so no saturation is counted
+        s = S.g_generated(G.exp_family(2.0))
+        x = np.random.default_rng(7).random(100_000)
+        flags = S.SaturationFlags()
+        got = S.pseudo_mul(s, x, 1.0 - x, flags)
+        assert flags.mul_saturations == 0
+        assert np.abs(got - 1.0).max() < 1e-12
+
+    def test_out_of_range_product_counts(self):
+        # exp:2: 0.75 ⊙ 0.75 would be 1.5, as g(0.75)² = e³ lies past e²
+        s = S.g_generated(G.exp_family(2.0))
+        flags = S.SaturationFlags()
+        assert S.pseudo_mul(s, np.array([0.75, 0.25]), np.array([0.75, 0.25]), flags).tolist() == [1.0, 0.5]
+        assert flags.mul_saturations == 1
+
 
 class TestGeneratedFamilies:
     def test_exp_family_mul_is_addition(self):
