@@ -19,13 +19,12 @@ through it, so an undefined side reads the same everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-ROUNDTRIP_TOL = 1e-9  # fixed, not configurable: failures mean a wrong inverse
 SINGULAR_CLAMP = 1e-6  # domain_low clamp for generators unbounded at 0
 RANGE_SLACK = 1e-12  # g⁻¹ is taken this far outside g's range, relative to max(1, |y|)
 
@@ -49,8 +48,6 @@ class Generator:
     direction: str = INCREASING
     domain_low: float = 0.0
     domain_high: float = 1.0
-    singular_at_zero: bool = False
-    notes: tuple[str, ...] = field(default=())
 
     # cached: the range rule reads both ends at every g⁻¹ (a frozen dataclass
     # keeps its own __dict__, which cached_property fills)
@@ -83,46 +80,6 @@ def eval_inverse(gen: Generator, y: float) -> float:
     if outside_range(gen, y):
         raise RangeError(f"{gen.name}: y={y!r} outside range [{lo}, {hi}]")
     return float(gen.inverse(min(max(y, lo), hi)))
-
-
-@dataclass
-class ValidationReport:
-    name: str
-    samples: int
-    max_roundtrip_error: float
-    monotonic: bool
-    violation_at: float | None
-    passed: bool
-    notes: list[str]
-
-
-def validate_generator(gen: Generator, samples: int = 1000) -> ValidationReport:
-    """Grid check of strict monotonicity and inverse round-trip accuracy."""
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    # interior grid: endpoints excluded so singular generators validate too
-    xs = np.linspace(gen.domain_low, gen.domain_high, samples + 2)[1:-1]
-    fx = np.asarray(gen.forward(xs), dtype=float)
-    back = np.asarray(gen.inverse(fx), dtype=float)
-    errors = np.abs(back - xs)
-    max_err = float(np.max(errors))
-    diffs = np.diff(fx)
-    want = 1.0 if gen.direction == INCREASING else -1.0
-    bad = np.where(np.sign(diffs) != want)[0]
-    monotonic = bad.size == 0
-    violation_at = float(xs[bad[0]]) if not monotonic else None
-    notes = list(gen.notes)
-    if gen.singular_at_zero:
-        notes.append(f"domain_low clamped to {gen.domain_low} (g unbounded at 0)")
-    return ValidationReport(
-        name=gen.name,
-        samples=samples,
-        max_roundtrip_error=max_err,
-        monotonic=monotonic,
-        violation_at=violation_at,
-        passed=monotonic and max_err < ROUNDTRIP_TOL,
-        notes=notes,
-    )
 
 
 # --- catalog ---------------------------------------------------------------
@@ -165,7 +122,6 @@ def inv_power(lam: float) -> Generator:
         lambda y: y ** (-1.0 / lam),
         direction=DECREASING,
         domain_low=SINGULAR_CLAMP,
-        singular_at_zero=True,
     )
 
 

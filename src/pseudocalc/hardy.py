@@ -319,7 +319,8 @@ class GKernelGrid:
         self.fv = grid_eval_inward(f, self.x, self.y)
         if not np.all(np.isfinite(self.fv)):
             raise DomainError("f failed to evaluate on the kernel grid")
-        W = np.asarray(gen.forward(self.fv), dtype=float)
+        with np.errstate(over="ignore"):   # an overflow is the DomainError below
+            W = np.asarray(gen.forward(self.fv), dtype=float)
         if not np.all(np.isfinite(W)):
             raise DomainError("g∘f is not finite on the kernel grid")
         inner = cumulative_simpson(W * self.jac, self.h, axis=1)
@@ -331,7 +332,8 @@ class GKernelGrid:
 
     def integral_of_g_of_R_pow(self, p: float) -> float:
         """Classical value ∬ g(R^p) dxdy over [0,X]×[0,Y] (Simpson on the grid)."""
-        values = np.asarray(self.gen.forward(self.R ** p), dtype=float)
+        with np.errstate(over="ignore"):   # an overflow is the DomainError below
+            values = np.asarray(self.gen.forward(self.R ** p), dtype=float)
         if not np.all(np.isfinite(values)):
             raise DomainError("g(R^p) is not finite on the kernel grid")
         integrand = np.zeros_like(self.prefix)

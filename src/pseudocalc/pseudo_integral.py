@@ -18,7 +18,8 @@ integral's result; they raise DivergenceError when it diverges and
 DomainError when generators.eval_inverse finds its value out of g's range.
 
 Decreasing generators are accepted: the formulas use g and g⁻¹ directly, the
-declared direction only matters for validation.
+declared direction only decides which end of the domain gives which end of
+g's range.
 """
 
 from __future__ import annotations

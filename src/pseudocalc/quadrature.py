@@ -64,9 +64,9 @@ of the budget, a panel is capped.
 Summation: each integral's accepted panel values (S₂ plus the Richardson
 correction) are summed sequentially in order of their left endpoints, the
 order of a depth-first traversal, so the value does not depend on how the
-panels were batched.  One np.cumsum per integral of two or more terms does
-it from +0.0, as a loop would; a pairwise np.sum would not give the same
-bits.
+panels were batched.  One stable argsort of all the left ends and one
+np.add.at into +0.0 accumulators do it: np.add.at adds in index order, as a
+loop would, where a pairwise np.sum would not give the same bits.
 
 Grids: grid_eval is the one tensor-grid evaluation behind every grid
 engine.  It calls the (pointwise) f once on the column xs[:, None] and the
@@ -220,7 +220,7 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
         v = fk(x, k) if x.size <= BATCH_CHUNK else np.concatenate(
             [fk(x[i:i + BATCH_CHUNK], k[i:i + BATCH_CHUNK]) for i in range(0, x.size, BATCH_CHUNK)])
         spent += x.size
-        evals[:] += x.size if K == 1 else np.bincount(k, minlength=K)
+        evals[:] += np.bincount(k, minlength=K)
         return v
 
     ks = np.arange(K)
@@ -305,21 +305,19 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
         panels[_CHILD, 1::2] = split[_RIGHT_CHILD]
         panels[_DEPTH] += 1.0
 
-    # each integral's terms in order of their left ends, summed left to right
-    # from +0.0 as a loop over them would: one np.add.accumulate (np.cumsum)
-    # per integral, which adds sequentially where np.sum would add pairwise
+    # each integral's terms added left to right from +0.0, as a loop over them
+    # would: its panels partition its interval, so their left ends order them
+    # depth-first, and np.add.at adds in index order (unbuffered) where np.sum
+    # would add pairwise.  The sort is stable: a panel too narrow to split
+    # leaves a zero-width half whose left end ties its neighbour's, and the
+    # tie keeps the order in which the levels finished them
     sums = np.zeros((2, K))
     if parts:
         records = np.concatenate(parts, axis=1)
-        order = np.lexsort((records[_A], records[_OWNER])) if K > 1 else np.argsort(records[_A])
-        terms = records[_VAL:_ERR + 1, order]
-        bounds = np.searchsorted(records[_OWNER, order], np.arange(K + 1))
-        some = np.flatnonzero(bounds[1:] > bounds[:-1])   # the integrals with terms
-        terms[:, bounds[some]] += 0.0   # 0.0 + (-0.0) is +0.0
-        many = some[bounds[some + 1] - bounds[some] > 1]   # a single term is its own sum
-        for lo, hi in zip(bounds[many].tolist(), bounds[many + 1].tolist()):
-            np.add.accumulate(terms[:, lo:hi], axis=1, out=terms[:, lo:hi])
-        sums[:, some] = terms[:, bounds[some + 1] - 1]
+        order = np.argsort(records[_A], kind="stable")
+        owner = records[_OWNER, order].astype(np.intp)
+        np.add.at(sums[0], owner, records[_VAL, order])
+        np.add.at(sums[1], owner, records[_ERR, order])
     results = []
     for total, error, count, over, failed in zip(*sums.tolist(), evals.tolist(), out_of_budget.tolist(),
                                                  (divergent | ~started).tolist()):

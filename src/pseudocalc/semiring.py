@@ -56,12 +56,6 @@ class Semiring:
     zero: float | None = 0.0
     unit: float | None = 1.0
 
-    @property
-    def name(self) -> str:
-        if self.kind == G_GENERATED:
-            return f"g:{self.gen.name}"
-        return {SUP_PLUS: "supplus", SUP_TIMES: "suptimes", MAX_MIN: "maxmin"}[self.kind]
-
 
 def sup_plus() -> Semiring:
     # ⊙ = + has unit 0

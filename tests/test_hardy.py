@@ -106,6 +106,16 @@ class TestKernel:
             seen.add(elementwise)
         assert seen == {False, True}
 
+    def test_generator_overflow_is_a_domain_error(self):
+        # exp overflows to inf without a RuntimeWarning (warnings are errors
+        # here); the finiteness checks turn it into the DomainError
+        f = expr.as_function(expr.parse("(x+y)/2"))
+        kernel = H.GKernelGrid(G.make_generator("exp:20"), f, 1.0, 1.0)
+        with pytest.raises(H.DomainError, match=r"g\(R\^p\) is not finite on the kernel grid"):
+            kernel.integral_of_g_of_R_pow(2.0)
+        with pytest.raises(H.DomainError, match="g∘f is not finite on the kernel grid"):
+            H.GKernelGrid(G.make_generator("exp:2000"), f, 1.0, 1.0, panels=8)
+
 
 class TestCheckHardyG:
     def test_worked_half_scenario(self):

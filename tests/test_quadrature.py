@@ -329,6 +329,21 @@ class TestRefinementContract:
         res = Q.integrate_1d(f, 0.0, 1.0, 1e-8)
         assert (res.evaluations, res.value) == (19917, 1007.9482479317206)
 
+    def test_zero_width_halves_keep_their_place(self):
+        # intervals of about 2,000 and 3,000 ulps refined to depth 24 split
+        # panels too narrow to halve: a zero-width half with a nonzero term
+        # shares its left end with its neighbour, and the stable sort keeps
+        # the two in the order the levels finished them, alone or in a batch
+        # (an unstable sort reads ...ca7p-28 and ...fed9p-29 here, alone)
+        f = lambda x: np.exp(12.0 * x) * np.sin(90.0 * x) + 1e-3 / (x + 1e-3)
+        lows, highs = [0.911934132260798, 0.7763952955906338], [0.911934132261017, 0.7763952955909361]
+        tol = 1.6792965507522858e-14
+        alone = [Q.integrate_1d(f, lo, hi, tol, 24) for lo, hi in zip(lows, highs)]
+        assert Q.integrate_batch(f, np.array(lows), np.array(highs), tol, 24) == alone
+        assert [(res.value.hex(), res.evaluations, res.status) for res in alone] == [
+            ("0x1.4a9f2c0204ca8p-28", 3837, "max_refinement"),
+            ("0x1.3eadc07fdfed8p-29", 12369, "max_refinement")]
+
 
 # integrate_2d results recorded when each outer level ran its own inner batch,
 # as (value.hex(), error_estimate, evaluations, status), at tol 1e-8: computing
@@ -404,10 +419,23 @@ class TestEngineContract:
         assert res.evaluations <= 2 * DEPTH_FIRST_RESULTS["(s*t)^-2"][1]
 
     def test_batch_matches_single_integrals(self):
-        f = lambda x: np.sqrt(x) * np.cos(3.0 * x)
-        highs = [0.1, 0.5, 1.0]
-        batch = Q.integrate_batch(f, np.zeros(3), np.array(highs), 1e-10)
-        assert batch == [Q.integrate_1d(f, 0.0, h, 1e-10) for h in highs]
+        # the last two batches have left ends that interleave across
+        # integrals, so the final sort mixes their terms: [0.1, 0.9] spans the
+        # pole at 0.8 and diverges with a partial value, and the cubic's
+        # integrals settle in one panel (a single term) each
+        root_cos = lambda x: np.sqrt(x) * np.cos(3.0 * x)
+        pole = lambda x: np.sqrt(x) * np.cos(3.0 * x) + 1.0 / (x - 0.8)
+        cubic = lambda x: x * x * (3.0 - x)
+        cases = [(root_cos, [0.0, 0.0, 0.0], [0.1, 0.5, 1.0]),
+                 (pole, [0.5, 0.0, 0.25, 0.1, 0.85, 0.0], [0.7, 0.75, 0.3, 0.9, 1.0, 0.5]),
+                 (cubic, [0.0, 0.2, 0.5], [0.6, 1.0, 0.9])]
+        for f, lows, highs in cases:
+            batch = Q.integrate_batch(f, np.array(lows), np.array(highs), 1e-10)
+            assert batch == [Q.integrate_1d(f, lo, hi, 1e-10) for lo, hi in zip(lows, highs)]
+            if f is pole:
+                assert batch[3].status == "diverged" and batch[3].value != 0.0
+            if f is cubic:
+                assert [res.evaluations for res in batch] == [5, 5, 5]
 
     def test_eval_nodes_marks_failures(self):
         xs = np.array([0.0, 0.5, 1.0])

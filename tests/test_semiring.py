@@ -186,8 +186,3 @@ def test_parse_semiring():
     assert S.parse_semiring("g:power:2").gen.name == "power:2"
     with pytest.raises(ValueError):
         S.parse_semiring("bogus")
-
-
-def test_names():
-    assert S.parse_semiring("g:sqrt").name == "g:sqrt"
-    assert S.sup_plus().name == "supplus"
