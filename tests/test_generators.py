@@ -100,6 +100,24 @@ class TestRoundTripGrid:
         want = 1.0 if gen.direction == G.INCREASING else -1.0
         assert np.all(np.sign(diffs) == want)
 
+    @pytest.mark.parametrize("gen", CATALOG, ids=lambda g: g.name)
+    def test_domain_ends_invert_through_the_range_rule(self, gen):
+        # the interior grid leaves the ends out; g at either end of the domain
+        # is an end of the range, and g⁻¹ takes it back to that end
+        for x in (gen.domain_low, gen.domain_high):
+            y = float(gen.forward(x))
+            assert not G.outside_range(gen, y)
+            assert G.eval_inverse(gen, y) == pytest.approx(x, rel=1e-9, abs=1e-12)
+
+    def test_user_built_generator(self):
+        # a generator outside the catalog gets its range from its domain ends
+        gen = G.Generator("square", lambda x: x**2, np.sqrt)
+        assert (gen.range_low, gen.range_high) == (0.0, 1.0)
+        assert G.eval_inverse(gen, 0.25) == 0.5
+        with pytest.raises(G.RangeError):
+            G.eval_inverse(gen, 1.5)
+        assert (S.g_generated(gen).zero, S.g_generated(gen).unit) == (0.0, 1.0)
+
     def test_singular_generator_is_clamped(self):
         # invpower is unbounded at 0, so its domain starts at the clamp
         assert G.inv_power(1.5).domain_low == G.SINGULAR_CLAMP

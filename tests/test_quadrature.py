@@ -437,6 +437,33 @@ class TestEngineContract:
             if f is cubic:
                 assert [res.evaluations for res in batch] == [5, 5, 5]
 
+    def test_batch_order_does_not_matter(self):
+        # the final sort orders terms by left end, not by owner: reversing the
+        # integrals of a batch reverses its results, bit for bit
+        f = lambda x: np.sqrt(x) * np.cos(3.0 * x) + 1.0 / (x - 0.8)
+        lows, highs = [0.5, 0.0, 0.25, 0.1, 0.85, 0.0], [0.7, 0.75, 0.3, 0.9, 1.0, 0.5]
+        batch = Q.integrate_batch(f, np.array(lows), np.array(highs), 1e-10)
+        backwards = Q.integrate_batch(f, np.array(lows[::-1]), np.array(highs[::-1]), 1e-10)
+        assert backwards == batch[::-1]
+
+    def test_unstarted_integral_sums_to_positive_zero(self):
+        # 1/(x-0.5)^2 fails at 0.5 and the inward probe finds it divergent, so
+        # [0.5, 1] never starts: it has no terms, and its +0.0 accumulator is
+        # its value; its neighbour in the batch is untouched
+        f = lambda x: 1.0 / (x - 0.5) ** 2
+        fine, unstarted = Q.integrate_batch(f, np.array([0.0, 0.5]), np.array([0.25, 1.0]), 1e-10)
+        assert fine == Q.integrate_1d(f, 0.0, 0.25, 1e-10)
+        assert unstarted.status == "diverged" and unstarted.error_estimate == math.inf
+        assert unstarted.value == 0.0 and math.copysign(1.0, unstarted.value) == 1.0
+
+    def test_add_at_adds_in_index_order(self):
+        # the final sum relies on np.add.at adding repeated indices one by one
+        # in index order: 1 + 1e16 rounds to 1e16, so only that order gives 0.0
+        # for the first accumulator, and the reverse order 1.0 for the second
+        acc = np.zeros(2)
+        np.add.at(acc, np.array([0, 0, 0, 1, 1, 1]), np.array([1.0, 1e16, -1e16, -1e16, 1e16, 1.0]))
+        assert acc.tolist() == [0.0, 1.0]
+
     def test_eval_nodes_marks_failures(self):
         xs = np.array([0.0, 0.5, 1.0])
         assert np.isnan(Q.eval_nodes(lambda x: 1.0 / x, xs)).tolist() == [True, False, False]
