@@ -43,17 +43,15 @@ from .hardy import (
     run_check,
 )
 from .pseudo_integral import (
-    DivergenceError,
-    DomainError,
     PsiDensity,
-    g_integral_1d_result,
-    g_integral_2d_result,
+    g_integral_1d,
+    g_integral_2d,
     sugeno_integral_2d,
     sup_integral_1d,
     sup_integral_2d,
     unit_psi,
 )
-from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL, Rect
+from .quadrature import DEFAULT_LEVEL_SET_GRID, DEFAULT_MAX_DEPTH, DEFAULT_TOL, Rect
 from .semiring import parse_semiring
 
 SCHEMA_VERSION = 1
@@ -139,50 +137,40 @@ def cmd_integrate(args) -> int:
         args.domain = DEFAULT_DOMAINS[args.dim]
     echo = {"f": args.f, "dim": args.dim, "domain": args.domain, "tol": tol,
             "max_depth": depth}
-    try:
-        if args.sugeno:
-            if args.dim != 2:
-                raise ValueError("--sugeno requires --dim 2")
-            r = _parse_domain(args.domain, 2)
-            value = sugeno_integral_2d(f, r, grid=args.grid)
-            body = {"value": value, "status": "converged", "integral": "sugeno"}
-            _emit(_payload("integral", body, echo), args.format, args.output)
-            return EXIT_OK
-        if args.semiring:
-            s = parse_semiring(args.semiring)
-            psi = PsiDensity.from_string(args.psi) if args.psi else unit_psi(s)
-            echo["semiring"] = args.semiring
-            echo["psi"] = args.psi or psi.description
-            if args.dim == 2:
-                r = _parse_domain(args.domain, 2)
-                value = sup_integral_2d(s, f, psi, r)
-            else:
-                lo, hi = _parse_domain(args.domain, 1)
-                value = sup_integral_1d(s, lambda x: f(x, 0.0), psi, lo, hi)
-            body = {"value": value, "status": "converged", "integral": "sup"}
-            _emit(_payload("integral", body, echo), args.format, args.output)
-            return EXIT_OK
-        if not args.g:
-            raise ValueError("one of --g or --semiring is required")
+    if args.sugeno:
+        if args.dim != 2:
+            raise ValueError("--sugeno requires --dim 2")
+        value = sugeno_integral_2d(f, _parse_domain(args.domain, 2), grid=args.grid)
+        body = {"value": value, "status": "converged", "integral": "sugeno"}
+    elif args.semiring:
+        s = parse_semiring(args.semiring)
+        psi = PsiDensity.from_string(args.psi) if args.psi else unit_psi(s)
+        echo["semiring"] = args.semiring
+        echo["psi"] = args.psi or psi.description
+        if args.dim == 2:
+            value = sup_integral_2d(s, f, psi, _parse_domain(args.domain, 2))
+        else:
+            lo, hi = _parse_domain(args.domain, 1)
+            value = sup_integral_1d(s, lambda x: f(x, 0.0), psi, lo, hi)
+        body = {"value": value, "status": "converged", "integral": "sup"}
+    elif not args.g:
+        raise ValueError("one of --g or --semiring is required")
+    else:
         gen = make_generator(args.g)
         echo["g"] = args.g
         if args.dim == 1:
             lo, hi = _parse_domain(args.domain, 1)
-            value, quad = g_integral_1d_result(gen, lambda x: f(x, 0.0), lo, hi,
-                                               tol, max_depth=depth)
+            value, quad, reason = g_integral_1d(gen, lambda x: f(x, 0.0), lo, hi, tol, depth)
         else:
-            r = _parse_domain(args.domain, 2)
-            value, quad = g_integral_2d_result(gen, f, r, tol, max_depth=depth)
-        body = {"value": value, "status": quad.status,
-                "error_estimate": quad.error_estimate,
-                "evaluations": quad.evaluations, "integral": "g"}
-        _emit(_payload("integral", body, echo), args.format, args.output)
-        return EXIT_OK
-    except (DivergenceError, DomainError) as e:
-        # the inner integral diverged, or g⁻¹ is undefined at it: no value, as `hardy` reports it
-        body = {"value": None, "status": e.result.status, "integral": "g", "detail": str(e)}
+            value, quad, reason = g_integral_2d(gen, f, _parse_domain(args.domain, 2), tol, depth)
+        if value is None:
+            # the inner integral diverged, or g⁻¹ is undefined at it: no value, as `hardy` reports it
+            body = {"value": None, "status": quad.status, "integral": "g", "detail": reason}
+        else:
+            body = {"value": value, "status": quad.status, "error_estimate": quad.error_estimate,
+                    "evaluations": quad.evaluations, "integral": "g"}
     _emit(_payload("integral", body, echo), args.format, args.output)
-    return EXIT_DIVERGED
+    return EXIT_DIVERGED if value is None else EXIT_OK
 
 
 # --- hardy ----------------------------------------------------------------
@@ -230,7 +218,7 @@ def cmd_hardy(args) -> int:
         if scenario.check_kind == G_HARDY and scenario.p <= 1.0:
             print("for the p <= 1 regime rerun with --diagnostics", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, DomainError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     body = {"scenario": scenario.to_dict(), **report.to_dict()}
@@ -412,7 +400,9 @@ def cmd_refine(args) -> int:
     levels = [int(v) for v in args.levels.split(",")]
     try:
         report: ConvergenceReport = refine_study(scenario, levels)
-    except DivergenceError as e:
+    except ArithmeticError as e:
+        # refine_study's error for a level that is not evaluable is an
+        # ArithmeticError; so is an overflow in the study
         print(f"divergent scenario rejected: {e}", file=sys.stderr)
         return EXIT_DIVERGED
     _emit(_payload("convergence", report.to_dict(), {"levels": levels}),
@@ -444,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", help="sup-measure density expression in x (default: unit)")
     p.add_argument("--sugeno", action="store_true", help="two-dimensional Sugeno integral")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--grid", type=int, default=2048, help="Sugeno level-set grid")
+    p.add_argument("--grid", type=int, default=DEFAULT_LEVEL_SET_GRID, help="Sugeno level-set grid")
     common(p)
 
     p = sub.add_parser("hardy", help="run one Hardy inequality check")

@@ -42,7 +42,16 @@ Every g⁻¹ of a classical integral goes through generators.eval_inverse, so
 one range rule holds in the g check and in all three branches of the p ≤ 1
 remark_diagnostics (0<p<1, p<0, p=0): a side whose integral diverges, or
 whose g⁻¹ is undefined, leaves the report not evaluable with the reason as
-its last note.  A check whose f fails to evaluate is not evaluable too.
+its last note.  pseudo_integral.g_integral_2d returns that reason as a value
+next to the missing one, and the checks read it; nothing is caught.  A check
+whose f fails to evaluate, or whose kernel grid overflows (g∘f, or its prefix
+integrals, not finite), is not evaluable too.
+
+A report with both sides comes from one builder, _report: rhs is
+constant · rhs_integral, and the verdict is the one of the kind's direction
+(DIRECTIONS): "le" (g, sup) holds when lhs ≤ rhs·(1 + VERDICT_REL) +
+VERDICT_ABS, "ge" (Sugeno) when lhs ≥ rhs − SUGENO_SLACK, and "lt"
+(classical) when lhs < rhs.
 """
 
 from __future__ import annotations
@@ -56,10 +65,9 @@ import numpy as np
 from . import expr as expr_mod
 from .generators import Generator, RangeError, eval_inverse, make_generator, outside_range
 from .pseudo_integral import (
-    DivergenceError,
     DomainError,
     PsiDensity,
-    g_integral_2d_result,
+    g_integral_2d,
     psi_weighted,
     sugeno_from_samples,
     sugeno_integral_2d,
@@ -179,8 +187,26 @@ def _not_evaluable(kind: str, p: float, constant: float, statuses: dict, note: s
                        notes=[note], not_evaluable=True)
 
 
-def _le_verdict(lhs: float, rhs: float) -> bool:
-    return lhs <= rhs * (1.0 + VERDICT_REL) + VERDICT_ABS
+# the verdict of each direction, given lhs and rhs
+_VERDICTS = {
+    "le": lambda lhs, rhs: lhs <= rhs * (1.0 + VERDICT_REL) + VERDICT_ABS,
+    "ge": lambda lhs, rhs: lhs >= rhs - SUGENO_SLACK,
+    "lt": lambda lhs, rhs: lhs < rhs,
+}
+
+
+def _report(kind: str, p: float, lhs: float, rhs_integral: float, constant: float,
+            statuses: dict, notes: list, **pointwise) -> HardyReport:
+    """The report of a check whose sides both have values.
+
+    rhs is constant · rhs_integral, and the verdict is the one of the kind's
+    direction (DIRECTIONS, _VERDICTS).
+    """
+    direction = DIRECTIONS[kind]
+    rhs = constant * rhs_integral
+    return HardyReport(kind=kind, p=p, lhs=lhs, rhs_integral=rhs_integral, constant=constant,
+                       rhs=rhs, holds=bool(_VERDICTS[direction](lhs, rhs)), direction=direction,
+                       statuses=statuses, notes=notes, **pointwise)
 
 
 @dataclass(frozen=True)
@@ -288,10 +314,15 @@ def sugeno_hardy_constant(p: float) -> float:
 
 
 def hardy_kernel_g(gen: Generator, f, x: float, y: float, tol: float = 1e-9) -> float:
-    """R(x,y) = (1/(xy)) ∫∫^⊕_{[0,x]×[0,y]} f, via adaptive quadrature."""
+    """R(x,y) = (1/(xy)) ∫∫^⊕_{[0,x]×[0,y]} f, via adaptive quadrature.
+
+    Raises DomainError, with the g-integral's reason, where it has no value.
+    """
     if not (0.0 < x <= 1.0 and 0.0 < y <= 1.0):
         raise ValueError("hardy_kernel_g requires 0 < x, y <= 1")
-    value, _ = g_integral_2d_result(gen, f, Rect(0.0, x, 0.0, y), tol)
+    value, _, reason = g_integral_2d(gen, f, Rect(0.0, x, 0.0, y), tol)
+    if value is None:
+        raise DomainError(reason)
     return value / (x * y)
 
 
@@ -319,12 +350,15 @@ class GKernelGrid:
         self.fv = grid_eval_inward(f, self.x, self.y)
         if not np.all(np.isfinite(self.fv)):
             raise DomainError("f failed to evaluate on the kernel grid")
-        with np.errstate(over="ignore"):   # an overflow is the DomainError below
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow is a DomainError below
             W = np.asarray(gen.forward(self.fv), dtype=float)
-        if not np.all(np.isfinite(W)):
-            raise DomainError("g∘f is not finite on the kernel grid")
-        inner = cumulative_simpson(W * self.jac, self.h, axis=1)
-        self.prefix = cumulative_simpson(inner, self.h, axis=0)
+            if not np.all(np.isfinite(W)):
+                raise DomainError("g∘f is not finite on the kernel grid")
+            inner = cumulative_simpson(W * self.jac, self.h, axis=1)
+            self.prefix = cumulative_simpson(inner, self.h, axis=0)
+        # an infinite W·jac leaves the prefixes that sum it infinite too
+        if not np.all(np.isfinite(self.prefix)):
+            raise DomainError("prefix integrals of g∘f are not finite on the kernel grid")
         self.clipped = (outside_range(gen, float(self.prefix.min()))
                         or outside_range(gen, float(self.prefix.max())))
         pref = np.clip(self.prefix[1:, 1:], gen.range_low, gen.range_high)
@@ -373,17 +407,12 @@ def check_hardy_g(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> H
     p = scn.p
     constant = hardy_constant(p)
     notes: list[str] = []
-    statuses: dict[str, str] = {}
-
-    try:
-        rhs_integral, rhs_quad = g_integral_2d_result(
-            gen, lambda s, t: f(s, t) ** p, scn.domain, config.quad_tol,
-            config.max_depth,
-        )
-        statuses["rhs"] = rhs_quad.status
-    except (DivergenceError, DomainError) as e:
+    rhs_integral, rhs_quad, reason = g_integral_2d(
+        gen, lambda s, t: f(s, t) ** p, scn.domain, config.quad_tol, config.max_depth)
+    statuses = {"rhs": rhs_quad.status}
+    if rhs_integral is None:
         # the inner integral diverged, or g⁻¹ is undefined at its value
-        return _not_evaluable(G_HARDY, p, constant, {"rhs": e.result.status}, str(e))
+        return _not_evaluable(G_HARDY, p, constant, statuses, reason)
 
     try:
         kernel = GKernelGrid(gen, f, scn.domain.x_high, scn.domain.y_high,
@@ -400,13 +429,8 @@ def check_hardy_g(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> H
                               rhs_integral=rhs_integral, rhs=constant * rhs_integral)
 
     pw_max, pw_loc = kernel.pointwise_max()
-    rhs = constant * rhs_integral
-    return HardyReport(
-        kind=G_HARDY, p=p, lhs=lhs, rhs_integral=rhs_integral, constant=constant,
-        rhs=rhs, holds=_le_verdict(lhs, rhs), direction="le",
-        pointwise_max=pw_max, pointwise_location=pw_loc,
-        statuses=statuses, notes=notes,
-    )
+    return _report(G_HARDY, p, lhs, rhs_integral, constant, statuses, notes,
+                   pointwise_max=pw_max, pointwise_location=pw_loc)
 
 
 def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p: float,
@@ -481,17 +505,13 @@ def check_hardy_sup(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) ->
         return _not_evaluable(SUP_HARDY, p, constant, {"lhs": DIVERGED}, str(e))
     if negative:
         notes.append("f takes negative values: theorem hypotheses not met")
-    rhs = constant * rhs_integral
     if flags.saturated:
         notes.append(
             f"saturation: {flags.add_saturations} add / {flags.mul_saturations} mul clamps"
         )
-    return HardyReport(
-        kind=SUP_HARDY, p=p, lhs=lhs, rhs_integral=rhs_integral, constant=constant,
-        rhs=rhs, holds=_le_verdict(lhs, rhs), direction="le",
-        pointwise_max=pointwise_max, pointwise_location=location,
-        statuses={"lhs": CONVERGED, "rhs": CONVERGED}, notes=notes,
-    )
+    return _report(SUP_HARDY, p, lhs, rhs_integral, constant,
+                   {"lhs": CONVERGED, "rhs": CONVERGED}, notes,
+                   pointwise_max=pointwise_max, pointwise_location=location)
 
 
 def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> HardyReport:
@@ -527,12 +547,8 @@ def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG)
     h_vals = np.array([[(r / (x * y)) ** p for r, y in zip(row, ys)]
                        for row, x in zip(R.tolist(), xs)])
     rhs_integral = sugeno_from_samples(h_vals, scn.domain.area / (m * m))
-    rhs = constant * rhs_integral
-    return HardyReport(
-        kind=SUGENO_HARDY, p=p, lhs=lhs, rhs_integral=rhs_integral, constant=constant,
-        rhs=rhs, holds=bool(lhs >= rhs - SUGENO_SLACK), direction="ge",
-        statuses={"lhs": CONVERGED, "rhs": CONVERGED}, notes=notes,
-    )
+    return _report(SUGENO_HARDY, p, lhs, rhs_integral, constant,
+                   {"lhs": CONVERGED, "rhs": CONVERGED}, notes)
 
 
 def check_hardy_classical(f, p: float, low: float, high: float,
@@ -565,15 +581,9 @@ def check_hardy_classical(f, p: float, low: float, high: float,
     if DIVERGED in statuses.values():
         return _not_evaluable(CLASSICAL, p, constant, statuses, "divergent side",
                               lhs=lhs_res.value, rhs_integral=rhs_res.value)
-    lhs = lhs_res.value
-    rhs_integral = rhs_res.value
-    rhs = constant * rhs_integral
-    margin = rhs - lhs
-    return HardyReport(
-        kind=CLASSICAL, p=p, lhs=lhs, rhs_integral=rhs_integral, constant=constant,
-        rhs=rhs, holds=bool(margin > 0.0), direction="lt",
-        statuses=statuses, notes=[f"strictness margin {margin!r}"],
-    )
+    report = _report(CLASSICAL, p, lhs_res.value, rhs_res.value, constant, statuses, [])
+    report.notes.append(f"strictness margin {report.rhs - report.lhs!r}")
+    return report
 
 
 def run_check(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> HardyReport:
@@ -664,21 +674,21 @@ def remark_diagnostics(gen: Generator, f, p: float,
             return DiagnosticsReport(p=p, branch="0<p<1", constant=constant,
                                      constant_defined=defined, lhs_status=DIVERGED,
                                      notes=[*notes, str(e)])
+        rhs_value, res, reason = g_integral_2d(gen, lambda s, t: f(s, t) ** p, UNIT_SQUARE,
+                                               config.quad_tol, config.max_depth)
+        rhs_inner_val = None if res.status == DIVERGED else res.value
         # the rhs first, so that a divergent rhs keeps its own note
-        rhs_inner_val = None
-        try:
-            rhs_value, res = g_integral_2d_result(gen, lambda s, t: f(s, t) ** p, UNIT_SQUARE,
-                                                  config.quad_tol, config.max_depth)
-            rhs_inner_val = res.value
-            lhs_value = eval_inverse(gen, lhs_inner)
-        except (DivergenceError, DomainError, RangeError) as e:
+        if reason is None:
+            try:
+                lhs_value = eval_inverse(gen, lhs_inner)
+            except RangeError as e:
+                reason = str(e)
+        if reason is not None:
             # no value to compare: the rhs diverged, or g⁻¹ is undefined at a side
-            if isinstance(e, DomainError):
-                rhs_inner_val = e.result.value
             return DiagnosticsReport(p=p, branch="0<p<1", constant=constant,
                                      constant_defined=defined, lhs_inner=lhs_inner,
                                      rhs_inner=rhs_inner_val, lhs_status=CONVERGED,
-                                     notes=[*notes, str(e)])
+                                     notes=[*notes, reason])
         fails = (constant is None) or (constant * rhs_value < lhs_value)
         notes.append("right side is non-positive while the left side is positive"
                      if constant is not None and constant * rhs_value <= 0 < lhs_value else
@@ -690,40 +700,23 @@ def remark_diagnostics(gen: Generator, f, p: float,
             lhs_status=CONVERGED, inequality_fails=fails, notes=notes,
         )
 
+    # p < 0: the lhs ∫∫^⊕ f^p, which the remark says diverges.  p = 0: both
+    # sides reduce to the pseudo-integral of f⁰ ≡ 1, and the criterion checked
+    # is the asserted ∫∫^⊕ f ≥ 1
+    value, res, reason = g_integral_2d(gen, (lambda s, t: f(s, t) ** p) if p < 0.0 else f,
+                                       UNIT_SQUARE, config.quad_tol, config.max_depth)
     if p < 0.0:
-        try:
-            value, res = g_integral_2d_result(
-                gen, lambda s, t: f(s, t) ** p, UNIT_SQUARE,
-                config.quad_tol, config.max_depth,
-            )
-            return DiagnosticsReport(
-                p=p, branch="p<0", constant=None, constant_defined=False,
-                lhs_value=value, lhs_status=res.status,
-                inequality_fails=None,
-                notes=["lhs integral converged unexpectedly"],
-            )
-        except DivergenceError:
-            return DiagnosticsReport(
-                p=p, branch="p<0", constant=None, constant_defined=False,
-                lhs_status=DIVERGED, inequality_fails=True,
-                notes=["the lhs integral does not converge"],
-            )
-        except DomainError as e:  # g⁻¹ is undefined at the lhs inner integral
-            return DiagnosticsReport(p=p, branch="p<0", constant=None, constant_defined=False,
-                                     lhs_status=e.result.status, notes=[str(e)])
-
-    # p == 0: both sides reduce to the pseudo-integral of f⁰ ≡ 1;
-    # the criterion checked is the asserted ∫∫^⊕ f ≥ 1
-    try:
-        value, res = g_integral_2d_result(gen, f, UNIT_SQUARE, config.quad_tol, config.max_depth)
-    except (DivergenceError, DomainError) as e:
-        # the integral diverged, or g⁻¹ is undefined at its value
-        return DiagnosticsReport(p=0.0, branch="p=0", constant=1.0, constant_defined=True,
-                                 lhs_status=e.result.status, notes=[str(e)])
+        diag = DiagnosticsReport(p=p, branch="p<0", constant=None, constant_defined=False,
+                                 lhs_value=value, lhs_status=res.status, notes=[reason])
+        if value is not None:
+            diag.notes = ["lhs integral converged unexpectedly"]
+        elif res.status == DIVERGED:
+            diag.inequality_fails, diag.notes = True, ["the lhs integral does not converge"]
+        return diag
+    met = None if value is None else bool(value >= 1.0)
     return DiagnosticsReport(
         p=0.0, branch="p=0", constant=1.0, constant_defined=True,
-        criterion_value=value, criterion_met=bool(value >= 1.0),
-        lhs_status=res.status,
-        inequality_fails=not bool(value >= 1.0),
-        notes=["criterion ∫∫^⊕ f ≥ 1 is asserted, not derived"],
+        criterion_value=value, criterion_met=met, lhs_status=res.status,
+        inequality_fails=None if met is None else not met,
+        notes=[reason] if met is None else ["criterion ∫∫^⊕ f ≥ 1 is asserted, not derived"],
     )

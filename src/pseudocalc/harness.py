@@ -34,7 +34,6 @@ from .hardy import (
     record_to_dict,
     run_check,
 )
-from .pseudo_integral import DivergenceError
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -257,6 +256,10 @@ def replay_trial(cfg: FuzzConfig, index: int) -> TrialRecord:
 
 
 # --- refinement studies -------------------------------------------------------
+
+
+class DivergenceError(ArithmeticError):
+    """A refinement study met a level at which its scenario is not evaluable."""
 
 
 @dataclass

@@ -13,9 +13,12 @@ prefix counts, with every crossing test an integer compare of a count
 against a per-value pass count).  All three give the same values bit for
 bit.
 
-g_integral_1d_result and g_integral_2d_result also return the classical
-integral's result; they raise DivergenceError when it diverges and
-DomainError when generators.eval_inverse finds its value out of g's range.
+g_integral_1d and g_integral_2d return (value, result, reason): the
+classical integral's QuadratureResult comes with the value, and where the
+g-integral has none (Remark 3.5's p ≤ 1 cases among others) value is None
+and reason says why: "inner classical integral diverged", or the RangeError
+text of generators.eval_inverse when the classical value lies outside g's
+range.  The failure is a value, as QUADPACK's ier flag is, not an exception.
 
 Decreasing generators are accepted: the formulas use g and g⁻¹ directly, the
 declared direction only decides which end of the domain gives which end of
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,20 +54,8 @@ from .quadrature import (
 from .semiring import SUP_PLUS, SaturationFlags, Semiring, pseudo_mul
 
 
-class DivergenceError(ArithmeticError):
-    """An inner classical integral diverged."""
-
-    def __init__(self, message: str, result: QuadratureResult | None = None):
-        super().__init__(message)
-        self.result = result
-
-
 class DomainError(ValueError):
-    """g∘f left the generator's domain or range during integration."""
-
-    def __init__(self, message: str, result: QuadratureResult | None = None):
-        super().__init__(message)
-        self.result = result
+    """f or g∘f has no finite value where a grid or a scalar node needs one."""
 
 
 @dataclass(frozen=True)
@@ -97,8 +89,14 @@ class PsiDensity:
         if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
             raise ValueError(f"psi density {self.description!r} leaves the carrier [0,1]")
 
+    # compiled once, on the first call (a frozen dataclass keeps its own
+    # __dict__, which cached_property fills)
+    @cached_property
+    def _function(self):
+        return expr_mod.as_function(self.expr)
+
     def __call__(self, t):
-        return expr_mod._evaluator(self.expr)(t, t)
+        return self._function(t, t)
 
 
 def unit_psi(s: Semiring) -> PsiDensity:
@@ -126,46 +124,26 @@ def _g_of_f(gen: Generator, f):
     return gf
 
 
-def _g_integral(integrate, gen: Generator, f, *domain, tol: float,
-                max_depth: int) -> tuple[float, QuadratureResult]:
-    """g⁻¹ of the classical integral of g∘f, with that integral's result.
-
-    integrate is integrate_1d (domain low, high) or integrate_2d (domain a
-    Rect).  Raises DivergenceError if the integral diverges and DomainError
-    if g⁻¹ is undefined at its value; both carry the result.
-    """
-    res = integrate(_g_of_f(gen, f), *domain, tol, max_depth)
+def _g_inverse(gen: Generator, res: QuadratureResult):
+    """(g⁻¹(res.value), res, None), or (None, res, reason) when the g-integral has no value."""
     if res.status == DIVERGED:
-        raise DivergenceError("inner classical integral diverged", res)
+        return None, res, "inner classical integral diverged"
     try:
-        return eval_inverse(gen, res.value), res
+        return eval_inverse(gen, res.value), res, None
     except RangeError as e:
-        raise DomainError(str(e), res) from e
+        return None, res, str(e)
 
 
-def g_integral_1d_result(gen: Generator, f, low: float, high: float,
-                         tol: float = DEFAULT_TOL,
-                         max_depth: int = DEFAULT_MAX_DEPTH) -> tuple[float, QuadratureResult]:
-    """g-integral with its inner quadrature result; raises on divergence or an undefined g⁻¹."""
-    return _g_integral(integrate_1d, gen, f, low, high, tol=tol, max_depth=max_depth)
+def g_integral_1d(gen: Generator, f, low: float, high: float, tol: float = DEFAULT_TOL,
+                  max_depth: int = DEFAULT_MAX_DEPTH):
+    """∫^⊕_[low,high] f dx = g⁻¹(∫ g(f(x)) dx), as (value, classical result, reason)."""
+    return _g_inverse(gen, integrate_1d(_g_of_f(gen, f), low, high, tol, max_depth))
 
 
-def g_integral_1d(gen: Generator, f, low: float, high: float,
-                  tol: float = DEFAULT_TOL) -> float:
-    """∫^⊕_[low,high] f dx = g⁻¹(∫ g(f(x)) dx)."""
-    return g_integral_1d_result(gen, f, low, high, tol)[0]
-
-
-def g_integral_2d_result(gen: Generator, f, r: Rect,
-                         tol: float = DEFAULT_TOL,
-                         max_depth: int = DEFAULT_MAX_DEPTH) -> tuple[float, QuadratureResult]:
-    """2-D g-integral with its inner quadrature result; raises as g_integral_1d_result."""
-    return _g_integral(integrate_2d, gen, f, r, tol=tol, max_depth=max_depth)
-
-
-def g_integral_2d(gen: Generator, f, r: Rect, tol: float = DEFAULT_TOL) -> float:
-    """∫∫^⊕_r f dtds = g⁻¹(∬_r g(f(s,t)) dt ds)."""
-    return g_integral_2d_result(gen, f, r, tol)[0]
+def g_integral_2d(gen: Generator, f, r: Rect, tol: float = DEFAULT_TOL,
+                  max_depth: int = DEFAULT_MAX_DEPTH):
+    """∫∫^⊕_r f dtds = g⁻¹(∬_r g(f(s,t)) dt ds), as (value, classical result, reason)."""
+    return _g_inverse(gen, integrate_2d(_g_of_f(gen, f), r, tol, max_depth))
 
 
 def psi_weighted(s: Semiring, vals, psi_x, psi_y, flags: SaturationFlags | None = None):

@@ -21,8 +21,9 @@ only the inner results the outer engine consumes count toward evaluations
 and the status, so every value, error estimate, status and evaluation
 count is the same as with one inner batch per outer level.  An inner
 integral computed ahead gets SPECULATIVE_BUDGET evaluations instead of
-EVAL_BUDGET; one that runs out is dropped, and from then on that 2-D
-integral computes only the nodes its levels ask for.  As an inner level
+EVAL_BUDGET; one that runs out, or diverges (and so may have run out as
+well), is dropped, and from then on that 2-D integral computes only the
+nodes its levels ask for.  As an inner level
 costs a fixed handful of numpy calls (below), one batch for about three
 outer levels is the saving.
 
@@ -31,8 +32,13 @@ cannot take arrays are called once per node.  A node fails when the
 integrand raises ArithmeticError or ValueError there or returns a non-finite
 value.  A failed node at an integration limit is retried once, shifted
 inward by BOUNDARY_INSET, so integrable endpoint singularities (x^{1/4},
-x^{-1/2}) converge.  A failed interior node makes the integral divergent.
-In integrate_2d a divergent inner integral is a failed outer node, so an
+x^{-1/2}) converge.  A failed interior node makes the integral divergent,
+and so does a panel whose Simpson estimate overflows to ±inf (the node
+values are finite, but their weighted sum is not): a panel fails when its
+estimate is not finite, and an integral with a failed panel is divergent
+even if it also ran out of its budget.  The engine runs under one
+np.errstate per call, so an overflow adds no RuntimeWarning.  In
+integrate_2d a divergent inner integral is a failed outer node, so an
 edge where the integrand fails everywhere gets the same inward retry.
 
 Divergence at a limit is read from the integrand's power law there.  A
@@ -197,6 +203,9 @@ _LEFT_CHILD = np.array([_OWNER, _A, _M, _FA, _FLM, _FM, _SL, _DEPTH])
 _RIGHT_CHILD = np.array([_OWNER, _M, _B, _FM, _FRM, _FB, _SR, _DEPTH])
 
 
+# an overflow makes a Simpson estimate non-finite, which fails its panel, or a
+# sum infinite; either shows in the results, so numpy is not asked to warn
+@np.errstate(over="ignore", invalid="ignore")
 def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
               ahead=None) -> list[QuadratureResult]:
     """Adaptive Simpson estimates of ∫_low[k]^high[k], k < K, advanced level by level.
@@ -286,10 +295,11 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
         np.abs(err, out=panels[_ERR])
         accepted = panels[_ERR] <= tol_at[depth.astype(np.intp)]
         refine = ~accepted
-        # v holds finite values and NaN, so a sum that is not NaN rules failures out
-        if np.isnan(np.add.reduce(v)):
-            failed = np.isnan(quarter[0]) | np.isnan(quarter[1])
-            divergent[owner[failed]] = True  # unresolvable interior singularity
+        # a failed node makes its panel's Simpson estimate NaN and an overflow
+        # makes it ±inf; a finite sum of the estimates rules both out
+        if not np.isfinite(np.add.reduce(s2)):
+            failed = ~np.isfinite(s2)
+            divergent[owner[failed]] = True  # unresolvable interior singularity or overflow
             refine &= ~failed
         capped = refine & (depth >= max_depth)
         if capped.any():
@@ -324,7 +334,7 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
         status = CONVERGED if error <= tol else MAX_REFINEMENT
         # an integral that never started has no terms, so its total is 0.0
         if over or failed:
-            error, status = math.inf, MAX_REFINEMENT if over else DIVERGED
+            error, status = math.inf, DIVERGED if failed else MAX_REFINEMENT
         results.append(QuadratureResult(total, error, count, status))
     return results
 
@@ -381,8 +391,10 @@ def integrate_2d(f, r: Rect, tol: float = DEFAULT_TOL,
         results = _adaptive(lambda t, j: eval_nodes(f, s[j], t), np.full(s.size, r.y_low),
                             np.full(s.size, r.y_high), inner_tol, max_depth, budget)
         for i, (node, res) in enumerate(zip(todo, results)):
-            if i >= wanted and res.status == MAX_REFINEMENT and res.error_estimate == math.inf:
-                speculate = False   # out of its speculative budget: dropped
+            if i >= wanted and res.error_estimate == math.inf:
+                # out of its speculative budget, or divergent, which may have cut
+                # its evaluations short as well: dropped
+                speculate = False
             else:
                 done[node] = res
 

@@ -162,7 +162,7 @@ def test_criterion_06_unit_integrand_area_identity(gen_spec):
     for _ in range(25):
         x = rng.uniform(0.02, 1.0)
         y = rng.uniform(0.02, 1.0)
-        got = P.g_integral_2d(gen, lambda s, t: 1.0, Rect(0.0, x, 0.0, y), 1e-10)
+        got = P.g_integral_2d(gen, lambda s, t: 1.0, Rect(0.0, x, 0.0, y), 1e-10)[0]
         worst = max(worst, abs(got - x * y))
     ok = worst <= 1e-9
     record(6, f"∫∫⊕ 1 over [0,x]×[0,y] = xy for {gen_spec}", ok, f"max err={worst:.2e}")
@@ -213,8 +213,8 @@ def test_criterion_09_power_inequality_suites():
         c = rng.uniform(0.0, 1.0)
         s_exp = rng.choice((1.0, 1.5, 2.0, 3.0))
         f = lambda x: c * x**a
-        lhs = P.g_integral_1d(gen, f, 0.0, 1.0, 1e-10) ** s_exp
-        rhs = P.g_integral_1d(gen, lambda x: f(x) ** s_exp, 0.0, 1.0, 1e-10)
+        lhs = P.g_integral_1d(gen, f, 0.0, 1.0, 1e-10)[0] ** s_exp
+        rhs = P.g_integral_1d(gen, lambda x: f(x) ** s_exp, 0.0, 1.0, 1e-10)[0]
         worst_g = max(worst_g, lhs - rhs)
     # (sup-integral f)^s ≤ sup-integral f^s over 200 random pairs
     from pseudocalc.semiring import sup_times

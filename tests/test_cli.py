@@ -10,8 +10,8 @@ import pytest
 from pseudocalc import cli, expr
 from pseudocalc.generators import make_generator
 from pseudocalc.hardy import HardyReport
-from pseudocalc.pseudo_integral import g_integral_2d_result
-from pseudocalc.quadrature import UNIT_SQUARE
+from pseudocalc.pseudo_integral import g_integral_2d
+from pseudocalc.quadrature import DEFAULT_LEVEL_SET_GRID, UNIT_SQUARE
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +144,24 @@ class TestIntegrate:
                                  "--domain", "0,1")
         assert out == explicit
 
+    def test_sugeno_grid_default(self):
+        args = cli.build_parser().parse_args(["integrate", "--f", "x", "--sugeno"])
+        assert args.grid == DEFAULT_LEVEL_SET_GRID
+
+    @pytest.mark.parametrize("argv,status", [
+        (["integrate", "--f", "x", "--g", "exp:709", "--dim", "1"], "status"),
+        (["hardy", "--f", "(x+y)/2", "--g", "exp:709", "--p", "2"], "statuses"),
+    ])
+    def test_overflow_is_divergence(self, capsys, argv, status):
+        # g∘f reaches e^709, finite, but a Simpson estimate of it overflows:
+        # diverged, exit 2 and no RuntimeWarning (warnings are errors here)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and err == ""
+        payload = json.loads(out)
+        assert payload[status] in ("diverged", {"rhs": "diverged"})
+        assert payload.get("detail", payload.get("notes", [None])[0]) == (
+            "inner classical integral diverged")
+
     def test_dim_2_default_domain_bytes(self, capsys):
         _, default, _ = run_cli(capsys, "integrate", "--f", "x*y", "--g", "sqrt")
         _, explicit, _ = run_cli(capsys, "integrate", "--f", "x*y", "--g", "sqrt",
@@ -245,8 +263,8 @@ class TestHardyCommand:
         payload = json.loads(out)
         assert payload["not_evaluable"] is False and payload["holds"] is True
         f = expr.as_function(expr.parse("x/(x+y)"))
-        rhs_integral, _ = g_integral_2d_result(make_generator("identity"),
-                                               lambda s, t: f(s, t) ** 2.0, UNIT_SQUARE)
+        rhs_integral, _, _ = g_integral_2d(make_generator("identity"),
+                                           lambda s, t: f(s, t) ** 2.0, UNIT_SQUARE)
         assert payload["rhs_integral"] == rhs_integral
 
     def test_singular_corner_is_evaluable_on_the_sup_grid(self, capsys):

@@ -116,6 +116,15 @@ class TestKernel:
         with pytest.raises(H.DomainError, match="g∘f is not finite on the kernel grid"):
             H.GKernelGrid(G.make_generator("exp:2000"), f, 1.0, 1.0, panels=8)
 
+    @pytest.mark.parametrize("gen_spec", ["exp:708", "exp:709"])
+    def test_prefix_overflow_is_a_domain_error(self, gen_spec):
+        # g∘f is finite (up to e^709 ≈ 8e307), but the Jacobian (up to 9)
+        # takes g∘f·jac past the largest float
+        f = expr.as_function(expr.parse("(x+y)/2"))
+        with pytest.raises(H.DomainError,
+                           match="prefix integrals of g∘f are not finite on the kernel grid"):
+            H.GKernelGrid(G.make_generator(gen_spec), f, 1.0, 1.0)
+
 
 class TestCheckHardyG:
     def test_worked_half_scenario(self):
@@ -350,7 +359,7 @@ class TestPointwiseProofStep:
             for _ in range(10):
                 x = rng.uniform(0.05, 1.0)
                 y = rng.uniform(0.05, 1.0)
-                got = g_integral_2d(gen, lambda s, t: 1.0, Rect(0, x, 0, y), 1e-10)
+                got = g_integral_2d(gen, lambda s, t: 1.0, Rect(0, x, 0, y), 1e-10)[0]
                 assert got == pytest.approx(x * y, abs=1e-9)
 
 
@@ -819,10 +828,26 @@ class TestSerialization:
 
 
 def test_report_verdict_tolerance():
+    def holds(lhs, rhs, kind=H.G_HARDY):
+        return H._report(kind, 2.0, lhs, rhs, 1.0, {}, []).holds
+
     # holds ⇔ lhs ≤ rhs·(1+1e-9)+1e-12 for the ≤-direction checks
-    assert H._le_verdict(1.0, 1.0)
-    assert H._le_verdict(1.0 + 1e-10, 1.0)
-    assert not H._le_verdict(1.0 + 1e-8, 1.0)
+    for kind in (H.G_HARDY, H.SUP_HARDY):
+        assert holds(1.0, 1.0, kind)
+        assert holds(1.0 + 1e-10, 1.0, kind)
+        assert not holds(1.0 + 1e-8, 1.0, kind)
+    # lhs ≥ rhs − 1e-6 for Sugeno, and lhs < rhs, strictly, for the classical check
+    assert holds(1.0 - 1e-7, 1.0, H.SUGENO_HARDY)
+    assert not holds(1.0 - 1e-5, 1.0, H.SUGENO_HARDY)
+    assert holds(1.0 - 1e-12, 1.0, H.CLASSICAL)
+    assert not holds(1.0, 1.0, H.CLASSICAL)
+
+
+def test_report_forms_rhs_from_the_constant():
+    rep = H._report(H.G_HARDY, 2.0, 0.5, 0.25, 16.0, {"rhs": "converged"}, ["n"],
+                    pointwise_max=0.0, pointwise_location=(1.0, 1.0))
+    assert (rep.rhs, rep.direction, rep.holds) == (4.0, "le", True)
+    assert (rep.statuses, rep.notes, rep.pointwise_location) == ({"rhs": "converged"}, ["n"], (1.0, 1.0))
 
 
 # one evaluable and one not-evaluable scenario per check kind

@@ -7,7 +7,7 @@ import pytest
 from pseudocalc import expr
 from pseudocalc import harness as HA
 from pseudocalc.hardy import HardyScenario
-from pseudocalc.pseudo_integral import DivergenceError
+from pseudocalc.harness import DivergenceError
 
 
 class TestSplitMix64:

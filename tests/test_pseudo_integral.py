@@ -18,36 +18,60 @@ from pseudocalc.quadrature import UNIT_SQUARE, Rect, integrate_1d, integrate_2d,
 
 class TestGIntegral1D:
     def test_identity_reduces_to_riemann(self):
-        assert P.g_integral_1d(G.identity(), lambda x: x, 0, 1) == pytest.approx(0.5, abs=1e-10)
+        assert P.g_integral_1d(G.identity(), lambda x: x, 0, 1)[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_sqrt_of_square(self):
         # closed form: g⁻¹(∫ x dx) = (1/2)² = 1/4
-        got = P.g_integral_1d(G.sqrt_gen(), lambda x: x * x, 0, 1)
+        got = P.g_integral_1d(G.sqrt_gen(), lambda x: x * x, 0, 1)[0]
         assert got == pytest.approx(0.25, abs=1e-10)
 
     def test_half_linear(self):
         # closed form: 2·(1/4) = 1/2
-        got = P.g_integral_1d(G.half(), lambda x: x, 0, 1)
+        got = P.g_integral_1d(G.half(), lambda x: x, 0, 1)[0]
         assert got == pytest.approx(0.5, abs=1e-10)
 
     def test_divergence_error(self):
-        with pytest.raises(P.DivergenceError):
-            P.g_integral_1d(G.sqrt_gen(), lambda x: x**-4.0, 0, 1)
+        value, res, reason = P.g_integral_1d(G.sqrt_gen(), lambda x: x**-4.0, 0, 1)
+        assert (value, res.status, reason) == (None, "diverged", "inner classical integral diverged")
+
+
+class TestGIntegralReturn:
+    """(value, classical result, reason): the reason is None when there is a value."""
+
+    def test_value(self):
+        value, res, reason = P.g_integral_1d(G.sqrt_gen(), lambda x: x * x, 0, 1)
+        assert (value, res.status, reason) == (res.value**2, "converged", None)
+
+    def test_diverged_side(self):
+        for value, res, reason in (
+                P.g_integral_1d(G.identity(), lambda x: x**-1.0, 0.0, 1.0),
+                P.g_integral_2d(G.sqrt_gen(), lambda s, t: (s * t) ** -2.0, UNIT_SQUARE)):
+            assert (value, res.status, reason) == (None, "diverged", "inner classical integral diverged")
+
+    def test_out_of_range_side(self):
+        # ∫ √2 = √2 lies outside [0, 1], the range of sqrt
+        gen = G.sqrt_gen()
+        for value, res, reason in (P.g_integral_1d(gen, lambda x: 2.0, 0.0, 1.0),
+                                   P.g_integral_2d(gen, lambda s, t: 2.0, UNIT_SQUARE)):
+            assert value is None and res.status == "converged"
+            with pytest.raises(G.RangeError) as err:
+                G.eval_inverse(gen, res.value)
+            assert reason == str(err.value) == f"sqrt: y={res.value!r} outside range [0.0, 1.0]"
 
 
 class TestGIntegral2D:
     def test_sqrt_squares(self):
         # ∬ st = 1/4, then inverse squares: 1/16
-        got = P.g_integral_2d(G.sqrt_gen(), lambda s, t: (s * t) ** 2, UNIT_SQUARE)
+        got = P.g_integral_2d(G.sqrt_gen(), lambda s, t: (s * t) ** 2, UNIT_SQUARE)[0]
         assert got == pytest.approx(1.0 / 16.0, abs=1e-10)
 
     def test_half_mean(self):
         # ∬ (s+t)/4 = 1/4, inverse doubles: 1/2
-        got = P.g_integral_2d(G.half(), lambda s, t: (s + t) / 2.0, UNIT_SQUARE)
+        got = P.g_integral_2d(G.half(), lambda s, t: (s + t) / 2.0, UNIT_SQUARE)[0]
         assert got == pytest.approx(0.5, abs=1e-10)
 
     def test_identity_constant(self):
-        assert P.g_integral_2d(G.identity(), lambda s, t: 1.0, UNIT_SQUARE) == pytest.approx(1.0, abs=1e-12)
+        assert P.g_integral_2d(G.identity(), lambda s, t: 1.0, UNIT_SQUARE)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_oracle_equivalence(self):
         rng = SplitMix64(21)
@@ -56,12 +80,12 @@ class TestGIntegral2D:
             b = rng.uniform(0.1, 3.0)
             f2 = lambda s, t: s**a * t**b
             direct = integrate_2d(f2, UNIT_SQUARE, 1e-10).value
-            assert P.g_integral_2d(G.identity(), f2, UNIT_SQUARE, 1e-10) == pytest.approx(
+            assert P.g_integral_2d(G.identity(), f2, UNIT_SQUARE, 1e-10)[0] == pytest.approx(
                 direct, abs=1e-10
             )
             f1 = lambda x: x**a
             d1 = integrate_1d(f1, 0.0, 1.0, 1e-10).value
-            assert P.g_integral_1d(G.identity(), f1, 0.0, 1.0, 1e-10) == pytest.approx(
+            assert P.g_integral_1d(G.identity(), f1, 0.0, 1.0, 1e-10)[0] == pytest.approx(
                 d1, abs=1e-10
             )
 
@@ -83,11 +107,11 @@ class TestIntegralOrderProperties:
                 f1 = lambda x: c1 * x**a1
                 f2 = lambda x: c2 * x**a2
                 fsum = lambda x: float(S.pseudo_add(s, f1(x), f2(x)))
-                left = P.g_integral_1d(gen, fsum, 0, 1, 1e-10)
+                left = P.g_integral_1d(gen, fsum, 0, 1, 1e-10)[0]
                 right = float(S.pseudo_add(
                     s,
-                    P.g_integral_1d(gen, f1, 0, 1, 1e-10),
-                    P.g_integral_1d(gen, f2, 0, 1, 1e-10),
+                    P.g_integral_1d(gen, f1, 0, 1, 1e-10)[0],
+                    P.g_integral_1d(gen, f2, 0, 1, 1e-10)[0],
                 ))
                 assert left == pytest.approx(right, abs=1e-8)
 
@@ -100,8 +124,8 @@ class TestIntegralOrderProperties:
                 a = rng.uniform(0.5, 3.0)
                 f = lambda x: x**a
                 scaled = lambda x: float(S.pseudo_mul(s, lam, f(x)))
-                left = P.g_integral_1d(gen, scaled, 0, 1, 1e-10)
-                right = float(S.pseudo_mul(s, lam, P.g_integral_1d(gen, f, 0, 1, 1e-10)))
+                left = P.g_integral_1d(gen, scaled, 0, 1, 1e-10)[0]
+                right = float(S.pseudo_mul(s, lam, P.g_integral_1d(gen, f, 0, 1, 1e-10)[0]))
                 assert left == pytest.approx(right, abs=1e-8)
 
     def test_pointwise_monotone(self):
@@ -113,8 +137,8 @@ class TestIntegralOrderProperties:
                 bump = rng.uniform(0.0, 1.0 - c)
                 f1 = lambda x: c * x**a
                 f2 = lambda x: (c + bump) * x**a
-                v1 = P.g_integral_1d(gen, f1, 0, 1, 1e-10)
-                v2 = P.g_integral_1d(gen, f2, 0, 1, 1e-10)
+                v1 = P.g_integral_1d(gen, f1, 0, 1, 1e-10)[0]
+                v2 = P.g_integral_1d(gen, f2, 0, 1, 1e-10)[0]
                 assert v1 <= v2 + 1e-10
 
     def test_domain_monotone(self):
@@ -126,8 +150,8 @@ class TestIntegralOrderProperties:
                 x1, y1 = rng.uniform(0.2, 0.6), rng.uniform(0.2, 0.6)
                 x2 = x1 + rng.uniform(0.05, 1.0 - x1)
                 y2 = y1 + rng.uniform(0.05, 1.0 - y1)
-                small = P.g_integral_2d(gen, f, Rect(0, x1, 0, y1), 1e-10)
-                large = P.g_integral_2d(gen, f, Rect(0, x2, 0, y2), 1e-10)
+                small = P.g_integral_2d(gen, f, Rect(0, x1, 0, y1), 1e-10)[0]
+                large = P.g_integral_2d(gen, f, Rect(0, x2, 0, y2), 1e-10)[0]
                 assert small <= large + 1e-10
 
 
@@ -141,8 +165,8 @@ class TestPowerInequalities:
             c = rng.uniform(0.0, 1.0)
             s_exp = rng.choice((1.0, 1.5, 2.0, 3.0))
             f = lambda x: c * x**a
-            lhs = P.g_integral_1d(gen, f, 0, 1, 1e-10) ** s_exp
-            rhs = P.g_integral_1d(gen, lambda x: f(x) ** s_exp, 0, 1, 1e-10)
+            lhs = P.g_integral_1d(gen, f, 0, 1, 1e-10)[0] ** s_exp
+            rhs = P.g_integral_1d(gen, lambda x: f(x) ** s_exp, 0, 1, 1e-10)[0]
             assert lhs <= rhs + 1e-8
 
     def test_sup_integral_power_bound(self):
@@ -161,6 +185,15 @@ class TestPowerInequalities:
 
 
 class TestSupIntegral:
+    def test_psi_compiles_once(self, monkeypatch):
+        compiled = []
+        as_function = expr.as_function
+        monkeypatch.setattr(expr, "as_function", lambda node: compiled.append(node) or as_function(node))
+        psi = P.PsiDensity.from_string("1-x")   # validate() calls it once
+        assert psi(0.25) == 0.75
+        assert list(psi(np.array([0.0, 0.5]))) == [1.0, 0.5]
+        assert compiled == [psi.expr]
+
     def test_unit_density_gives_sup(self):
         got = P.sup_integral_2d(S.sup_times(), lambda x, y: x * y)
         assert got == pytest.approx(1.0, abs=1e-12)

@@ -43,6 +43,27 @@ class TestIntegrate1D:
         res = Q.integrate_1d(lambda x: 1.0 / (x - 0.5), 0.0, 1.0, 1e-10)
         assert res.status == "diverged"
 
+    def test_overflowing_simpson_estimate_fails_its_panel(self):
+        # e^{709x} is finite on [0, 1], but near x = 1 the weighted sum of a
+        # panel's node values overflows; that panel fails, with no
+        # RuntimeWarning (warnings are errors here), and its batch neighbour
+        # on [0, 0.01] keeps the bits it gets alone
+        f = lambda x: np.exp(709.0 * x)
+        hot, neighbour = Q.integrate_batch(f, [0.0, 0.0], [1.0, 0.01])
+        assert hot.status == "diverged" and hot.error_estimate == math.inf
+        assert Q.integrate_1d(f, 0.0, 1.0).status == "diverged"
+        alone = Q.integrate_1d(f, 0.0, 0.01)
+        assert alone.status == "converged"
+        assert (neighbour.value.hex(), neighbour.error_estimate.hex(), neighbour.evaluations) == (
+            alone.value.hex(), alone.error_estimate.hex(), alone.evaluations)
+
+    def test_a_failed_panel_outranks_the_budget(self):
+        # the panel [0, 0.5] fails at its quarter node 0.125 on the second
+        # level, and the budget of 10 runs out on the third: diverged
+        f = lambda x: 1.0 / (x - 0.125) + np.sin(200.0 * x)
+        res, = Q._adaptive(lambda x, k: Q.eval_nodes(f, x), [0.0], [1.0], 1e-8, 30, budget=10)
+        assert (res.status, res.error_estimate, res.evaluations) == ("diverged", math.inf, 9)
+
     def test_converged_implies_error_below_tol(self):
         res = Q.integrate_1d(lambda x: math.sin(10 * x), 0.0, 1.0, 1e-9)
         assert res.status == "converged"
@@ -315,8 +336,8 @@ class TestRefinementContract:
             calls += 1
             return f(s, t) ** p
 
-        _, res = P.g_integral_2d_result(G.make_generator(gen_spec), f_pow, Q.UNIT_SQUARE,
-                                        tol=1e-8, max_depth=30)
+        _, res, _ = P.g_integral_2d(G.make_generator(gen_spec), f_pow, Q.UNIT_SQUARE,
+                                    tol=1e-8, max_depth=30)
         assert res.status == "converged"
         # per inner batch, one call for its first nodes and one per level (31 levels)
         assert (calls, res.evaluations, res.value) == REFINEMENT_CONTRACT[f_src, gen_spec, p]
