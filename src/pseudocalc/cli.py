@@ -401,8 +401,7 @@ def cmd_refine(args) -> int:
     try:
         report: ConvergenceReport = refine_study(scenario, levels)
     except ArithmeticError as e:
-        # refine_study's error for a level that is not evaluable is an
-        # ArithmeticError; so is an overflow in the study
+        # refine_study's error for a level that is not evaluable is an ArithmeticError
         print(f"divergent scenario rejected: {e}", file=sys.stderr)
         return EXIT_DIVERGED
     _emit(_payload("convergence", report.to_dict(), {"levels": levels}),

@@ -32,11 +32,7 @@ INCREASING = "increasing"
 DECREASING = "decreasing"
 
 
-class GeneratorError(ValueError):
-    pass
-
-
-class RangeError(GeneratorError):
+class RangeError(ValueError):
     """Argument outside the closure of the generator's range."""
 
 

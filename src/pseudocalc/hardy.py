@@ -109,37 +109,40 @@ class HypothesisError(ValueError):
     """A theorem hypothesis is violated (e.g. p outside the admissible range)."""
 
 
-def record_to_dict(record) -> dict:
-    """A dataclass record as JSON-ready data, one key per field in field order.
+class Record:
+    """Base of the dataclass records: to_dict gives JSON-ready data, one key per
+    field in field order.
 
     Tuples become lists, dicts are sorted by key, and values with their own
-    to_dict (scenarios) use it.
+    to_dict (scenarios) use it.  from_dict is the inverse for flat records;
+    absent keys keep their defaults.
     """
-    out = {}
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if hasattr(value, "to_dict"):
-            value = value.to_dict()
-        elif isinstance(value, (list, tuple)):
-            value = list(value)
-        elif isinstance(value, dict):
-            value = dict(sorted(value.items()))
-        out[f.name] = value
-    return out
 
-
-def record_from_dict(cls, d: dict):
-    """Inverse of record_to_dict for flat records; absent keys keep their defaults."""
-    kwargs = {}
-    for f in fields(cls):
-        if f.name in d:
-            value = d[f.name]
-            if isinstance(value, list):
-                value = tuple(value) if "tuple" in str(f.type) else list(value)
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if hasattr(value, "to_dict"):
+                value = value.to_dict()
+            elif isinstance(value, (list, tuple)):
+                value = list(value)
             elif isinstance(value, dict):
-                value = dict(value)
-            kwargs[f.name] = value
-    return cls(**kwargs)
+                value = dict(sorted(value.items()))
+            out[f.name] = value
+        return out
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        kwargs = {}
+        for f in fields(cls):
+            if f.name in d:
+                value = d[f.name]
+                if isinstance(value, list):
+                    value = tuple(value) if "tuple" in str(f.type) else list(value)
+                elif isinstance(value, dict):
+                    value = dict(value)
+                kwargs[f.name] = value
+        return cls(**kwargs)
 
 
 @dataclass
@@ -156,7 +159,7 @@ DEFAULT_CONFIG = HardyConfig()
 
 
 @dataclass
-class HardyReport:
+class HardyReport(Record):
     kind: str
     p: float
     lhs: float | None
@@ -170,13 +173,6 @@ class HardyReport:
     statuses: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
     not_evaluable: bool = False
-
-    def to_dict(self) -> dict:
-        return record_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HardyReport":
-        return record_from_dict(cls, d)
 
 
 def _not_evaluable(kind: str, p: float, constant: float, statuses: dict, note: str,
@@ -207,6 +203,12 @@ def _report(kind: str, p: float, lhs: float, rhs_integral: float, constant: floa
     return HardyReport(kind=kind, p=p, lhs=lhs, rhs_integral=rhs_integral, constant=constant,
                        rhs=rhs, holds=bool(_VERDICTS[direction](lhs, rhs)), direction=direction,
                        statuses=statuses, notes=notes, **pointwise)
+
+
+# scenario field -> JSON key, in the order of the scenario's keys in a report
+# (and of its `hardy --format csv` columns); g, semiring and psi appear when set
+_SCENARIO_KEYS = {"f_src": "f", "check_kind": "kind", "p": "p", "domain": "domain",
+                  "gen_spec": "g", "semiring_spec": "semiring", "psi_src": "psi"}
 
 
 @dataclass(frozen=True)
@@ -252,32 +254,17 @@ class HardyScenario:
         return PsiDensity.from_string(self.psi_src)
 
     def to_dict(self) -> dict:
-        d = {
-            "f": self.f_src,
-            "kind": self.check_kind,
-            "p": self.p,
-            "domain": self.domain.as_list(),
-        }
-        if self.gen_spec is not None:
-            d["g"] = self.gen_spec
-        if self.semiring_spec is not None:
-            d["semiring"] = self.semiring_spec
-        if self.psi_src is not None:
-            d["psi"] = self.psi_src
-        return d
+        d = {key: getattr(self, name) for name, key in _SCENARIO_KEYS.items()}
+        d["domain"] = self.domain.as_list()
+        return {key: value for key, value in d.items() if value is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "HardyScenario":
-        dom = d.get("domain", [0.0, 1.0, 0.0, 1.0])
-        return cls(
-            f_src=d["f"],
-            check_kind=d["kind"],
-            p=float(d["p"]),
-            gen_spec=d.get("g"),
-            semiring_spec=d.get("semiring"),
-            psi_src=d.get("psi"),
-            domain=Rect(*[float(v) for v in dom]),
-        )
+        kwargs = {name: d[key] for name, key in _SCENARIO_KEYS.items() if key in d}
+        kwargs["p"] = float(d["p"])
+        if "domain" in d:
+            kwargs["domain"] = Rect(*[float(v) for v in d["domain"]])
+        return cls(**kwargs)
 
 
 # --- constants ---------------------------------------------------------------
@@ -604,7 +591,7 @@ def run_check(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> Hardy
 
 
 @dataclass
-class DiagnosticsReport:
+class DiagnosticsReport(Record):
     p: float
     branch: str                     # "0<p<1" | "p<0" | "p=0"
     constant: float | None
@@ -624,9 +611,6 @@ class DiagnosticsReport:
         """No side has a value: an integral diverged before one could be found, or
         g⁻¹ is undefined at it (the reason is the last note)."""
         return (self.inequality_fails, self.lhs_value, self.criterion_value) == (None, None, None)
-
-    def to_dict(self) -> dict:
-        return record_to_dict(self)
 
 
 def odd_denominator_rational(x: float, max_den: int = 1000,

@@ -10,6 +10,9 @@ Random functions are built from provably coordinate-monotone families
 ≤ 1), so the theorem hypotheses hold by construction rather than by sampling
 luck.
 
+A campaign report keeps only its config and its trials: the counts of
+holds, violations and not-evaluable trials, and the violation indices, are
+derived from the trials' outcomes, so they cannot disagree with them.
 Campaign reports serialize without wall-clock times: identical seeds yield
 byte-identical JSON.
 """
@@ -30,8 +33,7 @@ from .hardy import (
     HardyConfig,
     HardyReport,
     HardyScenario,
-    record_from_dict,
-    record_to_dict,
+    Record,
     run_check,
 )
 
@@ -93,7 +95,7 @@ def random_function(rng: SplitMix64, family: str) -> str:
 
 
 @dataclass
-class FuzzConfig:
+class FuzzConfig(Record):
     seed: int = 20260808
     trials: int = 500
     p_values: tuple = (1.5, 2.0, 3.0)
@@ -124,13 +126,6 @@ class FuzzConfig:
             setattr(cfg, name, value)
         return cfg
 
-    def to_dict(self) -> dict:
-        return record_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FuzzConfig":
-        return record_from_dict(cls, d)
-
 
 @dataclass
 class TrialRecord:
@@ -148,12 +143,29 @@ class TrialRecord:
 
 @dataclass
 class CampaignReport:
+    """A campaign's config and trials; every count is read off the trials' outcomes."""
+
     config: FuzzConfig
     trials: list  # of TrialRecord
-    holds: int
-    violations: int
-    not_evaluable: int
-    violation_indices: list
+
+    def _indices(self, outcome: str) -> list:
+        return [t.index for t in self.trials if t.outcome == outcome]
+
+    @property
+    def holds(self) -> int:
+        return len(self._indices("holds"))
+
+    @property
+    def violations(self) -> int:
+        return len(self.violation_indices)
+
+    @property
+    def not_evaluable(self) -> int:
+        return len(self._indices("not_evaluable"))
+
+    @property
+    def violation_indices(self) -> list:
+        return self._indices("violation")
 
     def to_dict(self) -> dict:
         # wall times deliberately excluded: identical seed => identical bytes
@@ -164,7 +176,7 @@ class CampaignReport:
                 "violations": self.violations,
                 "not_evaluable": self.not_evaluable,
             },
-            "violation_indices": list(self.violation_indices),
+            "violation_indices": self.violation_indices,
             "trials": [
                 {
                     "index": t.index,
@@ -191,14 +203,7 @@ class CampaignReport:
             )
             for t in d["trials"]
         ]
-        return cls(
-            config=FuzzConfig.from_dict(d["config"]),
-            trials=trials,
-            holds=d["counts"]["holds"],
-            violations=d["counts"]["violations"],
-            not_evaluable=d["counts"]["not_evaluable"],
-            violation_indices=list(d["violation_indices"]),
-        )
+        return cls(config=FuzzConfig.from_dict(d["config"]), trials=trials)
 
 
 def build_trial_scenario(cfg: FuzzConfig, index: int) -> HardyScenario:
@@ -221,30 +226,17 @@ def build_trial_scenario(cfg: FuzzConfig, index: int) -> HardyScenario:
 
 
 def run_campaign(cfg: FuzzConfig, corpus_dir: str | Path | None = None) -> CampaignReport:
-    """Execute all trials; failures dump replayable scenario files to corpus_dir."""
+    """Execute all trials; each violation dumps a replayable scenario file to corpus_dir."""
     records: list[TrialRecord] = []
-    holds = violations = not_evaluable = 0
-    violation_indices: list[int] = []
     for index in range(cfg.trials):
         rec = replay_trial(cfg, index)
         records.append(rec)
-        if rec.outcome == "holds":
-            holds += 1
-        elif rec.outcome == "violation":
-            violations += 1
-            violation_indices.append(index)
-            if corpus_dir is not None:
-                path = Path(corpus_dir)
-                path.mkdir(parents=True, exist_ok=True)
-                name = f"violation-{cfg.seed}-{index:05d}.json"
-                with open(path / name, "w") as fh:
-                    json.dump(rec.scenario.to_dict(), fh, sort_keys=True, indent=2)
-        else:
-            not_evaluable += 1
-    return CampaignReport(
-        config=cfg, trials=records, holds=holds, violations=violations,
-        not_evaluable=not_evaluable, violation_indices=violation_indices,
-    )
+        if rec.outcome == "violation" and corpus_dir is not None:
+            path = Path(corpus_dir)
+            path.mkdir(parents=True, exist_ok=True)
+            with open(path / f"violation-{cfg.seed}-{index:05d}.json", "w") as fh:
+                json.dump(rec.scenario.to_dict(), fh, sort_keys=True, indent=2)
+    return CampaignReport(config=cfg, trials=records)
 
 
 def replay_trial(cfg: FuzzConfig, index: int) -> TrialRecord:
@@ -263,7 +255,7 @@ class DivergenceError(ArithmeticError):
 
 
 @dataclass
-class ConvergenceReport:
+class ConvergenceReport(Record):
     scenario: HardyScenario
     levels: list
     lhs_values: list
@@ -272,13 +264,15 @@ class ConvergenceReport:
     observed_order: float | None
     notes: list
 
-    def to_dict(self) -> dict:
-        return record_to_dict(self)
-
 
 def _config_for_level(kind: str, level: int) -> HardyConfig:
-    cfg = HardyConfig()
-    cfg.quad_tol = 10.0 ** (-level)
+    try:
+        tol = 10.0 ** (-level)
+    except OverflowError:
+        tol = math.inf
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"level {level}: the tolerance 10^{-level} is not a positive finite float")
+    cfg = HardyConfig(quad_tol=tol)
     if kind == G_HARDY:
         cfg.kernel_panels = 2 ** min(max(level, 4), 9)
     elif kind == SUP_HARDY:
@@ -293,15 +287,18 @@ def refine_study(scenario: HardyScenario, levels: list[int]) -> ConvergenceRepor
     """Recompute a scenario at increasing resolution and estimate convergence order.
 
     Level L maps to tolerance 10^{-L} and a grid resolution ladder per kind.
-    Divergent scenarios are rejected (DivergenceError propagates).
+    A level whose tolerance is not a positive finite float is a ValueError,
+    raised before any level runs.  Divergent scenarios are rejected
+    (DivergenceError propagates).
     """
     if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be an ascending list with at least two entries")
+    configs = [_config_for_level(scenario.check_kind, level) for level in levels]
     lhs_values: list[float] = []
     rhs_values: list[float] = []
     notes: list[str] = []
-    for level in levels:
-        report = run_check(scenario, _config_for_level(scenario.check_kind, level))
+    for level, config in zip(levels, configs):
+        report = run_check(scenario, config)
         if report.not_evaluable:
             raise DivergenceError(f"scenario not evaluable at level {level}")
         lhs_values.append(report.lhs)

@@ -107,19 +107,15 @@ def unit_psi(s: Semiring) -> PsiDensity:
 
 
 def _g_of_f(gen: Generator, f):
-    """g∘f for an integrand of one or two variables, on floats or node arrays.
+    """g∘f for an integrand of one or two variables, on node arrays or floats.
 
-    A non-finite f is a failed node (NaN); on floats it raises DomainError.
-    g is never applied to an infinite f, since g(±∞) may be finite.
+    A non-finite f is a failed node (NaN), at an array's nodes and at a float
+    alike (as a 0-d array): g is never applied to an infinite f, since g(±∞)
+    may be finite.
     """
 
     def gf(*point):
-        v = f(*point)
-        if np.ndim(v) == 0:
-            if not math.isfinite(v):
-                raise DomainError(f"f{point!r} is not finite")
-            return float(gen.forward(v))
-        return gen.forward(_nan_for_failed(np.asarray(v, dtype=float)))
+        return gen.forward(_nan_for_failed(np.asarray(f(*point), dtype=float)))
 
     return gf
 

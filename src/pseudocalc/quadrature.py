@@ -79,8 +79,9 @@ engine.  It calls the (pointwise) f once on the column xs[:, None] and the
 row ys[None, :] and broadcasts the result to the grid, so a monomial
 x^a·y^b costs 2n pows and one n² multiply instead of 2n² pows, with the same
 bits at every node; callables that reject that call get full coordinate
-arrays, then one call per node.  sup_scan_2d is the one grid sup scan (the
-sup-integral scans its ψ-weighted surface through it); level_set_samples
+arrays, then one call per node.  sup_scan_2d is the sup-integral's scan of
+its ψ-weighted surface; the sup Hardy check does not use it, as
+hardy.sup_kernel_grid scans its own grid in row bands.  level_set_samples
 gives the midpoint samples behind the Sugeno integrals.
 """
 
@@ -217,6 +218,8 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
     call evaluates the nodes x; lo and hi are the ends of the panels whose
     quarter nodes the next level evaluates if no panel is accepted.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     low = np.asarray(low, dtype=float)
     high = np.asarray(high, dtype=float)
     K = low.size
@@ -339,11 +342,6 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
     return results
 
 
-def _check_tol(tol: float):
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-
 def integrate_batch(f, low, high, tol: float = DEFAULT_TOL,
                     max_depth: int = DEFAULT_MAX_DEPTH) -> list[QuadratureResult]:
     """Adaptive Simpson estimates of ∫_low[k]^high[k] f for each k, in one batch."""
@@ -351,7 +349,6 @@ def integrate_batch(f, low, high, tol: float = DEFAULT_TOL,
                                     np.asarray(high, dtype=float))
     if not np.all(low < high):
         raise ValueError("requires low < high")
-    _check_tol(tol)
     return _adaptive(lambda x, k: eval_nodes(f, x), low, high, tol, max_depth)
 
 
@@ -364,7 +361,6 @@ def integrate_1d(f, low: float, high: float, tol: float = DEFAULT_TOL,
 def integrate_2d(f, r: Rect, tol: float = DEFAULT_TOL,
                  max_depth: int = DEFAULT_MAX_DEPTH) -> QuadratureResult:
     """Iterated adaptive integration of ∫∫_r f(s,t) dt ds (inner in t, outer in s)."""
-    _check_tol(tol)
     inner_tol = tol * 0.1
     done = {}   # outer node -> the QuadratureResult of its inner integral
     speculate = True

@@ -317,6 +317,12 @@ class TestHardyCommand:
         payload = json.loads(out)
         assert "f takes negative values: theorem hypotheses not met" in payload["notes"]
 
+    def test_domain_off_the_origin_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "hardy", "--f", "x*y", "--g", "sqrt", "--p", "2",
+                                 "--domain", "0.5,1,0,1")
+        assert (code, out) == (1, "")
+        assert err == "error: Hardy checks require a domain anchored at the origin\n"
+
     def test_inline_sup(self, capsys):
         code, out, _ = run_cli(capsys, "hardy", "--f", "x*y", "--semiring", "suptimes",
                                "--p", "2")
@@ -445,6 +451,74 @@ class TestReproduceTable:
         assert capsys.readouterr().out == "a.y: (3, 4)\na.z: [1, 2]\na-b.c: None\nb: 1\n"
 
 
+# pinned commands beyond `reproduce`: a reordered key shows in csv only, as
+# json reports sort their keys; "{scenario}" is a g_hardy scenario file
+CLI_COMMANDS = {
+    "hardy_g": ("hardy", "--f", "(x+y)/2", "--g", "half", "--p", "2"),
+    "hardy_sup": ("hardy", "--f", "x*y*(1.3-x*y)", "--semiring", "suptimes", "--psi", "1-x/2",
+                  "--p", "2"),
+    "hardy_sugeno": ("hardy", "--f", "(x+y)/2", "--kind", "sugeno_hardy", "--p", "3"),
+    "hardy_classical": ("hardy", "--f", "x", "--kind", "classical", "--p", "2", "--domain", "0.1,1"),
+    "hardy_not_evaluable": ("hardy", "--f", "x^(-0.2)", "--g", "sqrt", "--p", "2"),
+    "diag_p0": ("hardy", "--f", "x^2*y^2", "--g", "sqrt", "--p", "0", "--diagnostics"),
+    "diag_p1_6": ("hardy", "--f", "x^2*y^2", "--g", "sqrt", "--p", "0.16666666666666666",
+                  "--diagnostics"),
+    "diag_pm2": ("hardy", "--f", "x^2*y^2", "--g", "sqrt", "--p=-2", "--diagnostics"),
+    "fuzz": ("fuzz", "--trials", "6", "--seed", "9"),
+    "refine": ("refine", "--scenario", "{scenario}", "--levels", "4,6"),
+}
+
+# (exit code, SHA-256 of the stdout) of each command in each format, recorded
+# before the campaign counts were derived from the trials and the records
+# shared one serialiser
+CLI_DIGESTS = {
+    ("hardy_g", "json"): (0, "be5761ec7353fb7e72c3a3ddb3b590f0aa40efd6af915bbc1987a810a46e30e6"),
+    ("hardy_g", "csv"): (0, "b6d8a6373def0da97fe7ae7d96c494b54261db4a2d962216efe47d2c3576f9c1"),
+    ("hardy_g", "text"): (0, "86e6bfbef18d7d06d9a3c7cf0b8d6aef1376dd4dcd32bac21e19ab7f976f2f90"),
+    ("hardy_sup", "json"): (0, "316b51e7fccb234bddfcd548ace7461ee6e488ed70ac7996f0f082fc7177607c"),
+    ("hardy_sup", "csv"): (0, "8b55ab82ec31232c93a65cd8ee34f86b82d9c165281944624250cd3945a590c5"),
+    ("hardy_sup", "text"): (0, "1c195018ba3f5077ded4c6d326d02bb98759501e584e1768e8bb23376a3b0b02"),
+    ("hardy_sugeno", "json"): (0, "0a93a4b9becae73c70d03db80f608f671762487a8b60a2a5c22b01a5ee06af89"),
+    ("hardy_sugeno", "csv"): (0, "06c3f80ef0e761e63445d7836c10466779e764b56cd351c1bec2d0cf1c242a1f"),
+    ("hardy_sugeno", "text"): (0, "ce39026df96b6a9d06d8ce2b701cb6627dde12fac0638a16f2ee44c920248bee"),
+    ("hardy_classical", "json"): (0, "cba823bce4cadea3b1b5b3a6b35e546acf004b1d646af4a6f58772071c5133f8"),
+    ("hardy_classical", "csv"): (0, "3366b49f602a560523a1e33c6f1b0c59a3620907efaff6d74293d7c9271a9603"),
+    ("hardy_classical", "text"): (0, "590d4fc273dd77a061667c545708d71b67832db59321aea87e9f4dc5f877005e"),
+    ("hardy_not_evaluable", "json"): (2, "335a8a2f5a0a267db70dd0ca1f9aecdd566320f03a1cafad6f00f15061972e5b"),
+    ("hardy_not_evaluable", "csv"): (2, "5f9ca6e362818523ec1a4bf1a909386d28da6e9b608eb93aeb600591a852ad97"),
+    ("hardy_not_evaluable", "text"): (2, "ee3e02af3335b029fdb68621f7e8d0ab49a9d1c44b391b568489e7997564fd98"),
+    ("diag_p0", "json"): (0, "e851c81b3474dff48a4ce83b81383b2fcd3eadd113e81923b3fa1ea425736d35"),
+    ("diag_p0", "csv"): (0, "e6fd3f25b1048b70c2525058b0be31dcb49d5656cc04ba94b410971750d2b88d"),
+    ("diag_p0", "text"): (0, "79bf8e90d3b4e6a4b0bb4f1df70bc861f1da7d035f699f30cae1265a43f3907d"),
+    ("diag_p1_6", "json"): (0, "d50434527df70e4ea5fb9c52bfc163d89ebd363321f5a266a2ebaf02873dd0b9"),
+    ("diag_p1_6", "csv"): (0, "b345ca2e4ca8d89408497690908776566c7fb1f8d34cf0b5aca9df6ceb6526c8"),
+    ("diag_p1_6", "text"): (0, "e950c69134a3fc45306a8c68b950eba890d4fd0ea34362dd230a4538feefde3e"),
+    ("diag_pm2", "json"): (0, "8dae6a736aa8476056257f87e5e99bdab241f3ee084bcaa5521a781d96103fce"),
+    ("diag_pm2", "csv"): (0, "5db4e61933cbf8bf81b4fc9dcaefca939240ac7018e562441b1067229ffcc20f"),
+    ("diag_pm2", "text"): (0, "0021b896cd0feeb41b80c5a53f3793e9db404d5dd67266313eebfb9d70ca392e"),
+    ("fuzz", "json"): (0, "c668613e7a7cd2e1a7ac64c68644e23fa65b0c9450e8cf849d892560f2b92aac"),
+    ("fuzz", "csv"): (0, "3ab9fc3cf72dc33d26e0d8b94b1944e5ac069dfdf1bd087c5115b7f3b6a2d9a0"),
+    ("fuzz", "text"): (0, "2976fb2bdc1c7f843a2d74254d40053051f3e12ec6065a05a481ca67f91ac9e2"),
+    ("refine", "json"): (0, "55e9ef26051006813425b3c29b6dbc5cf14b767b51437aef5ae434e7e4c1f723"),
+    ("refine", "csv"): (0, "f04625319adc7daddc4f79fb0cb86515fba306f542bf71dd3cb879c16dfdb269"),
+    ("refine", "text"): (0, "a2306175c5ad02498a608e5eb180033ef3fcb82886edfc04791013fd41cb5779"),
+}
+
+
+class TestCommandBytes:
+    def test_every_command_has_a_digest(self):
+        assert {name for name, _ in CLI_DIGESTS} == set(CLI_COMMANDS)
+
+    @pytest.mark.parametrize("name,fmt", sorted(CLI_DIGESTS))
+    def test_output_bytes(self, capsys, tmp_path, name, fmt):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"f": "(x+y)/2", "g": "half", "p": 2.0, "kind": "g_hardy"}))
+        argv = [arg.format(scenario=path) for arg in CLI_COMMANDS[name]]
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert err == ""
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == CLI_DIGESTS[name, fmt]
+
+
 class TestFuzzAndRefine:
     def test_small_fuzz(self, capsys):
         code, out, _ = run_cli(capsys, "fuzz", "--trials", "6", "--seed", "3")
@@ -488,6 +562,15 @@ class TestFuzzAndRefine:
         assert code == 0
         payload = json.loads(out)
         assert abs(payload["lhs_values"][-1] - 14.0 / 192.0) < 1e-6
+
+    @pytest.mark.parametrize("levels,bad", [("-400,-399", -400), ("300,400", 400)])
+    def test_refine_level_without_a_finite_tolerance(self, capsys, tmp_path, levels, bad):
+        # 10^400 overflows and 10^-400 underflows to 0: a usage error, as other bad levels are
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"f": "(x+y)/2", "g": "half", "p": 2.0, "kind": "g_hardy"}))
+        code, out, err = run_cli(capsys, "refine", "--scenario", str(path), f"--levels={levels}")
+        assert (code, out) == (1, "")
+        assert err == f"error: level {bad}: the tolerance 10^{-bad} is not a positive finite float\n"
 
     def test_refine_divergent_rejected(self, capsys, tmp_path):
         path = tmp_path / "scn.json"

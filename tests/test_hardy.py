@@ -813,6 +813,17 @@ class TestSerialization:
         again = H.HardyScenario.from_dict(json.loads(json.dumps(scn.to_dict())))
         assert again == scn
 
+    def test_scenario_key_order(self):
+        # the order of the scenario's csv columns; unset g, semiring and psi are left out
+        scn = H.HardyScenario(f_src="x*y", check_kind="sup_hardy", p=2.0, gen_spec="half",
+                              semiring_spec="suptimes", psi_src="1")
+        assert list(scn.to_dict()) == ["f", "kind", "p", "domain", "g", "semiring", "psi"]
+        assert H.HardyScenario.from_dict(scn.to_dict()) == scn
+        bare = H.HardyScenario(f_src="x", check_kind="sugeno_hardy", p=3.0)
+        assert bare.to_dict() == {"f": "x", "kind": "sugeno_hardy", "p": 3.0,
+                                  "domain": [0.0, 1.0, 0.0, 1.0]}
+        assert H.HardyScenario.from_dict({"f": "x", "kind": "sugeno_hardy", "p": 3}) == bare
+
     def test_report_roundtrip(self):
         scn = H.HardyScenario(f_src="(x+y)/2", check_kind="g_hardy", p=2.0,
                               gen_spec="half")
@@ -825,6 +836,23 @@ class TestSerialization:
             H.HardyScenario(f_src="x*y", check_kind="unknown", p=2.0)
         with pytest.raises(Exception):
             H.HardyScenario(f_src="x +* y", check_kind="g_hardy", p=2.0)
+
+    @pytest.mark.parametrize("spec", [
+        dict(check_kind="g_hardy", gen_spec="sqrt"),
+        dict(check_kind="sup_hardy", semiring_spec="suptimes"),
+        dict(check_kind="sugeno_hardy"),
+    ], ids=lambda spec: spec["check_kind"])
+    def test_two_dimensional_checks_need_the_origin_anchor(self, spec):
+        scn = H.HardyScenario(f_src="x*y", p=2.0, domain=Rect(0.5, 1.0, 0.0, 1.0), **spec)
+        with pytest.raises(ValueError, match="anchored at the origin"):
+            H.run_check(scn)
+
+    def test_classical_check_needs_no_origin_anchor(self):
+        # the classical check reads (x_low, x_high) as its interval, which must start past 0
+        scn = H.HardyScenario(f_src="x", check_kind="classical", p=2.0,
+                              domain=Rect(0.5, 1.0, 0.0, 1.0))
+        rep = H.run_check(scn)
+        assert rep.holds is True and rep.not_evaluable is False
 
 
 def test_report_verdict_tolerance():

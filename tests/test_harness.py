@@ -1,6 +1,7 @@
 """Fuzz harness: PRNG contract, families, campaign determinism, refine studies."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -146,6 +147,32 @@ class TestCampaign:
         restored = HardyScenario.from_dict(json.loads(dumps[0].read_text()))
         assert restored == report.trials[0].scenario
 
+    def test_counts_come_from_the_outcomes(self, tmp_path, monkeypatch):
+        # one trial of each outcome: holds, violation, not evaluable
+        from pseudocalc.hardy import HardyReport
+
+        verdicts = iter([True, False, None])
+
+        def fake_check(scn, config):
+            holds = next(verdicts)
+            return HardyReport(kind=scn.check_kind, p=scn.p, lhs=2.0, rhs_integral=0.1,
+                               constant=1.0, rhs=0.1, holds=holds, direction="le",
+                               not_evaluable=holds is None)
+
+        monkeypatch.setattr(HA, "run_check", fake_check)
+        cfg = HA.FuzzConfig(seed=6, trials=3, kinds=("g_hardy",))
+        report = HA.run_campaign(cfg, corpus_dir=tmp_path)
+        assert [f.name for f in fields(report)] == ["config", "trials"]
+        assert [t.outcome for t in report.trials] == ["holds", "violation", "not_evaluable"]
+        assert (report.holds, report.violations, report.not_evaluable) == (1, 1, 1)
+        assert report.violation_indices == [1]
+        text = report.to_json()
+        assert json.loads(text)["counts"] == {"holds": 1, "violations": 1, "not_evaluable": 1}
+        assert HA.CampaignReport.from_dict(json.loads(text)).to_json() == text
+        assert [p.name for p in tmp_path.iterdir()] == ["violation-6-00001.json"]
+        dumped = json.loads((tmp_path / "violation-6-00001.json").read_text())
+        assert HardyScenario.from_dict(dumped) == report.trials[1].scenario
+
 
 class TestRefineStudy:
     def test_worked_scenario_stabilizes(self):
@@ -186,6 +213,14 @@ class TestRefineStudy:
                             gen_spec="sqrt")
         with pytest.raises(DivergenceError):
             HA.refine_study(scn, [4, 6])
+
+    @pytest.mark.parametrize("levels,bad", [([-400, -399], -400), ([300, 400], 400)])
+    def test_level_without_a_finite_tolerance_rejected(self, levels, bad):
+        # 10^400 overflows and 10^-400 underflows to 0: neither is a tolerance
+        scn = HardyScenario(f_src="(x+y)/2", check_kind="g_hardy", p=2.0, gen_spec="half")
+        with pytest.raises(ValueError, match=rf"^level {bad}: the tolerance 10\^{-bad} is not "
+                                             "a positive finite float$"):
+            HA.refine_study(scn, levels)
 
     def test_levels_must_ascend(self):
         scn = HardyScenario(f_src="x*y", check_kind="g_hardy", p=2.0, gen_spec="half")

@@ -58,6 +58,17 @@ class TestGIntegralReturn:
                 G.eval_inverse(gen, res.value)
             assert reason == str(err.value) == f"sqrt: y={res.value!r} outside range [0.0, 1.0]"
 
+    @pytest.mark.parametrize("f", [
+        lambda x: np.where(x == 0.5, np.inf, x),
+        # the `if` rejects arrays, so the quadrature calls it once per node on floats
+        lambda x: math.inf if x == 0.5 else x,
+    ], ids=["array", "scalar_only"])
+    def test_infinite_f_is_a_failed_node(self, f):
+        # tanh(∞) = 1 is finite: g must not see the infinite f, on arrays or floats
+        gen = G.Generator("tanh", np.tanh, np.arctanh)
+        value, res, reason = P.g_integral_1d(gen, f, 0.0, 1.0)
+        assert (value, res.status, reason) == (None, "diverged", "inner classical integral diverged")
+
 
 class TestGIntegral2D:
     def test_sqrt_squares(self):
