@@ -260,6 +260,12 @@ class HardyScenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HardyScenario":
+        """The scenario of a JSON object; ValueError names what it lacks."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a scenario is a JSON object, not {type(d).__name__}")
+        missing = [key for key in ("f", "kind", "p") if key not in d]
+        if missing:
+            raise ValueError(f"the scenario lacks {', '.join(map(repr, missing))}")
         kwargs = {name: d[key] for name, key in _SCENARIO_KEYS.items() if key in d}
         kwargs["p"] = float(d["p"])
         if "domain" in d:

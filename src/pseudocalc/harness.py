@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .hardy import (
@@ -263,6 +263,10 @@ class ConvergenceReport(Record):
     errors: list          # |lhs_i - lhs_finest| for i < last
     observed_order: float | None
     notes: list
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ConvergenceReport":
+        return replace(super().from_dict(d), scenario=HardyScenario.from_dict(d["scenario"]))
 
 
 def _config_for_level(kind: str, level: int) -> HardyConfig:

@@ -5,18 +5,51 @@ batch of independent integrals (each with its own limits, evaluation count,
 status and partial sum) one refinement level at a time: all the panels still
 active at a depth are evaluated in one integrand call, after the manner of
 Gander & Gautschi, "Adaptive quadrature — revisited" (BIT 2000).  A panel is
-accepted when its Richardson estimate |S₂ − S₁|/15 is within tol/2^depth;
-otherwise it is split, up to max_depth.  integrate_1d is a batch of one.
+accepted when its Richardson estimate |S₂ − S₁|/15 is within tol·s/2^depth;
+otherwise it is split, up to max_depth.  An integral is converged when its
+summed error estimate is within tol·s.  Its scale s = max(1, |(b − a)·f(m)|)
+is the midpoint rule's estimate from its first interior node, after QUADPACK's
+max(epsabs, epsrel·|I|) with both equal to tol (Piessens et al., 1983): an
+integral of size 10⁶ is not refined to an absolute 10⁻⁸, and one within
+[−1, 1] keeps the absolute tolerance.  The end values are left out of s: a
+failed limit's retry value, or a steep but finite end like (x + 10⁻⁴)^−½'s,
+is no sample of the integral's size and would loosen the tolerance past
+what the error estimate vouches for.  integrate_1d is a batch of one.
 integrate_batch serves integrals of one integrand with varying limits.
 
+Graded restarts.  Where f ~ c·|x − limit|^a with a small or negative a, the
+endpoint panel's error shrinks like h^(1+a) against an allowance that
+shrinks like h, so plain refinement cannot settle it.  At RESTART_DEPTH
+every panel at a limit that is still refining is fitted: a from its values
+at the limit and at h/2 and h inward (of |f − f(limit)|, or of |f| where the
+limit failed or |f| grows toward it), and again from h/4 and h/2.  Its
+integral restarts on the substitution x = limit ± (b − a)·u^k, u ∈ [0, 1],
+where the two fits agree within FIT_SPREAD (a power law), a > −1 and a is
+not within SMOOTH_END of a non-negative integer (a smooth end), and the
+panel would not settle before max_depth: an error 2^L times its allowance
+takes about L/a more plain levels, and never settles where a ≤ 0.  k =
+(m + 1)/(1 + a) makes the graded integrand f(x(u))·dx/du behave like u^m,
+with m = GRADED_ORDER = 3 where k ≤ MAX_GRADING = 25 allows it, else the
+largest m that does (x^−0.9: m = 1, k = 20; x^−0.5: k = 8); the cap keeps
+BOUNDARY_INSET^k a normal float, so an end with a < −0.96 is not graded.
+Where both ends ask, one map grades both: u ≤ 1/2 maps to
+low + w₁·(2u)^k_low and u > 1/2 to high − w₂·(2(1 − u))^k_high, with
+w₁·k_low = w₂·k_high so that dx/du is continuous at u = 1/2.  A restart
+runs once, on what is left of the integral's budget, and the evaluations
+spent before it count; an integral that never restarts keeps its nodes and
+bits.  An end with a ≤ −1 is left to the endpoint probe and the capped
+blow-up rule below.
+
 integrate_2d iterates it (inner in t, outer in s, matching the dtds ordering
-of the double integrals it serves), and computes inner integrals ahead of
+of the double integrals it serves; each inner integral and the outer one
+restart graded by their own fits), and computes inner integrals ahead of
 the outer engine, which shows it each level's nodes and panel ends first.
 When a level asks for outer nodes whose inner integrals are not done yet,
 one inner batch computes them together with those at the quarter nodes of
 the next LOOKAHEAD outer levels below the level's panels, formed with the
-engine's own float operations; results are kept by the outer node's exact
-value.  An inner integral does not depend on the others in its batch, and
+engine's own float operations (on a graded outer level, formed in u and
+mapped); results are kept by the outer node's exact value.  An inner
+integral does not depend on the others in its batch, and
 only the inner results the outer engine consumes count toward evaluations
 and the status, so every value, error estimate, status and evaluation
 count is the same as with one inner batch per outer level.  An inner
@@ -65,7 +98,10 @@ failed nodes already NaN (one finiteness pass), and the engine adds no pass
 of its own; a level with no NaN among them skips the failure test.  The
 EVAL_BUDGET test and the divergence rule each sit behind a scalar trigger
 and run only when it fires: the evaluations spent come within two per panel
-of the budget, a panel is capped.
+of the budget, a panel is capped.  All the panels of a table share one
+depth, a Python int, so the accept test compares with one float unless an
+integral of the batch has a scale above 1, and the endpoint fit runs at one
+level only.
 
 Summation: each integral's accepted panel values (S₂ plus the Richardson
 correction) are summed sequentially in order of their left endpoints, the
@@ -88,7 +124,7 @@ gives the midpoint samples behind the Sugeno integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,6 +138,11 @@ BLOWUP_VALUE = 1e12
 BLOWUP_PANEL = 1e8
 EVAL_BUDGET = 2_000_000
 PROBE_DISTANCE = 2.0**-20  # of the endpoint probe from a limit, per unit of b − a
+RESTART_DEPTH = 6  # depth at which an integral still refining a limit panel is refit and graded
+GRADED_ORDER = 3  # m: a graded end behaves like u^m, where the cap on k allows it
+MAX_GRADING = 25  # largest k: BOUNDARY_INSET^k stays a normal float
+SMOOTH_END = 0.02  # a fitted exponent this close to a non-negative integer is a smooth end
+FIT_SPREAD = 0.01  # most the fits over [0, h] and [0, h/2] may differ for a power law
 BATCH_CHUNK = 1 << 15  # nodes per integrand call when a level batch is large
 LOOKAHEAD = 2  # outer levels whose inner integrals integrate_2d computes ahead
 SPECULATIVE_BUDGET = 1024  # evaluations of an inner integral computed ahead, ~one level's cost
@@ -192,23 +233,77 @@ def eval_nodes(f, *coords: np.ndarray) -> np.ndarray:
 
 
 # rows of the panel table.  A panel is (owner, a, b, f(a), f(m), f(b), whole-
-# panel estimate, depth); the level fills the other rows in place: the
+# panel estimate), and all the panels of a table have one depth; the level
+# fills the other rows in place: the
 # midpoint and quarter-point values, the half-panel estimates, and for a
 # panel that is done its record, the rows [_OWNER, _VAL, _ERR, _A] that
 # come first.  a, m, b and f(a), f(m), f(b) are adjacent, so a slice of two
 # rows holds the left-half and the right-half operands of one operation
-_OWNER, _VAL, _ERR, _A, _M, _B, _FA, _FM, _FB, _FLM, _FRM, _SL, _SR, _S0, _DEPTH = range(15)
-_ROWS = _DEPTH + 1
-_CHILD = np.array([_OWNER, _A, _B, _FA, _FM, _FB, _S0, _DEPTH])
-_LEFT_CHILD = np.array([_OWNER, _A, _M, _FA, _FLM, _FM, _SL, _DEPTH])
-_RIGHT_CHILD = np.array([_OWNER, _M, _B, _FM, _FRM, _FB, _SR, _DEPTH])
+_OWNER, _VAL, _ERR, _A, _M, _B, _FA, _FM, _FB, _FLM, _FRM, _SL, _SR, _S0 = range(14)
+_ROWS = _S0 + 1
+_CHILD = np.array([_OWNER, _A, _B, _FA, _FM, _FB, _S0])
+_LEFT_CHILD = np.array([_OWNER, _A, _M, _FA, _FLM, _FM, _SL])
+_RIGHT_CHILD = np.array([_OWNER, _M, _B, _FM, _FRM, _FB, _SR])
+# a limit panel's f at its limit and at h/2, h and h/4 from it, at the low end and at the high end
+_FITS = np.array([[_FA, _FM, _FB, _FLM], [_FB, _FM, _FA, _FRM]])
+
+
+def _grading(f0, f_half, f_whole, f_quarter, retried, excess, levels_left):
+    """k of the map x = limit ± w·u^k for limit panels of width h, or 1.0 where an end is not graded.
+
+    f0 is f at the limit (its retry value where it failed) and f_quarter,
+    f_half, f_whole are f at h/4, h/2 and h from it.  The exponent a of
+    |f − f(limit)| ~ |x − limit|^a, or of |f| where the limit failed or |f|
+    grows toward it, is fitted over [0, h] and again over [0, h/2]; an end is
+    graded where the two fits agree (a power law), a > −1 and a is not a
+    non-negative integer (a smooth end), choosing k = (m + 1)/(1 + a) so that
+    the graded integrand behaves like u^m.
+    """
+    base = np.where(retried | ((np.abs(f0) > np.abs(f_half)) & (np.abs(f_half) > np.abs(f_whole))), 0.0, f0)
+    a, a_half = np.log2(np.abs([f_whole - base, f_half - base]) / np.abs([f_half - base, f_quarter - base]))
+    m = np.minimum(GRADED_ORDER, np.floor(MAX_GRADING * (1.0 + a) - 1.0))
+    k = (m + 1.0) / (1.0 + a)
+    smooth = (a > -SMOOTH_END) & (np.abs(a - np.round(a)) < SMOOTH_END)
+    # a panel whose error exceeds its allowance 2^L-fold settles in about L/a
+    # more plain levels, and never where a ≤ 0: restart where that is past the cap
+    slow = (a <= 0.0) | (np.log2(excess) > a * levels_left)
+    graded = (np.abs(a - a_half) <= FIT_SPREAD) & (m >= 0.0) & (k > 1.0) & ~smooth & slow
+    return np.where(graded, k, 1.0)
+
+
+def _graded_map(low, high, k_low, k_high):
+    """x(u) and dx/du of the map of [0, 1] onto [low, high] graded by k_low and k_high (arrays of K).
+
+    Where one end is graded, x = end ± (high − low)·u^k runs from that end to
+    the other.  Where both are, u ≤ 1/2 maps to x = low + w₁·(2u)^k_low and
+    u > 1/2 to x = high − w₂·(2(1 − u))^k_high, with w₁·k_low = w₂·k_high so
+    that dx/du is continuous at u = 1/2, a panel end at every level.  Each
+    distance is formed from its own end, and a node that rounds onto its end
+    while u is inside moves to the next float inward.
+    """
+    graded_low, both = k_low > 1.0, (k_low > 1.0) & (k_high > 1.0)
+    first = np.where(graded_low, low, high)   # the end at u = 0
+    w1 = np.where(both, (high - low) * k_high / (k_low + k_high), high - low)
+    table = np.array([np.where(both, 0.5, 1.0), first, low + high - first,
+                      np.where(graded_low, k_low, k_high), k_high, w1, high - low - w1])
+
+    def to_x(u, j):
+        t, e1, e2, k1, k2, w1, w2 = table[:, j]
+        left = u <= t   # every u where t = 1
+        span, end, other, k, w = (np.where(left, p, q) for p, q in
+                                  ((t, 1.0 - t), (e1, e2), (e2, e1), (k1, k2), (w1, w2)))
+        r = np.where(left, u, 1.0 - u) / span
+        x = end + np.copysign(w * r**k, other - end)
+        return np.where((x == end) & (r > 0.0), np.nextafter(end, other), x), k * w * r ** (k - 1.0) / span
+
+    return to_x
 
 
 # an overflow makes a Simpson estimate non-finite, which fails its panel, or a
 # sum infinite; either shows in the results, so numpy is not asked to warn
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
-              ahead=None) -> list[QuadratureResult]:
+              ahead=None, scale=None) -> list[QuadratureResult]:
     """Adaptive Simpson estimates of ∫_low[k]^high[k], k < K, advanced level by level.
 
     fk(x, k) gives the integrand values at nodes x of the integrals k, as a
@@ -216,7 +311,10 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
     of each integral: one cap for all, or an array of K.  ahead, if given, is
     called as ahead(x, lo, hi) before the first call and before each level's
     call evaluates the nodes x; lo and hi are the ends of the panels whose
-    quarter nodes the next level evaluates if no panel is accepted.
+    quarter nodes the next level evaluates if no panel is accepted.  In a
+    graded restart of a batch of one, ahead gets the map from u to x as a
+    fourth argument.  scale, given by a restart only, is each integral's
+    tolerance scale, and a restart is not restarted again.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -264,11 +362,16 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
     panels = np.zeros((_ROWS, K))
     panels[[_OWNER, _A, _B, _FA, _FM, _FB, _S0]] = (
         ks, low, high, fa, fm, fb, (high - low) / 6.0 * (fa + 4.0 * fm + fb))
+    # the midpoint rule's estimate sets the scale: a failed limit's retry
+    # value, or a steep but finite end, is no sample of the integral's size
+    restart = scale is None
+    scale = np.fmax(1.0, np.abs((high - low) * fm)) if restart else scale
+    scaled = bool(np.any(scale > 1.0))
     panels = panels[:, started]
-    tol_at = np.array([tol * 0.5**d for d in range(max(max_depth, 0) + 1)])  # tol/2^depth
-    divergent = np.zeros(K, dtype=bool)
-    out_of_budget = np.zeros(K, dtype=bool)
+    divergent, out_of_budget, restarted = np.zeros((3, K), dtype=bool)
+    grading = np.ones((2, K))   # k at each integral's low and high end, where it restarts
     parts = []   # the records (owner, value s2 + err, |err|, left end) of the panels that are done
+    depth = 0    # of every panel in the table
 
     while panels.shape[1]:
         owner = panels[_OWNER].astype(np.intp)
@@ -281,7 +384,7 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
                 if not panels.shape[1]:
                     break
         n = owner.size
-        a, m, b, depth = panels[_A], panels[_M], panels[_B], panels[_DEPTH]
+        a, m, b = panels[_A], panels[_M], panels[_B]
         np.multiply(a + b, 0.5, out=m)
         x = (panels[_A:_M + 1] + panels[_M:_B + 1]) * 0.5   # rows (a + m)/2 and (m + b)/2
         if ahead is not None:
@@ -296,7 +399,10 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
         err = (s2 - panels[_S0]) / 15.0
         np.add(s2, err, out=panels[_VAL])
         np.abs(err, out=panels[_ERR])
-        accepted = panels[_ERR] <= tol_at[depth.astype(np.intp)]
+        allowed = tol * 0.5**depth   # tol·s/2^depth
+        if scaled:
+            allowed = allowed * scale[owner]
+        accepted = panels[_ERR] <= allowed
         refine = ~accepted
         # a failed node makes its panel's Simpson estimate NaN and an overflow
         # makes it ±inf; a finite sum of the estimates rules both out
@@ -304,20 +410,30 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
             failed = ~np.isfinite(s2)
             divergent[owner[failed]] = True  # unresolvable interior singularity or overflow
             refine &= ~failed
-        capped = refine & (depth >= max_depth)
-        if capped.any():
+        if depth >= max_depth and refine.any():
             # a capped panel that blows up makes its integral divergent
-            refine &= ~capped
             peak = np.abs(panels[[_FA, _FM, _FB, _FLM, _FRM]]).max(axis=0)
-            divergent[owner[capped & ((peak > BLOWUP_VALUE) | (np.abs(s2) > BLOWUP_PANEL))]] = True
-        parts.append(panels[:_A + 1, accepted | capped])
+            divergent[owner[refine & ((peak > BLOWUP_VALUE) | (np.abs(s2) > BLOWUP_PANEL))]] = True
+            accepted |= refine
+            refine[:] = False
+        if restart and depth == RESTART_DEPTH:
+            # the limit panels still refining are fitted, low ends first, and an
+            # integral restarts graded where the fit at either end asks for it
+            ends = [np.flatnonzero(refine & (a == low[owner])), np.flatnonzero(refine & (b == high[owner]))]
+            at, end = np.concatenate(ends), np.repeat([0, 1], [ends[0].size, ends[1].size])
+            grading[end, owner[at]] = _grading(*panels[_FITS[end].T, at], np.isin(end * K + owner[at], retry),
+                                               (panels[_ERR] / allowed)[at], max_depth - depth)
+            restarted = (grading.max(axis=0) > 1.0) & ~divergent & ~out_of_budget
+            refine &= ~restarted[owner]
+        parts.append(panels[:_A + 1, accepted])
         # a refined panel gives way to its two halves, so each integral's panels stay in order
         split = panels[:, refine]
         panels = np.empty((_ROWS, 2 * split.shape[1]))
         panels[_CHILD, 0::2] = split[_LEFT_CHILD]
         panels[_CHILD, 1::2] = split[_RIGHT_CHILD]
-        panels[_DEPTH] += 1.0
+        depth += 1
 
+    restarted = np.flatnonzero(restarted)
     # each integral's terms added left to right from +0.0, as a loop over them
     # would: its panels partition its interval, so their left ends order them
     # depth-first, and np.add.at adds in index order (unbuffered) where np.sum
@@ -332,13 +448,28 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
         np.add.at(sums[0], owner, records[_VAL, order])
         np.add.at(sums[1], owner, records[_ERR, order])
     results = []
-    for total, error, count, over, failed in zip(*sums.tolist(), evals.tolist(), out_of_budget.tolist(),
-                                                 (divergent | ~started).tolist()):
-        status = CONVERGED if error <= tol else MAX_REFINEMENT
+    for total, error, count, over, failed, s in zip(*sums.tolist(), evals.tolist(), out_of_budget.tolist(),
+                                                    (divergent | ~started).tolist(), scale.tolist()):
+        status = CONVERGED if error <= tol * s else MAX_REFINEMENT
         # an integral that never started has no terms, so its total is 0.0
         if over or failed:
             error, status = math.inf, DIVERGED if failed else MAX_REFINEMENT
         results.append(QuadratureResult(total, error, count, status))
+    if restarted.size:
+        # a restart runs on the graded map with what is left of its budget;
+        # the evaluations spent before it still count
+        to_x = _graded_map(low[restarted], high[restarted], *grading[:, restarted])
+
+        def graded(u, j):
+            x, jac = to_x(u, j)
+            return fk(x, restarted[j]) * jac
+
+        first_x = lambda u: to_x(u, np.zeros(u.size, dtype=np.intp))[0]   # ahead serves a batch of one
+        again = _adaptive(graded, np.zeros(restarted.size), np.ones(restarted.size), tol, max_depth,
+                          np.broadcast_to(budget, K)[restarted] - evals[restarted],
+                          ahead and (lambda u, lo, hi: ahead(u, lo, hi, first_x)), scale[restarted])
+        for k, res in zip(restarted.tolist(), again):
+            results[k] = replace(res, evaluations=results[k].evaluations + res.evaluations)
     return results
 
 
@@ -367,19 +498,20 @@ def integrate_2d(f, r: Rect, tol: float = DEFAULT_TOL,
     inner_evals = 0
     inner_worst = CONVERGED
 
-    def inner_batch(x: np.ndarray, lo=None, hi=None):
+    def inner_batch(x: np.ndarray, lo=None, hi=None, to_x=lambda u: u):
         # one inner batch for the outer nodes x not done yet and, while
         # speculating, the quarter nodes of the LOOKAHEAD levels below the
-        # panels (lo, hi), formed as the outer engine forms them
+        # panels (lo, hi), formed as the outer engine forms them; on a graded
+        # outer level all of them are formed in u and mapped by to_x
         nonlocal speculate
-        todo = [node for node in dict.fromkeys(x.tolist()) if node not in done]
+        todo = [node for node in dict.fromkeys(to_x(x).tolist()) if node not in done]
         if not todo:
             return
         wanted = len(todo)
         if speculate and lo is not None:
             for _ in range(LOOKAHEAD):
                 m = (lo + hi) * 0.5
-                todo += ((lo + m) * 0.5).tolist() + ((m + hi) * 0.5).tolist()
+                todo += to_x(np.concatenate(((lo + m) * 0.5, (m + hi) * 0.5))).tolist()
                 lo, hi = np.concatenate((lo, m)), np.concatenate((m, hi))
             todo = [node for node in dict.fromkeys(todo) if node not in done]
         s = np.array(todo)

@@ -222,6 +222,12 @@ class TestRefineStudy:
                                              "a positive finite float$"):
             HA.refine_study(scn, levels)
 
+    def test_report_round_trips_with_its_scenario(self):
+        scn = HardyScenario(f_src="(x+y)/2", check_kind="g_hardy", p=2.0, gen_spec="half")
+        report = HA.refine_study(scn, [4, 6])
+        back = HA.ConvergenceReport.from_dict(report.to_dict())
+        assert back == report and isinstance(back.scenario, HardyScenario)
+
     def test_levels_must_ascend(self):
         scn = HardyScenario(f_src="x*y", check_kind="g_hardy", p=2.0, gen_spec="half")
         with pytest.raises(ValueError):

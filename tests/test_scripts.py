@@ -79,3 +79,24 @@ def test_code_lines(tmp_path):
     assert lines[-1].endswith("total")
     assert sum(int(line.split()[0]) for line in lines[:-1]) == int(lines[-1].split()[0])
     assert any(line.endswith("  hardy.py") for line in lines)
+
+
+def test_compare_campaigns(tmp_path):
+    import json
+
+    proc = run_script("run_fuzz_campaign.py", "--trials", "3", "--out", str(tmp_path / "old.json"),
+                      "--corpus", str(tmp_path / "corpus"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "old.json").read_text())
+    report["trials"][0]["report"]["rhs_integral"] += 1e-9
+    (tmp_path / "moved.json").write_text(json.dumps(report))
+    proc = run_script("compare_campaigns.py", "old.json", "moved.json", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 of 3 trials moved\n")
+    assert re.search(r"^  rhs_integral: 1 moved, largest \|delta\| 1e-09 at trial 0 ", proc.stdout, re.MULTILINE)
+    assert proc.stdout.endswith("0 verdict, not-evaluable or status changes\n")
+    report["trials"][2]["report"]["holds"] = False
+    (tmp_path / "changed.json").write_text(json.dumps(report))
+    proc = run_script("compare_campaigns.py", "old.json", "changed.json", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "CHANGED trial 2 holds: True -> False" in proc.stdout
