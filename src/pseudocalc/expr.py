@@ -16,19 +16,21 @@ right-associative and binds tighter than unary minus, so -x^2 parses as
 -(x^2).  Python's own grammar orders these operators the same way once '^'
 is read as '**', so parse hands the source to ast.parse and admits only the
 nodes of this language from the result; nothing is compiled or evaluated
-by Python.  The invalid operations are division by zero, sqrt of a
-negative value, ln of a non-positive value, a fractional power of a
-negative base and a negative power of zero.
+by Python.
 
-as_function compiles a tree once into nested closures, one per node; that is
-the one evaluation path.  It builds a strict and a NaN-masked closure tree
-and picks one per call.  Evaluation at a point (floats) is strict: an
-invalid operation raises EvalError rather than producing an infinity.
-Evaluation on numpy arrays is NaN-masked: an invalid operation gives NaN at
-the offending elements only, and the NaN propagates to the result, also
-through x^0, 1^x, min and max, where IEEE arithmetic would drop it.  So an
-array result is NaN exactly where evaluation at that point would raise, and
-elsewhere it agrees with it up to numpy's vectorised pow (within an ulp).
+as_function compiles a tree once into nested closures, one per node, and
+every evaluation runs through that one tree.  An invalid operation (division
+by zero, sqrt of a negative value, ln of a non-positive value, a fractional
+power of a negative base, a negative power of zero) gives NaN at the
+offending elements only, and the NaN propagates to the result, also through
+x^0, 1^x, min and max, where IEEE arithmetic would drop it.  Arrays come back
+with NaN where the expression has no value.  A point (x and y floats) runs
+through the same tree as float64 scalars and comes back as a float; where
+its value is NaN, which includes a NaN coordinate and inf - inf, it raises
+EvalError instead.  An overflow gives an infinity at a point as on arrays.
+A point agrees with the array element at it, except where numpy's
+vectorised pow differs from its scalar pow in the last bit, which a later
+operation can magnify.
 """
 
 from __future__ import annotations
@@ -64,13 +66,7 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    """Raised when evaluation hits a domain violation (division by zero, ...)."""
-
-    def __init__(self, message: str, subexpr: "Expr | None" = None):
-        if subexpr is not None:
-            message = f"{message} in '{to_string(subexpr)}'"
-        super().__init__(message)
-        self.subexpr = subexpr
+    """Raised when an expression has no value at a point (division by zero, ...)."""
 
 
 @dataclass(frozen=True)
@@ -178,30 +174,11 @@ def parse(src: str) -> Expr:
         raise error("expression nested too deeply", 0) from None
 
 
-def _is_integer_exponent(e) -> bool:
-    arr = np.asarray(e, dtype=float)
-    return bool(np.all(arr == np.floor(arr)))
+def _nan_where(bad, out):
+    return np.where(bad, np.nan, out) if np.any(bad) else out
 
 
-def _invalid(masked: bool, bad, node: Expr, message: str):
-    """The mask of invalid elements, or None if there are none.
-
-    On floats (masked False) an invalid operand raises EvalError instead.
-    """
-    if not np.any(bad):
-        return None
-    if not masked:
-        raise EvalError(message, node)
-    return bad
-
-
-def _pow(node: BinOp, a, b, masked: bool):
-    if not masked:
-        if a < 0.0 and not _is_integer_exponent(b):
-            raise EvalError("negative base with non-integer exponent", node)
-        if a == 0.0 and b < 0.0:
-            raise EvalError("zero base with negative exponent", node)
-        return float(a) ** float(b)
+def _pow(a, b):
     # a negative base with a non-integer exponent gives NaN by itself; IEEE
     # gives NaN^0 = 1^NaN = 1, but a failed operand must still fail
     out = np.power(a, b)
@@ -215,68 +192,51 @@ def _pow(node: BinOp, a, b, masked: bool):
         bad = a == 1.0
     else:
         return out
-    return np.where(bad, np.nan, out) if np.any(bad) else out
+    return _nan_where(bad, out)
 
 
-_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
-_ELEMENTWISE = {"exp": np.exp, "abs": np.abs, "min": np.minimum, "max": np.maximum}
+_OPERATORS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+              "div": lambda a, b: _nan_where(b == 0.0, np.divide(a, b)), "pow": _pow}
+# a negative sqrt argument gives NaN by itself; min and max propagate a NaN operand
+_CALLS = {"sqrt": np.sqrt, "exp": np.exp, "abs": np.abs, "min": np.minimum, "max": np.maximum,
+          "ln": lambda a: _nan_where(a <= 0.0, np.log(a))}
 
 
-def _compile(node: Expr, masked: bool):
-    """node as a closure of (x, y), built once: strict (masked False) or NaN-masked."""
+def _compile(node: Expr):
+    """node as a NaN-masked closure of (x, y), built once."""
     if isinstance(node, Const):
         value = node.value
         return lambda x, y: value
     if isinstance(node, Var):
         return (lambda x, y: x) if node.name == "x" else (lambda x, y: y)
     if isinstance(node, Neg):
-        operand = _compile(node.operand, masked)
+        operand = _compile(node.operand)
         return lambda x, y: -operand(x, y)
     if isinstance(node, BinOp):
-        left, right = _compile(node.left, masked), _compile(node.right, masked)
-        if node.op in _ARITHMETIC:
-            return lambda x, y, op=_ARITHMETIC[node.op]: op(left(x, y), right(x, y))
-        if node.op == "div":
-            def div(x, y):
-                a, b = left(x, y), right(x, y)
-                bad = _invalid(masked, b == 0.0, node, "division by zero")
-                return a / b if bad is None else np.where(bad, np.nan, a / np.where(bad, 1.0, b))
-            return div
-        if masked and isinstance(node.right, Const) and node.right.value > 0.0:
+        left, right = _compile(node.left), _compile(node.right)
+        if node.op == "pow" and isinstance(node.right, Const) and node.right.value > 0.0:
             # no element can fail a power with this exponent
             return lambda x, y, e=node.right.value: np.power(left(x, y), e)
-        return lambda x, y: _pow(node, left(x, y), right(x, y), masked)
+        return lambda x, y, op=_OPERATORS[node.op]: op(left(x, y), right(x, y))
     if isinstance(node, Call):
-        args = [_compile(arg, masked) for arg in node.args]
-        if node.name in _ELEMENTWISE:  # min and max propagate a NaN operand
-            return lambda x, y, fn=_ELEMENTWISE[node.name]: fn(*[arg(x, y) for arg in args])
-        (arg,) = args
-        if node.name == "sqrt":
-            def sqrt(x, y):
-                a = arg(x, y)
-                if not masked:  # on arrays a negative element gives NaN by itself
-                    _invalid(False, a < 0.0, node, "sqrt of negative value")
-                return np.sqrt(a)
-            return sqrt
-
-        def ln(x, y):
-            a = arg(x, y)
-            bad = _invalid(masked, a <= 0.0, node, "ln of non-positive value")
-            return np.log(a) if bad is None else np.where(bad, np.nan, np.log(a))
-        return ln
+        args = [_compile(arg) for arg in node.args]
+        return lambda x, y, fn=_CALLS[node.name]: fn(*[arg(x, y) for arg in args])
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def _evaluator(node: Expr):
-    """node compiled once: strict on floats, NaN-masked when x or y is an array."""
-    strict = _compile(node, False)
-    masked = _compile(node, True)
+    """node compiled once; a float point gives a float, or EvalError where the value is NaN."""
+    tree = _compile(node)
 
     def f(x, y):
         if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
             with np.errstate(all="ignore"):
-                return masked(x, y)
-        return strict(x, y)
+                return tree(x, y)
+        with np.errstate(all="ignore"):
+            value = float(tree(np.float64(x), np.float64(y)))
+        if value != value:
+            raise EvalError(f"no value at x={x!r}, y={y!r} in '{to_string(node)}'")
+        return value
 
     return f
 

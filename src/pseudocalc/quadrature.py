@@ -85,9 +85,10 @@ decides nothing.  The probe is evaluated through eval_nodes, under
 np.errstate, so it adds no RuntimeWarning.  Every other integral refines
 all its unsettled panels level by level, and a panel that reaches the depth
 cap with a local error estimate above its tolerance budget makes the
-integral divergent iff it also shows blow-up (a sampled |f| > 1e12 or a
-panel estimate > 1e8).  EVAL_BUDGET bounds the evaluations of each integral
-(status max_refinement, with the partial sum of the panels done so far).
+integral divergent iff it also shows blow-up relative to the integral's
+scale s (a sampled |f| > 1e12·s or a panel estimate > 1e8·s).  EVAL_BUDGET
+bounds the evaluations of each integral (status max_refinement, with the
+partial sum of the panels done so far).
 
 Cost of a level: all the panels live in one table, one column per panel,
 and a level is a fixed handful of numpy calls on it whatever the number of
@@ -411,9 +412,11 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
             divergent[owner[failed]] = True  # unresolvable interior singularity or overflow
             refine &= ~failed
         if depth >= max_depth and refine.any():
-            # a capped panel that blows up makes its integral divergent
+            # a capped panel that blows up, relative to its integral's scale,
+            # makes its integral divergent
             peak = np.abs(panels[[_FA, _FM, _FB, _FLM, _FRM]]).max(axis=0)
-            divergent[owner[refine & ((peak > BLOWUP_VALUE) | (np.abs(s2) > BLOWUP_PANEL))]] = True
+            blowup = (peak > BLOWUP_VALUE * scale[owner]) | (np.abs(s2) > BLOWUP_PANEL * scale[owner])
+            divergent[owner[refine & blowup]] = True
             accepted |= refine
             refine[:] = False
         if restart and depth == RESTART_DEPTH:

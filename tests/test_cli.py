@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -51,6 +52,17 @@ class TestIntegrate:
         body = json.loads(out)
         assert body["status"] == "diverged"
         assert body["value"] is None   # a partial sum of a divergent integral means nothing
+
+    def test_integrable_product_singularity_converges(self, capsys):
+        # ∬ 0.05·(x(1−x)y(1−y))^−½ = 0.05π².  The outer restart's retry node
+        # s ≈ 1.45e-93 lifts the inner values past BLOWUP_VALUE = 1e12, which
+        # read as diverged before the threshold scaled with the integral
+        code, out, _ = run_cli(capsys, "integrate", "--f", "0.05*(x*(1-x)*y*(1-y))^(-0.5)",
+                               "--g", "identity", "--dim", "2")
+        assert code == 0
+        body = json.loads(out)
+        assert body["status"] == "converged"
+        assert body["value"] == pytest.approx(0.05 * math.pi**2, abs=1e-8)
 
     def test_log_divergence_is_diverged(self, capsys):
         # ∫₀¹ x⁻¹: the endpoint probe calls it divergent, not a value outside g's range
@@ -262,6 +274,25 @@ class TestHardyCommand:
         assert payload["branch"] == "0<p<1"
         assert payload["lhs_value"] is None and payload["inequality_fails"] is None
         assert payload["notes"][-1] == note
+
+    def test_negative_p_diagnostics_with_a_converged_lhs(self, capsys):
+        # the remark says the p < 0 lhs diverges; ∬^⊕ (1+x)^-2 under sqrt is (ln 2)²
+        code, out, err = run_cli(capsys, "hardy", "--diagnostics", "--f", "1+x", "--g", "sqrt",
+                                 "--p=-2")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["branch"] == "p<0" and payload["lhs_status"] == "converged"
+        assert payload["lhs_value"] == pytest.approx(math.log(2.0) ** 2, abs=1e-9)
+        assert payload["notes"] == ["lhs integral converged unexpectedly"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--f", "1+x", "--p", "2"), "--diagnostics needs --f, --g and --p"),
+        (("--f", "1+x", "--g", "sqrt", "--p", "2"), "covers the p <= 1 regime"),
+    ])
+    def test_diagnostics_usage_errors_exit_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "hardy", "--diagnostics", *argv)
+        assert code == 1 and out == ""
+        assert message in err
 
     def test_singular_corner_is_evaluable(self, capsys):
         # x/(x+y) fails only at the origin; the kernel grid retries it inward

@@ -1,5 +1,7 @@
 """Parser and evaluator tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -335,6 +337,30 @@ def test_failed_operand_propagates(src):
         evaluate(parse(src), 0.0)
 
 
+class TestPointThroughTheMaskedTree:
+    """A point runs through the one NaN-masked tree: NaN raises, overflow is inf."""
+
+    def test_overflow_is_infinite(self):
+        # Python's float pow raised OverflowError here
+        assert evaluate(parse("10^x"), 400.0) == np.inf
+        assert evaluate(parse("-exp(x)"), 1000.0) == -np.inf
+
+    @pytest.mark.parametrize("src,x,y", [
+        ("x+1", np.nan, 0.0),          # a NaN coordinate
+        ("x-y", np.inf, np.inf),       # inf - inf
+        ("1/(x-y)", 0.5, 0.5),
+        ("x + 1/0", 0.5, 0.0),         # constant operands, no ZeroDivisionError
+    ])
+    def test_nan_raises_naming_the_expression(self, src, x, y):
+        with pytest.raises(EvalError, match=re.escape(f"in '{to_string(parse(src))}'")):
+            evaluate(parse(src), x, y)
+
+    def test_point_gives_a_python_float(self):
+        f = expr.as_function(parse("2.5"))
+        assert type(f(0.3, 0.7)) is float and type(f(1, 2)) is float
+        assert type(expr.as_function(parse("x*y"))(np.float64(0.5), 0.5)) is float
+
+
 # every node type, evaluated at the point (0.3, 0.7) (float.hex of the value, or
 # "raises") and on the arrays x = (0, 0.3, 2, 0.75), y = (0.5, 0.7, 0.25, 0)
 # ("nan" marks a failed node), recorded on the tree-walking evaluator that
@@ -425,6 +451,6 @@ def test_compiled_evaluation_keeps_the_recorded_bits(src):
     assert got == at_point
     f = expr.as_function(tree)
     assert [_bits(v) for v in np.broadcast_to(f(_XS, _YS), _XS.shape)] == on_arrays
-    # a float point gets the strict path, an array the masked one, from one compiled f
+    # a float point and an array run through the same compiled f
     if at_point != "raises":
         assert _bits(f(0.3, 0.7)) == at_point

@@ -71,6 +71,9 @@ class TestFuzzConfig:
         again = HA.FuzzConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
 
+    def test_override_reaches_the_hardy_config(self):
+        assert HA.FuzzConfig(tolerance_overrides={"sup_level": 7}).hardy_config().sup_level == 7
+
     def test_override_names_checked(self):
         cfg = HA.FuzzConfig(tolerance_overrides={"not_a_knob": 1})
         with pytest.raises(ValueError):

@@ -461,6 +461,21 @@ class TestGradedRestart:
         res, = Q._adaptive(f, [0.0], [1.0], 1e-8, 30, budget=150)
         assert res.status == "max_refinement" and res.evaluations <= 150
 
+    @pytest.mark.parametrize("src,exact,within,evaluations", [
+        ("(x*(1-x))^(-0.5)", math.pi, 2e-8, 838),
+        ("(x*(1-x))^0.25", math.gamma(1.25) ** 2 / math.gamma(2.5), 1e-10, 402),
+    ])
+    def test_both_ends_graded_by_one_map(self, monkeypatch, src, exact, within, evaluations):
+        maps = []
+        graded_map = Q._graded_map
+        monkeypatch.setattr(Q, "_graded_map", lambda *args: maps.append(args) or graded_map(*args))
+        f = _parsed(src)
+        res = Q.integrate_1d(lambda x: f(x, 0.0), 0.0, 1.0, 1e-8)
+        assert res.status == "converged" and abs(res.value - exact) <= within
+        assert res.evaluations <= evaluations
+        (_, _, k_low, k_high), = maps
+        assert k_low[0] > 1.0 and k_high[0] > 1.0
+
     @pytest.mark.parametrize("src", sorted(PARENT_PEAKS))
     def test_memory_peak_not_raised(self, src):
         f = _parsed(src)
@@ -489,6 +504,16 @@ class TestToleranceScale:
         res = Q.integrate_1d(lambda x: (x + 1e-4) ** -0.5, 0.0, 1.0, 1e-8)
         assert res.status == "converged"
         assert abs(res.value - 2.0 * (math.sqrt(1.0001) - 0.01)) <= 1e-9
+
+
+class TestBlowupScale:
+    # the capped blow-up thresholds are BLOWUP_VALUE·s and BLOWUP_PANEL·s, s the
+    # integral's scale; absolute thresholds read this as diverged (the 2-D case
+    # is TestIntegrate::test_integrable_product_singularity_converges in test_cli)
+    def test_large_integrable_end_is_not_divergent(self):
+        f = _parsed("1e3*x^(-0.99)")
+        res = Q.integrate_1d(lambda x: f(x, 0.0), 0.0, 1.0, 1e-8)
+        assert res.status == "max_refinement" and res.value == 75524.80054924975
 
 
 class TestInnerLookahead:
@@ -584,6 +609,15 @@ class TestEngineContract:
         acc = np.zeros(2)
         np.add.at(acc, np.array([0, 0, 0, 1, 1, 1]), np.array([1.0, 1e16, -1e16, -1e16, 1e16, 1.0]))
         assert acc.tolist() == [0.0, 1.0]
+
+    def test_non_numeric_values_fail_every_node(self):
+        res = Q.integrate_1d(lambda x: "a", 0.0, 1.0)
+        assert res.status == "diverged" and res.error_estimate == math.inf
+
+    def test_sup_scan_with_every_node_failed_is_minus_infinity(self):
+        stats = {}
+        assert Q.sup_scan_2d(lambda s, t: math.nan, Q.UNIT_SQUARE, 3, stats) == -math.inf
+        assert stats["skipped_nodes"] == 9 * 9
 
     def test_eval_nodes_marks_failures(self):
         xs = np.array([0.0, 0.5, 1.0])
