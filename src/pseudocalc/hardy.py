@@ -75,6 +75,7 @@ from .pseudo_integral import (
     unit_psi,
 )
 from .quadrature import (
+    BAND_ELEMENTS,
     CONVERGED,
     DIVERGED,
     UNIT_SQUARE,
@@ -92,9 +93,6 @@ from .semiring import SaturationFlags, Semiring, parse_semiring
 VERDICT_REL = 1e-9
 VERDICT_ABS = 1e-12
 SUGENO_SLACK = 1e-6
-# nodes per row band of the sup kernel: 2^14 floats are 128 KiB, so a band
-# and its few temporaries stay in cache and no grid-sized array is made
-SUP_BAND_ELEMENTS = 2**14
 
 G_HARDY = "g_hardy"
 SUP_HARDY = "sup_hardy"
@@ -430,7 +428,7 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
                     flags: SaturationFlags | None = None):
     """The sup check's maxima of R, the ψ-weighted running sup of f over [0,x]×[0,y].
 
-    One pass over row bands of the (2^level+1)² grid, SUP_BAND_ELEMENTS
+    One pass over row bands of the (2^level+1)² grid, BAND_ELEMENTS
     nodes each, so no array is grid-sized.  Returns max(R − f), its (x, y),
     max R^p ⊙ ψ(y) ⊙ ψ(x), max f^p ⊙ ψ(y) ⊙ ψ(x) and whether f < 0 somewhere;
     raises DomainError if f fails at a node.  The bits are those of the whole
@@ -444,7 +442,7 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
     # ψ(x) as a column and ψ(y) as a row, ready to broadcast against a band
     psix = np.broadcast_to(np.asarray(psi(xs), dtype=float), xs.shape)[:, np.newaxis]
     psiy = np.broadcast_to(np.asarray(psi(ys), dtype=float), ys.shape)[np.newaxis, :]
-    rows = max(1, SUP_BAND_ELEMENTS // n)
+    rows = max(1, BAND_ELEMENTS // n)
     column_max = np.full(n, -np.inf)    # of the weighted surface, over the rows so far
     best, negative, lhs, rhs = None, False, [], []
     for start in range(0, n, rows):

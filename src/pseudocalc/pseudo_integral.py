@@ -5,13 +5,17 @@ generator:  ∫^⊕ f = g⁻¹(∫ g∘f).  The sup-integral is the idempotent (
 counterpart: the sup over the domain of f ⊙ ψ with ψ the density of the
 sup-measure.  The Sugeno integral is sup_α min(α, μ{f ≥ α}) with μ the
 Lebesgue product measure, taken exactly for the empirical measure of
-midpoint samples: sugeno_from_sorted on one sorted sample,
-sugeno_from_samples on an unsorted one (a selection that sorts only the
-values around the crossing rank), and sugeno_prefix_blocks for all the
-nested blocks F[:a, :b] of one sample grid at once (one sort plus 2-D
-prefix counts, with every crossing test an integer compare of a count
-against a per-value pass count).  All three give the same values bit for
-bit.
+midpoint samples: sugeno_from_sorted on one sorted sample, _sugeno_scan on
+an unsorted one, and sugeno_prefix_blocks for all the nested blocks
+F[:a, :b] of one sample grid at once (one sort plus 2-D prefix counts, with
+every crossing test an integer compare of a count against a per-value pass
+count).  _sugeno_scan is the one selection path: two cuts from a strided
+subsample bracket the crossing rank, and one pass over the samples counts
+the cuts and keeps only the values between them, which alone are sorted; a
+pass is repeated only when a cut misses.  sugeno_integral_2d feeds it row
+bands of its grid, evaluated as they are read, so its memory is O(band)
+rather than O(grid²); sugeno_from_samples feeds it an array in memory as
+one band.  All three give the bits of a full sort.
 
 g_integral_1d and g_integral_2d return (value, result, reason): the
 classical integral's QuadratureResult comes with the value, and where the
@@ -36,6 +40,7 @@ import numpy as np
 from . import expr as expr_mod
 from .generators import Generator, RangeError, eval_inverse
 from .quadrature import (
+    BAND_ELEMENTS,
     DEFAULT_LEVEL_SET_GRID,
     DEFAULT_MAX_DEPTH,
     DEFAULT_SUP_LEVELS,
@@ -45,10 +50,11 @@ from .quadrature import (
     QuadratureResult,
     Rect,
     _nan_for_failed,
+    cell_midpoints,
     eval_nodes,
+    grid_eval,
     integrate_1d,
     integrate_2d,
-    level_set_samples,
     sup_scan_2d,
 )
 from .semiring import SUP_PLUS, SaturationFlags, Semiring, pseudo_mul
@@ -174,29 +180,51 @@ def sup_integral_2d(s: Semiring, f, psi: PsiDensity | None = None,
     return sup_scan_2d(lambda x, y: psi_weighted(s, f(x, y), psi(x), psi(y), flags), r, levels)
 
 
+def _raised(f, power: float):
+    """f(x, y) ** power, taken on f's own result before grid_eval broadcasts it.
+
+    A term in x alone is raised once per row, not once per node.  The power
+    is an in-place `**=` on an owned float64 array, as on a whole grid:
+    numpy's scalar-exponent fast paths (2 → square) run, with the same bits
+    per node.  A non-finite value stays non-finite (and is dropped later),
+    except under a negative power, which would make inf finite; there failed
+    values become NaN first.
+    """
+
+    def raised(*point):
+        vals = np.asarray(f(*point), dtype=float)
+        if power < 0.0:
+            vals = _nan_for_failed(vals)
+        if not vals.flags.owndata:
+            vals = vals.copy()
+        vals **= power
+        return vals
+
+    return raised
+
+
 def sugeno_integral_2d(f, r: Rect = UNIT_SQUARE,
                        grid: int = DEFAULT_LEVEL_SET_GRID, power: float = 1.0) -> float:
     """Sugeno integral sup_α min(α, μ({f^power ≥ α} ∩ r)) for the empirical measure.
 
-    f is sampled once on the grid × grid midpoint cells (one broadcast call,
-    see quadrature.grid_eval) into an array this function owns, which is
-    raised to power in place: `**=` keeps numpy's scalar-exponent fast paths
-    (2 → square), the bits of f(x, y) ** power on an array.  Failed samples
-    and non-finite powers (a negative base with a fractional power, an
-    overflow) are dropped, and only copied out when there are any;
-    sugeno_from_samples then finds the crossing rank by selection instead of
-    a full sort.
+    f^power (see _raised) is sampled on the grid × grid midpoint cells in
+    row bands of BAND_ELEMENTS nodes (quadrature.grid_eval), which
+    _sugeno_scan reads one at a time, so no grid-sized array is held.  Failed
+    samples and non-finite powers (a negative base with a fractional power,
+    an overflow) are dropped.  The bracket subsample is evaluated on its own
+    nodes (eval_nodes); its bits need not match the grid's, as every cut is
+    tested on the band values.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    samples = level_set_samples(f, r, grid)
-    with np.errstate(all="ignore"):  # what fails or overflows here is dropped
-        if power != 1.0:
-            samples **= power
-        # a finite sum has no NaN or infinite term, so one pass rules them out
-        if not np.isfinite(np.sum(samples)):
-            samples = samples[np.isfinite(samples)]
-    return sugeno_from_samples(samples, r.area / (grid * grid))
+    if power != 1.0:
+        f = _raised(f, power)
+    xs, ys = cell_midpoints(r.x_low, r.x_high, grid), cell_midpoints(r.y_low, r.y_high, grid)
+    rows = max(1, BAND_ELEMENTS // grid)
+    return _sugeno_scan(
+        lambda: (grid_eval(f, xs[i:i + rows], ys) for i in range(0, grid, rows)),
+        lambda nodes: eval_nodes(f, xs[nodes // grid], ys[nodes % grid]),
+        grid * grid, grid, r.area / (grid * grid))
 
 
 def _crossing_rank(descending, cell_area: float, lo: int, hi: int) -> int:
@@ -236,7 +264,18 @@ def sugeno_from_sorted(descending: np.ndarray, cell_area: float) -> float:
 
 
 def sugeno_from_samples(values: np.ndarray, cell_area: float) -> float:
-    """sugeno_from_sorted of the finite values sorted descending, without a full sort.
+    """sugeno_from_sorted of the finite values sorted descending: _sugeno_scan of one band."""
+    flat = _nan_for_failed(np.asarray(values, dtype=float).ravel())
+    return _sugeno_scan(lambda: (flat,), lambda nodes: flat[nodes],
+                        flat.size, values.shape[-1], cell_area)
+
+
+def _sugeno_scan(bands, subsample, nodes: int, side: int, cell_area: float) -> float:
+    """sugeno_from_sorted of the finite values of bands(), without a full sort.
+
+    bands() yields the values of nodes nodes, NaN where one failed, in arrays
+    of any shape, the same values on every call; subsample(flat) gives the
+    values at the flat node indices flat (rows of side nodes).
 
     A cut {v > t} or {v ≥ t} with c members bounds the crossing rank k*: its
     c-th largest value is at least t and every value outside it at most t,
@@ -246,77 +285,79 @@ def sugeno_from_samples(values: np.ndarray, cell_area: float) -> float:
     and k* is bisected among them; v_(k*+1) is the next of them or, when
     k* = c_U, the largest value outside U.
 
-    The cuts come from a strided subsample, one value in about isqrt(n)/4
-    with the stride coprime to the last axis so that every column of a
-    sample grid is represented.  Its own crossing rank guesses k*.  Cuts are
-    probed about isqrt(subsample)/8 subsample ranks above and below the
-    guess, and a probe that lands on the wrong side moves out four times as
-    far, until it reaches the end of the subsample; then the trivial cut
-    (c = 0 above, c = n below) stands in, and with both trivial the band is
-    the whole sample, a full sort.  Ties have their own rule: the probe
-    above the guess is strict (v > t) and the one below inclusive (v ≥ t),
-    so when both land on one tied value t the band is {v = t}, which is
-    bisected as a constant without being extracted or sorted.  Fewer than
-    256 values (a stride below 4), or a cell_area that is not positive, are
-    sorted whole.  Each rank is tested as sugeno_from_sorted tests it, so
-    the value is the same bits.
+    The cuts come from a strided subsample, one node in about isqrt(nodes)/4
+    with the stride coprime to side so that every column of a sample grid is
+    represented.  Its crossing rank, with each finite value standing for
+    nodes/sampled nodes (failed ones included, so a half-failed grid is no
+    worse a guess), guesses k*.  One pass over the bands counts a strict cut
+    {v > t_hi} about isqrt(subsample)/8 subsample ranks above the guess and
+    an inclusive one {v ≥ t_lo} as far below, keeps the values between them
+    and the largest value below t_lo.  If the upper probe lands below k*
+    (its cut is an upper one), it becomes t_lo and t_hi moves out four times
+    as far, and likewise down; each miss costs another pass.  A probe past
+    either end of the subsample takes the trivial cut (c = 0 above, every
+    value below), which cannot miss; with both trivial every value lies
+    between them, a full sort.  When both probes land on one tied value t
+    the values between are {v = t}, which is bisected as a constant without
+    being kept or sorted.  Fewer than 256 nodes (a stride below 4), or a
+    cell_area that is not positive, take the trivial cuts.  Memory is
+    O(band) plus the values between the cuts.
+    Each rank is tested as sugeno_from_sorted tests it, and the value depends
+    only on the multiset of finite values, so it is the same bits.
     """
-    flat = values.ravel()
-    n = flat.size
-    stride = math.isqrt(n) // 4
-    if stride < 4 or not cell_area > 0.0:
-        return sugeno_from_sorted(np.sort(flat)[::-1], cell_area)
-    side = values.shape[-1]
-    while math.gcd(stride, side) != 1:
-        stride += 1
-    sub = np.sort(flat[::stride])[::-1]
-    m = sub.size
-    guess = _crossing_rank(sub, n / m * cell_area, 0, m)
-    width = max(1, math.isqrt(m) // 8)
-    above, below = guess - 1 - width, guess + width   # subsample indices to probe
-    # the best (count, threshold, members) lower and upper cut so far,
-    # starting from the trivial ones, which need no mask
-    lower, upper = (0, math.inf, None), (n, -math.inf, None)
-    while True:
-        probes = []
-        if lower[2] is None and above is not None:
-            probes.append((max(above, 0), True))
-        if upper[2] is None and below is not None:
-            probes.append((min(below, m - 1), False))
-        if not probes:
-            break
-        for index, strict in probes:
-            t = float(sub[index])
-            mask = flat > t if strict else flat >= t
-            c = int(np.count_nonzero(mask))
-            if c * cell_area <= t:
-                if c >= lower[0]:
-                    lower = (c, t, mask)
-            elif c <= upper[0]:
-                upper = (c, t, mask)
-        # a probe still missing its cut moves out, or stops at the end
-        if lower[2] is None and above is not None:
-            above = None if above <= 0 else guess - 1 - 4 * (guess - 1 - above)
-        if upper[2] is None and below is not None:
-            below = None if below >= m - 1 else guess + 4 * (below - guess)
+    t_hi, t_lo = math.inf, -math.inf
+    stride = math.isqrt(nodes) // 4
+    if stride >= 4 and cell_area > 0.0:
+        while math.gcd(stride, side) != 1:
+            stride += 1
+        sub = subsample(np.arange(0, nodes, stride))
+        sampled = sub.size
+        sub = np.sort(sub[~np.isnan(sub)])[::-1]
+        m = sub.size
+        guess = _crossing_rank(sub, nodes / sampled * cell_area, 0, m)
+        # the subsample between the trivial cuts' thresholds: ends[i + 1] = sub[i]
+        ends = np.concatenate(([math.inf], sub, [-math.inf]))
 
-    (c_lo, t_lo, in_lower), (c_hi, t_hi, in_upper) = lower, upper
+        def probe(i):
+            return ends[min(max(i + 1, 0), m + 1)]
+
+        up = down = max(1, math.isqrt(m) // 8)   # subsample ranks from the guess
+        t_hi, t_lo = probe(guess - 1 - up), probe(guess + down)
+    while True:
+        c_hi = c_lo = 0
+        kept, below = [], -math.inf
+        for v in bands():
+            above = v > t_hi
+            upper = v >= t_lo
+            c_hi += np.count_nonzero(above)
+            c_lo += np.count_nonzero(upper)
+            # fmax skips the NaN of failed nodes
+            below = max(below, np.fmax.reduce(v, axis=None, where=~upper, initial=-math.inf))
+            if t_lo < t_hi:
+                upper ^= above          # the members of the upper cut outside the lower
+                kept.append(v[upper])
+        # a probe that misses is a cut of the other kind, tighter than the
+        # other probe's: it takes that one's place, and its own side moves out
+        if c_hi * cell_area > t_hi:
+            up *= 4
+            t_lo, t_hi = t_hi, probe(guess - 1 - up)
+        elif c_lo * cell_area <= t_lo:
+            down *= 4
+            t_hi, t_lo = t_lo, probe(guess + down)
+        else:
+            break
+
     if t_lo == t_hi:
         # only a strict lower and an inclusive upper cut share a threshold:
-        # the band is the tie {v = t}
-        band = np.broadcast_to(t_lo, (c_hi - c_lo,))
+        # the values between are the tie {v = t}
+        between = np.broadcast_to(t_lo, (c_lo - c_hi,))
     else:
-        inside = np.ones(n, dtype=bool) if in_upper is None else in_upper
-        if in_lower is not None:
-            inside = inside & ~in_lower
-        band = np.sort(flat[inside])[::-1]
-    k_star = _crossing_rank(band, cell_area, c_lo, c_hi)
-    if k_star < c_hi:
-        following = band[k_star - c_lo]
-    elif c_hi < n:
-        following = np.max(flat, where=~in_upper, initial=-math.inf)
+        between = np.sort(np.concatenate(kept))[::-1]
+    k_star = _crossing_rank(between, cell_area, c_hi, c_lo)
+    if k_star < c_lo:
+        following = between[k_star - c_hi]
     else:
-        following = None
+        following = None if below == -math.inf else below
     return _sugeno_value(k_star, cell_area, following)
 
 

@@ -117,9 +117,14 @@ row ys[None, :] and broadcasts the result to the grid, so a monomial
 x^a·y^b costs 2n pows and one n² multiply instead of 2n² pows, with the same
 bits at every node; callables that reject that call get full coordinate
 arrays, then one call per node.  sup_scan_2d is the sup-integral's scan of
-its ψ-weighted surface; the sup Hardy check does not use it, as
-hardy.sup_kernel_grid scans its own grid in row bands.  level_set_samples
-gives the midpoint samples behind the Sugeno integrals.
+its ψ-weighted surface.  The sup Hardy check (hardy.sup_kernel_grid) and
+the Sugeno integral (pseudo_integral.sugeno_integral_2d) call grid_eval on
+row bands of BAND_ELEMENTS nodes instead of the whole grid, so their memory
+is O(band): the sup check in one pass, the Sugeno integral in one pass
+unless a cut of its bracket misses, each with the bits of the whole grid
+(for the Sugeno integral, those of a full sort of its samples).
+level_set_samples gives the whole grid of midpoint samples
+(cell_midpoints) that the Sugeno Hardy kernel sorts.
 """
 
 from __future__ import annotations
@@ -147,6 +152,10 @@ FIT_SPREAD = 0.01  # most the fits over [0, h] and [0, h/2] may differ for a pow
 BATCH_CHUNK = 1 << 15  # nodes per integrand call when a level batch is large
 LOOKAHEAD = 2  # outer levels whose inner integrals integrate_2d computes ahead
 SPECULATIVE_BUDGET = 1024  # evaluations of an inner integral computed ahead, ~one level's cost
+# nodes per row band of the banded grid scans (the sup kernel, the Sugeno
+# integral): 2^14 floats are 128 KiB, so a band and its few temporaries stay
+# in cache and no grid-sized array is made
+BAND_ELEMENTS = 2**14
 
 CONVERGED = "converged"
 MAX_REFINEMENT = "max_refinement"
@@ -633,13 +642,15 @@ def sup_scan_2d(f, r: Rect = UNIT_SQUARE, levels: int = DEFAULT_SUP_LEVELS,
     return best
 
 
+def cell_midpoints(low: float, high: float, grid: int) -> np.ndarray:
+    """The midpoints of the grid equal cells of [low, high]."""
+    return low + (np.arange(grid) + 0.5) * ((high - low) / grid)
+
+
 def level_set_samples(f, r: Rect, grid: int) -> np.ndarray:
     """Midpoint-cell samples of f on r (grid × grid), NaN where evaluation fails."""
-    dx = (r.x_high - r.x_low) / grid
-    dy = (r.y_high - r.y_low) / grid
-    xs = r.x_low + (np.arange(grid) + 0.5) * dx
-    ys = r.y_low + (np.arange(grid) + 0.5) * dy
-    return grid_eval(f, xs, ys)
+    return grid_eval(f, cell_midpoints(r.x_low, r.x_high, grid),
+                     cell_midpoints(r.y_low, r.y_high, grid))
 
 
 def cumulative_simpson(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:

@@ -484,7 +484,7 @@ class TestSupBuffers:
     def test_first_location_wins_a_tie_across_bands(self):
         # R − f = (b − 1/2) − |i − b + 1/2| on row i peaks at rows b − 1 and b,
         # the last row of the first band and the first row of the second
-        b = H.SUP_BAND_ELEMENTS // 513
+        b = H.BAND_ELEMENTS // 513
         s = parse_semiring("suptimes")
         f = expr.as_function(expr.parse(f"abs(512*x-{b - 0.5})"))
         got = H.sup_kernel_grid(s, f, P.unit_psi(s), UNIT, 9, 2.0)

@@ -13,7 +13,16 @@ from pseudocalc import generators as G
 from pseudocalc import pseudo_integral as P
 from pseudocalc import semiring as S
 from pseudocalc.harness import SplitMix64
-from pseudocalc.quadrature import UNIT_SQUARE, Rect, integrate_1d, integrate_2d, sup_scan_2d
+from pseudocalc.quadrature import (
+    BAND_ELEMENTS,
+    UNIT_SQUARE,
+    Rect,
+    grid_eval,
+    integrate_1d,
+    integrate_2d,
+    level_set_samples,
+    sup_scan_2d,
+)
 
 
 class TestGIntegral1D:
@@ -503,6 +512,92 @@ def test_lhs_matches_full_sort(f_src, p, sorted_sizes):
     assert got == LHS_BY_FULL_SORT[f_src, p]
     # a subsample of about 4·1024 values and a band of a few thousand
     assert sum(sorted_sizes) <= 16 * 1024
+
+
+def _parsed(src):
+    return expr.as_function(expr.parse(src))
+
+
+def _counted(f):
+    """f, and a list whose length is the number of calls made to it."""
+    calls = []
+
+    def counting(*point):
+        calls.append(np.shape(point[0]))
+        return f(*point)
+
+    return counting, calls
+
+
+def _full_grid_sugeno(f, r, grid, power):
+    """sugeno_from_sorted of every finite f^power sample of the whole grid, raised in place."""
+    samples = level_set_samples(f, r, grid)
+    with np.errstate(all="ignore"):
+        samples **= power
+    return _sorted_sugeno(samples[np.isfinite(samples)], r.area / grid**2)
+
+
+class TestStreamedSugeno:
+    """sugeno_integral_2d scans row bands; the value is a full sort's, bit for bit."""
+
+    @pytest.mark.parametrize("f_src,grid,power,r", [
+        ("min(x,y)", 2048, 1.0, UNIT_SQUARE),        # ties
+        ("max(x,y)", 2048, 1.0, UNIT_SQUARE),
+        ("0*x", 256, 1.0, UNIT_SQUARE),
+        ("ln(x-0.3)", 512, 1.0, UNIT_SQUARE),        # failed nodes
+        ("1/(x-0.5)", 512, 1.0, UNIT_SQUARE),
+        ("exp(800*x)", 512, 1.0, UNIT_SQUARE),       # overflow
+        ("x^200*y^200", 512, 1.0, UNIT_SQUARE),
+        ("-x", 512, 1.0, UNIT_SQUARE),               # negatives
+        ("x-0.5", 512, 1.5, UNIT_SQUARE),
+        ("x-0.5", 512, 2.0, UNIT_SQUARE),
+        ("x-0.5", 512, 3.0, UNIT_SQUARE),
+        ("x*y+0.1", 15, 1.0, UNIT_SQUARE),           # 225 samples: a whole sort
+        ("x+y", 64, 2.0, Rect(0.0, 1e-200, 0.0, 1e-200)),  # an area that underflows to 0
+    ])
+    def test_matches_full_grid_sort(self, f_src, grid, power, r):
+        f = _parsed(f_src)
+        got = P.sugeno_integral_2d(f, r, grid=grid, power=power)
+        assert _same_bits(got, _full_grid_sugeno(f, r, grid, power))
+
+    @pytest.mark.parametrize("f_src", ["x", "y", "0.7"])
+    @pytest.mark.parametrize("power", [1.5, 2.0, 2.5, 3.0])
+    def test_power_on_f_result_has_the_whole_grid_bits(self, f_src, power):
+        # f's own (broadcast) result is raised, not every node of the band
+        f = _parsed(f_src)
+        xs = (np.arange(256) + 0.5) / 256
+        raised = grid_eval(P._raised(f, power), xs, xs)
+        whole = level_set_samples(f, UNIT_SQUARE, 256)
+        whole **= power
+        assert raised.tobytes() == whole.tobytes()
+        assert _same_bits(P.sugeno_integral_2d(f, grid=256, power=power),
+                          _full_grid_sugeno(f, UNIT_SQUARE, 256, power))
+
+    @pytest.mark.parametrize("f_src,grid,power", [("min(x,y)", 2048, 1.0), ("x-0.5", 1024, 1.5)])
+    def test_one_pass(self, f_src, grid, power):
+        # one call for the subsample, then one per row band; x − 0.5 fails on
+        # half the grid at p = 1.5, which must not throw the guess off
+        f, calls = _counted(_parsed(f_src))
+        got = P.sugeno_integral_2d(f, grid=grid, power=power)
+        rows = BAND_ELEMENTS // grid
+        assert len(calls) == 1 + grid // rows
+        assert calls[1:] == [(rows, 1)] * (grid // rows)
+        assert _same_bits(got, _full_grid_sugeno(_parsed(f_src), UNIT_SQUARE, grid, power))
+
+    @pytest.mark.parametrize("f,grid,power,limit", [
+        (lambda x, y: np.minimum(x, y), 2048, 1.0, 4 * 2**20),     # 44.3 MiB whole
+        (_parsed("0.273355237703685*(x+y)/2"), 1024, 1.5, 3 * 2**20),  # a default lhs: 11.1 MiB
+    ])
+    def test_footprint(self, f, grid, power, limit):
+        # a scan holds a band, its masks and the values between the cuts
+        P.sugeno_integral_2d(f, grid=grid, power=power)
+        tracemalloc.start()
+        try:
+            P.sugeno_integral_2d(f, grid=grid, power=power)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 def _blocks_by_sorting(F, row_ends, col_ends, cell):
