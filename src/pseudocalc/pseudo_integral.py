@@ -15,7 +15,10 @@ the cuts and keeps only the values between them, which alone are sorted; a
 pass is repeated only when a cut misses.  sugeno_integral_2d feeds it row
 bands of its grid, evaluated as they are read, so its memory is O(band)
 rather than O(grid²); sugeno_from_samples feeds it an array in memory as
-one band.  All three give the bits of a full sort.
+one band.  Under a power p, t ↦ t^p is nondecreasing on [0, ∞), so a band
+where f is non-negative is cut on f itself ({f > s} is a cut at s^p), and
+only the values between the cuts are raised; any other band is raised as
+f's own result.  All three give the bits of a full sort.
 
 g_integral_1d and g_integral_2d return (value, result, reason): the
 classical integral's QuadratureResult comes with the value, and where the
@@ -32,8 +35,9 @@ g's range.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -180,51 +184,112 @@ def sup_integral_2d(s: Semiring, f, psi: PsiDensity | None = None,
     return sup_scan_2d(lambda x, y: psi_weighted(s, f(x, y), psi(x), psi(y), flags), r, levels)
 
 
+def _power_of(vals: np.ndarray, power: float) -> np.ndarray:
+    """vals ** power as an in-place `**=` on an owned float64 array.
+
+    numpy's scalar-exponent fast paths (2 → square) run, so every caller
+    raising a value this way gets the same bits for it.  An overflow or a
+    negative base under a fractional power is not finite, without a warning.
+    """
+    if not vals.flags.owndata:
+        vals = vals.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals **= power
+    return vals
+
+
 def _raised(f, power: float):
     """f(x, y) ** power, taken on f's own result before grid_eval broadcasts it.
 
-    A term in x alone is raised once per row, not once per node.  The power
-    is an in-place `**=` on an owned float64 array, as on a whole grid:
-    numpy's scalar-exponent fast paths (2 → square) run, with the same bits
-    per node.  A non-finite value stays non-finite (and is dropped later),
-    except under a negative power, which would make inf finite; there failed
-    values become NaN first.
+    A term in x alone is raised once per row, not once per node, with the
+    bits of an in-place `**=` on the whole grid (_power_of).  A non-finite
+    value stays non-finite, and grid_eval makes it NaN.
     """
 
     def raised(*point):
-        vals = np.asarray(f(*point), dtype=float)
-        if power < 0.0:
-            vals = _nan_for_failed(vals)
-        if not vals.flags.owndata:
-            vals = vals.copy()
-        vals **= power
-        return vals
+        return _power_of(np.asarray(f(*point), dtype=float), power)
 
     return raised
+
+
+@lru_cache(maxsize=64)
+def _overflow_start(power: float) -> float:
+    """The least float h ≥ 0 whose power (_power_of) is not finite; inf if there is none.
+
+    The power is nondecreasing on [0, ∞), so h is bisected over the bit
+    patterns of the non-negative floats, which order them: about 63 pows,
+    once per power.
+    """
+
+    def overflows(bits: int) -> bool:
+        return not np.isfinite(_power_of(np.array([bits]).view(np.float64), power)[0])
+
+    lo, hi = 0, int(np.array([sys.float_info.max]).view(np.int64)[0])
+    if not overflows(hi):
+        return math.inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if overflows(mid):
+            hi = mid
+        else:
+            lo = mid
+    return float(np.array([hi]).view(np.float64)[0])
 
 
 def sugeno_integral_2d(f, r: Rect = UNIT_SQUARE,
                        grid: int = DEFAULT_LEVEL_SET_GRID, power: float = 1.0) -> float:
     """Sugeno integral sup_α min(α, μ({f^power ≥ α} ∩ r)) for the empirical measure.
 
-    f^power (see _raised) is sampled on the grid × grid midpoint cells in
-    row bands of BAND_ELEMENTS nodes (quadrature.grid_eval), which
-    _sugeno_scan reads one at a time, so no grid-sized array is held.  Failed
-    samples and non-finite powers (a negative base with a fractional power,
-    an overflow) are dropped.  The bracket subsample is evaluated on its own
+    f is sampled on the grid × grid midpoint cells in row bands of
+    BAND_ELEMENTS nodes (quadrature.grid_eval), which _sugeno_scan reads
+    one at a time, so no grid-sized array is held.  Failed samples and
+    non-finite powers (a negative base with a fractional power, an
+    overflow) are dropped.  The bracket subsample is evaluated on its own
     nodes (eval_nodes); its bits need not match the grid's, as every cut is
     tested on the band values.
+
+    With power ≠ 1 a band is cut on f itself when f's own result (before
+    grid_eval broadcasts it) is ≥ 0 and below the first float whose power
+    overflows wherever it is finite; only the values between the cuts are
+    raised, after the pass.  Any other band is raised as f's own result
+    (_raised) and cut on the powers.  power must be a positive finite float.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    if power != 1.0:
-        f = _raised(f, power)
+    if not (math.isfinite(power) and power > 0.0):
+        raise ValueError(f"power must be a positive finite float, got {power!r}")
     xs, ys = cell_midpoints(r.x_low, r.x_high, grid), cell_midpoints(r.y_low, r.y_high, grid)
     rows = max(1, BAND_ELEMENTS // grid)
-    return _sugeno_scan(
-        lambda: (grid_eval(f, xs[i:i + rows], ys) for i in range(0, grid, rows)),
-        lambda nodes: eval_nodes(f, xs[nodes // grid], ys[nodes % grid]),
-        grid * grid, grid, r.area / (grid * grid))
+    starts = range(0, grid, rows)
+    if power == 1.0:
+        def bands(on_f):
+            return ((grid_eval(f, xs[i:i + rows], ys), True) for i in starts)
+    else:
+        top = _overflow_start(power)
+        raised = _raised(f, power)
+        cut_on_f = []       # per call of f in a band: was its result left as f?
+
+        def f_or_power(*point):
+            vals = np.asarray(f(*point), dtype=float)
+            # fmin and fmax skip NaN; ±inf fails one of the two tests
+            on_f = not (np.fmin.reduce(vals, axis=None, initial=math.inf) < 0.0
+                        or np.fmax.reduce(vals, axis=None, initial=-math.inf) >= top)
+            cut_on_f.append(on_f)
+            return vals if on_f else _power_of(vals, power)
+
+        def bands(on_f):
+            for i in starts:
+                band = xs[i:i + rows]
+                cut_on_f.clear()
+                vals = grid_eval(f_or_power if on_f else raised, band, ys)
+                if cut_on_f and all(cut_on_f):
+                    yield vals, False
+                elif not any(cut_on_f):
+                    yield vals, True
+                else:   # calls that went both ways (f taken node by node): raise the band whole
+                    yield grid_eval(raised, band, ys), True
+    return _sugeno_scan(bands, lambda nodes: eval_nodes(f, xs[nodes // grid], ys[nodes % grid]),
+                        grid * grid, grid, r.area / (grid * grid), power)
 
 
 def _crossing_rank(descending, cell_area: float, lo: int, hi: int) -> int:
@@ -266,99 +331,125 @@ def sugeno_from_sorted(descending: np.ndarray, cell_area: float) -> float:
 def sugeno_from_samples(values: np.ndarray, cell_area: float) -> float:
     """sugeno_from_sorted of the finite values sorted descending: _sugeno_scan of one band."""
     flat = _nan_for_failed(np.asarray(values, dtype=float).ravel())
-    return _sugeno_scan(lambda: (flat,), lambda nodes: flat[nodes],
+    return _sugeno_scan(lambda on_f: ((flat, True),), lambda nodes: flat[nodes],
                         flat.size, values.shape[-1], cell_area)
 
 
-def _sugeno_scan(bands, subsample, nodes: int, side: int, cell_area: float) -> float:
-    """sugeno_from_sorted of the finite values of bands(), without a full sort.
+def _sugeno_scan(bands, subsample, nodes: int, side: int, cell_area: float,
+                 power: float = 1.0) -> float:
+    """sugeno_from_sorted of the finite powers v = f^power of nodes samples, without a full sort.
 
-    bands() yields the values of nodes nodes, NaN where one failed, in arrays
-    of any shape, the same values on every call; subsample(flat) gives the
-    values at the flat node indices flat (rows of side nodes).
+    bands(on_f) yields pairs (values, powered) that cover the nodes, NaN
+    where one failed, the same on every call: the values are the powers v
+    when powered, else f itself (each finite f ≥ 0 with a finite power);
+    with on_f false every band is powered.  subsample(flat) gives f at the
+    flat node indices flat (rows of side nodes).  With power 1, v is f and
+    every band is powered.
 
-    A cut {v > t} or {v ≥ t} with c members bounds the crossing rank k*: its
-    c-th largest value is at least t and every value outside it at most t,
-    so c·cell ≤ t gives k* ≥ c (a lower cut) and c·cell > t gives k* ≤ c (an
-    upper cut).  Between a lower cut L and an upper cut U lie the ranks
-    c_L+1 … c_U, held by the members of U outside L.  Only those are sorted,
-    and k* is bisected among them; v_(k*+1) is the next of them or, when
-    k* = c_U, the largest value outside U.
+    A cut with c members and threshold t, whose members are ≥ t and whose
+    other values are ≤ t ({v > t} and {v ≥ t} are such cuts), bounds the
+    crossing rank k*: its c-th largest value is at least t and the next at
+    most t, so c·cell ≤ t gives k* ≥ c (a lower cut) and c·cell > t gives
+    k* ≤ c (an upper cut).  Between a lower cut L and an upper cut U with
+    L ⊆ U lie the ranks c_L+1 … c_U, held by the members of U outside L.
+    Only those are sorted, and k* is bisected among them; v_(k*+1) is the
+    next of them.  When k* = c_U it is a value outside U, at most U's
+    threshold, which is below c_U·cell: the value is k*·cell, and no value
+    below the cuts is kept.
+
+    A band of f is cut on f itself.  This rests on two properties of numpy's
+    power (an in-place `**=`, _power_of): it is nondecreasing on
+    non-negative inputs, and one element gets the same bits whatever the
+    length of its array.  So for a pair (t, s) with t = s^power and s ≥ 0,
+    {f > s} and {f ≥ s} have members with v ≥ t and other values v ≤ t:
+    they are cuts at t, and a pass may cut some bands on f and others on v.
+    The values of f between the cuts are raised once, after the pass, with
+    the bits the band's own power would have given them.
 
     The cuts come from a strided subsample, one node in about isqrt(nodes)/4
     with the stride coprime to side so that every column of a sample grid is
-    represented.  Its crossing rank, with each finite value standing for
-    nodes/sampled nodes (failed ones included, so a half-failed grid is no
-    worse a guess), guesses k*.  One pass over the bands counts a strict cut
-    {v > t_hi} about isqrt(subsample)/8 subsample ranks above the guess and
-    an inclusive one {v ≥ t_lo} as far below, keeps the values between them
-    and the largest value below t_lo.  If the upper probe lands below k*
-    (its cut is an upper one), it becomes t_lo and t_hi moves out four times
-    as far, and likewise down; each miss costs another pass.  A probe past
-    either end of the subsample takes the trivial cut (c = 0 above, every
-    value below), which cannot miss; with both trivial every value lies
-    between them, a full sort.  When both probes land on one tied value t
-    the values between are {v = t}, which is bisected as a constant without
-    being kept or sorted.  Fewer than 256 nodes (a stride below 4), or a
-    cell_area that is not positive, take the trivial cuts.  Memory is
-    O(band) plus the values between the cuts.
+    represented.  Its finite powers are sorted descending, each with its f,
+    and their crossing rank, with each one standing for nodes/sampled nodes
+    (failed ones included, so a half-failed grid is no worse a guess),
+    guesses k*.  One pass over the bands counts a strict cut {v > t_hi}
+    about isqrt(subsample)/8 subsample ranks above the guess and an
+    inclusive one {v ≥ t_lo} as far below, and keeps the values between
+    them.  A pass cuts bands of f only when both probes' f is ≥ 0 (a
+    negative f, whose even power is positive, cannot stand for its power);
+    with t_hi > t_lo the probes' f then descend too, so L ⊆ U.  If the upper
+    probe lands below k* (its cut is an upper one), it becomes t_lo and t_hi
+    moves out four times as far, and likewise down; each miss costs another
+    pass.  A probe past either end of the subsample takes the trivial cut
+    (c = 0 above, every value below), which cannot miss; with both trivial
+    every value lies between them, a full sort.  When both probes land on
+    one tied power t, every rank c_L+1 … c_U holds t by the bounds above
+    (even where distinct f with that power leave L ⊄ U), so it is bisected
+    as a constant without values being kept or sorted.  Fewer than 256
+    nodes (a stride below 4), or a cell_area that is not positive, take the
+    trivial cuts.  Memory is O(band) plus the values between the cuts.
     Each rank is tested as sugeno_from_sorted tests it, and the value depends
-    only on the multiset of finite values, so it is the same bits.
+    only on the multiset of finite powers, so it is the same bits.
     """
-    t_hi, t_lo = math.inf, -math.inf
+    f_sub = v_sub = np.empty(0)
+    guess = 0
     stride = math.isqrt(nodes) // 4
     if stride >= 4 and cell_area > 0.0:
         while math.gcd(stride, side) != 1:
             stride += 1
-        sub = subsample(np.arange(0, nodes, stride))
-        sampled = sub.size
-        sub = np.sort(sub[~np.isnan(sub)])[::-1]
-        m = sub.size
-        guess = _crossing_rank(sub, nodes / sampled * cell_area, 0, m)
-        # the subsample between the trivial cuts' thresholds: ends[i + 1] = sub[i]
-        ends = np.concatenate(([math.inf], sub, [-math.inf]))
+        f_sub = subsample(np.arange(0, nodes, stride))
+        sampled = f_sub.size
+        if power == 1.0:
+            f_sub = v_sub = np.sort(f_sub[~np.isnan(f_sub)])[::-1]
+        else:
+            v_sub = _power_of(f_sub.copy(), power)
+            finite = np.isfinite(v_sub)
+            f_sub, v_sub = f_sub[finite], v_sub[finite]
+            order = np.argsort(v_sub)[::-1]
+            f_sub, v_sub = f_sub[order], v_sub[order]
+            f_sub[f_sub < 0.0] = np.nan      # no cut on f at a negative f
+        guess = _crossing_rank(v_sub, nodes / sampled * cell_area, 0, v_sub.size)
+    m = v_sub.size
+    # the probes' thresholds, and their f: ends[i + 1] is subsample rank i's
+    ends_v = np.concatenate(([math.inf], v_sub, [-math.inf]))
+    ends_f = np.concatenate(([math.inf], f_sub, [-math.inf]))
 
-        def probe(i):
-            return ends[min(max(i + 1, 0), m + 1)]
+    def probe(i):
+        return min(max(i + 1, 0), m + 1)
 
-        up = down = max(1, math.isqrt(m) // 8)   # subsample ranks from the guess
-        t_hi, t_lo = probe(guess - 1 - up), probe(guess + down)
+    up = down = max(1, math.isqrt(m) // 8)   # subsample ranks from the guess
+    hi, lo = probe(guess - 1 - up), probe(guess + down)
     while True:
+        t_hi, t_lo = ends_v[hi], ends_v[lo]
+        s_hi, s_lo = ends_f[hi], ends_f[lo]
         c_hi = c_lo = 0
-        kept, below = [], -math.inf
-        for v in bands():
-            above = v > t_hi
-            upper = v >= t_lo
+        kept = {False: [], True: []}            # values between the cuts, by powered
+        for v, powered in bands(not (math.isnan(s_hi) or math.isnan(s_lo))):
+            above = v > (t_hi if powered else s_hi)
+            upper = v >= (t_lo if powered else s_lo)
             c_hi += np.count_nonzero(above)
             c_lo += np.count_nonzero(upper)
-            # fmax skips the NaN of failed nodes
-            below = max(below, np.fmax.reduce(v, axis=None, where=~upper, initial=-math.inf))
             if t_lo < t_hi:
                 upper ^= above          # the members of the upper cut outside the lower
-                kept.append(v[upper])
+                kept[powered].append(v[upper])
         # a probe that misses is a cut of the other kind, tighter than the
         # other probe's: it takes that one's place, and its own side moves out
         if c_hi * cell_area > t_hi:
             up *= 4
-            t_lo, t_hi = t_hi, probe(guess - 1 - up)
+            lo, hi = hi, probe(guess - 1 - up)
         elif c_lo * cell_area <= t_lo:
             down *= 4
-            t_hi, t_lo = t_lo, probe(guess + down)
+            hi, lo = lo, probe(guess + down)
         else:
             break
 
     if t_lo == t_hi:
-        # only a strict lower and an inclusive upper cut share a threshold:
-        # the values between are the tie {v = t}
         between = np.broadcast_to(t_lo, (c_lo - c_hi,))
     else:
-        between = np.sort(np.concatenate(kept))[::-1]
+        if kept[False]:
+            kept[True].append(_power_of(np.concatenate(kept[False]), power))
+        between = np.sort(np.concatenate(kept[True]))[::-1]
     k_star = _crossing_rank(between, cell_area, c_hi, c_lo)
-    if k_star < c_lo:
-        following = between[k_star - c_hi]
-    else:
-        following = None if below == -math.inf else below
-    return _sugeno_value(k_star, cell_area, following)
+    return _sugeno_value(k_star, cell_area, between[k_star - c_hi] if k_star < c_lo else None)
 
 
 # entries of the int64 table that one bincount fills before it is narrowed

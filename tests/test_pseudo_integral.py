@@ -12,7 +12,7 @@ from pseudocalc import expr
 from pseudocalc import generators as G
 from pseudocalc import pseudo_integral as P
 from pseudocalc import semiring as S
-from pseudocalc.harness import SplitMix64
+from pseudocalc.harness import FuzzConfig, SplitMix64, build_trial_scenario
 from pseudocalc.quadrature import (
     BAND_ELEMENTS,
     UNIT_SQUARE,
@@ -512,6 +512,8 @@ def test_lhs_matches_full_sort(f_src, p, sorted_sizes):
     assert got == LHS_BY_FULL_SORT[f_src, p]
     # a subsample of about 4·1024 values and a band of a few thousand
     assert sum(sorted_sizes) <= 16 * 1024
+    # the call the Hardy check makes: the scan cuts f and raises what lies between
+    assert P.sugeno_integral_2d(f, UNIT_SQUARE, grid=1024, power=p) == LHS_BY_FULL_SORT[f_src, p]
 
 
 def _parsed(src):
@@ -527,6 +529,13 @@ def _counted(f):
         return f(*point)
 
     return counting, calls
+
+
+def _family(f_src):
+    """The campaign family that random_function draws f_src from."""
+    if "(x+y)/2" in f_src:
+        return "affine-mean"
+    return "monomial" if f_src.startswith("x^") else "product"
 
 
 def _full_grid_sugeno(f, r, grid, power):
@@ -554,11 +563,73 @@ class TestStreamedSugeno:
         ("x-0.5", 512, 3.0, UNIT_SQUARE),
         ("x*y+0.1", 15, 1.0, UNIT_SQUARE),           # 225 samples: a whole sort
         ("x+y", 64, 2.0, Rect(0.0, 1e-200, 0.0, 1e-200)),  # an area that underflows to 0
+        ("exp(300*x)", 512, 3.0, UNIT_SQUARE),       # bands whose power overflows
+        ("1/(x-0.5)", 511, 2.0, UNIT_SQUARE),        # a failed column, f of both signs
+        ("x^400", 512, 1.5, UNIT_SQUARE),            # powers that underflow to a tie at 0
+        ("x^200*y^200", 512, 2.0, UNIT_SQUARE),
+        ("0.7", 512, 1.5, UNIT_SQUARE),              # a constant
+        ("min(x,y)", 1024, 2.5, UNIT_SQUARE),        # ties
+        ("0.3-2*x", 512, 2.0, UNIT_SQUARE),          # the largest powers at negative f
+        ("0.5+1e-12*x*y", 512, 0.01, UNIT_SQUARE),   # distinct f whose powers tie
     ])
     def test_matches_full_grid_sort(self, f_src, grid, power, r):
         f = _parsed(f_src)
         got = P.sugeno_integral_2d(f, r, grid=grid, power=power)
         assert _same_bits(got, _full_grid_sugeno(f, r, grid, power))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_campaign_cells_match_full_grid_sort(self, seed):
+        # the first Sugeno trial of every (family, p) cell of the campaign,
+        # on the lhs grid the check uses
+        cfg = FuzzConfig(seed=seed)
+        cells = {}
+        for index in range(cfg.kinds.index("sugeno_hardy"), 300, len(cfg.kinds)):
+            scn = build_trial_scenario(cfg, index)
+            cells.setdefault((_family(scn.f_src), scn.p), scn.f_src)
+        assert len(cells) == len(cfg.families) * len(cfg.p_values)
+        for (_, p), f_src in sorted(cells.items()):
+            f = _parsed(f_src)
+            got = P.sugeno_integral_2d(f, UNIT_SQUARE, grid=1024, power=p)
+            assert _same_bits(got, _full_grid_sugeno(f, UNIT_SQUARE, 1024, p)), (f_src, p)
+
+    @pytest.mark.parametrize("power", [1.5, 3.0])
+    def test_f_at_the_overflow_start(self, power):
+        # a quarter of f at the first float whose power overflows, which is
+        # dropped, and a quarter one float below it, which is kept
+        h = P._overflow_start(power)
+        f = lambda x, y: np.where(x > 0.5, np.where(y > 0.5, h, np.nextafter(h, 0.0)), x * y)
+        got = P.sugeno_integral_2d(f, grid=256, power=power)
+        assert _same_bits(got, _full_grid_sugeno(f, UNIT_SQUARE, 256, power))
+
+    @pytest.mark.parametrize("power", [2.0, 3.0])
+    def test_scalar_callable_of_both_signs(self, power):
+        # f taken node by node: a band's calls go both ways, and it is raised whole
+        f = lambda x, y: math.sin(7.0 * float(x)) + 0.25 * float(y)
+        got = P.sugeno_integral_2d(f, grid=64, power=power)
+        assert _same_bits(got, _full_grid_sugeno(f, UNIT_SQUARE, 64, power))
+
+    @pytest.mark.parametrize("power", [1.5, 2.0, 3.0])
+    def test_powers_only_between_the_cuts(self, monkeypatch, power):
+        # a non-negative f is cut on itself: about 4·1024 subsample values and
+        # the few thousand between the cuts are raised, not 1024² samples
+        raised = []
+        real = P._power_of
+
+        def spy(vals, p):
+            raised.append(np.size(vals))
+            return real(vals, p)
+
+        monkeypatch.setattr(P, "_power_of", spy)
+        f = _parsed("0.46915844908869275*x^2.5057546815834546*y^0.33032148405336637")
+        got = P.sugeno_integral_2d(f, grid=1024, power=power)
+        assert sum(raised) <= 16 * 1024
+        monkeypatch.setattr(P, "_power_of", real)
+        assert _same_bits(got, _full_grid_sugeno(f, UNIT_SQUARE, 1024, power))
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, 0.0, -1.0, -2.5])
+    def test_power_must_be_positive_and_finite(self, power):
+        with pytest.raises(ValueError, match="power"):
+            P.sugeno_integral_2d(lambda x, y: x * y, grid=64, power=power)
 
     @pytest.mark.parametrize("f_src", ["x", "y", "0.7"])
     @pytest.mark.parametrize("power", [1.5, 2.0, 2.5, 3.0])
@@ -598,6 +669,33 @@ class TestStreamedSugeno:
         finally:
             tracemalloc.stop()
         assert peak < limit
+
+
+@pytest.mark.parametrize("power", [1.5, 2.0, 2.5, 3.0])
+class TestPowerAssumptions:
+    """What the scan's cuts on f rest on: properties of numpy's in-place power."""
+
+    def test_nondecreasing_on_non_negative_inputs(self, power):
+        rng = np.random.default_rng(int(power * 10))
+        a = np.sort(rng.random(1 << 16))
+        a[:3] = [0.0, 5e-324, 1e-300]
+        raised = P._power_of(a.copy(), power)
+        assert np.all(raised[1:] >= raised[:-1])
+        # each value against the next float up
+        assert np.all(P._power_of(np.nextafter(a, 2.0), power) >= raised)
+
+    def test_one_value_has_its_bits_inside_a_band(self, power):
+        rng = np.random.default_rng(int(power * 10) + 1)
+        band = rng.random(BAND_ELEMENTS) * rng.choice([1e-3, 1.0, 1e3], BAND_ELEMENTS)
+        raised = P._power_of(band.copy(), power)
+        for i in np.linspace(0, band.size - 1, 997).astype(int):
+            alone = P._power_of(np.array([band[i]]), power)
+            assert alone.tobytes() == raised[i:i + 1].tobytes()
+
+    def test_overflow_start(self, power):
+        h = P._overflow_start(power)
+        assert not np.isfinite(P._power_of(np.array([h]), power)[0])
+        assert np.isfinite(P._power_of(np.array([np.nextafter(h, 0.0)]), power)[0])
 
 
 def _blocks_by_sorting(F, row_ends, col_ends, cell):
