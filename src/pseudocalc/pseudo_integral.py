@@ -249,10 +249,11 @@ def sugeno_integral_2d(f, r: Rect = UNIT_SQUARE,
     tested on the band values.
 
     With power ≠ 1 a band is cut on f itself when f's own result (before
-    grid_eval broadcasts it) is ≥ 0 and below the first float whose power
-    overflows wherever it is finite; only the values between the cuts are
-    raised, after the pass.  Any other band is raised as f's own result
-    (_raised) and cut on the powers.  power must be a positive finite float.
+    grid_eval broadcasts it) is ≥ +0 and below the first float whose power
+    overflows everywhere; only the values between the cuts are raised,
+    after the pass.  Any other band (a negative value, -0, inf, an overflow
+    or a failed node) is raised as f's own result (_raised) and cut on the
+    powers.  power must be a positive finite float.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -265,15 +266,15 @@ def sugeno_integral_2d(f, r: Rect = UNIT_SQUARE,
         def bands(on_f):
             return ((grid_eval(f, xs[i:i + rows], ys), True) for i in starts)
     else:
-        top = _overflow_start(power)
+        # the bit patterns of the floats ≥ +0 order them as unsigned integers,
+        # and those of a negative float (-0 included), inf and NaN lie above top's
+        top = np.float64(_overflow_start(power)).view(np.uint64)
         raised = _raised(f, power)
         cut_on_f = []       # per call of f in a band: was its result left as f?
 
         def f_or_power(*point):
             vals = np.asarray(f(*point), dtype=float)
-            # fmin and fmax skip NaN; ±inf fails one of the two tests
-            on_f = not (np.fmin.reduce(vals, axis=None, initial=math.inf) < 0.0
-                        or np.fmax.reduce(vals, axis=None, initial=-math.inf) >= top)
+            on_f = np.max(vals.view(np.uint64), initial=0) < top
             cut_on_f.append(on_f)
             return vals if on_f else _power_of(vals, power)
 

@@ -570,6 +570,8 @@ class TestStreamedSugeno:
         ("0.7", 512, 1.5, UNIT_SQUARE),              # a constant
         ("min(x,y)", 1024, 2.5, UNIT_SQUARE),        # ties
         ("0.3-2*x", 512, 2.0, UNIT_SQUARE),          # the largest powers at negative f
+        ("x-y", 512, 2.0, UNIT_SQUARE),              # bands of both signs under even powers
+        ("(x-0.5)*(y-0.5)", 512, 4.0, UNIT_SQUARE),
         ("0.5+1e-12*x*y", 512, 0.01, UNIT_SQUARE),   # distinct f whose powers tie
     ])
     def test_matches_full_grid_sort(self, f_src, grid, power, r):
