@@ -35,7 +35,6 @@ g's range.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -224,7 +223,7 @@ def _overflow_start(power: float) -> float:
     def overflows(bits: int) -> bool:
         return not np.isfinite(_power_of(np.array([bits]).view(np.float64), power)[0])
 
-    lo, hi = 0, int(np.array([sys.float_info.max]).view(np.int64)[0])
+    lo, hi = 0, int(np.array([np.finfo(np.float64).max]).view(np.int64)[0])
     if not overflows(hi):
         return math.inf
     while hi - lo > 1:
