@@ -412,8 +412,16 @@ def cmd_refine(args) -> int:
 # --- entry ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors exiting EXIT_USAGE, as every other usage error does."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pseudocalc",
         description="pseudo-integrals and Hardy-type inequality checks on [0,1]^2",
     )

@@ -67,6 +67,7 @@ from .generators import Generator, RangeError, eval_inverse, make_generator, out
 from .pseudo_integral import (
     DomainError,
     PsiDensity,
+    _power_of,
     g_integral_2d,
     psi_weighted,
     sugeno_from_samples,
@@ -87,7 +88,7 @@ from .quadrature import (
     integrate_batch,
     level_set_samples,
 )
-from .semiring import SaturationFlags, Semiring, parse_semiring
+from .semiring import MAX_MIN, SUP_TIMES, SaturationFlags, Semiring, parse_semiring
 
 # verdict tolerances: shield quadrature noise without masking real violations
 VERDICT_REL = 1e-9
@@ -435,6 +436,17 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
     grid: a band carries the column maxima on from the rows above before its
     row maxima, as the two accumulates over the grid do, the pointwise max
     keeps np.argmax's first location, and a max is exact in any order.
+
+    Under the unit ψ (ψ = s.unit at every node, with the carrier [0, 1]
+    inside g's domain), a band whose f lies in [0, 1] is not raised to p:
+    its max R^p ⊙ ψ ⊙ ψ is its largest R, R[-1, -1], raised and weighted
+    alone, and its max f^p ⊙ ψ ⊙ ψ is its largest f, raised and weighted
+    alone.  t ↦ t^p and ⊙ by the unit are nondecreasing there and clamp
+    nothing, one value raised alone has the bits it has inside a band, and a
+    positive max has the bits of every value equal to it.  A max of 0 (equal
+    zeros may differ in sign) and every other band raise the whole band.
+    Under suptimes and maxmin such a band is also its own weighted surface
+    (F ⊙ 1 ⊙ 1 = F bit for bit), so it is copied, not weighted.
     """
     n = 2**level + 1
     xs = np.linspace(domain.x_low, domain.x_high, n)
@@ -442,6 +454,8 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
     # ψ(x) as a column and ψ(y) as a row, ready to broadcast against a band
     psix = np.broadcast_to(np.asarray(psi(xs), dtype=float), xs.shape)[:, np.newaxis]
     psiy = np.broadcast_to(np.asarray(psi(ys), dtype=float), ys.shape)[np.newaxis, :]
+    unit = (s.unit is not None and (s.gen is None or s.gen.domain_low <= 0.0)
+            and bool(np.all(psix == s.unit) and np.all(psiy == s.unit)))
     rows = max(1, BAND_ELEMENTS // n)
     column_max = np.full(n, -np.inf)    # of the weighted surface, over the rows so far
     best, negative, lhs, rhs = None, False, [], []
@@ -450,10 +464,15 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
         F = grid_eval_inward(f, xs[band], ys)
         if not np.all(np.isfinite(F)):
             raise DomainError("f failed to evaluate on the sup grid")
-        negative = negative or bool(np.any(F < 0))
+        f_low, f_high = F.min(), F.max()
+        negative = negative or bool(f_low < 0)
+        in_carrier = unit and f_low >= 0 and f_high <= 1
         # the running maxima overwrite the weighted band; down the columns a
         # maximum per row is the accumulate's own step, at a third of its time
-        R = psi_weighted(s, F, psix[band], psiy, flags)
+        if in_carrier and s.kind in (SUP_TIMES, MAX_MIN):
+            R = F.copy()
+        else:
+            R = psi_weighted(s, F, psix[band], psiy, flags)
         for i, row in enumerate(R):
             np.maximum(R[i - 1] if i else column_max, row, out=row)
         column_max = R[-1].copy()
@@ -463,11 +482,17 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
         # np.argmax's first-location rule across bands: a later band wins only if greater
         if best is None or diff[k] > best[0]:
             best = (float(diff[k]), (float(xs[start + k[0]]), float(ys[k[1]])))
-        # R and F are not needed past here, so they are raised to p in place
-        R **= p
-        F **= p
-        lhs.append(np.max(psi_weighted(s, R, psix[band], psiy, flags)))
-        rhs.append(np.max(psi_weighted(s, F, psix[band], psiy, flags)))
+        # R is a running max, so R[-1, -1] is the band's largest
+        tops = (0.0, 0.0)
+        if in_carrier:
+            raised = _power_of(np.array([R[-1, -1], f_high]), p)
+            tops = psi_weighted(s, raised, psix[band][:1], psiy[:, :1], flags)[0]
+        for top, V, maxima in ((tops[0], R, lhs), (tops[1], F, rhs)):
+            if not top > 0:
+                # another band, or a max of 0 or NaN: V is not needed past
+                # here, so the whole band is raised to p in place
+                top = np.max(psi_weighted(s, _power_of(V, p), psix[band], psiy, flags))
+            maxima.append(top)
     return *best, float(np.max(lhs)), float(np.max(rhs)), negative
 
 

@@ -640,6 +640,23 @@ class TestOutputs:
         assert code == 1
         assert "usage" in out.lower()
 
+    @pytest.mark.parametrize("argv", [
+        ("hardy", "--f", "x", "--p", "abc"),    # not a float
+        ("hardy", "--f", "x", "--bogus"),       # an unknown flag
+        ("hardy", "--f", "-x"),                 # -x reads as a flag: write --f=-x
+    ])
+    def test_argparse_usage_errors_exit_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(list(argv))
+        assert exit_.value.code == cli.EXIT_USAGE == 1
+        assert "usage: pseudocalc" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["hardy", "--help"])
+        assert exit_.value.code == 0
+        assert "usage: pseudocalc hardy" in capsys.readouterr().out
+
 
 # scenario files that are not a scenario: each command prints "error: …" and exits 1
 BAD_SCENARIOS = {

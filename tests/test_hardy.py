@@ -11,7 +11,8 @@ from pseudocalc import expr
 from pseudocalc import generators as G
 from pseudocalc import hardy as H
 from pseudocalc import pseudo_integral as P
-from pseudocalc.harness import SplitMix64, random_function, trial_rng
+from pseudocalc.harness import (FuzzConfig, SplitMix64, build_trial_scenario,
+                                random_function, trial_rng)
 from pseudocalc.quadrature import Rect, grid_eval_inward
 from pseudocalc.semiring import SaturationFlags, parse_semiring
 
@@ -469,8 +470,12 @@ class TestSupBuffers:
 
     @pytest.mark.parametrize("level", [3, 9, 10])     # one band; a partial last band
     @pytest.mark.parametrize("psi_src", [None, "1-x/2", "0.9"])
-    @pytest.mark.parametrize("spec", ["suptimes", "supplus"])
-    @pytest.mark.parametrize("f_src", ["x*(1-x)+y*(1-y)", "0.5+0.4*x-0.6*y*y"])
+    @pytest.mark.parametrize("spec", ["suptimes", "supplus", "maxmin", "g:sqrt"])
+    # under the unit ψ: bands in [0, 1] that raise two values only (x*y, and
+    # the positive bands of the first two), bands with f < 0, f above 1
+    # (clamped per element under supplus) and a band of −0.0 (a max of 0)
+    @pytest.mark.parametrize("f_src", ["x*(1-x)+y*(1-y)", "0.5+0.4*x-0.6*y*y", "x*y", "2*x",
+                                       "-(0*x)"])
     def test_banded_kernel_matches_whole_grid(self, f_src, spec, psi_src, level):
         s = parse_semiring(spec)
         psi = P.PsiDensity.from_string(psi_src) if psi_src else P.unit_psi(s)
@@ -480,6 +485,31 @@ class TestSupBuffers:
             got = H.sup_kernel_grid(s, f, psi, UNIT, level, 2.5, flags)
             want = _whole_grid_sup_kernel(s, f, psi, level, 2.5)
         assert repr((*got, flags.add_saturations, flags.mul_saturations)) == repr(want)
+
+    def test_unit_psi_raises_two_values_per_band(self, monkeypatch):
+        # a default check whose f lies in [0, 1] raises its largest R and its
+        # largest f per band under the unit ψ; any other ψ raises whole bands
+        raised = []
+
+        def spy(vals, power):
+            raised.append(vals.size)
+            return power_of(vals, power)
+
+        power_of = P._power_of
+        monkeypatch.setattr(H, "_power_of", spy)
+        n = 2**H.DEFAULT_CONFIG.sup_level + 1
+        bands = -(-n // (H.BAND_ELEMENTS // n))
+
+        def check(spec, psi_src):
+            raised.clear()
+            H.check_hardy_sup(H.HardyScenario(f_src="0.7*(x+y)/2", check_kind="sup_hardy",
+                                              p=2.5, semiring_spec=spec, psi_src=psi_src))
+            return raised
+
+        assert check("suptimes", None) == [2] * bands
+        assert check("supplus", None) == [2] * bands
+        whole = check("suptimes", "0.9")
+        assert len(whole) == 2 * bands and sum(whole) == 2 * n * n
 
     def test_first_location_wins_a_tie_across_bands(self):
         # R − f = (b − 1/2) − |i − b + 1/2| on row i peaks at rows b − 1 and b,
@@ -543,6 +573,42 @@ PER_BLOCK_SORT_RESULTS = {
      "+0.20176990243597703*x^0.8849779823065504*y^0.14488974404277588", 3.0):
         (0.754325465811109, 0.484375, 0.40864436958178707, True),
 }
+
+
+def _first_sup_trial_per_cell(seed):
+    """The first sup trial of every (family, semiring, p) cell of a default campaign."""
+    cfg = FuzzConfig(seed=seed)
+    cells = {}
+    for index in range(cfg.kinds.index(H.SUP_HARDY), 100 * cfg.trials, len(cfg.kinds)):
+        family = trial_rng(seed, index).choice(cfg.families)     # the trial's first draw
+        scn = build_trial_scenario(cfg, index)
+        cells.setdefault((family, scn.semiring_spec, scn.p), scn)
+        if len(cells) == len(cfg.families) * len(cfg.semirings) * len(cfg.p_values):
+            return list(cells.values())
+    raise AssertionError(f"campaign {seed} leaves a sup cell empty")
+
+
+class TestSupKernelOracles:
+    """Figures the sup kernel must give whatever its implementation."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_unit_psi_lhs_is_the_rhs_integral(self, seed):
+        # under the unit ψ, max R = max f for f in [0, 1], so both sides are (max f)^p
+        for scn in _first_sup_trial_per_cell(seed):
+            rep = H.check_hardy_sup(scn)
+            assert rep.lhs.hex() == rep.rhs_integral.hex(), scn
+            assert rep.holds is True
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("f_src", ["x*y", "x*(1-x)+y*(1-y)", "0.7*(x+y)/2"])
+    def test_constant_psi_scales_the_lhs(self, f_src, p):
+        # under suptimes and ψ ≡ c, max R = c²·max f, so lhs = (c²·max f)^p·c² and
+        # rhs_integral = (max f)^p·c²: their ratio is c^(2p)
+        rep = H.check_hardy_sup(H.HardyScenario(f_src=f_src, check_kind="sup_hardy", p=p,
+                                                semiring_spec="suptimes", psi_src="0.5"))
+        assert rep.lhs / rep.rhs_integral == pytest.approx(0.5 ** (2 * p), rel=1e-14)
+        if (f_src, p) == ("x*y", 2.0):
+            assert (rep.lhs, rep.rhs_integral) == (0.015625, 0.25)
 
 
 class TestCheckHardySugeno:
