@@ -14,9 +14,13 @@ g∘f on a cubic-graded tensor grid (it concentrates nodes near the axes where
 monomial integrands have unbounded derivatives, and its Jacobian vanishes on
 the axes, so the 1/(xy) factor needs no boundary handling).  The grid forms R
 once on its interior nodes; the check's double integral of R^p and the
-pointwise R ≤ f proof step both read it.  The public hardy_kernel_g and the
-right-hand side use adaptive quadrature directly.  Exact for polynomial data,
-O(h⁴) otherwise.
+pointwise R ≤ f proof step both read it.  It works in four buffers held for
+one panel count at a time (about 2.1 MB at the default 256 panels): the two
+Simpson passes run in place, and every other stage over row bands of
+BAND_ELEMENTS nodes, so a check allocates no grid-sized array, and every
+figure has the bits of the whole-grid arrays.  The public
+hardy_kernel_g and the right-hand side use adaptive quadrature directly.
+Exact for polynomial data, O(h⁴) otherwise.
 
 The sup-kernel is the ψ-weighted running sup
 R(x,y) = sup_{s≤x,t≤y} f(s,t)⊙ψ(t)⊙ψ(s): the idempotent analogue of the
@@ -56,6 +60,7 @@ VERDICT_ABS, "ge" (Sugeno) when lhs ≥ rhs − SUGENO_SLACK, and "lt"
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -76,7 +81,6 @@ from .pseudo_integral import (
     unit_psi,
 )
 from .quadrature import (
-    BAND_ELEMENTS,
     CONVERGED,
     DIVERGED,
     UNIT_SQUARE,
@@ -87,6 +91,7 @@ from .quadrature import (
     integrate_1d,
     integrate_batch,
     level_set_samples,
+    row_bands,
 )
 from .semiring import MAX_MIN, SUP_TIMES, SaturationFlags, Semiring, parse_semiring
 
@@ -318,6 +323,13 @@ def hardy_kernel_g(gen: Generator, f, x: float, y: float, tol: float = 1e-9) -> 
     return value / (x * y)
 
 
+@functools.lru_cache(maxsize=1)
+def _kernel_buffers(panels: int) -> tuple[np.ndarray, ...]:
+    """GKernelGrid's f, P, R and Simpson scratch, held for one panel count at a time."""
+    n = panels + 1
+    return tuple(np.empty(shape) for shape in ((n, n), (n, n), (panels, panels), n * panels))
+
+
 class GKernelGrid:
     """Prefix g-integrals P = ∬_{[0,x]×[0,y]} g∘f on a graded grid over [0,X]×[0,Y].
 
@@ -328,57 +340,77 @@ class GKernelGrid:
     pointwise R ≤ f check both read it.  clipped flags a P outside the slack
     of generators.outside_range; the rule is monotone in P, so testing the
     smallest and the largest P decides it for all.
+
+    A grid allocates no grid-sized array, so no check hands such arrays'
+    pages back to the system and faults them in again.  Its state lives in
+    four buffers held for one panel count at a time (_kernel_buffers, about
+    2.1 MB at M = 256): fv, P, R and the scratch of the two cumulative
+    Simpson passes, which run in place on P.  P is the lhs integrand
+    afterwards, and the scratch holds R − f.  The other stages run over row
+    bands of BAND_ELEMENTS nodes (f; g∘f·jac; g⁻¹ and ÷xy; g(R^p)·jac),
+    with the Jacobian and xy formed per band.  Each node gets the float
+    operations of the whole-grid arrays in the same order, so every figure
+    keeps its bits.  A grid's arrays (fv, R) and methods are valid only
+    until another grid of its size is made (whether or not that one raises),
+    and the library is single-threaded.
     """
 
     def __init__(self, gen: Generator, f, x_high: float, y_high: float, panels: int = 256):
         if panels % 2 != 0 or panels < 8:
             raise ValueError("panels must be even and >= 8")
-        self.gen = gen
-        self.u = np.linspace(0.0, 1.0, panels + 1)
-        self.h = 1.0 / panels
-        self.x = x_high * self.u**3
-        self.y = y_high * self.u**3
-        self.jac = 9 * x_high * y_high * np.outer(self.u**2, self.u**2)
-        self.fv = grid_eval_inward(f, self.x, self.y)
+        self.fv, self._P, self.R, self._scratch = _kernel_buffers(panels)
+        self.gen, self.h = gen, 1.0 / panels
+        u = np.linspace(0.0, 1.0, panels + 1)
+        self.x, self.y = x_high * u**3, y_high * u**3
+        # a band's Jacobian 9XY·u_i²·u_j² is 9XY times its outer product
+        self._scale, self._u2 = 9 * x_high * y_high, u**2
+        for rows in row_bands(len(u), len(u)):
+            self.fv[rows] = grid_eval_inward(f, self.x[rows], self.y)
         if not np.all(np.isfinite(self.fv)):
             raise DomainError("f failed to evaluate on the kernel grid")
+        P = self._P
         with np.errstate(over="ignore", invalid="ignore"):   # an overflow is a DomainError below
-            W = np.asarray(gen.forward(self.fv), dtype=float)
-            if not np.all(np.isfinite(W)):
-                raise DomainError("g∘f is not finite on the kernel grid")
-            inner = cumulative_simpson(W * self.jac, self.h, axis=1)
-            self.prefix = cumulative_simpson(inner, self.h, axis=0)
-        # an infinite W·jac leaves the prefixes that sum it infinite too
-        if not np.all(np.isfinite(self.prefix)):
+            for rows in row_bands(len(u), len(u)):
+                W = np.asarray(gen.forward(self.fv[rows]), dtype=float)
+                if not np.all(np.isfinite(W)):
+                    raise DomainError("g∘f is not finite on the kernel grid")
+                self._times_jac(W, rows, self._u2, P)
+            for axis in (1, 0):
+                cumulative_simpson(P, self.h, axis, self._scratch)
+        # an infinite W·jac leaves the prefixes that sum it infinite too, and
+        # a NaN or an infinity is the min or the max
+        low, high = float(P.min()), float(P.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise DomainError("prefix integrals of g∘f are not finite on the kernel grid")
-        self.clipped = (outside_range(gen, float(self.prefix.min()))
-                        or outside_range(gen, float(self.prefix.max())))
-        pref = np.clip(self.prefix[1:, 1:], gen.range_low, gen.range_high)
-        self.R = np.asarray(gen.inverse(pref), dtype=float) / np.outer(self.x[1:], self.y[1:])
+        self.clipped = outside_range(gen, low) or outside_range(gen, high)
+        np.clip(P[1:, 1:], gen.range_low, gen.range_high, out=self.R)
+        for rows in row_bands(panels, panels):
+            np.divide(np.asarray(gen.inverse(self.R[rows]), dtype=float),
+                      np.multiply.outer(self.x[1:][rows], self.y[1:]), out=self.R[rows])
+
+    def _times_jac(self, values: np.ndarray, rows: slice, u2: np.ndarray, out: np.ndarray):
+        np.multiply(values, self._scale * np.multiply.outer(u2[rows], u2), out=out[rows])
 
     def integral_of_g_of_R_pow(self, p: float) -> float:
         """Classical value ∬ g(R^p) dxdy over [0,X]×[0,Y] (Simpson on the grid)."""
-        with np.errstate(over="ignore"):   # an overflow is the DomainError below
-            values = np.asarray(self.gen.forward(self.R ** p), dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise DomainError("g(R^p) is not finite on the kernel grid")
-        integrand = np.zeros_like(self.prefix)
-        integrand[1:, 1:] = values
-        w = _simpson_weights(len(self.u), self.h)
-        return float(w @ (integrand * self.jac) @ w)
+        # the prefix buffer: its border, the prefixes on the axes, is +0 already,
+        # as 0·jac, so only the interior is written
+        integrand, u2 = self._P, self._u2[1:]
+        for rows in row_bands(len(u2), len(u2)):
+            with np.errstate(over="ignore"):   # an overflow is the DomainError below
+                values = np.asarray(self.gen.forward(self.R[rows] ** p), dtype=float)
+            if not np.all(np.isfinite(values)):
+                raise DomainError("g(R^p) is not finite on the kernel grid")
+            self._times_jac(values, rows, u2, integrand[1:, 1:])
+        w = np.r_[1.0, np.tile([4.0, 2.0], len(u2) // 2)[:-1], 1.0] * self.h / 3.0   # Simpson
+        return float(w @ integrand @ w)
 
     def pointwise_max(self) -> tuple[float, tuple[float, float]]:
         """max of R − f over the interior nodes and its location."""
-        diff = self.R - self.fv[1:, 1:]
+        diff = np.subtract(self.R, self.fv[1:, 1:],
+                           out=self._scratch[:self.R.size].reshape(self.R.shape))
         i, j = np.unravel_index(np.argmax(diff), diff.shape)
         return float(diff[i, j]), (float(self.x[i + 1]), float(self.y[j + 1]))
-
-
-def _simpson_weights(n_nodes: int, h: float) -> np.ndarray:
-    w = np.ones(n_nodes)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    return w * h / 3.0
 
 
 # --- checks ------------------------------------------------------------------
@@ -456,11 +488,9 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
     psiy = np.broadcast_to(np.asarray(psi(ys), dtype=float), ys.shape)[np.newaxis, :]
     unit = (s.unit is not None and (s.gen is None or s.gen.domain_low <= 0.0)
             and bool(np.all(psix == s.unit) and np.all(psiy == s.unit)))
-    rows = max(1, BAND_ELEMENTS // n)
     column_max = np.full(n, -np.inf)    # of the weighted surface, over the rows so far
     best, negative, lhs, rhs = None, False, [], []
-    for start in range(0, n, rows):
-        band = slice(start, start + rows)
+    for band in row_bands(n, n):
         F = grid_eval_inward(f, xs[band], ys)
         if not np.all(np.isfinite(F)):
             raise DomainError("f failed to evaluate on the sup grid")
@@ -481,7 +511,7 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
         k = np.unravel_index(np.argmax(diff), diff.shape)
         # np.argmax's first-location rule across bands: a later band wins only if greater
         if best is None or diff[k] > best[0]:
-            best = (float(diff[k]), (float(xs[start + k[0]]), float(ys[k[1]])))
+            best = (float(diff[k]), (float(xs[band.start + k[0]]), float(ys[k[1]])))
         # R is a running max, so R[-1, -1] is the band's largest
         tops = (0.0, 0.0)
         if in_carrier:

@@ -43,7 +43,6 @@ import numpy as np
 from . import expr as expr_mod
 from .generators import Generator, RangeError, eval_inverse
 from .quadrature import (
-    BAND_ELEMENTS,
     DEFAULT_LEVEL_SET_GRID,
     DEFAULT_MAX_DEPTH,
     DEFAULT_SUP_LEVELS,
@@ -58,6 +57,7 @@ from .quadrature import (
     grid_eval,
     integrate_1d,
     integrate_2d,
+    row_bands,
     sup_scan_2d,
 )
 from .semiring import SUP_PLUS, SaturationFlags, Semiring, pseudo_mul
@@ -259,11 +259,10 @@ def sugeno_integral_2d(f, r: Rect = UNIT_SQUARE,
     if not (math.isfinite(power) and power > 0.0):
         raise ValueError(f"power must be a positive finite float, got {power!r}")
     xs, ys = cell_midpoints(r.x_low, r.x_high, grid), cell_midpoints(r.y_low, r.y_high, grid)
-    rows = max(1, BAND_ELEMENTS // grid)
-    starts = range(0, grid, rows)
+    row_slices = row_bands(grid, grid)
     if power == 1.0:
         def bands(on_f):
-            return ((grid_eval(f, xs[i:i + rows], ys), True) for i in starts)
+            return ((grid_eval(f, xs[rows], ys), True) for rows in row_slices)
     else:
         # the bit patterns of the floats ≥ +0 order them as unsigned integers,
         # and those of a negative float (-0 included), inf and NaN lie above top's
@@ -278,8 +277,8 @@ def sugeno_integral_2d(f, r: Rect = UNIT_SQUARE,
             return vals if on_f else _power_of(vals, power)
 
         def bands(on_f):
-            for i in starts:
-                band = xs[i:i + rows]
+            for rows in row_slices:
+                band = xs[rows]
                 cut_on_f.clear()
                 vals = grid_eval(f_or_power if on_f else raised, band, ys)
                 if cut_on_f and all(cut_on_f):

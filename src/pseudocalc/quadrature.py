@@ -117,12 +117,14 @@ row ys[None, :] and broadcasts the result to the grid, so a monomial
 x^a·y^b costs 2n pows and one n² multiply instead of 2n² pows, with the same
 bits at every node; callables that reject that call get full coordinate
 arrays, then one call per node.  sup_scan_2d is the sup-integral's scan of
-its ψ-weighted surface.  The sup Hardy check (hardy.sup_kernel_grid) and
-the Sugeno integral (pseudo_integral.sugeno_integral_2d) call grid_eval on
-row bands of BAND_ELEMENTS nodes instead of the whole grid, so their memory
-is O(band): the sup check in one pass, the Sugeno integral in one pass
-unless a cut of its bracket misses, each with the bits of the whole grid
-(for the Sugeno integral, those of a full sort of its samples).
+its ψ-weighted surface.  The sup Hardy check (hardy.sup_kernel_grid), the
+Sugeno integral (pseudo_integral.sugeno_integral_2d) and the g-kernel grid
+(hardy.GKernelGrid) call grid_eval on row bands of BAND_ELEMENTS nodes
+(row_bands) instead of the whole grid: the sup check and the Sugeno
+integral hold O(band) memory, the sup check in one pass, the Sugeno
+integral in one pass unless a cut of its bracket misses, each with the bits
+of the whole grid (for the Sugeno integral, those of a full sort of its
+samples); the g-kernel grid fills its held buffers band by band.
 level_set_samples gives the whole grid of midpoint samples
 (cell_midpoints) that the Sugeno Hardy kernel sorts.
 """
@@ -560,6 +562,12 @@ def integrate_2d(f, r: Rect, tol: float = DEFAULT_TOL,
 # --- grid machinery ---------------------------------------------------------
 
 
+def row_bands(n_rows: int, n_cols: int) -> list[slice]:
+    """Slices of consecutive rows, of BAND_ELEMENTS nodes each (at least one row)."""
+    step = max(1, BAND_ELEMENTS // n_cols)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
 def grid_eval(f, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Evaluate f on the tensor grid xs × ys; failed nodes become NaN.
 
@@ -653,22 +661,42 @@ def level_set_samples(f, r: Rect, grid: int) -> np.ndarray:
                      cell_midpoints(r.y_low, r.y_high, grid))
 
 
-def cumulative_simpson(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
-    """Fourth-order cumulative integral of sampled values on a uniform mesh.
+def cumulative_simpson(values: np.ndarray, h: float, axis: int = -1,
+                       scratch: np.ndarray | None = None) -> np.ndarray:
+    """Fourth-order cumulative integral of sampled values on a uniform mesh, in place.
 
-    values must have an odd length (even panel count) along axis.  Even-index
-    prefixes use composite Simpson; odd-index prefixes add a half-panel
-    three-point Newton-Cotes correction, keeping O(h⁴) accuracy at every node.
+    values, a float64 array, must have an odd length (even panel count) along
+    axis; it is overwritten by its integral and returned (integrate a copy to
+    keep it).  Even-index prefixes use composite Simpson; odd-index prefixes
+    add a half-panel three-point Newton-Cotes correction, keeping O(h⁴)
+    accuracy at every node.  The two half-length temporaries live in
+    scratch, a flat float64 array of at least values.size·(n−1)/n elements
+    for n nodes along axis, or in a new one.  Each node gets the same float
+    operations in the same order whatever the scratch or the memory layout.
     """
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    v = np.moveaxis(values, axis, -1)
     n = v.shape[-1]
     if n < 3 or n % 2 == 0:
         raise ValueError("need an odd number of nodes (even panel count)")
-    out = np.zeros_like(v)
-    blocks = h / 3.0 * (v[..., 0:-2:2] + 4.0 * v[..., 1:-1:2] + v[..., 2::2])
-    out[..., 2::2] = np.cumsum(blocks, axis=-1)
-    # odd nodes: I[k] = I[k-1] + ∫_{x_{k-1}}^{x_k} via quadratic through k-1,k,k+1
-    out[..., 1::2] = out[..., 0:-2:2] + h / 12.0 * (
-        5.0 * v[..., 0:-2:2] + 8.0 * v[..., 1:-1:2] - v[..., 2::2]
-    )
-    return np.moveaxis(out, -1, axis)
+    # the halves are laid out as values is, so each operation walks both in step
+    half = list(values.shape)
+    half[axis] = n // 2
+    halves = np.empty((2, *half)) if scratch is None else scratch[:2 * math.prod(half)]
+    blocks, odd = (np.moveaxis(part, axis, -1) for part in halves.reshape(2, *half))
+    left, mid, right = v[..., 0:-2:2], v[..., 1:-1:2], v[..., 2::2]
+    # even nodes: the Simpson rules h/3·((v[k-1] + 4v[k]) + v[k+1]), summed (a
+    # float sum of two terms is the same in either order)
+    np.multiply(4.0, mid, out=blocks)
+    blocks += left
+    blocks += right
+    blocks *= h / 3.0
+    # odd nodes: I[k] = I[k-1] + h/12·((5v[k-1] + 8v[k]) − v[k+1]), the
+    # integral over [x_{k-1}, x_k] of the quadratic through k-1, k, k+1
+    np.multiply(5.0, left, out=odd)
+    odd += np.multiply(8.0, mid, out=mid)
+    odd -= right
+    odd *= h / 12.0
+    v[..., 0] = 0.0
+    np.cumsum(blocks, axis=-1, out=right)
+    np.add(left, odd, out=mid)
+    return values

@@ -3,17 +3,18 @@
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from pseudocalc import expr
+from pseudocalc import cli, expr
 from pseudocalc import generators as G
 from pseudocalc import hardy as H
 from pseudocalc import pseudo_integral as P
 from pseudocalc.harness import (FuzzConfig, SplitMix64, build_trial_scenario,
-                                random_function, trial_rng)
-from pseudocalc.quadrature import Rect, grid_eval_inward
+                                random_function, refine_study, trial_rng)
+from pseudocalc.quadrature import BAND_ELEMENTS, Rect, grid_eval_inward
 from pseudocalc.semiring import SaturationFlags, parse_semiring
 
 
@@ -91,7 +92,13 @@ class TestKernel:
         lo, hi = gen.range_low, gen.range_high
         rng = np.random.default_rng(20261019)
         prefix = None
-        monkeypatch.setattr(H, "cumulative_simpson", lambda values, h, axis: prefix)
+
+        def inject(values, h, axis, scratch):
+            # the prefix passes run in place on the kernel's prefix buffer
+            values[...] = prefix
+            return values
+
+        monkeypatch.setattr(H, "cumulative_simpson", inject)
         seen = set()
         for _ in range(200):
             # prefixes within a few slacks of both ends, at scales on either side of 1
@@ -125,6 +132,52 @@ class TestKernel:
         with pytest.raises(H.DomainError,
                            match="prefix integrals of g∘f are not finite on the kernel grid"):
             H.GKernelGrid(G.make_generator(gen_spec), f, 1.0, 1.0)
+
+
+class TestKernelBuffers:
+    """GKernelGrid reuses four buffers per panel count; no figure may depend on that."""
+
+    SCENARIOS = [("(x+y)/2", "half", 2.0), ("x^2*y^2", "sqrt", 3.0),
+                 ("x^0.5*y^1.5+0.1", "identity", 1.5), ("(x+y)/2", "exp:5", 2.0),
+                 ("1", "power:2", 2.0), ("x*(1-y)", "identity", 2.5)]
+
+    @staticmethod
+    def _runs():
+        runs = [lambda scn=H.HardyScenario(f_src=f_src, check_kind="g_hardy", p=p,
+                                           gen_spec=g): H.check_hardy_g(scn)
+                for f_src, g, p in TestKernelBuffers.SCENARIOS]
+        runs += [lambda g=g, p=p: H.remark_diagnostics(G.make_generator(g),
+                                                       expr.as_function(expr.parse("x*y+0.5")), p)
+                 for g, p in (("identity", 0.5), ("sqrt", 0.6))]
+        refine = H.HardyScenario(f_src="x^2*y^2", check_kind="g_hardy", p=2.0, gen_spec="sqrt")
+        runs.append(lambda: refine_study(refine, [4, 5, 6, 7, 8, 9]))
+        return runs
+
+    def test_reports_do_not_depend_on_earlier_grids(self):
+        alone = []
+        for run in self._runs():
+            H._kernel_buffers.cache_clear()
+            alone.append(run().to_dict())
+        in_turn = [run().to_dict() for run in self._runs() + self._runs()]
+        assert in_turn == alone + alone
+
+    def test_every_buffer_element_read_is_written(self):
+        H._kernel_buffers.cache_clear()
+        for f_src, g, p in self.SCENARIOS:
+            scn = H.HardyScenario(f_src=f_src, check_kind="g_hardy", p=p, gen_spec=g)
+            want = H.check_hardy_g(scn).to_dict()
+            for buffer in H._kernel_buffers(H.DEFAULT_CONFIG.kernel_panels):
+                buffer.fill(np.nan)
+            assert H.check_hardy_g(scn).to_dict() == want
+
+    def test_one_panel_count_is_held(self):
+        scn = H.HardyScenario(f_src="x^2*y^2", check_kind="g_hardy", p=2.0, gen_spec="sqrt")
+        H.check_hardy_g(scn)
+        held = weakref.ref(H._kernel_buffers(256)[0])
+        refine_study(scn, [8, 9])           # 256 and then 512 panels
+        assert held() is None
+        assert H._kernel_buffers.cache_info().currsize == 1
+        assert H._kernel_buffers(512)[0].shape == (513, 513)
 
 
 class TestCheckHardyG:
@@ -191,6 +244,20 @@ class TestCheckHardyG:
                              "kernel prefix integrals clamped to the generator range"]
         scn = H.HardyScenario(f_src="x*y", check_kind="g_hardy", p=2.0, gen_spec="identity")
         assert not any("negative" in note for note in H.check_hardy_g(scn).notes)
+
+    @pytest.mark.parametrize("gen_spec,lhs,rhs_integral", [
+        ("exp:1", 0.0049853771923874645, 0.3149542162129144),
+        ("exp:5", 0.15071355937920125, 0.4268004327164334),
+    ])
+    def test_exp_verdict_on_clamped_prefixes(self, capsys, gen_spec, lhs, rhs_integral):
+        # under exp:λ some kernel prefixes fall below g(0) = 1 by rounding and
+        # are clamped to the range, and the verdict rests on that clamp
+        code = cli.main(["hardy", "--f", "(x+y)/2", "--g", gen_spec, "--p", "2"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (payload["lhs"], payload["rhs_integral"], payload["holds"]) == (lhs, rhs_integral,
+                                                                              True)
+        assert payload["notes"] == [CLAMPED]
 
     def test_hypothesis_gate(self):
         scn = H.HardyScenario(f_src="x*y", check_kind="g_hardy", p=0.5, gen_spec="sqrt")
@@ -498,7 +565,7 @@ class TestSupBuffers:
         power_of = P._power_of
         monkeypatch.setattr(H, "_power_of", spy)
         n = 2**H.DEFAULT_CONFIG.sup_level + 1
-        bands = -(-n // (H.BAND_ELEMENTS // n))
+        bands = -(-n // (BAND_ELEMENTS // n))
 
         def check(spec, psi_src):
             raised.clear()
@@ -514,7 +581,7 @@ class TestSupBuffers:
     def test_first_location_wins_a_tie_across_bands(self):
         # R − f = (b − 1/2) − |i − b + 1/2| on row i peaks at rows b − 1 and b,
         # the last row of the first band and the first row of the second
-        b = H.BAND_ELEMENTS // 513
+        b = BAND_ELEMENTS // 513
         s = parse_semiring("suptimes")
         f = expr.as_function(expr.parse(f"abs(512*x-{b - 0.5})"))
         got = H.sup_kernel_grid(s, f, P.unit_psi(s), UNIT, 9, 2.0)
@@ -609,6 +676,15 @@ class TestSupKernelOracles:
         assert rep.lhs / rep.rhs_integral == pytest.approx(0.5 ** (2 * p), rel=1e-14)
         if (f_src, p) == ("x*y", 2.0):
             assert (rep.lhs, rep.rhs_integral) == (0.015625, 0.25)
+
+    def test_bump_peaks_at_the_running_sup_of_the_lower_left_quadrant(self):
+        # f = 16x(1−x)y(1−y) peaks at (1/2, 1/2) with f = 1, so R = 1 on
+        # [1/2, 1]², and max(R − f) = 1 − 0 is first reached at (1/2, 1); a sup
+        # over the wrong quadrant would put it at the origin
+        rep = H.check_hardy_sup(H.HardyScenario(f_src="16*x*(1-x)*y*(1-y)", p=2.0,
+                                                check_kind="sup_hardy", semiring_spec="suptimes"))
+        assert (rep.pointwise_max, rep.pointwise_location) == (1.0, (0.5, 1.0))
+        assert (rep.lhs, rep.rhs_integral, rep.holds) == (1.0, 1.0, True)
 
 
 class TestCheckHardySugeno:

@@ -247,10 +247,47 @@ class TestCumulativeSimpson:
     def test_both_axes(self):
         xs = np.linspace(0.0, 1.0, 65)
         vals = np.outer(xs, np.ones(65))
-        along0 = Q.cumulative_simpson(vals, 1.0 / 64.0, axis=0)
+        along0 = Q.cumulative_simpson(vals.copy(), 1.0 / 64.0, axis=0)
         assert along0[-1, 0] == pytest.approx(0.5, abs=1e-12)
-        along1 = Q.cumulative_simpson(vals.T, 1.0 / 64.0, axis=1)
+        along1 = Q.cumulative_simpson(vals.T.copy(), 1.0 / 64.0, axis=1)
         assert along1[0, -1] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_in_place_matches_the_allocating_formula(self, axis):
+        # the formula as it was written on whole arrays, one temporary per
+        # operation; the in-place routine must give each node the same bits,
+        # signed zeros included, with or without a scratch buffer
+        def allocating(values, h, axis):
+            v = np.moveaxis(values, axis, -1)
+            out = np.zeros_like(v)
+            blocks = h / 3.0 * (v[..., 0:-2:2] + 4.0 * v[..., 1:-1:2] + v[..., 2::2])
+            out[..., 2::2] = np.cumsum(blocks, axis=-1)
+            out[..., 1::2] = out[..., 0:-2:2] + h / 12.0 * (
+                5.0 * v[..., 0:-2:2] + 8.0 * v[..., 1:-1:2] - v[..., 2::2])
+            return np.moveaxis(out, -1, axis)
+
+        rng = np.random.default_rng(20261020)
+        for shape in ((17, 9), (9, 17), (33, 33)):
+            values = rng.standard_normal(shape) * rng.choice([1e-300, 1e-3, 1.0, 1e200], shape)
+            values[rng.random(shape) < 0.2] = 0.0
+            values[rng.random(shape) < 0.2] = -0.0
+            want = allocating(values, 1.0 / 16.0, axis)
+            scratch = np.full(values.size, np.nan)
+            for got in (Q.cumulative_simpson(values.copy(), 1.0 / 16.0, axis),
+                        Q.cumulative_simpson(values.copy(), 1.0 / 16.0, axis, scratch)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        zeros = -np.zeros((9, 9))
+        for axis_zero in (0, 1):
+            got = Q.cumulative_simpson(zeros.copy(), 0.125, axis_zero)
+            want = allocating(zeros, 0.125, axis_zero)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.signbit(got).any() and not np.signbit(got).all()
+
+    def test_integrates_in_place(self):
+        values = np.linspace(0.0, 1.0, 9) ** 2
+        assert Q.cumulative_simpson(values, 0.125) is values
+        assert values[-1] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_rejects_even_node_count(self):
         with pytest.raises(ValueError):
