@@ -484,8 +484,7 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
     xs = np.linspace(domain.x_low, domain.x_high, n)
     ys = np.linspace(domain.y_low, domain.y_high, n)
     # ψ(x) as a column and ψ(y) as a row, ready to broadcast against a band
-    psix = np.broadcast_to(np.asarray(psi(xs), dtype=float), xs.shape)[:, np.newaxis]
-    psiy = np.broadcast_to(np.asarray(psi(ys), dtype=float), ys.shape)[np.newaxis, :]
+    psix, psiy = psi.on(xs)[:, np.newaxis], psi.on(ys)[np.newaxis, :]
     unit = (s.unit is not None and (s.gen is None or s.gen.domain_low <= 0.0)
             and bool(np.all(psix == s.unit) and np.all(psiy == s.unit)))
     column_max = np.full(n, -np.inf)    # of the weighted surface, over the rows so far

@@ -3,10 +3,15 @@
 The g-integral reduces pseudo-integration to classical quadrature through the
 generator:  ∫^⊕ f = g⁻¹(∫ g∘f).  The sup-integral is the idempotent (⊕=max)
 counterpart: the sup over the domain of f ⊙ ψ with ψ the density of the
-sup-measure.  The Sugeno integral is sup_α min(α, μ{f ≥ α}) with μ the
-Lebesgue product measure, taken exactly for the empirical measure of
-midpoint samples: sugeno_from_sorted on one sorted sample, _sugeno_scan on
-an unsorted one, and sugeno_prefix_blocks for all the nested blocks
+sup-measure; sup_integral_2d scans it in row bands of one grid, then in
+small windows around the best node.  The Sugeno integral is
+sup_α min(α, μ{f ≥ α}) with μ the Lebesgue product measure, taken exactly
+for the empirical measure of midpoint samples: with the finite sample values sorted descending,
+v_(1) ≥ v_(2) ≥ …, and cell the area of a sample's cell, it is
+max_k min(v_(k), k·cell).  v_(k) − k·cell decreases in k, so the minimum
+is k·cell up to the crossing rank k* = max{k : v_(k) ≥ k·cell} and v_(k)
+after it, and the value is max(k*·cell, v_(k*+1)).  _sugeno_scan takes it
+on an unsorted sample, and sugeno_prefix_blocks for all the nested blocks
 F[:a, :b] of one sample grid at once (one sort plus 2-D prefix counts, with
 every crossing test an integer compare of a count against a per-value pass
 count).  _sugeno_scan is the one selection path: two cuts from a strided
@@ -18,7 +23,7 @@ rather than O(grid²); sugeno_from_samples feeds it an array in memory as
 one band.  Under a power p, t ↦ t^p is nondecreasing on [0, ∞), so a band
 where f is non-negative is cut on f itself ({f > s} is a cut at s^p), and
 only the values between the cuts are raised; any other band is raised as
-f's own result.  All three give the bits of a full sort.
+f's own result.  Every path gives the bits of a full sort.
 
 g_integral_1d and g_integral_2d return (value, result, reason): the
 classical integral's QuadratureResult comes with the value, and where the
@@ -45,7 +50,6 @@ from .generators import Generator, RangeError, eval_inverse
 from .quadrature import (
     DEFAULT_LEVEL_SET_GRID,
     DEFAULT_MAX_DEPTH,
-    DEFAULT_SUP_LEVELS,
     DEFAULT_TOL,
     DIVERGED,
     UNIT_SQUARE,
@@ -58,9 +62,15 @@ from .quadrature import (
     integrate_1d,
     integrate_2d,
     row_bands,
-    sup_scan_2d,
 )
 from .semiring import SUP_PLUS, SaturationFlags, Semiring, pseudo_mul
+
+# the sup-integrals' node spacing: 2^DEFAULT_SUP_LEVELS + 1 nodes of an
+# interval, and the level to which sup_integral_2d's windows refine
+DEFAULT_SUP_LEVELS = 12
+# sup_integral_2d's whole-grid pass: (2^SUP_GRID_LEVEL + 1)² nodes, the sup
+# Hardy check's default grid
+SUP_GRID_LEVEL = 9
 
 
 class DomainError(ValueError):
@@ -91,8 +101,7 @@ class PsiDensity:
         return psi
 
     def validate(self, samples: int = 101):
-        ts = np.linspace(0.0, 1.0, samples)
-        vals = np.broadcast_to(np.asarray(self(ts), dtype=float), ts.shape)
+        vals = self.on(np.linspace(0.0, 1.0, samples))
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"psi density {self.description!r} fails to evaluate on [0,1]")
         if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
@@ -106,6 +115,10 @@ class PsiDensity:
 
     def __call__(self, t):
         return self._function(t, t)
+
+    def on(self, ts: np.ndarray) -> np.ndarray:
+        """ψ at every node of ts, as a float array of ts's shape (a constant ψ broadcast)."""
+        return np.broadcast_to(np.asarray(self(ts), dtype=float), ts.shape)
 
 
 def unit_psi(s: Semiring) -> PsiDensity:
@@ -158,29 +171,64 @@ def psi_weighted(s: Semiring, vals, psi_x, psi_y, flags: SaturationFlags | None 
 
 def sup_integral_1d(s: Semiring, f, psi: PsiDensity | None = None,
                     low: float = 0.0, high: float = 1.0) -> float:
-    """sup_x f(x) ⊙ ψ(x) over 2^DEFAULT_SUP_LEVELS + 1 nodes of [low, high].
+    """sup_x f(x) ⊙ ψ(x) over 2^DEFAULT_SUP_LEVELS + 1 nodes of [low, high] ⊆ [0, 1].
 
-    The weighted values go through eval_nodes, so f may take floats only;
-    failed and non-finite nodes are skipped, as in sup_scan_2d; -inf if all fail.
+    f goes through eval_nodes, so it may take floats only; failed and
+    non-finite nodes of f or of the weighted values are skipped, as in
+    sup_integral_2d; -inf if all fail.  ψ is validated on [0, 1] only, so an
+    interval that leaves it, or has low ≥ high, is a ValueError.
     """
+    if not low < high:
+        raise ValueError(f"sup integral requires low < high, got [{low}, {high}]")
+    if low < 0.0 or high > 1.0:
+        raise ValueError(f"sup integral interval [{low}, {high}] leaves [0,1]")
     if psi is None:
         psi = unit_psi(s)
     xs = np.linspace(low, high, 2**DEFAULT_SUP_LEVELS + 1)
-    vals = eval_nodes(lambda x: pseudo_mul(s, f(x), psi(x)), xs)
+    with np.errstate(all="ignore"):
+        vals = pseudo_mul(s, eval_nodes(f, xs), psi.on(xs))
     return float(np.max(vals, where=np.isfinite(vals), initial=-math.inf))
 
 
 def sup_integral_2d(s: Semiring, f, psi: PsiDensity | None = None,
-                    r: Rect = UNIT_SQUARE, levels: int = DEFAULT_SUP_LEVELS,
-                    flags: SaturationFlags | None = None) -> float:
+                    r: Rect = UNIT_SQUARE, flags: SaturationFlags | None = None) -> float:
     """Iterated sup-integral: sup_x ( (sup_y f(x,y) ⊙ ψ(y)) ⊙ ψ(x) ).
 
     ⊙ is monotone, so the iterated sup equals the joint sup of the weighted
-    surface f(x,y) ⊙ ψ(y) ⊙ ψ(x); sup_scan_2d scans it.
+    surface f(x,y) ⊙ ψ(y) ⊙ ψ(x), which is scanned: one pass over row bands
+    (row_bands) of the (2^SUP_GRID_LEVEL + 1)² grid, so no array is
+    grid-sized, then 9×9 windows around the best node, each half the span
+    of the last, down to level DEFAULT_SUP_LEVELS + 1.  A later band or
+    window wins only if it is greater, np.argmax's first-location rule.
+    Failed and non-finite nodes are skipped; -inf if all fail.
     """
     if psi is None:
         psi = unit_psi(s)
-    return sup_scan_2d(lambda x, y: psi_weighted(s, f(x, y), psi(x), psi(y), flags), r, levels)
+    best, at = -math.inf, None
+
+    def scan(xs, ys):
+        nonlocal best, at
+        psix, psiy = psi.on(xs)[:, np.newaxis], psi.on(ys)[np.newaxis, :]
+        for rows in row_bands(xs.size, ys.size):
+            with np.errstate(all="ignore"):
+                vals = psi_weighted(s, grid_eval(f, xs[rows], ys), psix[rows], psiy, flags)
+            vals[~np.isfinite(vals)] = -math.inf
+            k = np.unravel_index(np.argmax(vals), vals.shape)
+            if vals[k] > best:
+                best, at = float(vals[k]), (float(xs[rows][k[0]]), float(ys[k[1]]))
+
+    n = 2**SUP_GRID_LEVEL
+    scan(np.linspace(r.x_low, r.x_high, n + 1), np.linspace(r.y_low, r.y_high, n + 1))
+    if at is None:
+        return -math.inf
+    span_x, span_y = (r.x_high - r.x_low) / n, (r.y_high - r.y_low) / n
+    for _ in range(SUP_GRID_LEVEL + 1, DEFAULT_SUP_LEVELS + 2):
+        span_x /= 2.0
+        span_y /= 2.0
+        xb, yb = at
+        scan(np.clip(np.linspace(xb - 4 * span_x, xb + 4 * span_x, 9), r.x_low, r.x_high),
+             np.clip(np.linspace(yb - 4 * span_y, yb + 4 * span_y, 9), r.y_low, r.y_high))
+    return best
 
 
 def _power_of(vals: np.ndarray, power: float) -> np.ndarray:
@@ -314,21 +362,8 @@ def _sugeno_value(k_star: int, cell_area: float, following) -> float:
     return float(best)
 
 
-def sugeno_from_sorted(descending: np.ndarray, cell_area: float) -> float:
-    """Exact Sugeno integral of the empirical measure: max_k min(v_(k), k·cell).
-
-    v_(k) − k·cell decreases in k, so min(v_(k), k·cell) is k·cell up to the
-    crossing rank k* = max{k : v_(k) ≥ k·cell} and v_(k) after it; the maximum
-    is max(k*·cell, v_(k*+1)).  k* is found by bisection over ranks, so no
-    array the size of the sample is allocated.
-    """
-    k_star = _crossing_rank(descending, cell_area, 0, descending.size)
-    return _sugeno_value(k_star, cell_area,
-                         descending[k_star] if k_star < descending.size else None)
-
-
 def sugeno_from_samples(values: np.ndarray, cell_area: float) -> float:
-    """sugeno_from_sorted of the finite values sorted descending: _sugeno_scan of one band."""
+    """max_k min(v_(k), k·cell) over the finite values v: _sugeno_scan of one band."""
     flat = _nan_for_failed(np.asarray(values, dtype=float).ravel())
     return _sugeno_scan(lambda on_f: ((flat, True),), lambda nodes: flat[nodes],
                         flat.size, values.shape[-1], cell_area)
@@ -336,7 +371,7 @@ def sugeno_from_samples(values: np.ndarray, cell_area: float) -> float:
 
 def _sugeno_scan(bands, subsample, nodes: int, side: int, cell_area: float,
                  power: float = 1.0) -> float:
-    """sugeno_from_sorted of the finite powers v = f^power of nodes samples, without a full sort.
+    """max_k min(v_(k), k·cell) over the finite powers v = f^power of nodes samples, unsorted.
 
     bands(on_f) yields pairs (values, powered) that cover the nodes, NaN
     where one failed, the same on every call: the values are the powers v
@@ -386,8 +421,9 @@ def _sugeno_scan(bands, subsample, nodes: int, side: int, cell_area: float,
     as a constant without values being kept or sorted.  Fewer than 256
     nodes (a stride below 4), or a cell_area that is not positive, take the
     trivial cuts.  Memory is O(band) plus the values between the cuts.
-    Each rank is tested as sugeno_from_sorted tests it, and the value depends
-    only on the multiset of finite powers, so it is the same bits.
+    Each rank is tested as a full sort's bisection (_crossing_rank) would
+    test it, and the value depends only on the multiset of finite powers,
+    so it is the same bits.
     """
     f_sub = v_sub = np.empty(0)
     guess = 0
@@ -464,7 +500,7 @@ def _pass_counts(values: np.ndarray, cell_area: float, total: int, dtype) -> np.
     quotient v/cell has its floor at the floor r of the real quotient or at
     r + 1, and q is r or r + 1, so floor(v/cell), clipped to [−1, total], is
     q after one step up and one step down, each tested with the same
-    floating-point product K·cell that sugeno_from_sorted forms.
+    floating-point product K·cell that _crossing_rank forms.
     """
     with np.errstate(over="ignore"):      # an infinite quotient or product is clipped or fails
         q = np.floor(values / cell_area)
@@ -488,7 +524,7 @@ def _prefix_sums(table: np.ndarray) -> None:
 
 
 def sugeno_prefix_blocks(F: np.ndarray, row_ends, col_ends, cell_area: float) -> np.ndarray:
-    """sugeno_from_sorted of every block F[:row_ends[i], :col_ends[j]], from one sort.
+    """max_k min(v_(k), k·cell) of every block F[:row_ends[i], :col_ends[j]], from one sort.
 
     F holds finite samples; the ends are nondecreasing and cell_area > 0.  The
     samples are sorted once, descending, and the ranks cut into chunks of L
@@ -585,6 +621,6 @@ def sugeno_prefix_blocks(F: np.ndarray, row_ends, col_ends, cell_area: float) ->
     k_star = np.where(failed, rank[blocks, first] - 1, rank[:, -1])
     best = k_star * cell_area
     following = flat[order[c0 * length + first]]
-    # max(best, v) as sugeno_from_sorted takes it: best unless v is larger
+    # max(best, v) as _sugeno_value takes it: best unless v is larger
     out[bi, bj] = np.where(failed & (following > best), following, best)
     return out

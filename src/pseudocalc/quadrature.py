@@ -1,4 +1,4 @@
-"""Classical numerical integration and sup-scanning on [0,1] and [0,1]².
+"""Classical numerical integration and grid evaluation on [0,1] and [0,1]².
 
 One adaptive Simpson engine serves every classical integral.  It advances a
 batch of independent integrals (each with its own limits, evaluation count,
@@ -116,15 +116,16 @@ engine.  It calls the (pointwise) f once on the column xs[:, None] and the
 row ys[None, :] and broadcasts the result to the grid, so a monomial
 x^a·y^b costs 2n pows and one n² multiply instead of 2n² pows, with the same
 bits at every node; callables that reject that call get full coordinate
-arrays, then one call per node.  sup_scan_2d is the sup-integral's scan of
-its ψ-weighted surface.  The sup Hardy check (hardy.sup_kernel_grid), the
-Sugeno integral (pseudo_integral.sugeno_integral_2d) and the g-kernel grid
-(hardy.GKernelGrid) call grid_eval on row bands of BAND_ELEMENTS nodes
-(row_bands) instead of the whole grid: the sup check and the Sugeno
-integral hold O(band) memory, the sup check in one pass, the Sugeno
-integral in one pass unless a cut of its bracket misses, each with the bits
-of the whole grid (for the Sugeno integral, those of a full sort of its
-samples); the g-kernel grid fills its held buffers band by band.
+arrays, then one call per node.  The sup Hardy check
+(hardy.sup_kernel_grid), the sup-integral (pseudo_integral.sup_integral_2d),
+the Sugeno integral (pseudo_integral.sugeno_integral_2d) and the g-kernel
+grid (hardy.GKernelGrid) call grid_eval on row bands of BAND_ELEMENTS nodes
+(row_bands) instead of the whole grid: the sup check, the sup-integral and
+the Sugeno integral hold O(band) memory, the sup scans in one pass (the
+sup-integral then refines in 9×9 windows), the Sugeno integral in one pass
+unless a cut of its bracket misses, each with the bits of the whole grid
+(for the Sugeno integral, those of a full sort of its samples); the
+g-kernel grid fills its held buffers band by band.
 level_set_samples gives the whole grid of midpoint samples
 (cell_midpoints) that the Sugeno Hardy kernel sorts.
 """
@@ -138,7 +139,6 @@ import numpy as np
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_DEPTH = 30
-DEFAULT_SUP_LEVELS = 12
 DEFAULT_LEVEL_SET_GRID = 2048
 
 BOUNDARY_INSET = 1e-12
@@ -154,9 +154,9 @@ FIT_SPREAD = 0.01  # most the fits over [0, h] and [0, h/2] may differ for a pow
 BATCH_CHUNK = 1 << 15  # nodes per integrand call when a level batch is large
 LOOKAHEAD = 2  # outer levels whose inner integrals integrate_2d computes ahead
 SPECULATIVE_BUDGET = 1024  # evaluations of an inner integral computed ahead, ~one level's cost
-# nodes per row band of the banded grid scans (the sup kernel, the Sugeno
-# integral): 2^14 floats are 128 KiB, so a band and its few temporaries stay
-# in cache and no grid-sized array is made
+# nodes per row band of the banded grid scans (the sup kernel, the
+# sup-integral, the Sugeno integral): 2^14 floats are 128 KiB, so a band and
+# its few temporaries stay in cache and no grid-sized array is made
 BAND_ELEMENTS = 2**14
 
 CONVERGED = "converged"
@@ -605,49 +605,6 @@ def grid_eval_inward(f, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         inset_y = np.where(ys == 0.0, BOUNDARY_INSET, ys)
         vals[ix, iy] = eval_nodes(f, inset_x[ix], inset_y[iy])
     return vals
-
-
-def _best_on_grid(f, xs, ys, stats: dict | None):
-    vals = grid_eval(f, xs, ys)
-    finite = np.isfinite(vals)
-    skipped = int(np.sum(~finite))
-    if stats is not None:
-        stats["skipped_nodes"] = stats.get("skipped_nodes", 0) + skipped
-    if skipped == vals.size:
-        return None, None, -math.inf
-    idx = np.unravel_index(np.argmax(np.where(finite, vals, -np.inf)), vals.shape)
-    return float(xs[idx[0]]), float(ys[idx[1]]), float(vals[idx])
-
-
-def sup_scan_2d(f, r: Rect = UNIT_SQUARE, levels: int = DEFAULT_SUP_LEVELS,
-                stats: dict | None = None) -> float:
-    """Maximum of f over a refining grid (effective 2^levels+1 nodes per axis).
-
-    A full tensor scan runs at level min(levels, 9); deeper levels refine a
-    local window around the running best cell, with one extra local pass at
-    the end.  Failed and non-finite nodes are skipped (count in
-    stats["skipped_nodes"]).
-    """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    base = min(levels, 9)
-    xs = np.linspace(r.x_low, r.x_high, 2**base + 1)
-    ys = np.linspace(r.y_low, r.y_high, 2**base + 1)
-    xb, yb, best = _best_on_grid(f, xs, ys, stats)
-    if xb is None:
-        return -math.inf
-    span_x = (r.x_high - r.x_low) / 2**base
-    span_y = (r.y_high - r.y_low) / 2**base
-    # refine around the best cell down to the requested level, plus one pass
-    for lvl in range(base + 1, levels + 2):
-        span_x /= 2.0
-        span_y /= 2.0
-        xs = np.clip(np.linspace(xb - 4 * span_x, xb + 4 * span_x, 9), r.x_low, r.x_high)
-        ys = np.clip(np.linspace(yb - 4 * span_y, yb + 4 * span_y, 9), r.y_low, r.y_high)
-        nx, ny, val = _best_on_grid(f, xs, ys, stats)
-        if nx is not None and val > best:
-            xb, yb, best = nx, ny, val
-    return best
 
 
 def cell_midpoints(low: float, high: float, grid: int) -> np.ndarray:

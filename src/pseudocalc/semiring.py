@@ -15,6 +15,11 @@ optional SaturationFlags accumulator rather than silently accepted; for a
 generator the count takes the range rule of generators.outside_range, so
 rounding at a range end is clamped but not counted.
 
+pseudo_add is the ⊕ of every semiring of the catalog.  No integral calls
+it (a sup-integral takes its max directly, a g-integral integrates g∘f), but
+it completes each semiring, and the axiom tests (tests/test_semiring.py)
+check ⊕ and ⊙ together through it.
+
 All operations are numpy-polymorphic: floats or arrays.
 """
 

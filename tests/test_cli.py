@@ -165,6 +165,15 @@ class TestIntegrate:
                                  "--domain", "0,1")
         assert out == explicit
 
+    @pytest.mark.parametrize("domain, message", [("0.8,0.2", "requires low < high"),
+                                                 ("-1,0.5", "leaves [0,1]")])
+    def test_dim_1_sup_interval_is_checked(self, capsys, domain, message):
+        # ψ is validated on [0, 1] only; a reversed interval is refused as on the g path
+        code, out, err = run_cli(capsys, "integrate", "--f", "x", "--semiring", "suptimes",
+                                 "--dim", "1", f"--domain={domain}")
+        assert code == 1 and out == ""
+        assert message in err
+
     def test_sugeno_grid_default(self):
         args = cli.build_parser().parse_args(["integrate", "--f", "x", "--sugeno"])
         assert args.grid == DEFAULT_LEVEL_SET_GRID

@@ -21,8 +21,18 @@ from pseudocalc.quadrature import (
     integrate_1d,
     integrate_2d,
     level_set_samples,
-    sup_scan_2d,
 )
+
+
+def sugeno_from_sorted(descending: np.ndarray, cell_area: float) -> float:
+    """The oracle of a full sort: max_k min(v_(k), k·cell) for v_(k) = descending[k - 1].
+
+    max(k*·cell, v_(k*+1)) at the crossing rank k* = max{k : v_(k) ≥ k·cell},
+    with k* bisected over every rank, as the library's selection paths test it.
+    """
+    k_star = P._crossing_rank(descending, cell_area, 0, descending.size)
+    return P._sugeno_value(k_star, cell_area,
+                           descending[k_star] if k_star < descending.size else None)
 
 
 class TestGIntegral1D:
@@ -217,9 +227,6 @@ class TestSupIntegral:
     def test_unit_density_gives_sup(self):
         got = P.sup_integral_2d(S.sup_times(), lambda x, y: x * y)
         assert got == pytest.approx(1.0, abs=1e-12)
-        # with unit ψ the sup-integral is the plain sup scan, node for node
-        f = lambda x, y: np.sin(3.0 * x) * y * (1.5 - y)
-        assert P.sup_integral_2d(S.sup_times(), f) == sup_scan_2d(f)
 
     def test_sup_plus_zero_density(self):
         got = P.sup_integral_2d(S.sup_plus(), lambda x, y: x * y)
@@ -260,6 +267,70 @@ class TestSupIntegral:
         want = P.sup_integral_1d(semiring, lambda x: f(x, 0.0))
         assert math.isfinite(want)
         assert P.sup_integral_1d(semiring, floats_only) == want
+
+    @pytest.mark.parametrize("low, high", [(0.8, 0.2), (0.5, 0.5), (-1.0, 0.5), (0.5, 1.5),
+                                           (math.nan, 1.0)])
+    def test_1d_rejects_an_interval_outside_the_unit_interval(self, low, high):
+        # ψ is validated on [0, 1] only, and a reversed interval has no nodes to scan
+        with pytest.raises(ValueError):
+            P.sup_integral_1d(S.sup_times(), lambda x: x, None, low, high)
+
+    def test_an_infinite_f_is_a_failed_node(self):
+        # under maxmin inf ⊙ ψ = ψ is finite: the node is skipped before it is weighted
+        assert P.sup_integral_1d(S.max_min(), lambda x: math.inf) == -math.inf
+        assert P.sup_integral_2d(S.max_min(), lambda x, y: 1.0 / (x - x)) == -math.inf
+
+    def test_psi_on_gives_every_node(self):
+        ts = np.linspace(0.0, 1.0, 5)
+        assert P.PsiDensity.from_string("1-x").on(ts).tolist() == [1.0, 0.75, 0.5, 0.25, 0.0]
+        const = P.PsiDensity.constant(0.9).on(ts[:, np.newaxis])
+        assert const.shape == (5, 1) and const.dtype == np.float64
+        assert np.all(const == 0.9)
+
+    def test_2d_peak_memory_is_banded(self):
+        # the (2^9 + 1)² grid is 2 MiB a copy; its row bands are 128 KiB each
+        f, psi = _parsed("x*y"), P.PsiDensity.from_string("1-x")
+        P.sup_integral_2d(S.sup_times(), f, psi)     # warm any first-call caches
+        tracemalloc.start()
+        try:
+            P.sup_integral_2d(S.sup_times(), f, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def _scalar_only(x, y):
+    # a branch on a float: an array raises, so f is evaluated node by node;
+    # the nodes on x = 1/4 raise ZeroDivisionError and are skipped
+    if x >= 0.5:
+        return math.sqrt(x) + y * 0.25
+    return 1.0 / (x - 0.25) * 0.01 + y * 0.5
+
+
+# sup_integral_2d's value, as float.hex, for scans whose bits are pinned
+SUP_HEX = {
+    # the peak lies between nodes: the 513² pass alone gives 0x1.ffffa44fa8870p-1
+    "off-grid bump": (S.sup_times(), "exp(-50*((x-0.3137)^2+(y-0.7071)^2))", None,
+                      UNIT_SQUARE, "0x1.fffffa82d38c0p-1"),
+    # failed nodes on x ≤ 0.3, whose weighting warns unless it runs under errstate
+    "g:sqrt with failed nodes": (S.g_generated(G.sqrt_gen()), "ln(x-0.3)+y", None,
+                                 UNIT_SQUARE, "0x1.4961e6d8f6059p-1"),
+    "psi = x on [0, 1/2]^2": (S.sup_times(), "x*y", "x", Rect(0.0, 0.5, 0.0, 0.5),
+                             "0x1.0000000000000p-4"),
+    "supplus, psi = 0.9": (S.sup_plus(), "(x+y)/2", "0.9", UNIT_SQUARE,
+                           "0x1.0000000000000p+0"),
+    "scalar-only callable": (S.max_min(), _scalar_only, "1-x/2", UNIT_SQUARE,
+                             "0x1.bff8000000000p-1"),
+}
+
+
+@pytest.mark.parametrize("case", SUP_HEX)
+def test_sup_integral_2d_bits(case):
+    s, f, psi, r, want = SUP_HEX[case]
+    f = _parsed(f) if isinstance(f, str) else f
+    psi = None if psi is None else P.PsiDensity.from_string(psi)
+    assert float.hex(P.sup_integral_2d(s, f, psi, r)) == want
 
 
 def _bisect(fn, lo, hi, iters=200):
@@ -312,7 +383,7 @@ class TestSugeno:
 
         f = lambda x, y: np.minimum(x, y)
         samples = level_set_samples(f, UNIT_SQUARE, 512)
-        emp = P.sugeno_from_sorted(np.sort(samples, axis=None)[::-1], 1.0 / 512**2)
+        emp = sugeno_from_sorted(np.sort(samples, axis=None)[::-1], 1.0 / 512**2)
         assert P.sugeno_integral_2d(f, grid=512) == emp
 
     def test_rank_search_matches_reference(self):
@@ -331,11 +402,11 @@ class TestSugeno:
         for values in cases:
             descending = np.sort(values)[::-1]
             for cell in (1.0 / max(values.size, 1), 1e-3, 0.37):
-                assert P.sugeno_from_sorted(descending, cell) == reference(descending, cell)
+                assert sugeno_from_sorted(descending, cell) == reference(descending, cell)
 
 
 def _sorted_sugeno(values, cell):
-    return P.sugeno_from_sorted(np.sort(values, axis=None)[::-1], cell)
+    return sugeno_from_sorted(np.sort(values, axis=None)[::-1], cell)
 
 
 def _same_bits(a, b):
@@ -701,7 +772,7 @@ class TestPowerAssumptions:
 
 
 def _blocks_by_sorting(F, row_ends, col_ends, cell):
-    return np.array([[P.sugeno_from_sorted(np.sort(F[:a, :b], axis=None)[::-1], cell)
+    return np.array([[sugeno_from_sorted(np.sort(F[:a, :b], axis=None)[::-1], cell)
                       for b in col_ends] for a in row_ends]).reshape(len(row_ends), len(col_ends))
 
 
@@ -766,7 +837,7 @@ class TestSugenoPrefixBlocks:
         cell = 1.0 / 900
         got = P.sugeno_prefix_blocks(F, [30], [30], cell)
         assert got.shape == (1, 1)
-        assert got[0, 0] == P.sugeno_from_sorted(np.sort(F, axis=None)[::-1], cell)
+        assert got[0, 0] == sugeno_from_sorted(np.sort(F, axis=None)[::-1], cell)
 
     def test_empty_sample(self):
         assert P.sugeno_prefix_blocks(np.zeros((0, 0)), [0, 0], [0], 0.1).tolist() == [[0.0], [0.0]]

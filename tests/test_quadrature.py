@@ -179,31 +179,39 @@ class TestExactnessAndOrder:
 
 
 class TestSupScan:
+    """sup_integral_2d's scan: under suptimes with the unit ψ the surface is f."""
+
     def test_corner_max(self):
-        assert Q.sup_scan_2d(lambda s, t: s * t) == pytest.approx(1.0, abs=1e-12)
+        got = P.sup_integral_2d(S.sup_times(), lambda s, t: s * t)
+        assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_interior_max(self):
         # separable: max of s(1-s) is 1/4 at 1/2, squared product -> 1/16
-        got = Q.sup_scan_2d(lambda s, t: s * t * (1 - s) * (1 - t))
+        got = P.sup_integral_2d(S.sup_times(), lambda s, t: s * t * (1 - s) * (1 - t))
         assert got == pytest.approx(1.0 / 16.0, abs=1e-10)
 
     def test_origin_max(self):
-        assert Q.sup_scan_2d(lambda s, t: -(s**2 + t**2)) == pytest.approx(0.0, abs=1e-12)
+        got = P.sup_integral_2d(S.sup_times(), lambda s, t: -(s**2 + t**2))
+        assert got == pytest.approx(0.0, abs=1e-12)
 
-    def test_failed_nodes_skipped_and_flagged(self):
+    def test_failed_nodes_skipped(self):
+        # the peak t·(1 − |s − 1/2|) lies in a hole of failed nodes around
+        # s = 1/2, so the sup is approached from its edge, |s − 1/2| = 0.01
         def f(s, t):
-            if abs(s - 0.5) < 0.01:
-                raise ValueError("hole")
-            return s * t
+            d = np.abs(s - 0.5)
+            return np.where(d < 0.01, np.nan, t * (1.0 - d))
 
-        stats = {}
-        got = Q.sup_scan_2d(f, levels=6, stats=stats)
-        assert got == pytest.approx(1.0, abs=1e-9)
-        assert stats["skipped_nodes"] > 0
+        got = P.sup_integral_2d(S.sup_times(), f)
+        assert 0.99 - 2.0**-12 < got < 0.99
 
-    def test_levels_floor(self):
-        with pytest.raises(ValueError):
-            Q.sup_scan_2d(lambda s, t: s, levels=0)
+    def test_a_tie_goes_to_the_first_band(self):
+        # equal grid maxima at x = 1/4 (row band 4) and x = 3/4 (row band 12);
+        # only the window around the first reaches the higher value off the grid
+        def f(s, t):
+            v = np.where((s == 0.25) | (s == 0.75), 0.5, 0.0) + 0.0 * t
+            return np.where(s == 0.25 + 2.0**-12, 0.75, v)
+
+        assert P.sup_integral_2d(S.sup_times(), f) == 0.75
 
 
 def _level_set_measure(f, alpha: float, grid: int) -> float:
@@ -652,9 +660,7 @@ class TestEngineContract:
         assert res.status == "diverged" and res.error_estimate == math.inf
 
     def test_sup_scan_with_every_node_failed_is_minus_infinity(self):
-        stats = {}
-        assert Q.sup_scan_2d(lambda s, t: math.nan, Q.UNIT_SQUARE, 3, stats) == -math.inf
-        assert stats["skipped_nodes"] == 9 * 9
+        assert P.sup_integral_2d(S.sup_times(), lambda s, t: math.nan) == -math.inf
 
     def test_eval_nodes_marks_failures(self):
         xs = np.array([0.0, 0.5, 1.0])
@@ -702,7 +708,7 @@ def _parsed(src):
 
 
 def _psi_weighted_sup(semiring, f_src, psi_src):
-    # the surface sup_integral_2d hands to sup_scan_2d
+    # the surface sup_integral_2d scans
     f, psi = _parsed(f_src), P.PsiDensity.from_string(psi_src)
     return lambda x, y: P.psi_weighted(semiring, f(x, y), psi(x), psi(y))
 
