@@ -27,7 +27,11 @@ R(x,y) = sup_{s≤x,t≤y} f(s,t)⊙ψ(t)⊙ψ(s): the idempotent analogue of th
 averaging operator (the 1/(xy) normalization cancels against the sup-measure
 of the rectangle, which the proof chain of the sup theorem equates with xy).
 Reports note this convention.  sup_kernel_grid forms it, and the check's
-maxima from it, in one pass over cache-sized row bands of the grid.  Both
+maxima from it, in one pass over cache-sized row bands of the grid.  A
+weighted band that is nondecreasing along its rows and columns, starts at or
+above the column maxima of the rows above and holds no −0.0 is its own
+running max, so its scan is skipped; under the unit ψ every campaign f
+gives such bands.  Both
 kernel grids retry failed nodes on the axes once, BOUNDARY_INSET inward
 (quadrature.grid_eval_inward); a failed interior node makes the check not
 evaluable.
@@ -93,7 +97,7 @@ from .quadrature import (
     level_set_samples,
     row_bands,
 )
-from .semiring import MAX_MIN, SUP_TIMES, SaturationFlags, Semiring, parse_semiring
+from .semiring import G_GENERATED, SUP_PLUS, SaturationFlags, Semiring, parse_semiring
 
 # verdict tolerances: shield quadrature noise without masking real violations
 VERDICT_REL = 1e-9
@@ -478,7 +482,15 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
     positive max has the bits of every value equal to it.  A max of 0 (equal
     zeros may differ in sign) and every other band raise the whole band.
     Under suptimes and maxmin such a band is also its own weighted surface
-    (F ⊙ 1 ⊙ 1 = F bit for bit), so it is copied, not weighted.
+    (F ⊙ 1 ⊙ 1 = F bit for bit), and under supplus, whose unit ψ is +0.0 at
+    every node, it is F + 0.0 (no clamp, and −0.0 turns +0.0, as ⊙ does).
+
+    A weighted band W is its own running max R, and the scan is skipped,
+    when W is nondecreasing along its rows and its columns, W[0] is at least
+    the column maxima carried in, and W holds no −0.0 (np.maximum keeps
+    either of two equal zeros).  A NaN fails the comparisons; the cheap edge
+    tests come first.  If W has F's values, R − f is +0.0 at every node, so
+    the band's share of max(R − f) is +0.0 at its first node.
     """
     n = 2**level + 1
     xs = np.linspace(domain.x_low, domain.x_high, n)
@@ -486,27 +498,36 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
     # ψ(x) as a column and ψ(y) as a row, ready to broadcast against a band
     psix, psiy = psi.on(xs)[:, np.newaxis], psi.on(ys)[np.newaxis, :]
     unit = (s.unit is not None and (s.gen is None or s.gen.domain_low <= 0.0)
-            and bool(np.all(psix == s.unit) and np.all(psiy == s.unit)))
+            and bool(np.all(psix == s.unit) and np.all(psiy == s.unit))
+            and not (np.signbit(psix).any() or np.signbit(psiy).any()))
     column_max = np.full(n, -np.inf)    # of the weighted surface, over the rows so far
     best, negative, lhs, rhs = None, False, [], []
     for band in row_bands(n, n):
         F = grid_eval_inward(f, xs[band], ys)
-        if not np.all(np.isfinite(F)):
-            raise DomainError("f failed to evaluate on the sup grid")
         f_low, f_high = F.min(), F.max()
+        # a NaN node makes both NaN, an infinite one the min or the max
+        if not (np.isfinite(f_low) and np.isfinite(f_high)):
+            raise DomainError("f failed to evaluate on the sup grid")
         negative = negative or bool(f_low < 0)
         in_carrier = unit and f_low >= 0 and f_high <= 1
-        # the running maxima overwrite the weighted band; down the columns a
-        # maximum per row is the accumulate's own step, at a third of its time
-        if in_carrier and s.kind in (SUP_TIMES, MAX_MIN):
-            R = F.copy()
+        # R starts as the weighted band W; under the unit ψ W has F's values:
+        # F itself, or F + 0.0 under supplus (−0.0 turns +0.0, as ⊙ +0 does)
+        same = in_carrier and s.kind != G_GENERATED
+        R = ((F + 0.0 if s.kind == SUP_PLUS else F) if same
+             else psi_weighted(s, F, psix[band], psiy, flags))
+        # a W nondecreasing along rows and columns, and from the column maxima
+        # above, with no −0.0 (np.maximum keeps either zero), is its own
+        # running max; the cheap edge tests turn most other bands away
+        own = bool((R[0] >= column_max).all() and (R[-1, 1:] >= R[-1, :-1]).all()
+                   and (R[1:, -1] >= R[:-1, -1]).all() and (R[1:] >= R[:-1]).all()
+                   and (R[:, 1:] >= R[:, :-1]).all() and not np.signbit(R).any())
+        if own:
+            column_max = R[-1].copy()
         else:
-            R = psi_weighted(s, F, psix[band], psiy, flags)
-        for i, row in enumerate(R):
-            np.maximum(R[i - 1] if i else column_max, row, out=row)
-        column_max = R[-1].copy()
-        np.maximum.accumulate(R, axis=1, out=R)
-        diff = R - F
+            R = F.copy() if R is F else R       # the running maxima overwrite R
+            column_max = _running_max(R, column_max)
+        # R with F's values (F finite) makes R − F +0.0 at every node: its first wins
+        diff = np.zeros((1, 1)) if own and same else R - F
         k = np.unravel_index(np.argmax(diff), diff.shape)
         # np.argmax's first-location rule across bands: a later band wins only if greater
         if best is None or diff[k] > best[0]:
@@ -516,13 +537,27 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
         if in_carrier:
             raised = _power_of(np.array([R[-1, -1], f_high]), p)
             tops = psi_weighted(s, raised, psix[band][:1], psiy[:, :1], flags)[0]
-        for top, V, maxima in ((tops[0], R, lhs), (tops[1], F, rhs)):
+        # if R is F, the lhs raises a view of F, which _power_of copies
+        for top, V, maxima in ((tops[0], F[:] if R is F else R, lhs), (tops[1], F, rhs)):
             if not top > 0:
                 # another band, or a max of 0 or NaN: V is not needed past
                 # here, so the whole band is raised to p in place
                 top = np.max(psi_weighted(s, _power_of(V, p), psix[band], psiy, flags))
             maxima.append(top)
     return *best, float(np.max(lhs)), float(np.max(rhs)), negative
+
+
+def _running_max(R: np.ndarray, column_max: np.ndarray) -> np.ndarray:
+    """R's running max from the column maxima above, in place; returns R's column maxima.
+
+    Down the columns a maximum per row is the accumulate's own step, at a
+    third of its time.
+    """
+    for i, row in enumerate(R):
+        np.maximum(R[i - 1] if i else column_max, row, out=row)
+    column_max = R[-1].copy()
+    np.maximum.accumulate(R, axis=1, out=R)
+    return column_max
 
 
 def check_hardy_sup(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> HardyReport:
@@ -586,11 +621,10 @@ def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG)
     # outer midpoints (i+1/2)/m align exactly with sample-cell boundaries
     ends = stride * np.arange(m) + stride // 2
     R = sugeno_prefix_blocks(F, ends, ends, scn.domain.area / (n * n))
-    xs = [(i + 0.5) / m * X for i in range(m)]
-    ys = [(j + 0.5) / m * Y for j in range(m)]
+    mids = (np.arange(m) + 0.5) / m
+    ratio = (R / np.multiply.outer(mids * X, mids * Y)).ravel().tolist()
     # a Python-float pow per element: numpy's array pow can differ by an ulp
-    h_vals = np.array([[(r / (x * y)) ** p for r, y in zip(row, ys)]
-                       for row, x in zip(R.tolist(), xs)])
+    h_vals = np.array(list(map(pow, ratio, [p] * len(ratio)))).reshape(m, m)
     rhs_integral = sugeno_from_samples(h_vals, scn.domain.area / (m * m))
     return _report(SUGENO_HARDY, p, lhs, rhs_integral, constant,
                    {"lhs": CONVERGED, "rhs": CONVERGED}, notes)

@@ -526,6 +526,27 @@ def _whole_grid_sup_kernel(s, f, psi, level, p):
             bool(np.any(F < 0)), flags.add_saturations, flags.mul_saturations)
 
 
+def _band_sawtooth(n):
+    """In [0, 1], nondecreasing inside each row band of an n×n grid; drops at a band's first row."""
+    rows = BAND_ELEMENTS // n
+    return lambda x, y: (np.round(x * (n - 1)) % rows + y) / rows
+
+
+# Python callables of the grid's size n: the sawtooth, which only the test
+# against the column maxima above refuses, and x*y with −0.0 on the axes,
+# which the sign test refuses wherever the weighted surface keeps the −0.0
+CALLABLE_SOURCES = {
+    "band sawtooth": _band_sawtooth,
+    "x*y, -0.0 on the axes": lambda n: lambda x, y: np.where((x == 0) | (y == 0), -0.0, x * y),
+}
+
+
+def _sup_source(f_src, level):
+    if f_src in CALLABLE_SOURCES:
+        return CALLABLE_SOURCES[f_src](2**level + 1)
+    return expr.as_function(expr.parse(f_src))
+
+
 class TestSupBuffers:
     @pytest.mark.parametrize("f_src,semiring,psi,p", sorted(SUP_CONTRACT, key=repr))
     def test_matches_fresh_temporaries(self, f_src, semiring, psi, p):
@@ -536,21 +557,41 @@ class TestSupBuffers:
         assert got == SUP_CONTRACT[f_src, semiring, psi, p]
 
     @pytest.mark.parametrize("level", [3, 9, 10])     # one band; a partial last band
-    @pytest.mark.parametrize("psi_src", [None, "1-x/2", "0.9"])
+    # an increasing ψ keeps a monotone f's weighted surface monotone
+    @pytest.mark.parametrize("psi_src", [None, "1-x/2", "0.9", "0.5+x/2"])
     @pytest.mark.parametrize("spec", ["suptimes", "supplus", "maxmin", "g:sqrt"])
     # under the unit ψ: bands in [0, 1] that raise two values only (x*y, and
     # the positive bands of the first two), bands with f < 0, f above 1
-    # (clamped per element under supplus) and a band of −0.0 (a max of 0)
+    # (clamped per element under supplus) and a band of −0.0 (a max of 0);
+    # the monotone campaign families (monomial, affine mean, mixture) are
+    # their own running max; two surfaces in [0, 1] are monotone on a band's
+    # edges but fall inside it, down the columns for y < 1/2 or along the
+    # rows for x < 1/2, so a whole-band test refuses them; and the callables
     @pytest.mark.parametrize("f_src", ["x*(1-x)+y*(1-y)", "0.5+0.4*x-0.6*y*y", "x*y", "2*x",
-                                       "-(0*x)"])
+                                       "-(0*x)", "x^2.5*y^0.33", "0.27*(x+y)/2",
+                                       "0.37*x^1.9*y^2.5+0.32*x^0.33*y^0.08+0.2*x^0.88*y^0.14",
+                                       "0.2+0.6*y+0.1*x*(2*y-1)", "0.2+0.6*x+0.1*y*(2*x-1)",
+                                       *CALLABLE_SOURCES])
     def test_banded_kernel_matches_whole_grid(self, f_src, spec, psi_src, level):
         s = parse_semiring(spec)
         psi = P.PsiDensity.from_string(psi_src) if psi_src else P.unit_psi(s)
-        f = expr.as_function(expr.parse(f_src))
+        f = _sup_source(f_src, level)
         flags = SaturationFlags()
         with np.errstate(invalid="ignore"):  # f < 0 somewhere: f^2.5 is NaN there
             got = H.sup_kernel_grid(s, f, psi, UNIT, level, 2.5, flags)
             want = _whole_grid_sup_kernel(s, f, psi, level, 2.5)
+        assert repr((*got, flags.add_saturations, flags.mul_saturations)) == repr(want)
+
+    @pytest.mark.parametrize("level", [3, 9])
+    @pytest.mark.parametrize("f_src", ["-(0*x)", "x*y", "x*y, -0.0 on the axes"])
+    def test_negative_zero_psi_is_no_unit_psi(self, f_src, level):
+        # under supplus, ψ ≡ −0.0 equals the unit 0 but keeps f's −0.0, which
+        # the F + 0.0 of the unit ψ would turn to +0.0
+        s = parse_semiring("supplus")
+        psi, f = P.PsiDensity.from_string("-(0*x)"), _sup_source(f_src, level)
+        flags = SaturationFlags()
+        got = H.sup_kernel_grid(s, f, psi, UNIT, level, 3.0, flags)
+        want = _whole_grid_sup_kernel(s, f, psi, level, 3.0)
         assert repr((*got, flags.add_saturations, flags.mul_saturations)) == repr(want)
 
     def test_unit_psi_raises_two_values_per_band(self, monkeypatch):
@@ -577,6 +618,64 @@ class TestSupBuffers:
         assert check("supplus", None) == [2] * bands
         whole = check("suptimes", "0.9")
         assert len(whole) == 2 * bands and sum(whole) == 2 * n * n
+
+    def test_monotone_bands_skip_the_running_max(self, monkeypatch):
+        # every campaign f is nondecreasing in x and in y, so under the unit ψ
+        # every band of the campaign's sup trials is its own running max: no
+        # scan runs, and under supplus no band is weighted, only its two tops
+        scanned, weighted = [], []
+        running_max, psi_weighted = H._running_max, H.psi_weighted
+
+        def scan_spy(R, column_max):
+            scanned.append(R.shape[0])
+            return running_max(R, column_max)
+
+        def weight_spy(s, vals, *args):
+            weighted.append(vals.size)
+            return psi_weighted(s, vals, *args)
+
+        monkeypatch.setattr(H, "_running_max", scan_spy)
+        monkeypatch.setattr(H, "psi_weighted", weight_spy)
+        for scn in _first_sup_trial_per_cell(FuzzConfig().seed):
+            H.check_hardy_sup(scn)
+        assert scanned == [] and set(weighted) == {2}
+        n = 2**H.DEFAULT_CONFIG.sup_level + 1
+        bands = -(-n // (BAND_ELEMENTS // n))
+        for spec in ("suptimes", "supplus"):       # the bump rises, then falls
+            scanned.clear()
+            H.check_hardy_sup(H.HardyScenario(f_src="16*x*(1-x)*y*(1-y)", p=2.0,
+                                              check_kind="sup_hardy", semiring_spec=spec))
+            assert sum(scanned) == n
+        # the callables are refused by one test each: the sawtooth by the column
+        # maxima above on every band but the first; −0.0 on the y axis under
+        # suptimes on every band, while supplus's + 0.0 turns it to +0.0
+        level = H.DEFAULT_CONFIG.sup_level
+        for name, spec, refused in (("band sawtooth", "suptimes", bands - 1),
+                                    ("x*y, -0.0 on the axes", "suptimes", bands),
+                                    ("x*y, -0.0 on the axes", "supplus", 0)):
+            scanned.clear()
+            s = parse_semiring(spec)
+            H.sup_kernel_grid(s, _sup_source(name, level), P.unit_psi(s), UNIT, level, 2.0)
+            assert len(scanned) == refused, (name, spec)
+
+    @pytest.mark.parametrize("spec", ["suptimes", "maxmin"])
+    def test_zero_band_raises_f_once(self, spec, monkeypatch):
+        # f ≡ 0 is its own running max, so R is F, and a max of 0 raises both
+        # whole bands: the lhs must not raise the buffer the rhs raises next
+        calls = []
+
+        def spy(vals, power):
+            calls.append((vals, power_of(vals, power)))
+            return calls[-1][1]
+
+        power_of = P._power_of
+        monkeypatch.setattr(H, "_power_of", spy)
+        s = parse_semiring(spec)
+        H.sup_kernel_grid(s, expr.as_function(expr.parse("0")), P.unit_psi(s), UNIT, 9, 2.0)
+        wholes = [call for call in calls if call[0].size > 2]
+        assert len(wholes) == 2 * len(calls) // 3
+        for (_, lhs_raised), (rhs_vals, _) in zip(wholes[::2], wholes[1::2]):
+            assert not np.shares_memory(lhs_raised, rhs_vals)
 
     def test_first_location_wins_a_tie_across_bands(self):
         # R − f = (b − 1/2) − |i − b + 1/2| on row i peaks at rows b − 1 and b,
