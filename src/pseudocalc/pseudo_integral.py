@@ -11,10 +11,13 @@ v_(1) ≥ v_(2) ≥ …, and cell the area of a sample's cell, it is
 max_k min(v_(k), k·cell).  v_(k) − k·cell decreases in k, so the minimum
 is k·cell up to the crossing rank k* = max{k : v_(k) ≥ k·cell} and v_(k)
 after it, and the value is max(k*·cell, v_(k*+1)).  _sugeno_scan takes it
-on an unsorted sample, and sugeno_prefix_blocks for all the nested blocks
-F[:a, :b] of one sample grid at once (one sort plus 2-D prefix counts, with
-every crossing test an integer compare of a count against a per-value pass
-count).  _sugeno_scan is the one selection path: two cuts from a strided
+on an unsorted sample.  For all the nested blocks F[:a, :b] of one sample
+grid, sugeno_block_bounds gives every block's value between two rank
+products from one sort plus 2-D prefix counts, and resolves exactly, by a
+running count inside one chunk of ranks, only the blocks asked for;
+sugeno_prefix_blocks asks for all of them.  Every crossing test there is
+an integer compare of a count against a per-value pass count.
+_sugeno_scan is the one selection path: two cuts from a strided
 subsample bracket the crossing rank, and one pass over the samples counts
 the cuts and keeps only the values between them, which alone are sorted; a
 pass is repeated only when a cut misses.  sugeno_integral_2d feeds it row
@@ -23,7 +26,8 @@ rather than O(grid²); sugeno_from_samples feeds it an array in memory as
 one band.  Under a power p, t ↦ t^p is nondecreasing on [0, ∞), so a band
 where f is non-negative is cut on f itself ({f > s} is a cut at s^p), and
 only the values between the cuts are raised; any other band is raised as
-f's own result.  Every path gives the bits of a full sort.
+f's own result.  A finite f whose power overflows is ±inf, a value, not a
+failed sample.  Every path gives the bits of a full sort.
 
 g_integral_1d and g_integral_2d return (value, result, reason): the
 classical integral's QuadratureResult comes with the value, and where the
@@ -245,20 +249,6 @@ def _power_of(vals: np.ndarray, power: float) -> np.ndarray:
     return vals
 
 
-def _raised(f, power: float):
-    """f(x, y) ** power, taken on f's own result before grid_eval broadcasts it.
-
-    A term in x alone is raised once per row, not once per node, with the
-    bits of an in-place `**=` on the whole grid (_power_of).  A non-finite
-    value stays non-finite, and grid_eval makes it NaN.
-    """
-
-    def raised(*point):
-        return _power_of(np.asarray(f(*point), dtype=float), power)
-
-    return raised
-
-
 @lru_cache(maxsize=64)
 def _overflow_start(power: float) -> float:
     """The least float h ≥ 0 whose power (_power_of) is not finite; inf if there is none.
@@ -289,52 +279,50 @@ def sugeno_integral_2d(f, r: Rect = UNIT_SQUARE,
 
     f is sampled on the grid × grid midpoint cells in row bands of
     BAND_ELEMENTS nodes (quadrature.grid_eval), which _sugeno_scan reads
-    one at a time, so no grid-sized array is held.  Failed samples and
-    non-finite powers (a negative base with a fractional power, an
-    overflow) are dropped.  The bracket subsample is evaluated on its own
-    nodes (eval_nodes); its bits need not match the grid's, as every cut is
-    tested on the band values.
+    one at a time, so no grid-sized array is held.  Failed samples (f NaN
+    or ±inf) and NaN powers (a negative base with a fractional power) are
+    dropped; the power of a finite f that overflows is ±inf, a value (+inf
+    lies in every level set).  The bracket subsample is evaluated on its
+    own nodes (eval_nodes); its bits need not match the grid's, as every cut
+    is tested on the band values.
 
     With power ≠ 1 a band is cut on f itself when f's own result (before
     grid_eval broadcasts it) is ≥ +0 and below the first float whose power
     overflows everywhere; only the values between the cuts are raised,
-    after the pass.  Any other band (a negative value, -0, inf, an overflow
-    or a failed node) is raised as f's own result (_raised) and cut on the
-    powers.  power must be a positive finite float.
+    after the pass.  Any other band (a negative value, -0 or a failed node)
+    is raised as f's own result, so a term in x alone is raised once per
+    row, with the bits of an in-place `**=` on the whole grid (_power_of),
+    and cut on the powers.  A band where that power is infinite somewhere,
+    which grid_eval would fail, or whose calls of f went both ways (f taken
+    node by node), is evaluated again and raised whole.  power must be a
+    positive finite float.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     if not (math.isfinite(power) and power > 0.0):
         raise ValueError(f"power must be a positive finite float, got {power!r}")
     xs, ys = cell_midpoints(r.x_low, r.x_high, grid), cell_midpoints(r.y_low, r.y_high, grid)
-    row_slices = row_bands(grid, grid)
-    if power == 1.0:
-        def bands(on_f):
-            return ((grid_eval(f, xs[rows], ys), True) for rows in row_slices)
-    else:
-        # the bit patterns of the floats ≥ +0 order them as unsigned integers,
-        # and those of a negative float (-0 included), inf and NaN lie above top's
-        top = np.float64(_overflow_start(power)).view(np.uint64)
-        raised = _raised(f, power)
-        cut_on_f = []       # per call of f in a band: was its result left as f?
+    # the bit patterns of the floats ≥ +0 order them as unsigned integers, and
+    # those of a negative float (-0 included), inf and NaN lie above top's
+    top = np.float64(_overflow_start(power)).view(np.uint64)
+
+    def bands(on_f):
+        calls = set()       # how f's calls in the band went: "f", "power" or "inf"
 
         def f_or_power(*point):
             vals = np.asarray(f(*point), dtype=float)
-            on_f = np.max(vals.view(np.uint64), initial=0) < top
-            cut_on_f.append(on_f)
-            return vals if on_f else _power_of(vals, power)
+            cut = on_f and np.max(vals.view(np.uint64), initial=0) < top
+            vals = vals if cut else _power_of(vals, power)
+            calls.add("f" if cut else "inf" if np.isinf(vals).any() else "power")
+            return vals
 
-        def bands(on_f):
-            for rows in row_slices:
-                band = xs[rows]
-                cut_on_f.clear()
-                vals = grid_eval(f_or_power if on_f else raised, band, ys)
-                if cut_on_f and all(cut_on_f):
-                    yield vals, False
-                elif not any(cut_on_f):
-                    yield vals, True
-                else:   # calls that went both ways (f taken node by node): raise the band whole
-                    yield grid_eval(raised, band, ys), True
+        for rows in row_bands(grid, grid):
+            calls.clear()
+            vals = grid_eval(f if power == 1.0 else f_or_power, xs[rows], ys)
+            if power == 1.0 or calls in ({"f"}, {"power"}):
+                yield vals, calls != {"f"}
+            else:
+                yield _power_of(grid_eval(f, xs[rows], ys), power), True
     return _sugeno_scan(bands, lambda nodes: eval_nodes(f, xs[nodes // grid], ys[nodes % grid]),
                         grid * grid, grid, r.area / (grid * grid), power)
 
@@ -371,7 +359,7 @@ def sugeno_from_samples(values: np.ndarray, cell_area: float) -> float:
 
 def _sugeno_scan(bands, subsample, nodes: int, side: int, cell_area: float,
                  power: float = 1.0) -> float:
-    """max_k min(v_(k), k·cell) over the finite powers v = f^power of nodes samples, unsorted.
+    """max_k min(v_(k), k·cell) over the non-NaN powers v = f^power of nodes samples, unsorted.
 
     bands(on_f) yields pairs (values, powered) that cover the nodes, NaN
     where one failed, the same on every call: the values are the powers v
@@ -402,7 +390,7 @@ def _sugeno_scan(bands, subsample, nodes: int, side: int, cell_area: float,
 
     The cuts come from a strided subsample, one node in about isqrt(nodes)/4
     with the stride coprime to side so that every column of a sample grid is
-    represented.  Its finite powers are sorted descending, each with its f,
+    represented.  Its non-NaN powers are sorted descending, each with its f,
     and their crossing rank, with each one standing for nodes/sampled nodes
     (failed ones included, so a half-failed grid is no worse a guess),
     guesses k*.  One pass over the bands counts a strict cut {v > t_hi}
@@ -422,7 +410,7 @@ def _sugeno_scan(bands, subsample, nodes: int, side: int, cell_area: float,
     nodes (a stride below 4), or a cell_area that is not positive, take the
     trivial cuts.  Memory is O(band) plus the values between the cuts.
     Each rank is tested as a full sort's bisection (_crossing_rank) would
-    test it, and the value depends only on the multiset of finite powers,
+    test it, and the value depends only on the multiset of non-NaN powers,
     so it is the same bits.
     """
     f_sub = v_sub = np.empty(0)
@@ -437,8 +425,8 @@ def _sugeno_scan(bands, subsample, nodes: int, side: int, cell_area: float,
             f_sub = v_sub = np.sort(f_sub[~np.isnan(f_sub)])[::-1]
         else:
             v_sub = _power_of(f_sub.copy(), power)
-            finite = np.isfinite(v_sub)
-            f_sub, v_sub = f_sub[finite], v_sub[finite]
+            kept = ~np.isnan(v_sub)
+            f_sub, v_sub = f_sub[kept], v_sub[kept]
             order = np.argsort(v_sub)[::-1]
             f_sub, v_sub = f_sub[order], v_sub[order]
             f_sub[f_sub < 0.0] = np.nan      # no cut on f at a negative f
@@ -523,104 +511,122 @@ def _prefix_sums(table: np.ndarray) -> None:
             np.add(row, prev, out=row)
 
 
-def sugeno_prefix_blocks(F: np.ndarray, row_ends, col_ends, cell_area: float) -> np.ndarray:
-    """max_k min(v_(k), k·cell) of every block F[:row_ends[i], :col_ends[j]], from one sort.
+def sugeno_block_bounds(F: np.ndarray, row_ends, col_ends, cell_area: float):
+    """Bounds lo ≤ R ≤ hi on the value R of every block F[:row_ends[i], :col_ends[j]], and resolve.
 
-    F holds finite samples; the ends are nondecreasing and cell_area > 0.  The
-    samples are sorted once, descending, and the ranks cut into chunks of L
-    (n for an n × n grid).  A sample's band on each axis is the number of
-    block ends at or below its index, so it lies in block (i, j) iff its bands
-    are ≤ (i, j); counting samples by (chunk, row band, column band) and
-    summing along all three axes gives K, the size of every block's part of
-    every rank prefix that ends a chunk.
+    R is max_k min(v_(k), k·cell) of the block's samples; resolve(bi, bj)
+    gives R exactly for the blocks (bi[k], bj[k]).  F holds finite samples;
+    the ends are nondecreasing and cell_area > 0.
 
-    Every test is an integer compare on narrow arrays.  Each sample value v
-    gets its pass count Q(v) = #{K ∈ [0, total] : fl(K·cell) ≤ v}
-    (_pass_counts), so K·cell ≤ v iff K < Q(v), and v < k·cell iff
-    k ≥ Q(v), for the very floating-point products a block's own sort would
-    test.  Counts, ranks and pass counts share the narrowest unsigned type
-    that holds total + 1 (uint16 up to 65,534 samples); the count table is
-    filled from one bincount per slab of chunks and summed by in-place slice
-    adds (_prefix_sums), so no int64 table is held.
+    Bound stage.  The samples are sorted once, descending, and the ranks cut
+    into chunks of L = 2⌈√total⌉ (384 for 192²).  A sample's band on each
+    axis is the number of block ends at or below its index, so it lies in
+    block (i, j) iff its bands are ≤ (i, j); counting samples by (chunk, row
+    band, column band) and summing along all three axes gives K(c), the size
+    of every block's part of the ranks up to the end of chunk c, and
+    K(−1) = 0.  A block element's own rank is at most K at its chunk's end
+    and its value at least the chunk's smallest value, so the whole chunk
+    passes the test v_(k) ≥ k·cell while K·cell does not exceed that smallest
+    value; from the first chunk c₀ where it does, no later element passes.
+    So K(c₀−1) ≤ k* ≤ K(c₀), and v_(k*+1), which fails its own rank, is below
+    fl((k*+1)·cell) ≤ fl(K(c₀)·cell) when it lies in c₀, and below
+    fl(K(c₀)·cell) > c₀'s smallest value when it lies after it: lo is
+    fl(K(c₀−1)·cell) and hi is fl(K(c₀)·cell).  A block with no such chunk
+    passes whole: lo = hi = fl(K·cell) of its whole count is its value.
 
-    A block element's own rank is at most K at its chunk's end and its value
-    at least the chunk's smallest value, so the whole chunk passes the test
-    v_(k) ≥ k·cell while K·cell does not exceed that smallest value; from the
-    first chunk c₀ where it does, no later element passes.  The crossing rank
-    k* is therefore found inside c₀, for all blocks at once, from the block
+    Every test is an integer compare on narrow arrays.  A sample value v has
+    the pass count Q(v) = #{K ∈ [0, total] : fl(K·cell) ≤ v} (_pass_counts),
+    so K·cell ≤ v iff K < Q(v), and v < k·cell iff k ≥ Q(v), for the very
+    floating-point products a block's own sort would test; pass counts are
+    taken only at chunk ends and in the chunks that resolve scans.  Counts,
+    ranks and pass counts share the narrowest unsigned type that holds
+    total + 1 (uint16 up to 65,534 samples); the count table is filled from
+    one bincount per slab of chunks and summed by in-place slice adds
+    (_prefix_sums), so no int64 table is held.
+
+    Resolve stage.  The crossing rank k* is found inside c₀ from the block
     mask and a running count (one contiguous row of L ranks per block); the
     first element of c₀ that fails is v_(k*+1) (if none fails, the next one
     lies below K·cell and the value is k*·cell).  These are the k* and the
-    v_(k*+1) that each block's own sort would give, so the values are the
-    same bits.  Tied values are one number in any order, so the sort need not
-    be stable.
+    v_(k*+1) that the block's own sort would give, so the value is the same
+    bits.  A block with lo = hi is not scanned: R lies between them and is
+    ≥ +0.0, as they are.  Tied values are one number in any order, so the
+    sort need not be stable.
     """
-    row_ends = np.asarray(row_ends, dtype=np.intp)
-    col_ends = np.asarray(col_ends, dtype=np.intp)
     rows, cols = len(row_ends), len(col_ends)
-    flat = F.ravel()
-    total = flat.size
-    if total == 0:
-        return np.zeros((rows, cols))
-    length = math.isqrt(total - 1) + 1
+    total = F.size
+    length = 2 * (math.isqrt(max(total, 1) - 1) + 1)
     chunks = -(-total // length)
-    padded = chunks * length
     count_type = np.min_scalar_type(total + 1)
     band_type = np.min_scalar_type(max(rows, cols))
-    order = np.argsort(flat)[::-1]
-    # pass count and bands of each rank, padded to whole chunks with samples in no block
-    passes = np.zeros(padded, dtype=count_type)
-    passes[:total] = _pass_counts(flat, cell_area, total, count_type)[order]
-    band_x = np.full(padded, rows, dtype=band_type)
-    band_y = np.full(padded, cols, dtype=band_type)
+    order = np.argsort(F, axis=None)[::-1]
+    # value and bands of each rank, padded to whole chunks with samples in no block
+    ranked = np.zeros((chunks, length))
+    ranked.reshape(-1)[:total] = F.ravel()[order]
+    band_x, band_y = np.full((2, chunks, length), [[[rows]], [[cols]]], dtype=band_type)
     row_bands = np.searchsorted(row_ends, np.arange(F.shape[0]), side="right")
     col_bands = np.searchsorted(col_ends, np.arange(F.shape[1]), side="right")
-    band_x[:total] = np.repeat(row_bands.astype(band_type), F.shape[1])[order]
-    band_y[:total] = np.tile(col_bands.astype(band_type), F.shape[0])[order]
+    band_x.reshape(-1)[:total] = np.repeat(row_bands.astype(band_type), F.shape[1])[order]
+    band_y.reshape(-1)[:total] = np.tile(col_bands.astype(band_type), F.shape[0])[order]
+    del order
 
     plane = (rows + 1) * (cols + 1)
     slab = max(1, _SLAB_ENTRIES // plane)        # chunks per bincount
     offsets = np.repeat(np.arange(slab, dtype=np.intp) * plane, length)
-    counts = np.empty((chunks, rows + 1, cols + 1), dtype=count_type)
+    # counts[c + 1] holds chunk c; counts[0], chunk −1, stays empty
+    counts = np.zeros((chunks + 1, rows + 1, cols + 1), dtype=count_type)
     for start in range(0, chunks, slab):
         stop = min(start + slab, chunks)
-        ranks = slice(start * length, stop * length)
-        key = band_x[ranks].astype(np.intp)
-        key *= cols + 1
-        key += band_y[ranks]
+        key = (band_x[start:stop] * np.intp(cols + 1) + band_y[start:stop]).ravel()
         key += offsets[:key.size]
-        counts[start:stop] = np.bincount(key, minlength=(stop - start) * plane).reshape(
+        counts[start + 1:stop + 1] = np.bincount(key, minlength=(stop - start) * plane).reshape(
             stop - start, rows + 1, cols + 1)
     _prefix_sums(counts)
     K = counts[:, :rows, :cols]
 
-    # the smallest value of a chunk has its smallest pass count
-    smallest = passes[np.minimum(np.arange(1, chunks + 1) * length, total) - 1]
+    # the pass count of each chunk's smallest value, at its last real rank
+    last = np.minimum(np.arange(1, chunks + 1) * length, total) - 1
+    smallest = _pass_counts(ranked.reshape(-1)[last], cell_area, total, count_type)
     # K·cell > smallest holds from c₀ on, so c₀ counts the chunks before it
-    c0 = (K < smallest[:, np.newaxis, np.newaxis]).sum(axis=0, dtype=count_type)
-    out = K[-1] * cell_area                 # no crossing: every element passes
-    bi, bj = np.nonzero(c0 < chunks)
-    c0 = c0[bi, bj].astype(np.intp)
-    before = np.where(c0 > 0, K[c0 - 1, bi, bj], 0)
-    del counts, K
+    c0 = (K[1:] < smallest[:, np.newaxis, np.newaxis]).sum(axis=0, dtype=count_type)
+    before = np.take_along_axis(K, c0[np.newaxis], axis=0)[0]
+    lo = before * cell_area
+    hi = np.take_along_axis(K, np.minimum(c0 + 1, chunks)[np.newaxis], axis=0)[0] * cell_area
 
-    def in_chunk(a):
-        """The per-rank a of each crossing block's c₀, one row per block."""
-        return a.reshape(chunks, length)[c0]
+    def resolve(bi: np.ndarray, bj: np.ndarray) -> np.ndarray:
+        """R of the blocks (bi[k], bj[k]): the bound where lo = hi, else c₀ scanned."""
+        out = lo[bi, bj]
+        scan = np.flatnonzero(out < hi[bi, bj])
+        bi, bj = bi[scan], bj[scan]
+        c = c0[bi, bj]
+        chunk, row = np.unique(c, return_inverse=True)      # pass counts once per chunk
+        # the ranks of each scanned block's c₀, one row per block
+        member = band_x[c] <= bi.astype(band_type)[:, np.newaxis]
+        member &= band_y[c] <= bj.astype(band_type)[:, np.newaxis]
+        rank = member.astype(count_type)
+        rank[:, 0] += before[bi, bj]
+        np.add.accumulate(rank, axis=1, out=rank)
+        fails = rank >= _pass_counts(ranked[chunk], cell_area, total, count_type)[row]
+        fails &= member
+        first = fails.argmax(axis=1)
+        blocks = np.arange(bi.size)
+        failed = fails[blocks, first]
+        k_star = np.where(failed, rank[blocks, first] - 1, rank[:, -1])
+        best = k_star * cell_area
+        following = ranked[c, first]
+        # max(best, v) as _sugeno_value takes it: best unless v is larger
+        out[scan] = np.where(failed & (following > best), following, best)
+        return out
 
-    member = in_chunk(band_x) <= bi.astype(band_type)[:, np.newaxis]
-    member &= in_chunk(band_y) <= bj.astype(band_type)[:, np.newaxis]
-    rank = member.astype(count_type)
-    rank[:, 0] += before
-    np.add.accumulate(rank, axis=1, out=rank)
-    fails = rank >= in_chunk(passes)
-    fails &= member
-    first = fails.argmax(axis=1)
-    blocks = np.arange(bi.size)
-    failed = fails[blocks, first]
-    k_star = np.where(failed, rank[blocks, first] - 1, rank[:, -1])
-    best = k_star * cell_area
-    following = flat[order[c0 * length + first]]
-    # max(best, v) as _sugeno_value takes it: best unless v is larger
-    out[bi, bj] = np.where(failed & (following > best), following, best)
-    return out
+    return lo, hi, resolve
+
+
+def sugeno_prefix_blocks(F: np.ndarray, row_ends, col_ends, cell_area: float) -> np.ndarray:
+    """max_k min(v_(k), k·cell) of every block F[:row_ends[i], :col_ends[j]], from one sort.
+
+    sugeno_block_bounds with every block resolved: the same bits as sorting
+    each block.
+    """
+    lo, _, resolve = sugeno_block_bounds(F, row_ends, col_ends, cell_area)
+    bi, bj = np.indices(lo.shape).reshape(2, -1)
+    return resolve(bi, bj).reshape(lo.shape)

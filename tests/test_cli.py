@@ -349,6 +349,19 @@ class TestHardyCommand:
         assert payload["lhs"] is None and payload["statuses"]["lhs"] == "diverged"
         assert payload["notes"] == ["power:2: y=4951048217572968.0 outside range [0.0, 1.0]"]
 
+    @pytest.mark.parametrize("argv,lhs", [
+        (("--f", "x-0.5", "--semiring", "suptimes"), None),
+        (("--f", "0.5+0.4*x-0.6*y^2", "--semiring", "supplus"), 0.8538149682454624),
+    ])
+    def test_sup_side_with_no_real_power_exits_2(self, capsys, argv, lhs):
+        # f^1.5 is NaN where f < 0: not evaluable, where it was a violation
+        code, out, err = run_cli(capsys, "hardy", *argv, "--kind", "sup_hardy", "--p", "1.5")
+        assert code == 2 and err == ""
+        payload = json.loads(out)
+        assert payload["not_evaluable"] is True and payload["holds"] is None
+        assert (payload["lhs"], payload["rhs_integral"]) == (lhs, None)
+        assert payload["notes"] == ["f^p is not real where f < 0"]
+
     def test_failing_classical_f_exits_2(self, capsys):
         # a report, as the g, sup and Sugeno checks give, not an error
         code, out, err = run_cli(capsys, "hardy", "--f", "ln(x-0.3)", "--kind", "classical",

@@ -14,7 +14,8 @@ from pseudocalc import hardy as H
 from pseudocalc import pseudo_integral as P
 from pseudocalc.harness import (FuzzConfig, SplitMix64, build_trial_scenario,
                                 random_function, refine_study, trial_rng)
-from pseudocalc.quadrature import BAND_ELEMENTS, Rect, grid_eval_inward
+from pseudocalc.quadrature import (BAND_ELEMENTS, UNIT_SQUARE, Rect, grid_eval_inward,
+                                   level_set_samples)
 from pseudocalc.semiring import SaturationFlags, parse_semiring
 
 
@@ -483,6 +484,38 @@ class TestCheckHardySup:
         with pytest.raises(H.DomainError, match="kernel grid"):
             H.GKernelGrid(G.identity(), f, 1.0, 1.0, panels=8)
 
+    @pytest.mark.parametrize("f_src,spec,p,lhs,statuses", [
+        ("x-0.5", "suptimes", 1.5, None, {"lhs": "diverged", "rhs": "diverged"}),
+        ("x-0.5", "maxmin", 2.5, None, {"lhs": "diverged", "rhs": "diverged"}),
+        ("0.5+0.4*x-0.6*y^2", "supplus", 1.5, 0.8538149682454624,
+         {"lhs": "converged", "rhs": "diverged"}),
+    ])
+    def test_nan_side_not_evaluable(self, f_src, spec, p, lhs, statuses):
+        # f^p is NaN where f < 0 under a fractional p: that side has no value,
+        # which was reported as a violation
+        rep = H.check_hardy_sup(H.HardyScenario(f_src=f_src, check_kind="sup_hardy", p=p,
+                                                semiring_spec=spec))
+        assert (rep.not_evaluable, rep.holds, rep.lhs, rep.rhs_integral, rep.rhs) == (
+            True, None, lhs, None, None)
+        assert rep.statuses == statuses
+        assert rep.notes == ["f^p is not real where f < 0"]
+        # an even p gives both sides values: the check stands, with its note
+        even = H.check_hardy_sup(H.HardyScenario(f_src=f_src, check_kind="sup_hardy", p=2.0,
+                                                 semiring_spec=spec))
+        assert even.not_evaluable is False and even.holds is not None
+        assert "f takes negative values: theorem hypotheses not met" in even.notes
+
+    def test_nan_side_of_a_non_negative_f_not_evaluable(self):
+        # (1e300·x)² overflows to inf, and inf ⊙ ψ(1) = inf·0 is NaN on both
+        # sides; pseudo_mul warns of it (not silenced there), so it is here
+        scn = H.HardyScenario(f_src="1e300*x", check_kind="sup_hardy", p=2.0,
+                              semiring_spec="suptimes", psi_src="1-x")
+        with np.errstate(invalid="ignore"):
+            rep = H.check_hardy_sup(scn)
+        assert (rep.not_evaluable, rep.holds, rep.lhs, rep.rhs_integral) == (True, None, None, None)
+        assert rep.statuses == {"lhs": "diverged", "rhs": "diverged"}
+        assert rep.notes == ["a side is NaN"]
+
 
 # (lhs, rhs_integral, pointwise_max, pointwise_location, holds, notes past the
 # two fixed ones) of check_hardy_sup, recorded before the check raised R and F
@@ -836,21 +869,128 @@ class TestCheckHardySugeno:
 
     @pytest.mark.parametrize("f_src,p", [("1e160*x^40", 2.0), ("x-0.5", 1.5), ("x", 2.0),
                                          ("0.7", 3.0)])
-    def test_lhs_power_in_place_drops_what_f_to_the_p_dropped(self, f_src, p):
+    def test_lhs_power_in_place_keeps_what_f_to_the_p_keeps(self, f_src, p):
         # the lhs raises its own samples to p; an f^p that overflows (here
-        # where x > 0.71) or is NaN (a negative base) is still dropped, and
-        # f = "x" hands back its coordinate column, which must not be written
+        # where x > 0.71) is +inf and kept, one that is NaN (a negative base)
+        # is dropped, and f = "x" hands back its coordinate column, which
+        # must not be written
         f = expr.as_function(expr.parse(f_src))
+        samples = level_set_samples(f, UNIT_SQUARE, 1024)
         with np.errstate(all="ignore"):
-            want = P.sugeno_integral_2d(lambda x, y: f(x, y) ** p, grid=1024)
+            samples **= p
             assert f_src != "1e160*x^40" or np.isinf(np.float64(f(1.0, 1.0)) ** p)
+        # a full sort of the non-NaN powers
+        v = np.sort(samples[~np.isnan(samples)])[::-1]
+        k_star = P._crossing_rank(v, 1.0 / 1024**2, 0, v.size)
+        want = P._sugeno_value(k_star, 1.0 / 1024**2, v[k_star] if k_star < v.size else None)
         rep = H.check_hardy_sugeno(H.HardyScenario(f_src=f_src, check_kind="sugeno_hardy", p=p))
         assert rep.lhs == want ** (1.0 / (2.0 * p + 1.0))
+
+    def test_overflowing_lhs_is_no_violation(self):
+        # (1e200·xy)² overflows at every sample: each is +inf, so the lhs
+        # integral is the whole square's measure, 1, not 0 with every
+        # sample dropped
+        rep = H.run_check(H.HardyScenario(f_src="1e200*x*y", check_kind="sugeno_hardy", p=2.0))
+        assert (rep.lhs, rep.rhs_integral, rep.holds) == (1.0, 0.9999999999999993, True)
 
     def test_hypothesis_gate(self):
         scn = H.HardyScenario(f_src="x*y", check_kind="sugeno_hardy", p=0.5)
         with pytest.raises(H.HypothesisError):
             H.check_hardy_sugeno(scn)
+
+
+def _first_sugeno_trial_per_cell(seed):
+    """The first Sugeno trial of every (family, p) cell of a default campaign."""
+    cfg = FuzzConfig(seed=seed)
+    cells = {}
+    for index in range(cfg.kinds.index(H.SUGENO_HARDY), 100 * cfg.trials, len(cfg.kinds)):
+        family = trial_rng(seed, index).choice(cfg.families)     # the trial's first draw
+        cells.setdefault((family, build_trial_scenario(cfg, index).p), index)
+        if len(cells) == len(cfg.families) * len(cfg.p_values):
+            return [build_trial_scenario(cfg, index) for index in cells.values()]
+    raise AssertionError(f"campaign {seed} leaves a Sugeno cell empty")
+
+
+def _kernel_by_every_block(F, m, p, X=1.0, Y=1.0):
+    """The Sugeno check's rhs_integral with every block resolved and every h sorted."""
+    n = F.shape[0]
+    ends = 4 * np.arange(m) + 2
+    R = P.sugeno_prefix_blocks(F, ends, ends, X * Y / n**2)
+    mids = (np.arange(m) + 0.5) / m
+    ratio = (R / np.multiply.outer(mids * X, mids * Y)).ravel().tolist()
+    h = np.array([pow(r, p) for r in ratio]).reshape(m, m)
+    return P.sugeno_from_samples(h, X * Y / m**2)
+
+
+def _bracketed_kernel(F, m, p, resolved=None):
+    """The check's own rhs_integral of samples F; resolved gets the number of blocks resolved."""
+    n = F.shape[0]
+    ends = 4 * np.arange(m) + 2
+    lo, hi, resolve = P.sugeno_block_bounds(F, ends, ends, 1.0 / n**2)
+
+    def counted(bi, bj):
+        if resolved is not None:
+            resolved.append(bi.size)
+        return resolve(bi, bj)
+
+    mids = (np.arange(m) + 0.5) / m
+    return H._kernel_sugeno(lo, hi, counted, np.multiply.outer(mids, mids), p, 1.0 / m**2)
+
+
+class TestSugenoKernelBracket:
+    """rhs_integral resolves only the blocks between S_lo and S_hi, with a full sort's bits."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_campaign_cells_match_every_block(self, seed):
+        for scn in _first_sugeno_trial_per_cell(seed):
+            rep = H.check_hardy_sugeno(scn)
+            F = level_set_samples(expr.as_function(scn.f), scn.domain, 192)
+            want = _kernel_by_every_block(F, 48, scn.p, scn.domain.x_high, scn.domain.y_high)
+            assert rep.rhs_integral.hex() == want.hex(), (scn.f_src, scn.p)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["constant", "two values", "negative", "64 squared"])
+    def test_adversarial_samples_match_every_block(self, kind, p):
+        rng = np.random.default_rng(len(kind))
+        F = {
+            "constant": np.full((192, 192), 0.3),
+            "two values": rng.choice([0.2, 0.6], (192, 192)),
+            "negative": rng.random((192, 192)) * 2.0 - 0.5,
+            "64 squared": rng.random((64, 64)) ** 3,
+        }[kind]
+        m = F.shape[0] // 4
+        assert _bracketed_kernel(F, m, p).hex() == _kernel_by_every_block(F, m, p).hex()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_every_block_straddles(self, p):
+        # samples below one cell: each block's crossing is at k* = 0 with the
+        # value of its largest sample, inside the first chunk that holds one of
+        # its samples, so every lo is 0 and S_lo = 0 ≤ every h_hi: every block
+        # is resolved
+        F = np.random.default_rng(4).random((192, 192)) * 0.5 / 192**2
+        resolved = []
+        assert _bracketed_kernel(F, 48, p, resolved).hex() == _kernel_by_every_block(F, 48, p).hex()
+        assert resolved == [48 * 48]
+
+    def test_default_campaign_resolves_few_blocks(self, monkeypatch):
+        # the first Sugeno trial of every cell of the default campaign resolves
+        # under a quarter of its blocks, all cells together
+        real = P.sugeno_block_bounds
+        resolved = []
+
+        def spy(*args):
+            lo, hi, resolve = real(*args)
+
+            def counted(bi, bj):
+                resolved.append((bi.size, lo.size))
+                return resolve(bi, bj)
+            return lo, hi, counted
+
+        monkeypatch.setattr(H, "sugeno_block_bounds", spy)
+        for scn in _first_sugeno_trial_per_cell(FuzzConfig().seed):
+            H.check_hardy_sugeno(scn)
+        asked, blocks = np.sum(resolved, axis=0)
+        assert len(resolved) == 9 and asked < 0.25 * blocks
 
 
 class TestCheckHardyClassical:

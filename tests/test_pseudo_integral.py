@@ -17,7 +17,6 @@ from pseudocalc.quadrature import (
     BAND_ELEMENTS,
     UNIT_SQUARE,
     Rect,
-    grid_eval,
     integrate_1d,
     integrate_2d,
     level_set_samples,
@@ -610,11 +609,15 @@ def _family(f_src):
 
 
 def _full_grid_sugeno(f, r, grid, power):
-    """sugeno_from_sorted of every finite f^power sample of the whole grid, raised in place."""
+    """sugeno_from_sorted of every f^power sample of the whole grid, raised in place.
+
+    Failed samples (f NaN or ±inf) and NaN powers are dropped; a power that
+    overflows is kept as ±inf.
+    """
     samples = level_set_samples(f, r, grid)
     with np.errstate(all="ignore"):
         samples **= power
-    return _sorted_sugeno(samples[np.isfinite(samples)], r.area / grid**2)
+    return _sorted_sugeno(samples[~np.isnan(samples)], r.area / grid**2)
 
 
 class TestStreamedSugeno:
@@ -667,8 +670,8 @@ class TestStreamedSugeno:
 
     @pytest.mark.parametrize("power", [1.5, 3.0])
     def test_f_at_the_overflow_start(self, power):
-        # a quarter of f at the first float whose power overflows, which is
-        # dropped, and a quarter one float below it, which is kept
+        # a quarter of f at the first float whose power overflows, which
+        # counts as +inf, and a quarter one float below it, which is finite
         h = P._overflow_start(power)
         f = lambda x, y: np.where(x > 0.5, np.where(y > 0.5, h, np.nextafter(h, 0.0)), x * y)
         got = P.sugeno_integral_2d(f, grid=256, power=power)
@@ -699,6 +702,35 @@ class TestStreamedSugeno:
         monkeypatch.setattr(P, "_power_of", real)
         assert _same_bits(got, _full_grid_sugeno(f, UNIT_SQUARE, 1024, power))
 
+    @pytest.mark.parametrize("power", [1.5, 3.0])
+    def test_negative_column_is_raised_once_per_row(self, monkeypatch, power):
+        # x − 0.5 is negative on half the bands, which are raised as f's own
+        # column result: 1024 pows a pass, not 1024² (numpy's pow of a
+        # negative base at an integer power is slow)
+        raised = []
+        real = P._power_of
+
+        def spy(vals, p):
+            raised.append(np.size(vals))
+            return real(vals, p)
+
+        monkeypatch.setattr(P, "_power_of", spy)
+        f = _parsed("x-0.5")
+        got = P.sugeno_integral_2d(f, grid=1024, power=power)
+        assert sum(raised) <= 16 * 1024
+        monkeypatch.setattr(P, "_power_of", real)
+        assert _same_bits(got, _full_grid_sugeno(f, UNIT_SQUARE, 1024, power))
+
+    def test_overflowing_band_is_raised_whole(self):
+        # exp(300x)³ = exp(900x) overflows from x = ln(max float)/900 = 0.789,
+        # rows 808 on of 1024: the 14 bands of 16 rows from row 800 are
+        # evaluated again and raised whole, so their +inf is kept where
+        # grid_eval would fail it, and every sample passes
+        f, calls = _counted(_parsed("exp(300*x)"))
+        got = P.sugeno_integral_2d(f, grid=1024, power=3.0)
+        assert len(calls) == 1 + 64 + 14
+        assert got == 1.0 == _full_grid_sugeno(_parsed("exp(300*x)"), UNIT_SQUARE, 1024, 3.0)
+
     @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, 0.0, -1.0, -2.5])
     def test_power_must_be_positive_and_finite(self, power):
         with pytest.raises(ValueError, match="power"):
@@ -706,14 +738,10 @@ class TestStreamedSugeno:
 
     @pytest.mark.parametrize("f_src", ["x", "y", "0.7"])
     @pytest.mark.parametrize("power", [1.5, 2.0, 2.5, 3.0])
-    def test_power_on_f_result_has_the_whole_grid_bits(self, f_src, power):
-        # f's own (broadcast) result is raised, not every node of the band
+    def test_f_handing_back_a_coordinate_matches_full_grid_sort(self, f_src, power):
+        # f hands back a coordinate (a broadcast column or row) or a constant,
+        # which grid_eval copies into the band before anything is raised
         f = _parsed(f_src)
-        xs = (np.arange(256) + 0.5) / 256
-        raised = grid_eval(P._raised(f, power), xs, xs)
-        whole = level_set_samples(f, UNIT_SQUARE, 256)
-        whole **= power
-        assert raised.tobytes() == whole.tobytes()
         assert _same_bits(P.sugeno_integral_2d(f, grid=256, power=power),
                           _full_grid_sugeno(f, UNIT_SQUARE, 256, power))
 
