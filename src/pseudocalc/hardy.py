@@ -43,8 +43,8 @@ products (pseudo_integral.sugeno_block_bounds).  The right-hand side is one
 Sugeno integral of h = (R/xy)^p, and the Sugeno integrals of the h bounds
 bracket it: only the blocks whose h bounds meet that bracket [S_lo, S_hi]
 (13.6 % of the 48² on average over the default campaign) are resolved exactly,
-and _kernel_sugeno takes the crossing among them.  The value is the same
-bits as sorting every block and every h.
+and the crossing is taken among them (pseudo_integral.sugeno_of_block_powers).
+The value is the same bits as sorting every block and every h.
 
 The right-hand side combines the constant with the integral by ordinary real
 multiplication, exactly as the worked examples do, not by ⊙.
@@ -79,14 +79,11 @@ from .generators import Generator, RangeError, eval_inverse, make_generator, out
 from .pseudo_integral import (
     DomainError,
     PsiDensity,
-    _crossing_rank,
     _power_of,
-    _sugeno_value,
     g_integral_2d,
     psi_weighted,
-    sugeno_block_bounds,
-    sugeno_from_samples,
     sugeno_integral_2d,
+    sugeno_of_block_powers,
     unit_psi,
 )
 from .quadrature import (
@@ -594,7 +591,8 @@ def check_hardy_sup(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) ->
         return _not_evaluable(SUP_HARDY, p, constant,
                               {side: DIVERGED if v else CONVERGED for side, v in nan.items()},
                               "f^p is not real where f < 0" if negative else "a side is NaN",
-                              lhs=None if nan["lhs"] else lhs)
+                              lhs=None if nan["lhs"] else lhs,
+                              rhs_integral=None if nan["rhs"] else rhs_integral)
     if negative:
         notes.append("f takes negative values: theorem hypotheses not met")
     if flags.saturated:
@@ -604,36 +602,6 @@ def check_hardy_sup(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) ->
     return _report(SUP_HARDY, p, lhs, rhs_integral, constant,
                    {"lhs": CONVERGED, "rhs": CONVERGED}, notes,
                    pointwise_max=pointwise_max, pointwise_location=location)
-
-
-def _kernel_sugeno(lo, hi, resolve, xy: np.ndarray, p: float, cell_area: float) -> float:
-    """The Sugeno integral of h = (R/xy)^p over the outer cells, resolving only the blocks it needs.
-
-    lo, hi and resolve are sugeno_block_bounds' for the blocks behind the
-    outer cells, whose areas are xy.  Each h is a Python-float pow of
-    R/xy (numpy's array pow can differ by an ulp).  The bounds' h_lo ≤ h ≤
-    h_hi are numpy pows rounded outward by a relative 1e-12 and an absolute
-    1e-300, far above the ulps by which the two pows can differ, normal or
-    subnormal; and the empirical Sugeno value is monotone in the values, so
-    S_lo = Sugeno(h_lo) ≤ S ≤ Sugeno(h_hi) = S_hi.  Only the blocks with
-    h_hi ≥ S_lo and h_lo ≤ S_hi are resolved; the value is the crossing of
-    their sorted h over the ranks C+1 … C+#resolved, C counting the blocks
-    with h_lo > S_hi.  That is the bits of a sort of every h, with k* its
-    crossing rank.  A block counted in C has h > S_hi ≥ S, so it lies among
-    the first k* ranks (else S ≥ h_(k*+1) > S_hi) and passes: standing in
-    as +inf moves no rank's test.  A block with h_hi < S_lo has
-    h < S ≤ h_(k*), so it lies after k*, where it can only lose the max to
-    k*·cell: dropping it moves neither k* nor the value.
-    """
-    with np.errstate(over="ignore"):
-        h_lo = (lo / xy) ** p * (1.0 - 1e-12) - 1e-300
-        h_hi = (hi / xy) ** p * (1.0 + 1e-12) + 1e-300
-    s_lo, s_hi = sugeno_from_samples(h_lo, cell_area), sugeno_from_samples(h_hi, cell_area)
-    bi, bj = np.nonzero((h_hi >= s_lo) & (h_lo <= s_hi))
-    h = sorted((pow(ratio, p) for ratio in (resolve(bi, bj) / xy[bi, bj]).tolist()), reverse=True)
-    above = int(np.count_nonzero(h_lo > s_hi))
-    k_star = _crossing_rank(h, cell_area, above, above + len(h))
-    return _sugeno_value(k_star, cell_area, h[k_star - above] if k_star - above < len(h) else None)
 
 
 def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> HardyReport:
@@ -663,8 +631,9 @@ def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG)
     # outer midpoints (i+1/2)/m align exactly with sample-cell boundaries
     ends = stride * np.arange(m) + stride // 2
     mids = (np.arange(m) + 0.5) / m
-    rhs_integral = _kernel_sugeno(*sugeno_block_bounds(F, ends, ends, scn.domain.area / (n * n)),
-                                  np.multiply.outer(mids * X, mids * Y), p, scn.domain.area / (m * m))
+    xy = np.multiply.outer(mids * X, mids * Y)
+    rhs_integral = sugeno_of_block_powers(F, ends, scn.domain.area / (n * n), xy, p,
+                                          scn.domain.area / (m * m))
     return _report(SUGENO_HARDY, p, lhs, rhs_integral, constant,
                    {"lhs": CONVERGED, "rhs": CONVERGED}, notes)
 

@@ -15,8 +15,11 @@ on an unsorted sample.  For all the nested blocks F[:a, :b] of one sample
 grid, sugeno_block_bounds gives every block's value between two rank
 products from one sort plus 2-D prefix counts, and resolves exactly, by a
 running count inside one chunk of ranks, only the blocks asked for;
-sugeno_prefix_blocks asks for all of them.  Every crossing test there is
-an integer compare of a count against a per-value pass count.
+sugeno_prefix_blocks asks for all of them, and sugeno_of_block_powers,
+the Sugeno integral of the blocks' h = (R/xy)^p, only for those whose h
+bounds meet the bracket of that integral that the bounds give.  Every
+crossing test there is an integer compare of a count against a per-value
+pass count.
 _sugeno_scan is the one selection path: two cuts from a strided
 subsample bracket the crossing rank, and one pass over the samples counts
 the cuts and keeps only the values between them, which alone are sorted; a
@@ -630,3 +633,34 @@ def sugeno_prefix_blocks(F: np.ndarray, row_ends, col_ends, cell_area: float) ->
     lo, _, resolve = sugeno_block_bounds(F, row_ends, col_ends, cell_area)
     bi, bj = np.indices(lo.shape).reshape(2, -1)
     return resolve(bi, bj).reshape(lo.shape)
+
+
+def sugeno_of_block_powers(F, ends, cell_area, xy, power, outer_cell) -> float:
+    """The Sugeno integral of h = (R/xy)^power, R the values of the blocks F[:ends[i], :ends[j]].
+
+    That is max_k min(h_(k), k·outer_cell).  xy[i, j] is block (i, j)'s
+    divisor and cell_area a sample's area (sugeno_block_bounds).  Each h is a Python-float pow of R/xy (numpy's
+    array pow can differ by an ulp).  The bounds' h_lo ≤ h ≤ h_hi are numpy
+    pows rounded outward by a relative 1e-12 and an absolute 1e-300, far
+    above the ulps by which the two pows can differ, normal or subnormal;
+    and the empirical Sugeno value is monotone in the values, so
+    S_lo = Sugeno(h_lo) ≤ S ≤ Sugeno(h_hi) = S_hi.  Only the blocks with
+    h_hi ≥ S_lo and h_lo ≤ S_hi are resolved; the value is the crossing of
+    their sorted h over the ranks C+1 … C+#resolved, C counting the blocks
+    with h_lo > S_hi.  That is the bits of a sort of every h, with k* its
+    crossing rank.  A block counted in C has h > S_hi ≥ S, so it lies among
+    the first k* ranks (else S ≥ h_(k*+1) > S_hi) and passes: standing in
+    as +inf moves no rank's test.  A block with h_hi < S_lo has
+    h < S ≤ h_(k*), so it lies after k*, where it can only lose the max to
+    k*·cell: dropping it moves neither k* nor the value.
+    """
+    lo, hi, resolve = sugeno_block_bounds(F, ends, ends, cell_area)
+    with np.errstate(over="ignore"):
+        h_lo = (lo / xy) ** power * (1.0 - 1e-12) - 1e-300
+        h_hi = (hi / xy) ** power * (1.0 + 1e-12) + 1e-300
+    s_lo, s_hi = sugeno_from_samples(h_lo, outer_cell), sugeno_from_samples(h_hi, outer_cell)
+    bi, bj = np.nonzero((h_hi >= s_lo) & (h_lo <= s_hi))
+    h = sorted((pow(r, power) for r in (resolve(bi, bj) / xy[bi, bj]).tolist()), reverse=True)
+    above = int(np.count_nonzero(h_lo > s_hi))
+    k_star = _crossing_rank(h, outer_cell, above, above + len(h))
+    return _sugeno_value(k_star, outer_cell, h[k_star - above] if k_star - above < len(h) else None)

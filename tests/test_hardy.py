@@ -516,6 +516,19 @@ class TestCheckHardySup:
         assert rep.statuses == {"lhs": "diverged", "rhs": "diverged"}
         assert rep.notes == ["a side is NaN"]
 
+    def test_nan_lhs_keeps_the_rhs_integral(self):
+        # (1e300·(1−x)(1−y))² is inf where ψ = 1 − x is positive on both axes
+        # and 0 on the lines x = 1 and y = 1, so rhs_integral is inf; the
+        # running sup carries the inf onto those lines, where inf ⊙ 0 is NaN
+        scn = H.HardyScenario(f_src="1e300*(1-x)*(1-y)", check_kind="sup_hardy", p=2.0,
+                              semiring_spec="suptimes", psi_src="1-x")
+        with np.errstate(invalid="ignore"):
+            rep = H.check_hardy_sup(scn)
+        assert (rep.not_evaluable, rep.holds, rep.lhs, rep.rhs_integral, rep.rhs) == (
+            True, None, None, math.inf, None)
+        assert rep.statuses == {"lhs": "diverged", "rhs": "converged"}
+        assert rep.notes == ["a side is NaN"]
+
 
 # (lhs, rhs_integral, pointwise_max, pointwise_location, holds, notes past the
 # two fixed ones) of check_hardy_sup, recorded before the check raised R and F
@@ -669,7 +682,7 @@ class TestSupBuffers:
 
         monkeypatch.setattr(H, "_running_max", scan_spy)
         monkeypatch.setattr(H, "psi_weighted", weight_spy)
-        for scn in _first_sup_trial_per_cell(FuzzConfig().seed):
+        for scn in _first_trial_per_cell(FuzzConfig().seed, H.SUP_HARDY):
             H.check_hardy_sup(scn)
         assert scanned == [] and set(weighted) == {2}
         n = 2**H.DEFAULT_CONFIG.sup_level + 1
@@ -774,17 +787,21 @@ PER_BLOCK_SORT_RESULTS = {
 }
 
 
-def _first_sup_trial_per_cell(seed):
-    """The first sup trial of every (family, semiring, p) cell of a default campaign."""
+def _first_trial_per_cell(seed, kind):
+    """The first trial of kind in every (family, p) cell of a default campaign.
+
+    A sup cell is (family, semiring, p).
+    """
     cfg = FuzzConfig(seed=seed)
+    sup = kind == H.SUP_HARDY
     cells = {}
-    for index in range(cfg.kinds.index(H.SUP_HARDY), 100 * cfg.trials, len(cfg.kinds)):
+    for index in range(cfg.kinds.index(kind), 100 * cfg.trials, len(cfg.kinds)):
         family = trial_rng(seed, index).choice(cfg.families)     # the trial's first draw
         scn = build_trial_scenario(cfg, index)
-        cells.setdefault((family, scn.semiring_spec, scn.p), scn)
-        if len(cells) == len(cfg.families) * len(cfg.semirings) * len(cfg.p_values):
+        cells.setdefault((family, scn.semiring_spec if sup else None, scn.p), scn)
+        if len(cells) == len(cfg.families) * len(cfg.p_values) * (len(cfg.semirings) if sup else 1):
             return list(cells.values())
-    raise AssertionError(f"campaign {seed} leaves a sup cell empty")
+    raise AssertionError(f"campaign {seed} leaves a {kind} cell empty")
 
 
 class TestSupKernelOracles:
@@ -793,7 +810,7 @@ class TestSupKernelOracles:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_unit_psi_lhs_is_the_rhs_integral(self, seed):
         # under the unit ψ, max R = max f for f in [0, 1], so both sides are (max f)^p
-        for scn in _first_sup_trial_per_cell(seed):
+        for scn in _first_trial_per_cell(seed, H.SUP_HARDY):
             rep = H.check_hardy_sup(scn)
             assert rep.lhs.hex() == rep.rhs_integral.hex(), scn
             assert rep.holds is True
@@ -899,18 +916,6 @@ class TestCheckHardySugeno:
             H.check_hardy_sugeno(scn)
 
 
-def _first_sugeno_trial_per_cell(seed):
-    """The first Sugeno trial of every (family, p) cell of a default campaign."""
-    cfg = FuzzConfig(seed=seed)
-    cells = {}
-    for index in range(cfg.kinds.index(H.SUGENO_HARDY), 100 * cfg.trials, len(cfg.kinds)):
-        family = trial_rng(seed, index).choice(cfg.families)     # the trial's first draw
-        cells.setdefault((family, build_trial_scenario(cfg, index).p), index)
-        if len(cells) == len(cfg.families) * len(cfg.p_values):
-            return [build_trial_scenario(cfg, index) for index in cells.values()]
-    raise AssertionError(f"campaign {seed} leaves a Sugeno cell empty")
-
-
 def _kernel_by_every_block(F, m, p, X=1.0, Y=1.0):
     """The Sugeno check's rhs_integral with every block resolved and every h sorted."""
     n = F.shape[0]
@@ -922,19 +927,28 @@ def _kernel_by_every_block(F, m, p, X=1.0, Y=1.0):
     return P.sugeno_from_samples(h, X * Y / m**2)
 
 
-def _bracketed_kernel(F, m, p, resolved=None):
-    """The check's own rhs_integral of samples F; resolved gets the number of blocks resolved."""
-    n = F.shape[0]
-    ends = 4 * np.arange(m) + 2
-    lo, hi, resolve = P.sugeno_block_bounds(F, ends, ends, 1.0 / n**2)
-
-    def counted(bi, bj):
-        if resolved is not None:
-            resolved.append(bi.size)
-        return resolve(bi, bj)
-
+def _bracketed_kernel(F, m, p):
+    """The check's own rhs_integral of samples F."""
     mids = (np.arange(m) + 0.5) / m
-    return H._kernel_sugeno(lo, hi, counted, np.multiply.outer(mids, mids), p, 1.0 / m**2)
+    return P.sugeno_of_block_powers(F, 4 * np.arange(m) + 2, 1.0 / F.size,
+                                    np.multiply.outer(mids, mids), p, 1.0 / m**2)
+
+
+def _count_resolved(monkeypatch):
+    """(blocks resolved, blocks) of every resolve call sugeno_block_bounds hands out from now on."""
+    real = P.sugeno_block_bounds
+    resolved = []
+
+    def spy(*args):
+        lo, hi, resolve = real(*args)
+
+        def counted(bi, bj):
+            resolved.append((bi.size, lo.size))
+            return resolve(bi, bj)
+        return lo, hi, counted
+
+    monkeypatch.setattr(P, "sugeno_block_bounds", spy)
+    return resolved
 
 
 class TestSugenoKernelBracket:
@@ -942,7 +956,7 @@ class TestSugenoKernelBracket:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_campaign_cells_match_every_block(self, seed):
-        for scn in _first_sugeno_trial_per_cell(seed):
+        for scn in _first_trial_per_cell(seed, H.SUGENO_HARDY):
             rep = H.check_hardy_sugeno(scn)
             F = level_set_samples(expr.as_function(scn.f), scn.domain, 192)
             want = _kernel_by_every_block(F, 48, scn.p, scn.domain.x_high, scn.domain.y_high)
@@ -962,32 +976,22 @@ class TestSugenoKernelBracket:
         assert _bracketed_kernel(F, m, p).hex() == _kernel_by_every_block(F, m, p).hex()
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
-    def test_every_block_straddles(self, p):
+    def test_every_block_straddles(self, monkeypatch, p):
         # samples below one cell: each block's crossing is at k* = 0 with the
         # value of its largest sample, inside the first chunk that holds one of
         # its samples, so every lo is 0 and S_lo = 0 ≤ every h_hi: every block
         # is resolved
         F = np.random.default_rng(4).random((192, 192)) * 0.5 / 192**2
-        resolved = []
-        assert _bracketed_kernel(F, 48, p, resolved).hex() == _kernel_by_every_block(F, 48, p).hex()
-        assert resolved == [48 * 48]
+        want = _kernel_by_every_block(F, 48, p)
+        resolved = _count_resolved(monkeypatch)
+        assert _bracketed_kernel(F, 48, p).hex() == want.hex()
+        assert resolved == [(48 * 48, 48 * 48)]
 
     def test_default_campaign_resolves_few_blocks(self, monkeypatch):
         # the first Sugeno trial of every cell of the default campaign resolves
         # under a quarter of its blocks, all cells together
-        real = P.sugeno_block_bounds
-        resolved = []
-
-        def spy(*args):
-            lo, hi, resolve = real(*args)
-
-            def counted(bi, bj):
-                resolved.append((bi.size, lo.size))
-                return resolve(bi, bj)
-            return lo, hi, counted
-
-        monkeypatch.setattr(H, "sugeno_block_bounds", spy)
-        for scn in _first_sugeno_trial_per_cell(FuzzConfig().seed):
+        resolved = _count_resolved(monkeypatch)
+        for scn in _first_trial_per_cell(FuzzConfig().seed, H.SUGENO_HARDY):
             H.check_hardy_sugeno(scn)
         asked, blocks = np.sum(resolved, axis=0)
         assert len(resolved) == 9 and asked < 0.25 * blocks

@@ -736,14 +736,38 @@ class TestStreamedSugeno:
         with pytest.raises(ValueError, match="power"):
             P.sugeno_integral_2d(lambda x, y: x * y, grid=64, power=power)
 
-    @pytest.mark.parametrize("f_src", ["x", "y", "0.7"])
+    @pytest.mark.parametrize("f_src", ["x", "y", "0.7", "-x", "0.5-y", "-0.7", "x-0.5"])
     @pytest.mark.parametrize("power", [1.5, 2.0, 2.5, 3.0])
-    def test_f_handing_back_a_coordinate_matches_full_grid_sort(self, f_src, power):
-        # f hands back a coordinate (a broadcast column or row) or a constant,
-        # which grid_eval copies into the band before anything is raised
+    def test_power_on_f_result_has_the_whole_grid_bits(self, monkeypatch, f_src, power):
+        # f's own (broadcast) result is raised, not every node of the band:
+        # each band the scan reads has the bits of the whole grid raised in
+        # place where it is powered (f < 0 somewhere in it), else of f itself
+        passes = []
+        real = P._sugeno_scan
+
+        def spy(bands, *args):
+            def recorded(on_f):
+                passes.append([])
+                for vals, powered in bands(on_f):
+                    passes[-1].append((vals.copy(), powered))
+                    yield vals, powered
+            return real(recorded, *args)
+
+        monkeypatch.setattr(P, "_sugeno_scan", spy)
         f = _parsed(f_src)
-        assert _same_bits(P.sugeno_integral_2d(f, grid=256, power=power),
-                          _full_grid_sugeno(f, UNIT_SQUARE, 256, power))
+        got = P.sugeno_integral_2d(f, grid=256, power=power)
+        whole = level_set_samples(f, UNIT_SQUARE, 256)
+        raised = whole.copy()
+        with np.errstate(invalid="ignore"):
+            raised **= power
+        raised[np.isnan(raised)] = np.nan       # every failed sample is the one NaN grid_eval gives
+        for bands in passes:
+            rows = np.cumsum([0] + [len(vals) for vals, _ in bands])
+            assert rows[-1] == 256
+            for (vals, powered), start, stop in zip(bands, rows, rows[1:]):
+                assert vals.tobytes() == (raised if powered else whole)[start:stop].tobytes()
+        assert any(powered for bands in passes for _, powered in bands) == bool(np.any(whole < 0))
+        assert _same_bits(got, _full_grid_sugeno(f, UNIT_SQUARE, 256, power))
 
     @pytest.mark.parametrize("f_src,grid,power", [("min(x,y)", 2048, 1.0), ("x-0.5", 1024, 1.5)])
     def test_one_pass(self, f_src, grid, power):
@@ -837,9 +861,10 @@ class TestSugenoPrefixBlocks:
         sizes = np.outer(self.ENDS[:5], self.ENDS[:5])
         assert got.tolist() == (sizes * (1.0 / n**2)).tolist()
 
-    @pytest.mark.parametrize("crossing", [31, 32, 33, 64])
+    @pytest.mark.parametrize("crossing", [31, 32, 33, 63, 64, 65, 223, 224, 225])
     def test_crossing_at_chunk_boundary(self, crossing):
-        # chunks hold n = 16 ranks; the top `crossing` samples share the value
+        # chunks hold 2⌈√256⌉ = 32 ranks, the last from rank 225 on; the top
+        # `crossing` samples share the value
         # crossing·cell, so v_(k) ≥ k·cell holds up to k = crossing, with
         # equality there, and fails from the next rank on
         n = 16
