@@ -130,7 +130,8 @@ def _parse_domain(raw: str, dim: int):
 
 
 def cmd_integrate(args) -> int:
-    f = expr_mod.as_function(expr_mod.parse(args.f))
+    tree = expr_mod.parse(args.f)
+    f = expr_mod.as_function(tree)
     tol = args.tol
     depth = _max_depth()
     if args.domain is None:
@@ -140,7 +141,7 @@ def cmd_integrate(args) -> int:
     if args.sugeno:
         if args.dim != 2:
             raise ValueError("--sugeno requires --dim 2")
-        value = sugeno_integral_2d(f, _parse_domain(args.domain, 2), grid=args.grid)
+        value = sugeno_integral_2d(tree, _parse_domain(args.domain, 2), grid=args.grid)
         body = {"value": value, "status": "converged", "integral": "sugeno"}
     elif args.semiring:
         s = parse_semiring(args.semiring)

@@ -31,11 +31,17 @@ EvalError instead.  An overflow gives an infinity at a point as on arrays.
 A point agrees with the array element at it, except where numpy's
 vectorised pow differs from its scalar pow in the last bit, which a later
 operation can magnify.
+
+nondecreasing proves from a tree, with one evaluation per node at the
+largest node of a grid, that the computed values on that grid are
+nondecreasing in x and in y, ≥ +0 and free of −0.0; the Sugeno integral
+counts its level sets along staircases where it holds.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import operator
 import re
 import warnings
@@ -252,6 +258,41 @@ def as_function(node: Expr):
         return _evaluator(node)
     except RecursionError:  # a tree parsed higher up the stack than it is compiled
         raise ParseError("expression nested too deeply", 0) from None
+
+
+def nondecreasing(node: Expr, x: float, y: float) -> bool:
+    """Whether node is proved nondecreasing in x and y, ≥ +0 and free of −0.0 on [+0, x] × [+0, y].
+
+    The proof holds for the computed values of the array path.  node must be
+    built from finite constants ≥ +0, x, y, +, ×, sqrt, min, max, and ÷ or ^
+    by a constant > 0: each maps values ≥ +0 to values ≥ +0 and is
+    nondecreasing in every argument in floating point (numpy's pow by a
+    scalar exponent is pinned by the tests, the rest are exact or correctly
+    rounded).  Every sub-expression must also be finite at the largest node
+    (x, y), so it is finite at every other node, and no inf·0 leaves a NaN
+    inside a grid whose corners are finite.  Each node is evaluated once,
+    on 1-element arrays, with the operations its compiled closure uses.
+    """
+    point = np.array([x]), np.array([y])
+
+    def value(n: Expr):
+        """n at (x, y), or None where the proof fails."""
+        if isinstance(n, Var):
+            return point[n.name != "x"]
+        if isinstance(n, Const):
+            return n.value if n.value < math.inf and math.copysign(1.0, n.value) > 0.0 else None
+        if isinstance(n, BinOp) and (n.op in ("add", "mul") or n.op in ("div", "pow")
+                                     and isinstance(n.right, Const) and n.right.value > 0.0):
+            fn, args = _OPERATORS[n.op], [value(n.left), value(n.right)]
+        elif isinstance(n, Call) and n.name in ("sqrt", "min", "max"):
+            fn, args = _CALLS[n.name], [value(arg) for arg in n.args]
+        else:
+            return None
+        v = None if any(arg is None for arg in args) else fn(*args)
+        return v if v is not None and np.isfinite(v).all() else None
+
+    with np.errstate(all="ignore"):
+        return value(node) is not None
 
 
 _PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2, "pow": 4}

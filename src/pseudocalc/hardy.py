@@ -241,7 +241,7 @@ class HardyScenario:
         if not math.isfinite(self.p):
             raise ValueError("p must be finite")
 
-    @property
+    @functools.cached_property      # trees are immutable, so one parse serves every check
     def f(self) -> expr_mod.Expr:
         return expr_mod.parse(self.f_src)
 
@@ -504,48 +504,50 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
             and not (np.signbit(psix).any() or np.signbit(psiy).any()))
     column_max = np.full(n, -np.inf)    # of the weighted surface, over the rows so far
     best, negative, lhs, rhs = None, False, [], []
-    for band in row_bands(n, n):
-        F = grid_eval_inward(f, xs[band], ys)
-        f_low, f_high = F.min(), F.max()
-        # a NaN node makes both NaN, an infinite one the min or the max
-        if not (np.isfinite(f_low) and np.isfinite(f_high)):
-            raise DomainError("f failed to evaluate on the sup grid")
-        negative = negative or bool(f_low < 0)
-        in_carrier = unit and f_low >= 0 and f_high <= 1
-        # R starts as the weighted band W; under the unit ψ W has F's values:
-        # F itself, or F + 0.0 under supplus (−0.0 turns +0.0, as ⊙ +0 does)
-        same = in_carrier and s.kind != G_GENERATED
-        R = ((F + 0.0 if s.kind == SUP_PLUS else F) if same
-             else psi_weighted(s, F, psix[band], psiy, flags))
-        # a W nondecreasing along rows and columns, and from the column maxima
-        # above, with no −0.0 (np.maximum keeps either zero), is its own
-        # running max; the cheap edge tests turn most other bands away
-        own = bool((R[0] >= column_max).all() and (R[-1, 1:] >= R[-1, :-1]).all()
-                   and (R[1:, -1] >= R[:-1, -1]).all() and (R[1:] >= R[:-1]).all()
-                   and (R[:, 1:] >= R[:, :-1]).all() and not np.signbit(R).any())
-        if own:
-            column_max = R[-1].copy()
-        else:
-            R = F.copy() if R is F else R       # the running maxima overwrite R
-            column_max = _running_max(R, column_max)
-        # R with F's values (F finite) makes R − F +0.0 at every node: its first wins
-        diff = np.zeros((1, 1)) if own and same else R - F
-        k = np.unravel_index(np.argmax(diff), diff.shape)
-        # np.argmax's first-location rule across bands: a later band wins only if greater
-        if best is None or diff[k] > best[0]:
-            best = (float(diff[k]), (float(xs[band.start + k[0]]), float(ys[k[1]])))
-        # R is a running max, so R[-1, -1] is the band's largest
-        tops = (0.0, 0.0)
-        if in_carrier:
-            raised = _power_of(np.array([R[-1, -1], f_high]), p)
-            tops = psi_weighted(s, raised, psix[band][:1], psiy[:, :1], flags)[0]
-        # if R is F, the lhs raises a view of F, which _power_of copies
-        for top, V, maxima in ((tops[0], F[:] if R is F else R, lhs), (tops[1], F, rhs)):
-            if not top > 0:
-                # another band, or a max of 0 or NaN: V is not needed past
-                # here, so the whole band is raised to p in place
-                top = np.max(psi_weighted(s, _power_of(V, p), psix[band], psiy, flags))
-            maxima.append(top)
+    # inf ⊙ 0 and overflows in the weighting are NaN or inf values, reported, not warned
+    with np.errstate(all="ignore"):
+        for band in row_bands(n, n):
+            F = grid_eval_inward(f, xs[band], ys)
+            f_low, f_high = F.min(), F.max()
+            # a NaN node makes both NaN, an infinite one the min or the max
+            if not (np.isfinite(f_low) and np.isfinite(f_high)):
+                raise DomainError("f failed to evaluate on the sup grid")
+            negative = negative or bool(f_low < 0)
+            in_carrier = unit and f_low >= 0 and f_high <= 1
+            # R starts as the weighted band W; under the unit ψ W has F's values:
+            # F itself, or F + 0.0 under supplus (−0.0 turns +0.0, as ⊙ +0 does)
+            same = in_carrier and s.kind != G_GENERATED
+            R = ((F + 0.0 if s.kind == SUP_PLUS else F) if same
+                 else psi_weighted(s, F, psix[band], psiy, flags))
+            # a W nondecreasing along rows and columns, and from the column maxima
+            # above, with no −0.0 (np.maximum keeps either zero), is its own
+            # running max; the cheap edge tests turn most other bands away
+            own = bool((R[0] >= column_max).all() and (R[-1, 1:] >= R[-1, :-1]).all()
+                       and (R[1:, -1] >= R[:-1, -1]).all() and (R[1:] >= R[:-1]).all()
+                       and (R[:, 1:] >= R[:, :-1]).all() and not np.signbit(R).any())
+            if own:
+                column_max = R[-1].copy()
+            else:
+                R = F.copy() if R is F else R       # the running maxima overwrite R
+                column_max = _running_max(R, column_max)
+            # R with F's values (F finite) makes R − F +0.0 at every node: its first wins
+            diff = np.zeros((1, 1)) if own and same else R - F
+            k = np.unravel_index(np.argmax(diff), diff.shape)
+            # np.argmax's first-location rule across bands: a later band wins only if greater
+            if best is None or diff[k] > best[0]:
+                best = (float(diff[k]), (float(xs[band.start + k[0]]), float(ys[k[1]])))
+            # R is a running max, so R[-1, -1] is the band's largest
+            tops = (0.0, 0.0)
+            if in_carrier:
+                raised = _power_of(np.array([R[-1, -1], f_high]), p)
+                tops = psi_weighted(s, raised, psix[band][:1], psiy[:, :1], flags)[0]
+            # if R is F, the lhs raises a view of F, which _power_of copies
+            for top, V, maxima in ((tops[0], F[:] if R is F else R, lhs), (tops[1], F, rhs)):
+                if not top > 0:
+                    # another band, or a max of 0 or NaN: V is not needed past
+                    # here, so the whole band is raised to p in place
+                    top = np.max(psi_weighted(s, _power_of(V, p), psix[band], psiy, flags))
+                maxima.append(top)
     return *best, float(np.max(lhs)), float(np.max(rhs)), negative
 
 
@@ -625,7 +627,7 @@ def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG)
     if np.any(F < 0):
         notes.append("f takes negative values: theorem hypotheses not met")
 
-    lhs_integral = sugeno_integral_2d(f, scn.domain, grid=config.sugeno_lhs_grid, power=p)
+    lhs_integral = sugeno_integral_2d(scn.f, scn.domain, grid=config.sugeno_lhs_grid, power=p)
     lhs = lhs_integral ** (1.0 / (2.0 * p + 1.0))
 
     # outer midpoints (i+1/2)/m align exactly with sample-cell boundaries

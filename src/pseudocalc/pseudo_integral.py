@@ -15,22 +15,18 @@ on an unsorted sample.  For all the nested blocks F[:a, :b] of one sample
 grid, sugeno_block_bounds gives every block's value between two rank
 products from one sort plus 2-D prefix counts, and resolves exactly, by a
 running count inside one chunk of ranks, only the blocks asked for;
-sugeno_prefix_blocks asks for all of them, and sugeno_of_block_powers,
-the Sugeno integral of the blocks' h = (R/xy)^p, only for those whose h
-bounds meet the bracket of that integral that the bounds give.  Every
-crossing test there is an integer compare of a count against a per-value
-pass count.
+sugeno_of_block_powers, the Sugeno integral of the blocks' h = (R/xy)^p,
+asks for those whose h bounds meet the bracket of that integral that the
+bounds give.  Every crossing test there is an integer compare of a count
+against a per-value pass count.
 _sugeno_scan is the one selection path: two cuts from a strided
-subsample bracket the crossing rank, and one pass over the samples counts
-the cuts and keeps only the values between them, which alone are sorted; a
-pass is repeated only when a cut misses.  sugeno_integral_2d feeds it row
-bands of its grid, evaluated as they are read, so its memory is O(band)
-rather than O(grid²); sugeno_from_samples feeds it an array in memory as
-one band.  Under a power p, t ↦ t^p is nondecreasing on [0, ∞), so a band
-where f is non-negative is cut on f itself ({f > s} is a cut at s^p), and
-only the values between the cuts are raised; any other band is raised as
-f's own result.  A finite f whose power overflows is ±inf, a value, not a
-failed sample.  Every path gives the bits of a full sort.
+subsample bracket the crossing rank, one count step sizes the cuts and
+gives only the values between them, which alone are sorted, and a count
+is repeated only when a cut misses.  sugeno_integral_2d counts along the
+cuts' staircases where f is proved nondecreasing (expr.nondecreasing), and
+otherwise over row bands of its grid, evaluated as they are read, so its
+memory is O(band) rather than O(grid²); sugeno_from_samples counts an array
+in memory as one band.  Every path gives the bits of a full sort.
 
 g_integral_1d and g_integral_2d return (value, result, reason): the
 classical integral's QuadratureResult comes with the value, and where the
@@ -48,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -239,7 +235,7 @@ def sup_integral_2d(s: Semiring, f, psi: PsiDensity | None = None,
 
 
 def _power_of(vals: np.ndarray, power: float) -> np.ndarray:
-    """vals ** power as an in-place `**=` on an owned float64 array.
+    """vals ** power as an in-place `**=` on an owned float64 array (power 1 leaves the values).
 
     numpy's scalar-exponent fast paths (2 → square) run, so every caller
     raising a value this way gets the same bits for it.  An overflow or a
@@ -247,87 +243,51 @@ def _power_of(vals: np.ndarray, power: float) -> np.ndarray:
     """
     if not vals.flags.owndata:
         vals = vals.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals **= power
+    if power != 1.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals **= power
     return vals
-
-
-@lru_cache(maxsize=64)
-def _overflow_start(power: float) -> float:
-    """The least float h ≥ 0 whose power (_power_of) is not finite; inf if there is none.
-
-    The power is nondecreasing on [0, ∞), so h is bisected over the bit
-    patterns of the non-negative floats, which order them: about 63 pows,
-    once per power.
-    """
-
-    def overflows(bits: int) -> bool:
-        return not np.isfinite(_power_of(np.array([bits]).view(np.float64), power)[0])
-
-    lo, hi = 0, int(np.array([np.finfo(np.float64).max]).view(np.int64)[0])
-    if not overflows(hi):
-        return math.inf
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if overflows(mid):
-            hi = mid
-        else:
-            lo = mid
-    return float(np.array([hi]).view(np.float64)[0])
 
 
 def sugeno_integral_2d(f, r: Rect = UNIT_SQUARE,
                        grid: int = DEFAULT_LEVEL_SET_GRID, power: float = 1.0) -> float:
     """Sugeno integral sup_α min(α, μ({f^power ≥ α} ∩ r)) for the empirical measure.
 
-    f is sampled on the grid × grid midpoint cells in row bands of
-    BAND_ELEMENTS nodes (quadrature.grid_eval), which _sugeno_scan reads
-    one at a time, so no grid-sized array is held.  Failed samples (f NaN
-    or ±inf) and NaN powers (a negative base with a fractional power) are
-    dropped; the power of a finite f that overflows is ±inf, a value (+inf
-    lies in every level set).  The bracket subsample is evaluated on its
-    own nodes (eval_nodes); its bits need not match the grid's, as every cut
-    is tested on the band values.
-
-    With power ≠ 1 a band is cut on f itself when f's own result (before
-    grid_eval broadcasts it) is ≥ +0 and below the first float whose power
-    overflows everywhere; only the values between the cuts are raised,
-    after the pass.  Any other band (a negative value, -0 or a failed node)
-    is raised as f's own result, so a term in x alone is raised once per
-    row, with the bits of an in-place `**=` on the whole grid (_power_of),
-    and cut on the powers.  A band where that power is infinite somewhere,
-    which grid_eval would fail, or whose calls of f went both ways (f taken
-    node by node), is evaluated again and raised whole.  power must be a
+    f is a callable of (x, y), or an expression tree, which is compiled
+    (expr.as_function), sampled on the grid × grid midpoint cells.  Failed
+    samples (f NaN or ±inf) and NaN powers (a negative base with a
+    fractional power) are dropped; the power of a finite f that overflows
+    is ±inf, a value (+inf lies in every level set).  power must be a
     positive finite float.
+
+    _sugeno_scan takes the integral from counts of cuts of v = f^power.  A
+    tree that expr.nondecreasing proves on the grid (r lies in [0, 1]²) has
+    v nondecreasing along both axes, and its cuts are counted along their
+    staircases (_staircase_counts), evaluating a few per cent of the grid.
+    Any other f is read in row bands of BAND_ELEMENTS nodes
+    (quadrature.grid_eval), each raised in place, so no grid-sized array is
+    held.  An element's bits do not depend on the array it is computed in
+    (expr's docstring; TestPowerAssumptions pins numpy's pow), so a cell
+    evaluated on its own (eval_nodes) has its bits in the whole grid, and
+    the value is a full sort's either way.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     if not (math.isfinite(power) and power > 0.0):
         raise ValueError(f"power must be a positive finite float, got {power!r}")
     xs, ys = cell_midpoints(r.x_low, r.x_high, grid), cell_midpoints(r.y_low, r.y_high, grid)
-    # the bit patterns of the floats ≥ +0 order them as unsigned integers, and
-    # those of a negative float (-0 included), inf and NaN lie above top's
-    top = np.float64(_overflow_start(power)).view(np.uint64)
+    tree, f = (f, expr_mod.as_function(f)) if isinstance(f, expr_mod.Expr) else (None, f)
 
-    def bands(on_f):
-        calls = set()       # how f's calls in the band went: "f", "power" or "inf"
+    def at(i, j):
+        return _power_of(eval_nodes(f, xs[i], ys[j]), power)
 
-        def f_or_power(*point):
-            vals = np.asarray(f(*point), dtype=float)
-            cut = on_f and np.max(vals.view(np.uint64), initial=0) < top
-            vals = vals if cut else _power_of(vals, power)
-            calls.add("f" if cut else "inf" if np.isinf(vals).any() else "power")
-            return vals
-
-        for rows in row_bands(grid, grid):
-            calls.clear()
-            vals = grid_eval(f if power == 1.0 else f_or_power, xs[rows], ys)
-            if power == 1.0 or calls in ({"f"}, {"power"}):
-                yield vals, calls != {"f"}
-            else:
-                yield _power_of(grid_eval(f, xs[rows], ys), power), True
-    return _sugeno_scan(bands, lambda nodes: eval_nodes(f, xs[nodes // grid], ys[nodes % grid]),
-                        grid * grid, grid, r.area / (grid * grid), power)
+    if tree and expr_mod.nondecreasing(tree, xs[-1], ys[-1]):
+        count = _staircase_counts(at, grid, grid)
+    else:
+        count = _band_counts(lambda: (_power_of(grid_eval(f, xs[rows], ys), power)
+                                      for rows in row_bands(grid, grid)))
+    return _sugeno_scan(count, lambda nodes: at(nodes // grid, nodes % grid),
+                        grid * grid, grid, r.area / (grid * grid))
 
 
 def _crossing_rank(descending, cell_area: float, lo: int, hi: int) -> int:
@@ -356,20 +316,70 @@ def _sugeno_value(k_star: int, cell_area: float, following) -> float:
 def sugeno_from_samples(values: np.ndarray, cell_area: float) -> float:
     """max_k min(v_(k), k·cell) over the finite values v: _sugeno_scan of one band."""
     flat = _nan_for_failed(np.asarray(values, dtype=float).ravel())
-    return _sugeno_scan(lambda on_f: ((flat, True),), lambda nodes: flat[nodes],
+    return _sugeno_scan(_band_counts(lambda: (flat,)), lambda nodes: flat[nodes],
                         flat.size, values.shape[-1], cell_area)
 
 
-def _sugeno_scan(bands, subsample, nodes: int, side: int, cell_area: float,
-                 power: float = 1.0) -> float:
-    """max_k min(v_(k), k·cell) over the non-NaN powers v = f^power of nodes samples, unsorted.
+def _band_counts(bands):
+    """_sugeno_scan's count step over the value arrays that bands() yields, NaN where failed."""
 
-    bands(on_f) yields pairs (values, powered) that cover the nodes, NaN
-    where one failed, the same on every call: the values are the powers v
-    when powered, else f itself (each finite f ≥ 0 with a finite power);
-    with on_f false every band is powered.  subsample(flat) gives f at the
-    flat node indices flat (rows of side nodes).  With power 1, v is f and
-    every band is powered.
+    def count(t_hi, t_lo):
+        c_hi, c_lo, kept = 0, 0, []
+        for v in bands():
+            above, upper = v > t_hi, v >= t_lo
+            c_hi, c_lo = c_hi + np.count_nonzero(above), c_lo + np.count_nonzero(upper)
+            if t_lo < t_hi:         # the members of the upper cut outside the lower
+                kept.append(v[upper ^ above])
+        return c_hi, c_lo, kept
+
+    return count
+
+
+def _staircase_counts(at, rows: int, cols: int):
+    """_sugeno_scan's count step over values v = at(i, j), nondecreasing in i and j, never NaN.
+
+    at takes equal-length index arrays.  A cut {v > t} or {v ≥ t} holds, in
+    row i, the columns from a boundary b_i on, so it counts the cells right
+    of a staircase.  The boundaries of both cuts in every row are searched
+    together, one call of at per round (bit_length(cols) rounds); an
+    infinite threshold that every value passes or fails needs no search.
+    Only the cells between the two staircases are evaluated for their
+    values; memory is O(rows) plus those cells.
+    """
+
+    def count(t_hi, t_lo):
+        # b[i] counts row i's columns outside {v > t_hi}, b[rows + i] those
+        # outside {v ≥ t_lo}, by binary lifting: the largest b whose columns
+        # all fail, one power of two at a time; no value exceeds +inf, and
+        # every value is ≥ −inf
+        b = np.repeat([cols if t_hi == math.inf else 0, 0], rows)
+        search = np.flatnonzero(np.repeat([t_hi < math.inf, t_lo > -math.inf], rows))
+        row, strict, found = search % rows, search < rows, b[search]
+        for step in (1 << k for k in reversed(range(cols.bit_length()))):
+            reach = np.minimum(found + step, cols)
+            v = at(row, reach - 1)
+            found = np.where(np.where(strict, v > t_hi, v >= t_lo), found, reach)
+        b[search] = found
+        b_hi, b_lo = b.reshape(2, rows)
+        c_hi, c_lo = rows * cols - int(b_hi.sum()), rows * cols - int(b_lo.sum())
+        if not t_lo < t_hi:
+            return c_hi, c_lo, []
+        width = b_hi - b_lo
+        i = np.repeat(np.arange(rows), width)
+        j = np.arange(i.size) + np.repeat(b_lo - (np.cumsum(width) - width), width)
+        return c_hi, c_lo, [at(i, j)]
+
+    return count
+
+
+def _sugeno_scan(count, subsample, nodes: int, side: int, cell_area: float) -> float:
+    """max_k min(v_(k), k·cell) over the non-NaN values v of nodes samples, unsorted.
+
+    count(t_hi, t_lo), for t_hi ≥ t_lo, gives the sizes c_hi of {v > t_hi}
+    and c_lo of {v ≥ t_lo} and, when t_lo < t_hi, a list of arrays that
+    hold the values v with t_lo ≤ v ≤ t_hi, in any order; the same on
+    every call.  subsample(flat) gives v at the flat node indices flat
+    (rows of side nodes), NaN where a sample failed.
 
     A cut with c members and threshold t, whose members are ≥ t and whose
     other values are ≤ t ({v > t} and {v ≥ t} are such cuts), bounds the
@@ -382,62 +392,37 @@ def _sugeno_scan(bands, subsample, nodes: int, side: int, cell_area: float,
     threshold, which is below c_U·cell: the value is k*·cell, and no value
     below the cuts is kept.
 
-    A band of f is cut on f itself.  This rests on two properties of numpy's
-    power (an in-place `**=`, _power_of): it is nondecreasing on
-    non-negative inputs, and one element gets the same bits whatever the
-    length of its array.  So for a pair (t, s) with t = s^power and s ≥ 0,
-    {f > s} and {f ≥ s} have members with v ≥ t and other values v ≤ t:
-    they are cuts at t, and a pass may cut some bands on f and others on v.
-    The values of f between the cuts are raised once, after the pass, with
-    the bits the band's own power would have given them.
-
     The cuts come from a strided subsample, one node in about isqrt(nodes)/4
     with the stride coprime to side so that every column of a sample grid is
-    represented.  Its non-NaN powers are sorted descending, each with its f,
-    and their crossing rank, with each one standing for nodes/sampled nodes
-    (failed ones included, so a half-failed grid is no worse a guess),
-    guesses k*.  One pass over the bands counts a strict cut {v > t_hi}
-    about isqrt(subsample)/8 subsample ranks above the guess and an
-    inclusive one {v ≥ t_lo} as far below, and keeps the values between
-    them.  A pass cuts bands of f only when both probes' f is ≥ 0 (a
-    negative f, whose even power is positive, cannot stand for its power);
-    with t_hi > t_lo the probes' f then descend too, so L ⊆ U.  If the upper
-    probe lands below k* (its cut is an upper one), it becomes t_lo and t_hi
-    moves out four times as far, and likewise down; each miss costs another
-    pass.  A probe past either end of the subsample takes the trivial cut
-    (c = 0 above, every value below), which cannot miss; with both trivial
-    every value lies between them, a full sort.  When both probes land on
-    one tied power t, every rank c_L+1 … c_U holds t by the bounds above
-    (even where distinct f with that power leave L ⊄ U), so it is bisected
-    as a constant without values being kept or sorted.  Fewer than 256
-    nodes (a stride below 4), or a cell_area that is not positive, take the
-    trivial cuts.  Memory is O(band) plus the values between the cuts.
-    Each rank is tested as a full sort's bisection (_crossing_rank) would
-    test it, and the value depends only on the multiset of non-NaN powers,
-    so it is the same bits.
+    represented.  Its non-NaN values are sorted descending, and their
+    crossing rank, with each one standing for nodes/sampled nodes (failed
+    ones included, so a half-failed grid is no worse a guess), guesses k*.
+    One count takes a strict cut {v > t_hi} about isqrt(subsample)/8
+    subsample ranks above the guess and an inclusive one {v ≥ t_lo} as far
+    below, with the values between them.  If the upper probe lands below k*
+    (its cut is an upper one), it becomes t_lo and t_hi moves out four
+    times as far, and likewise down; each miss costs another count.  A
+    probe past either end of the subsample takes the trivial cut (c = 0
+    above, every value below), which cannot miss; with both trivial every
+    value lies between them, a full sort.  When both probes land on one tied
+    value t, every rank c_L+1 … c_U holds t, so it is bisected as a
+    constant without values being kept or sorted.  Fewer than 256 nodes (a
+    stride below 4), or a cell_area that is not positive, take the trivial
+    cuts.  Each rank is tested as a full sort's bisection (_crossing_rank)
+    would test it, and the value depends only on the multiset of non-NaN
+    values, so it is the same bits.
     """
-    f_sub = v_sub = np.empty(0)
-    guess = 0
+    v_sub, guess = np.empty(0), 0
     stride = math.isqrt(nodes) // 4
     if stride >= 4 and cell_area > 0.0:
         while math.gcd(stride, side) != 1:
             stride += 1
-        f_sub = subsample(np.arange(0, nodes, stride))
-        sampled = f_sub.size
-        if power == 1.0:
-            f_sub = v_sub = np.sort(f_sub[~np.isnan(f_sub)])[::-1]
-        else:
-            v_sub = _power_of(f_sub.copy(), power)
-            kept = ~np.isnan(v_sub)
-            f_sub, v_sub = f_sub[kept], v_sub[kept]
-            order = np.argsort(v_sub)[::-1]
-            f_sub, v_sub = f_sub[order], v_sub[order]
-            f_sub[f_sub < 0.0] = np.nan      # no cut on f at a negative f
-        guess = _crossing_rank(v_sub, nodes / sampled * cell_area, 0, v_sub.size)
+        sampled = subsample(np.arange(0, nodes, stride))
+        v_sub = np.sort(sampled[~np.isnan(sampled)])[::-1]
+        guess = _crossing_rank(v_sub, nodes / sampled.size * cell_area, 0, v_sub.size)
     m = v_sub.size
-    # the probes' thresholds, and their f: ends[i + 1] is subsample rank i's
-    ends_v = np.concatenate(([math.inf], v_sub, [-math.inf]))
-    ends_f = np.concatenate(([math.inf], f_sub, [-math.inf]))
+    # the probes' thresholds: ends[i + 1] is subsample rank i's value
+    ends = np.concatenate(([math.inf], v_sub, [-math.inf]))
 
     def probe(i):
         return min(max(i + 1, 0), m + 1)
@@ -445,18 +430,8 @@ def _sugeno_scan(bands, subsample, nodes: int, side: int, cell_area: float,
     up = down = max(1, math.isqrt(m) // 8)   # subsample ranks from the guess
     hi, lo = probe(guess - 1 - up), probe(guess + down)
     while True:
-        t_hi, t_lo = ends_v[hi], ends_v[lo]
-        s_hi, s_lo = ends_f[hi], ends_f[lo]
-        c_hi = c_lo = 0
-        kept = {False: [], True: []}            # values between the cuts, by powered
-        for v, powered in bands(not (math.isnan(s_hi) or math.isnan(s_lo))):
-            above = v > (t_hi if powered else s_hi)
-            upper = v >= (t_lo if powered else s_lo)
-            c_hi += np.count_nonzero(above)
-            c_lo += np.count_nonzero(upper)
-            if t_lo < t_hi:
-                upper ^= above          # the members of the upper cut outside the lower
-                kept[powered].append(v[upper])
+        t_hi, t_lo = ends[hi], ends[lo]
+        c_hi, c_lo, kept = count(t_hi, t_lo)
         # a probe that misses is a cut of the other kind, tighter than the
         # other probe's: it takes that one's place, and its own side moves out
         if c_hi * cell_area > t_hi:
@@ -468,18 +443,14 @@ def _sugeno_scan(bands, subsample, nodes: int, side: int, cell_area: float,
         else:
             break
 
-    if t_lo == t_hi:
-        between = np.broadcast_to(t_lo, (c_lo - c_hi,))
-    else:
-        if kept[False]:
-            kept[True].append(_power_of(np.concatenate(kept[False]), power))
-        between = np.sort(np.concatenate(kept[True]))[::-1]
+    between = (np.broadcast_to(t_lo, (c_lo - c_hi,)) if t_lo == t_hi
+               else np.sort(np.concatenate(kept))[::-1])
     k_star = _crossing_rank(between, cell_area, c_hi, c_lo)
     return _sugeno_value(k_star, cell_area, between[k_star - c_hi] if k_star < c_lo else None)
 
 
 # entries of the int64 table that one bincount fills before it is narrowed
-# into sugeno_prefix_blocks' count table
+# into sugeno_block_bounds' count table
 _SLAB_ENTRIES = 2**14
 
 
@@ -622,17 +593,6 @@ def sugeno_block_bounds(F: np.ndarray, row_ends, col_ends, cell_area: float):
         return out
 
     return lo, hi, resolve
-
-
-def sugeno_prefix_blocks(F: np.ndarray, row_ends, col_ends, cell_area: float) -> np.ndarray:
-    """max_k min(v_(k), k·cell) of every block F[:row_ends[i], :col_ends[j]], from one sort.
-
-    sugeno_block_bounds with every block resolved: the same bits as sorting
-    each block.
-    """
-    lo, _, resolve = sugeno_block_bounds(F, row_ends, col_ends, cell_area)
-    bi, bj = np.indices(lo.shape).reshape(2, -1)
-    return resolve(bi, bj).reshape(lo.shape)
 
 
 def sugeno_of_block_powers(F, ends, cell_area, xy, power, outer_cell) -> float:

@@ -362,6 +362,21 @@ class TestHardyCommand:
         assert (payload["lhs"], payload["rhs_integral"]) == (lhs, None)
         assert payload["notes"] == ["f^p is not real where f < 0"]
 
+    def test_sup_weighting_of_an_overflow_prints_nothing_on_stderr(self, tmp_path):
+        # f^2 is inf, and ψ = 1 − x is 0 at x = 1: inf ⊙ 0 makes both sides
+        # NaN, a report, where numpy warned "invalid value encountered in
+        # multiply"; a fresh process shows what a user sees
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = ("hardy", "--f", "1e300*x", "--kind", "sup_hardy", "--semiring", "suptimes",
+                "--psi", "1-x", "--p", "2")
+        proc = subprocess.run([sys.executable, "-m", "pseudocalc", *argv], capture_output=True,
+                              text=True, env=env, cwd=tmp_path, timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, "")
+        payload = json.loads(proc.stdout)
+        assert payload["not_evaluable"] is True and payload["notes"] == ["a side is NaN"]
+        assert payload["statuses"] == {"lhs": "diverged", "rhs": "diverged"}
+
     def test_failing_classical_f_exits_2(self, capsys):
         # a report, as the g, sup and Sugeno checks give, not an error
         code, out, err = run_cli(capsys, "hardy", "--f", "ln(x-0.3)", "--kind", "classical",

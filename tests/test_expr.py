@@ -1,10 +1,11 @@
 """Parser and evaluator tests."""
 
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudocalc import expr
@@ -21,6 +22,7 @@ from pseudocalc.expr import (
     parse,
     to_string,
 )
+from pseudocalc.harness import FuzzConfig, build_trial_scenario
 
 
 class TestTokenize:
@@ -454,3 +456,92 @@ def test_compiled_evaluation_keeps_the_recorded_bits(src):
     # a float point and an array run through the same compiled f
     if at_point != "raises":
         assert _bits(f(0.3, 0.7)) == at_point
+
+
+def _monotone_exprs(depth: int):
+    """Trees of expr's grammar, mostly of the nodes expr.nondecreasing admits.
+
+    Constants reach 1e300 and exponents 500, so some sub-expressions
+    overflow or underflow, and now and then a node the proof refuses (−,
+    unary −, exp, ÷ and ^ by an expression) is drawn.
+    """
+    leaf = st.one_of(
+        st.sampled_from([Var("x"), Var("y")]),
+        st.sampled_from([0.0, 1e-300, 0.5, 2.0, 1e300]).map(Const),
+        st.floats(min_value=0.0, max_value=10.0).map(Const),
+    )
+    if depth == 0:
+        return leaf
+    sub = _monotone_exprs(depth - 1)
+    binary = ["add"] * 4 + ["mul"] * 4 + ["sub", "div", "pow"]
+    return st.one_of(
+        st.sampled_from([Var("x"), Var("y")]),
+        st.tuples(st.sampled_from(binary), sub, sub).map(lambda t: BinOp(*t)),
+        st.tuples(st.sampled_from(["div", "pow"]), sub,
+                  st.floats(min_value=0.0, max_value=500.0).map(Const)).map(lambda t: BinOp(*t)),
+        st.tuples(st.sampled_from(["sqrt"] * 4 + ["exp", "neg"]), sub).map(
+            lambda t: Neg(t[1]) if t[0] == "neg" else Call(t[0], (t[1],))),
+        st.tuples(st.sampled_from(["min", "max"]), sub, sub).map(
+            lambda t: Call(t[0], (t[1], t[2]))),
+    )
+
+
+# the proof that f is nondecreasing, ≥ +0 and free of −0.0 (expr.nondecreasing)
+
+_MIDPOINTS = (np.arange(129) + 0.5) / 129
+
+
+def _campaign_sources(seed: int) -> set[str]:
+    cfg = FuzzConfig(seed=seed)
+    return {build_trial_scenario(cfg, index).f_src for index in range(cfg.trials)}
+
+
+class TestNondecreasing:
+    @pytest.mark.parametrize("seed", [FuzzConfig().seed, 1, 2, 3, 4, 5])
+    def test_proves_every_campaign_f(self, seed):
+        sources = _campaign_sources(seed)
+        assert len(sources) > 400
+        assert all(expr.nondecreasing(parse(src), 1.0, 1.0) for src in sources)
+
+    @pytest.mark.parametrize("src", ["min(x,y)", "max(x,y)", "x*y", "0.7", "0*x", "1e200*x*y",
+                                     "sqrt(x)*max(x,y)/3", "(x+y)/2", "x^400"])
+    def test_proves(self, src):
+        assert expr.nondecreasing(parse(src), 1.0, 1.0)
+
+    @pytest.mark.parametrize("src", ["16*x*(1-x)*y*(1-y)", "x-0.5", "1/(x-0.5)", "(x*y)^(-2)",
+                                     "x^y", "exp(x)", "-0*x", "x^0", "x/0", "abs(x)", "ln(1+x)"])
+    def test_refuses(self, src):
+        assert not expr.nondecreasing(parse(src), 1.0, 1.0)
+
+    def test_refuses_a_constant_of_minus_zero_or_inf(self):
+        for c in (-0.0, math.inf, math.nan):
+            assert not expr.nondecreasing(BinOp("mul", Const(c), Var("x")), 1.0, 1.0)
+        assert not expr.nondecreasing(BinOp("pow", Var("x"), Const(math.inf)), 1.0, 1.0)
+
+    def test_refuses_a_sub_expression_that_overflows_at_the_largest_node(self):
+        # 1e308 + 1e308·x overflows near x = 1 while y^400 underflows near
+        # y = 0: inf·0 is NaN inside the grid, though f's first and largest
+        # nodes are finite
+        tree = parse("min((1e308+1e308*x)*y^400, 1)")
+        xs = (np.arange(1024) + 0.5) / 1024
+        values = expr.as_function(tree)(xs[:, np.newaxis], xs[np.newaxis, :])
+        assert np.count_nonzero(np.isnan(values)) == 32_913
+        assert np.isfinite(values[0, 0]) and np.isfinite(values[-1, -1])
+        assert not expr.nondecreasing(tree, xs[-1], xs[-1])
+
+    @settings(max_examples=200)
+    @given(_monotone_exprs(4))
+    def test_proved_values_are_nondecreasing_finite_and_not_minus_zero(self, tree):
+        top = float(_MIDPOINTS[-1])
+        if not expr.nondecreasing(tree, top, top):
+            return
+        f = expr.as_function(tree)
+        grid = np.broadcast_to(f(_MIDPOINTS[:, np.newaxis], _MIDPOINTS[np.newaxis, :]),
+                               (129, 129))
+        assert np.all(np.isfinite(grid)) and not np.any(np.signbit(grid))
+        assert np.all(grid[1:] >= grid[:-1]) and np.all(grid[:, 1:] >= grid[:, :-1])
+        # a cell evaluated with others gathered in any order has its grid bits
+        cells = np.random.default_rng(0).permutation(129 * 129)[:500]
+        i, j = cells // 129, cells % 129
+        gathered = np.broadcast_to(f(_MIDPOINTS[i], _MIDPOINTS[j]), cells.shape)
+        assert gathered.tobytes() == grid[i, j].tobytes()

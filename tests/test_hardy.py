@@ -18,6 +18,8 @@ from pseudocalc.quadrature import (BAND_ELEMENTS, UNIT_SQUARE, Rect, grid_eval_i
                                    level_set_samples)
 from pseudocalc.semiring import SaturationFlags, parse_semiring
 
+from test_pseudo_integral import sugeno_prefix_blocks
+
 
 class TestConstants:
     def test_known_values(self):
@@ -920,7 +922,7 @@ def _kernel_by_every_block(F, m, p, X=1.0, Y=1.0):
     """The Sugeno check's rhs_integral with every block resolved and every h sorted."""
     n = F.shape[0]
     ends = 4 * np.arange(m) + 2
-    R = P.sugeno_prefix_blocks(F, ends, ends, X * Y / n**2)
+    R = sugeno_prefix_blocks(F, ends, ends, X * Y / n**2)
     mids = (np.arange(m) + 0.5) / m
     ratio = (R / np.multiply.outer(mids * X, mids * Y)).ravel().tolist()
     h = np.array([pow(r, p) for r in ratio]).reshape(m, m)

@@ -34,6 +34,17 @@ def sugeno_from_sorted(descending: np.ndarray, cell_area: float) -> float:
                            descending[k_star] if k_star < descending.size else None)
 
 
+def sugeno_prefix_blocks(F: np.ndarray, row_ends, col_ends, cell_area: float) -> np.ndarray:
+    """max_k min(v_(k), k·cell) of every block F[:row_ends[i], :col_ends[j]], from one sort.
+
+    The all-blocks oracle: sugeno_block_bounds with every block resolved,
+    the same bits as sorting each block.
+    """
+    lo, _, resolve = P.sugeno_block_bounds(F, row_ends, col_ends, cell_area)
+    bi, bj = np.indices(lo.shape).reshape(2, -1)
+    return resolve(bi, bj).reshape(lo.shape)
+
+
 class TestGIntegral1D:
     def test_identity_reduces_to_riemann(self):
         assert P.g_integral_1d(G.identity(), lambda x: x, 0, 1)[0] == pytest.approx(0.5, abs=1e-10)
@@ -582,8 +593,11 @@ def test_lhs_matches_full_sort(f_src, p, sorted_sizes):
     assert got == LHS_BY_FULL_SORT[f_src, p]
     # a subsample of about 4·1024 values and a band of a few thousand
     assert sum(sorted_sizes) <= 16 * 1024
-    # the call the Hardy check makes: the scan cuts f and raises what lies between
+    # f raised by the scan, over row bands, and the call the Hardy check
+    # makes, with f's tree, over staircases
     assert P.sugeno_integral_2d(f, UNIT_SQUARE, grid=1024, power=p) == LHS_BY_FULL_SORT[f_src, p]
+    got = P.sugeno_integral_2d(expr.parse(f_src), UNIT_SQUARE, grid=1024, power=p)
+    assert got == LHS_BY_FULL_SORT[f_src, p]
 
 
 def _parsed(src):
@@ -625,6 +639,8 @@ class TestStreamedSugeno:
 
     @pytest.mark.parametrize("f_src,grid,power,r", [
         ("min(x,y)", 2048, 1.0, UNIT_SQUARE),        # ties
+        ("x*y", 2048, 1.0, UNIT_SQUARE),
+        ("x*y+0.1", 256, 1.5, Rect(0.5, 1.0, 0.25, 0.75)),  # a domain off the origin
         ("max(x,y)", 2048, 1.0, UNIT_SQUARE),
         ("0*x", 256, 1.0, UNIT_SQUARE),
         ("ln(x-0.3)", 512, 1.0, UNIT_SQUARE),        # failed nodes
@@ -650,10 +666,13 @@ class TestStreamedSugeno:
     ])
     def test_matches_full_grid_sort(self, f_src, grid, power, r):
         f = _parsed(f_src)
-        got = P.sugeno_integral_2d(f, r, grid=grid, power=power)
-        assert _same_bits(got, _full_grid_sugeno(f, r, grid, power))
+        want = _full_grid_sugeno(f, r, grid, power)
+        assert _same_bits(P.sugeno_integral_2d(f, r, grid=grid, power=power), want)
+        # the tree: staircase counts where expr.nondecreasing proves f, else the bands
+        assert _same_bits(P.sugeno_integral_2d(expr.parse(f_src), r, grid=grid, power=power),
+                          want)
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_campaign_cells_match_full_grid_sort(self, seed):
         # the first Sugeno trial of every (family, p) cell of the campaign,
         # on the lhs grid the check uses
@@ -665,109 +684,32 @@ class TestStreamedSugeno:
         assert len(cells) == len(cfg.families) * len(cfg.p_values)
         for (_, p), f_src in sorted(cells.items()):
             f = _parsed(f_src)
+            want = _full_grid_sugeno(f, UNIT_SQUARE, 1024, p)
             got = P.sugeno_integral_2d(f, UNIT_SQUARE, grid=1024, power=p)
-            assert _same_bits(got, _full_grid_sugeno(f, UNIT_SQUARE, 1024, p)), (f_src, p)
-
-    @pytest.mark.parametrize("power", [1.5, 3.0])
-    def test_f_at_the_overflow_start(self, power):
-        # a quarter of f at the first float whose power overflows, which
-        # counts as +inf, and a quarter one float below it, which is finite
-        h = P._overflow_start(power)
-        f = lambda x, y: np.where(x > 0.5, np.where(y > 0.5, h, np.nextafter(h, 0.0)), x * y)
-        got = P.sugeno_integral_2d(f, grid=256, power=power)
-        assert _same_bits(got, _full_grid_sugeno(f, UNIT_SQUARE, 256, power))
+            assert _same_bits(got, want), (f_src, p)
+            got = P.sugeno_integral_2d(expr.parse(f_src), UNIT_SQUARE, grid=1024, power=p)
+            assert _same_bits(got, want), (f_src, p)
 
     @pytest.mark.parametrize("power", [2.0, 3.0])
     def test_scalar_callable_of_both_signs(self, power):
-        # f taken node by node: a band's calls go both ways, and it is raised whole
+        # f taken node by node, of both signs: every band is raised as it is read
         f = lambda x, y: math.sin(7.0 * float(x)) + 0.25 * float(y)
         got = P.sugeno_integral_2d(f, grid=64, power=power)
         assert _same_bits(got, _full_grid_sugeno(f, UNIT_SQUARE, 64, power))
 
-    @pytest.mark.parametrize("power", [1.5, 2.0, 3.0])
-    def test_powers_only_between_the_cuts(self, monkeypatch, power):
-        # a non-negative f is cut on itself: about 4·1024 subsample values and
-        # the few thousand between the cuts are raised, not 1024² samples
-        raised = []
-        real = P._power_of
-
-        def spy(vals, p):
-            raised.append(np.size(vals))
-            return real(vals, p)
-
-        monkeypatch.setattr(P, "_power_of", spy)
-        f = _parsed("0.46915844908869275*x^2.5057546815834546*y^0.33032148405336637")
-        got = P.sugeno_integral_2d(f, grid=1024, power=power)
-        assert sum(raised) <= 16 * 1024
-        monkeypatch.setattr(P, "_power_of", real)
-        assert _same_bits(got, _full_grid_sugeno(f, UNIT_SQUARE, 1024, power))
-
-    @pytest.mark.parametrize("power", [1.5, 3.0])
-    def test_negative_column_is_raised_once_per_row(self, monkeypatch, power):
-        # x − 0.5 is negative on half the bands, which are raised as f's own
-        # column result: 1024 pows a pass, not 1024² (numpy's pow of a
-        # negative base at an integer power is slow)
-        raised = []
-        real = P._power_of
-
-        def spy(vals, p):
-            raised.append(np.size(vals))
-            return real(vals, p)
-
-        monkeypatch.setattr(P, "_power_of", spy)
-        f = _parsed("x-0.5")
-        got = P.sugeno_integral_2d(f, grid=1024, power=power)
-        assert sum(raised) <= 16 * 1024
-        monkeypatch.setattr(P, "_power_of", real)
-        assert _same_bits(got, _full_grid_sugeno(f, UNIT_SQUARE, 1024, power))
-
-    def test_overflowing_band_is_raised_whole(self):
+    def test_overflowing_powers_are_values(self):
         # exp(300x)³ = exp(900x) overflows from x = ln(max float)/900 = 0.789,
-        # rows 808 on of 1024: the 14 bands of 16 rows from row 800 are
-        # evaluated again and raised whole, so their +inf is kept where
-        # grid_eval would fail it, and every sample passes
+        # rows 808 on of 1024: f is finite there, so grid_eval keeps it, and
+        # its power +inf is a value in every level set; each band is read once
         f, calls = _counted(_parsed("exp(300*x)"))
         got = P.sugeno_integral_2d(f, grid=1024, power=3.0)
-        assert len(calls) == 1 + 64 + 14
+        assert len(calls) == 1 + 64
         assert got == 1.0 == _full_grid_sugeno(_parsed("exp(300*x)"), UNIT_SQUARE, 1024, 3.0)
 
     @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, 0.0, -1.0, -2.5])
     def test_power_must_be_positive_and_finite(self, power):
         with pytest.raises(ValueError, match="power"):
             P.sugeno_integral_2d(lambda x, y: x * y, grid=64, power=power)
-
-    @pytest.mark.parametrize("f_src", ["x", "y", "0.7", "-x", "0.5-y", "-0.7", "x-0.5"])
-    @pytest.mark.parametrize("power", [1.5, 2.0, 2.5, 3.0])
-    def test_power_on_f_result_has_the_whole_grid_bits(self, monkeypatch, f_src, power):
-        # f's own (broadcast) result is raised, not every node of the band:
-        # each band the scan reads has the bits of the whole grid raised in
-        # place where it is powered (f < 0 somewhere in it), else of f itself
-        passes = []
-        real = P._sugeno_scan
-
-        def spy(bands, *args):
-            def recorded(on_f):
-                passes.append([])
-                for vals, powered in bands(on_f):
-                    passes[-1].append((vals.copy(), powered))
-                    yield vals, powered
-            return real(recorded, *args)
-
-        monkeypatch.setattr(P, "_sugeno_scan", spy)
-        f = _parsed(f_src)
-        got = P.sugeno_integral_2d(f, grid=256, power=power)
-        whole = level_set_samples(f, UNIT_SQUARE, 256)
-        raised = whole.copy()
-        with np.errstate(invalid="ignore"):
-            raised **= power
-        raised[np.isnan(raised)] = np.nan       # every failed sample is the one NaN grid_eval gives
-        for bands in passes:
-            rows = np.cumsum([0] + [len(vals) for vals, _ in bands])
-            assert rows[-1] == 256
-            for (vals, powered), start, stop in zip(bands, rows, rows[1:]):
-                assert vals.tobytes() == (raised if powered else whole)[start:stop].tobytes()
-        assert any(powered for bands in passes for _, powered in bands) == bool(np.any(whole < 0))
-        assert _same_bits(got, _full_grid_sugeno(f, UNIT_SQUARE, 256, power))
 
     @pytest.mark.parametrize("f_src,grid,power", [("min(x,y)", 2048, 1.0), ("x-0.5", 1024, 1.5)])
     def test_one_pass(self, f_src, grid, power):
@@ -796,10 +738,105 @@ class TestStreamedSugeno:
         assert peak < limit
 
 
-@pytest.mark.parametrize("power", [1.5, 2.0, 2.5, 3.0])
-class TestPowerAssumptions:
-    """What the scan's cuts on f rest on: properties of numpy's in-place power."""
+def _sugeno_trials(seed: int) -> list:
+    cfg = FuzzConfig(seed=seed)
+    return [build_trial_scenario(cfg, index)
+            for index in range(cfg.kinds.index("sugeno_hardy"), cfg.trials, len(cfg.kinds))]
 
+
+class TestStaircaseSugeno:
+    """A tree that expr.nondecreasing proves is counted along staircases, with the bands' bits."""
+
+    def test_default_campaign_matches_the_band_scan(self):
+        trials = _sugeno_trials(FuzzConfig().seed)
+        assert len(trials) == 166
+        for scn in trials:
+            assert expr.nondecreasing(scn.f, 1.0, 1.0)
+            got = P.sugeno_integral_2d(scn.f, scn.domain, grid=1024, power=scn.p)
+            bands = P.sugeno_integral_2d(expr.as_function(scn.f), scn.domain, grid=1024,
+                                         power=scn.p)
+            assert got.hex() == bands.hex(), (scn.f_src, scn.p)
+
+    def test_a_default_lhs_evaluates_under_5_percent_of_its_grid(self, monkeypatch):
+        points = []
+        compile_tree = expr.as_function
+
+        def counting(node):
+            f = compile_tree(node)
+
+            def counted(x, y):
+                points[-1] += np.broadcast(x, y).size
+                return f(x, y)
+            return counted
+
+        monkeypatch.setattr(expr, "as_function", counting)
+        for scn in _sugeno_trials(FuzzConfig().seed):
+            points.append(0)
+            P.sugeno_integral_2d(scn.f, scn.domain, grid=1024, power=scn.p)
+        assert 0 < max(points) < 0.05 * 1024**2
+
+    @staticmethod
+    def _monotone(n, levels, seed):
+        # a grid nondecreasing along both axes, with `levels` distinct row and column steps
+        rng = np.random.default_rng(seed)
+        a, b = (np.sort(rng.integers(0, levels, n)) / levels for _ in range(2))
+        return np.add.outer(a, b * 0.5)
+
+    @pytest.mark.parametrize("levels", [1, 3, 50, 10**6])
+    def test_counts_match_the_band_counts(self, levels):
+        n = 37
+        V = self._monotone(n, levels, levels)
+        staircase = P._staircase_counts(lambda i, j: V[i, j], n, n)
+        bands = P._band_counts(lambda: (V,))
+        values = np.unique(V)
+        thresholds = [math.inf, -math.inf, *values[::max(1, values.size // 7)], 0.3, 2.0, -1.0]
+        for t_hi in thresholds:
+            for t_lo in thresholds:
+                if t_lo > t_hi:
+                    continue
+                got, want = staircase(t_hi, t_lo), bands(t_hi, t_lo)
+                assert got[:2] == want[:2]
+                assert (np.sort(np.concatenate([np.empty(0), *got[2]])).tolist()
+                        == np.sort(np.concatenate([np.empty(0), *want[2]])).tolist())
+
+    @pytest.mark.parametrize("bias", [0.05, -0.05])
+    def test_probes_move_out_when_the_guess_is_off(self, bias):
+        # a subsample that reads off by the bias throws the guess past the
+        # first probes: the staircase counts again, as the bands do
+        n = 256
+        V = self._monotone(n, 10**6, 4)
+        counts = []
+        count = P._staircase_counts(lambda i, j: V[i, j], n, n)
+
+        def counting(t_hi, t_lo):
+            counts.append((t_hi, t_lo))
+            return count(t_hi, t_lo)
+
+        cell = 1.0 / n**2
+        got = P._sugeno_scan(counting, lambda nodes: V.ravel()[nodes] + bias, n * n, n, cell)
+        assert len(counts) > 1
+        assert _same_bits(got, _sorted_sugeno(V, cell))
+
+
+# exponents of the expression pow x^e by a constant e > 0: drawn over (0, 4],
+# and 0.5, 2 and 3, where numpy's pow has its own paths
+EXPONENTS = sorted({0.5, 2.0, 3.0,
+                    *(4.0 - np.random.default_rng(31).uniform(0.0, 4.0, 9)).tolist()})
+
+
+class TestPowerAssumptions:
+    """What the staircase's bits rest on: properties of numpy's pow on values ≥ +0.
+
+    Two pows are pinned: the in-place `**=` that raises a sample to the
+    Sugeno power (_power_of), and np.power(a, e) by a scalar exponent, as
+    expr._compile calls it for ^ by a positive constant.  Each must be
+    nondecreasing, so that a cut of a proved f's values is a staircase and
+    expr.nondecreasing's finite largest node bounds every other node, and
+    each element must get the same bits in any array, so that a cell the
+    staircase gathers has the bits it has in the whole grid.
+    """
+
+    @pytest.mark.parametrize("power", [1.5, 2.0, 2.5, 3.0])
     def test_nondecreasing_on_non_negative_inputs(self, power):
         rng = np.random.default_rng(int(power * 10))
         a = np.sort(rng.random(1 << 16))
@@ -809,6 +846,7 @@ class TestPowerAssumptions:
         # each value against the next float up
         assert np.all(P._power_of(np.nextafter(a, 2.0), power) >= raised)
 
+    @pytest.mark.parametrize("power", [1.5, 2.0, 2.5, 3.0])
     def test_one_value_has_its_bits_inside_a_band(self, power):
         rng = np.random.default_rng(int(power * 10) + 1)
         band = rng.random(BAND_ELEMENTS) * rng.choice([1e-3, 1.0, 1e3], BAND_ELEMENTS)
@@ -817,10 +855,29 @@ class TestPowerAssumptions:
             alone = P._power_of(np.array([band[i]]), power)
             assert alone.tobytes() == raised[i:i + 1].tobytes()
 
-    def test_overflow_start(self, power):
-        h = P._overflow_start(power)
-        assert not np.isfinite(P._power_of(np.array([h]), power)[0])
-        assert np.isfinite(P._power_of(np.array([np.nextafter(h, 0.0)]), power)[0])
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_expression_pow_is_nondecreasing(self, e):
+        rng = np.random.default_rng(int(e * 1000))
+        a = np.sort(np.concatenate([rng.random(1 << 15), rng.random(1 << 12) * 1e3,
+                                    [0.0, 5e-324, 1e-300, 1e-10]]))
+        raised = np.power(a, e)
+        assert np.all(raised[1:] >= raised[:-1])
+        # each value against the next float up
+        assert np.all(np.power(np.nextafter(a, np.inf), e) >= raised)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_gathered_element_has_its_grid_bits(self, e):
+        # grid_eval hands a term in x the column xs[:, None] and a term in y
+        # the row ys[None, :]; the staircase hands either the cells it
+        # gathers, in any order and number
+        rng = np.random.default_rng(int(e * 1000) + 1)
+        n = 1024
+        base = np.concatenate([(np.arange(n) + 0.5) / n, rng.random(n) * rng.choice([1e-3, 1e3], n)])
+        column, row = np.power(base[:, np.newaxis], e), np.power(base[np.newaxis, :], e)
+        for size in (1, 7, 1000, 5000):
+            i = rng.integers(0, base.size, size)
+            gathered = np.power(base[i], e)
+            assert gathered.tobytes() == column[i, 0].tobytes() == row[0, i].tobytes()
 
 
 def _blocks_by_sorting(F, row_ends, col_ends, cell):
@@ -829,7 +886,7 @@ def _blocks_by_sorting(F, row_ends, col_ends, cell):
 
 
 def _assert_blocks_exact(F, row_ends, col_ends, cell):
-    got = P.sugeno_prefix_blocks(F, row_ends, col_ends, cell)
+    got = sugeno_prefix_blocks(F, row_ends, col_ends, cell)
     want = _blocks_by_sorting(F, row_ends, col_ends, cell)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()      # the same bits, signed zeros included
@@ -888,12 +945,12 @@ class TestSugenoPrefixBlocks:
         rng = np.random.default_rng(5)
         F = rng.random((30, 30))
         cell = 1.0 / 900
-        got = P.sugeno_prefix_blocks(F, [30], [30], cell)
+        got = sugeno_prefix_blocks(F, [30], [30], cell)
         assert got.shape == (1, 1)
         assert got[0, 0] == sugeno_from_sorted(np.sort(F, axis=None)[::-1], cell)
 
     def test_empty_sample(self):
-        assert P.sugeno_prefix_blocks(np.zeros((0, 0)), [0, 0], [0], 0.1).tolist() == [[0.0], [0.0]]
+        assert sugeno_prefix_blocks(np.zeros((0, 0)), [0, 0], [0], 0.1).tolist() == [[0.0], [0.0]]
 
     @pytest.mark.parametrize("cell", [1.0 / 24**2, 0.1 / 24**2, 3e-3])
     def test_values_on_and_next_to_rank_products(self, cell):
@@ -978,7 +1035,7 @@ class TestSugenoPrefixBlocks:
         ends = 4 * np.arange(48) + 2
         tracemalloc.start()
         try:
-            P.sugeno_prefix_blocks(F, ends, ends, 1.0 / n**2)
+            sugeno_prefix_blocks(F, ends, ends, 1.0 / n**2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
