@@ -220,9 +220,6 @@ def _compile(node: Expr):
         return lambda x, y: -operand(x, y)
     if isinstance(node, BinOp):
         left, right = _compile(node.left), _compile(node.right)
-        if node.op == "pow" and isinstance(node.right, Const) and node.right.value > 0.0:
-            # no element can fail a power with this exponent
-            return lambda x, y, e=node.right.value: np.power(left(x, y), e)
         return lambda x, y, op=_OPERATORS[node.op]: op(left(x, y), right(x, y))
     if isinstance(node, Call):
         args = [_compile(arg) for arg in node.args]

@@ -490,9 +490,9 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
     A weighted band W is its own running max R, and the scan is skipped,
     when W is nondecreasing along its rows and its columns, W[0] is at least
     the column maxima carried in, and W holds no −0.0 (np.maximum keeps
-    either of two equal zeros).  A NaN fails the comparisons; the cheap edge
-    tests come first.  If W has F's values, R − f is +0.0 at every node, so
-    the band's share of max(R − f) is +0.0 at its first node.
+    either of two equal zeros).  A NaN fails the comparisons.  If W has F's
+    values, R − f is +0.0 at every node, so the band's share of max(R − f)
+    is +0.0 at its first node.
     """
     n = 2**level + 1
     xs = np.linspace(domain.x_low, domain.x_high, n)
@@ -520,10 +520,8 @@ def sup_kernel_grid(s: Semiring, f, psi: PsiDensity, domain: Rect, level: int, p
             R = ((F + 0.0 if s.kind == SUP_PLUS else F) if same
                  else psi_weighted(s, F, psix[band], psiy, flags))
             # a W nondecreasing along rows and columns, and from the column maxima
-            # above, with no −0.0 (np.maximum keeps either zero), is its own
-            # running max; the cheap edge tests turn most other bands away
-            own = bool((R[0] >= column_max).all() and (R[-1, 1:] >= R[-1, :-1]).all()
-                       and (R[1:, -1] >= R[:-1, -1]).all() and (R[1:] >= R[:-1]).all()
+            # above, with no −0.0 (np.maximum keeps either zero), is its own running max
+            own = bool((R[0] >= column_max).all() and (R[1:] >= R[:-1]).all()
                        and (R[:, 1:] >= R[:, :-1]).all() and not np.signbit(R).any())
             if own:
                 column_max = R[-1].copy()

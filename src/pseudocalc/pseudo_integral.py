@@ -25,8 +25,9 @@ gives only the values between them, which alone are sorted, and a count
 is repeated only when a cut misses.  sugeno_integral_2d counts along the
 cuts' staircases where f is proved nondecreasing (expr.nondecreasing), and
 otherwise over row bands of its grid, evaluated as they are read, so its
-memory is O(band) rather than O(grid²); sugeno_from_samples counts an array
-in memory as one band.  Every path gives the bits of a full sort.
+memory is O(band) rather than O(grid²).  sugeno_from_samples, for the
+kernel's small arrays in memory, is the full sort itself, and every path
+gives its bits.
 
 g_integral_1d and g_integral_2d return (value, result, reason): the
 classical integral's QuadratureResult comes with the value, and where the
@@ -305,19 +306,24 @@ def _crossing_rank(descending, cell_area: float, lo: int, hi: int) -> int:
     return lo
 
 
-def _sugeno_value(k_star: int, cell_area: float, following) -> float:
-    """max(k*·cell, v_(k*+1)), following being v_(k*+1), or None past the last rank."""
+def _sugeno_tail(descending, cell_area: float, before: int = 0) -> float:
+    """max(k*·cell, v_(k*+1)), with descending[i] = v_(before+1+i) and k* ≥ before.
+
+    k* is bisected over the ranks before … before + len(descending).  A
+    value after the last one given is at most k*·cell, or there is none, so
+    past the last rank the value is k*·cell.
+    """
+    k_star = _crossing_rank(descending, cell_area, before, before + len(descending))
     best = k_star * cell_area
-    if following is not None:
-        best = max(best, float(following))
+    if k_star - before < len(descending):
+        best = max(best, float(descending[k_star - before]))
     return float(best)
 
 
 def sugeno_from_samples(values: np.ndarray, cell_area: float) -> float:
-    """max_k min(v_(k), k·cell) over the finite values v: _sugeno_scan of one band."""
-    flat = _nan_for_failed(np.asarray(values, dtype=float).ravel())
-    return _sugeno_scan(_band_counts(lambda: (flat,)), lambda nodes: flat[nodes],
-                        flat.size, values.shape[-1], cell_area)
+    """max_k min(v_(k), k·cell) over the finite values v, from a sort of all of them."""
+    flat = np.asarray(values, dtype=float).ravel()
+    return _sugeno_tail(np.sort(flat[np.isfinite(flat)])[::-1], cell_area)
 
 
 def _band_counts(bands):
@@ -342,24 +348,21 @@ def _staircase_counts(at, rows: int, cols: int):
     row i, the columns from a boundary b_i on, so it counts the cells right
     of a staircase.  The boundaries of both cuts in every row are searched
     together, one call of at per round (bit_length(cols) rounds); an
-    infinite threshold that every value passes or fails needs no search.
-    Only the cells between the two staircases are evaluated for their
-    values; memory is O(rows) plus those cells.
+    infinite threshold is searched like any other, as no value exceeds +inf
+    and none is below −inf.  Only the cells between the two staircases are
+    evaluated for their values; memory is O(rows) plus those cells.
     """
+    row, strict = np.tile(np.arange(rows), 2), np.arange(2 * rows) < rows
 
     def count(t_hi, t_lo):
         # b[i] counts row i's columns outside {v > t_hi}, b[rows + i] those
         # outside {v ≥ t_lo}, by binary lifting: the largest b whose columns
-        # all fail, one power of two at a time; no value exceeds +inf, and
-        # every value is ≥ −inf
-        b = np.repeat([cols if t_hi == math.inf else 0, 0], rows)
-        search = np.flatnonzero(np.repeat([t_hi < math.inf, t_lo > -math.inf], rows))
-        row, strict, found = search % rows, search < rows, b[search]
+        # all fail, one power of two at a time
+        b = np.zeros(2 * rows, dtype=np.intp)
         for step in (1 << k for k in reversed(range(cols.bit_length()))):
-            reach = np.minimum(found + step, cols)
+            reach = np.minimum(b + step, cols)
             v = at(row, reach - 1)
-            found = np.where(np.where(strict, v > t_hi, v >= t_lo), found, reach)
-        b[search] = found
+            b = np.where(np.where(strict, v > t_hi, v >= t_lo), b, reach)
         b_hi, b_lo = b.reshape(2, rows)
         c_hi, c_lo = rows * cols - int(b_hi.sum()), rows * cols - int(b_lo.sum())
         if not t_lo < t_hi:
@@ -445,8 +448,7 @@ def _sugeno_scan(count, subsample, nodes: int, side: int, cell_area: float) -> f
 
     between = (np.broadcast_to(t_lo, (c_lo - c_hi,)) if t_lo == t_hi
                else np.sort(np.concatenate(kept))[::-1])
-    k_star = _crossing_rank(between, cell_area, c_hi, c_lo)
-    return _sugeno_value(k_star, cell_area, between[k_star - c_hi] if k_star < c_lo else None)
+    return _sugeno_tail(between, cell_area, c_hi)
 
 
 # entries of the int64 table that one bincount fills before it is narrowed
@@ -588,7 +590,7 @@ def sugeno_block_bounds(F: np.ndarray, row_ends, col_ends, cell_area: float):
         k_star = np.where(failed, rank[blocks, first] - 1, rank[:, -1])
         best = k_star * cell_area
         following = ranked[c, first]
-        # max(best, v) as _sugeno_value takes it: best unless v is larger
+        # max(best, v) as _sugeno_tail takes it: best unless v is larger
         out[scan] = np.where(failed & (following > best), following, best)
         return out
 
@@ -621,6 +623,4 @@ def sugeno_of_block_powers(F, ends, cell_area, xy, power, outer_cell) -> float:
     s_lo, s_hi = sugeno_from_samples(h_lo, outer_cell), sugeno_from_samples(h_hi, outer_cell)
     bi, bj = np.nonzero((h_hi >= s_lo) & (h_lo <= s_hi))
     h = sorted((pow(r, power) for r in (resolve(bi, bj) / xy[bi, bj]).tolist()), reverse=True)
-    above = int(np.count_nonzero(h_lo > s_hi))
-    k_star = _crossing_rank(h, outer_cell, above, above + len(h))
-    return _sugeno_value(k_star, outer_cell, h[k_star - above] if k_star - above < len(h) else None)
+    return _sugeno_tail(h, outer_cell, int(np.count_nonzero(h_lo > s_hi)))

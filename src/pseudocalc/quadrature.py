@@ -100,9 +100,8 @@ of its own; a level with no NaN among them skips the failure test.  The
 EVAL_BUDGET test and the divergence rule each sit behind a scalar trigger
 and run only when it fires: the evaluations spent come within two per panel
 of the budget, a panel is capped.  All the panels of a table share one
-depth, a Python int, so the accept test compares with one float unless an
-integral of the batch has a scale above 1, and the endpoint fit runs at one
-level only.
+depth, a Python int, so the accept test compares with one float times each
+panel's scale, and the endpoint fit runs at one level only.
 
 Summation: each integral's accepted panel values (S₂ plus the Richardson
 correction) are summed sequentially in order of their left endpoints, the
@@ -378,7 +377,6 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
     # value, or a steep but finite end, is no sample of the integral's size
     restart = scale is None
     scale = np.fmax(1.0, np.abs((high - low) * fm)) if restart else scale
-    scaled = bool(np.any(scale > 1.0))
     panels = panels[:, started]
     divergent, out_of_budget, restarted = np.zeros((3, K), dtype=bool)
     grading = np.ones((2, K))   # k at each integral's low and high end, where it restarts
@@ -411,9 +409,7 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
         err = (s2 - panels[_S0]) / 15.0
         np.add(s2, err, out=panels[_VAL])
         np.abs(err, out=panels[_ERR])
-        allowed = tol * 0.5**depth   # tol·s/2^depth
-        if scaled:
-            allowed = allowed * scale[owner]
+        allowed = tol * 0.5**depth * scale[owner]   # tol·s/2^depth
         accepted = panels[_ERR] <= allowed
         refine = ~accepted
         # a failed node makes its panel's Simpson estimate NaN and an overflow

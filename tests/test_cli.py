@@ -72,6 +72,14 @@ class TestIntegrate:
         body = json.loads(out)
         assert (body["status"], body["value"]) == ("diverged", None)
 
+    def test_interior_pole_is_diverged(self, capsys):
+        # ∫₀¹ (x − 0.3)^−2: the capped blow-up rule calls it divergent
+        code, out, _ = run_cli(capsys, "integrate", "--f", "1/(x-0.3)^2", "--g", "identity",
+                               "--dim", "1")
+        assert code == 2
+        body = json.loads(out)
+        assert (body["status"], body["detail"]) == ("diverged", "inner classical integral diverged")
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "integrate", "--f", "x +* y", "--g", "sqrt")
         assert code == 1

@@ -17,6 +17,7 @@ from pseudocalc.quadrature import (
     BAND_ELEMENTS,
     UNIT_SQUARE,
     Rect,
+    _nan_for_failed,
     integrate_1d,
     integrate_2d,
     level_set_samples,
@@ -29,9 +30,7 @@ def sugeno_from_sorted(descending: np.ndarray, cell_area: float) -> float:
     max(k*·cell, v_(k*+1)) at the crossing rank k* = max{k : v_(k) ≥ k·cell},
     with k* bisected over every rank, as the library's selection paths test it.
     """
-    k_star = P._crossing_rank(descending, cell_area, 0, descending.size)
-    return P._sugeno_value(k_star, cell_area,
-                           descending[k_star] if k_star < descending.size else None)
+    return P._sugeno_tail(descending, cell_area)
 
 
 def sugeno_prefix_blocks(F: np.ndarray, row_ends, col_ends, cell_area: float) -> np.ndarray:
@@ -423,15 +422,23 @@ def _same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def scan_in_memory(values, cell_area):
+    """_sugeno_scan of an array in memory, counted as one band, NaN where a value is not finite."""
+    flat = _nan_for_failed(np.asarray(values, dtype=float).ravel())
+    return P._sugeno_scan(P._band_counts(lambda: (flat,)), lambda nodes: flat[nodes],
+                          flat.size, values.shape[-1], cell_area)
+
+
 class TestSugenoFromSamples:
-    """Selection around the crossing rank against a full sort, bit for bit."""
+    """sugeno_from_samples and the scan's selection around the crossing rank: a full sort's bits."""
 
     @staticmethod
     def assert_exact(values, cells=None):
         n = max(values.size, 1)
         for cell in cells or (1.0 / n, 0.1 / n, 10.0 / n, 1e-3, 0.37):
-            got = P.sugeno_from_samples(values, cell)
-            assert _same_bits(got, _sorted_sugeno(values, cell)), (values.shape, cell)
+            want = _sorted_sugeno(values, cell)
+            assert _same_bits(P.sugeno_from_samples(values, cell), want), (values.shape, cell)
+            assert _same_bits(scan_in_memory(values, cell), want), (values.shape, cell)
 
     @pytest.mark.parametrize("shape", [(1024, 1024), (300, 257), (5000,)])
     def test_random(self, shape):
@@ -465,7 +472,7 @@ class TestSugenoFromSamples:
         assert _same_bits(P.sugeno_integral_2d(f, grid=256), want)
 
     def test_empty_and_all_failed(self):
-        assert P.sugeno_from_samples(np.zeros(0), 0.1) == 0.0
+        assert P.sugeno_from_samples(np.zeros(0), 0.1) == scan_in_memory(np.zeros(0), 0.1) == 0.0
         assert P.sugeno_integral_2d(lambda x, y: np.log(x - 2.0), grid=64) == 0.0
         assert P.sugeno_integral_2d(lambda x, y: x / (x - x), grid=64) == 0.0
 
@@ -526,7 +533,9 @@ class TestSugenoFromSamples:
         if outside:
             values = values * 2.5 - 0.5
         cell = cell_scale / max(n, 1)
-        assert _same_bits(P.sugeno_from_samples(values, cell), _sorted_sugeno(values, cell))
+        want = _sorted_sugeno(values, cell)
+        assert _same_bits(P.sugeno_from_samples(values, cell), want)
+        assert _same_bits(scan_in_memory(values, cell), want)
 
 
 @pytest.fixture
@@ -548,7 +557,7 @@ class TestSelectionWork:
 
     def test_tie_at_the_crossing_is_not_sorted(self, sorted_sizes):
         values = np.full((256, 256), 0.3)
-        got = P.sugeno_from_samples(values, 1.0 / values.size)
+        got = scan_in_memory(values, 1.0 / values.size)
         # one sort, of a subsample of about 4·256 values: the tie is bisected as a constant
         assert len(sorted_sizes) == 1 and sorted_sizes[0] <= 4 * 256 + 1
         assert _same_bits(got, _sorted_sugeno(values, 1.0 / values.size))
@@ -562,7 +571,7 @@ class TestSelectionWork:
         rng = np.random.default_rng(8)
         values = rng.random(n)
         values[::stride] += bias
-        got = P.sugeno_from_samples(values, 1.0 / n)
+        got = scan_in_memory(values, 1.0 / n)
         assert sum(sorted_sizes) < n // 4
         assert _same_bits(got, _sorted_sugeno(values, 1.0 / n))
 

@@ -560,6 +560,12 @@ class TestBlowupScale:
         res = Q.integrate_1d(lambda x: f(x, 0.0), 0.0, 1.0, 1e-8)
         assert res.status == "max_refinement" and res.value == 75524.80054924975
 
+    def test_interior_pole_is_divergent(self):
+        # no node lands on x = 0.3, so only the capped panels' blow-up,
+        # relative to the scale, reads ∫ (x − 0.3)^−2 as divergent
+        res = Q.integrate_1d(lambda x: 1 / (x - 0.3) ** 2, 0.0, 1.0)
+        assert (res.status, res.error_estimate) == ("diverged", math.inf)
+
 
 class TestInnerLookahead:
     @pytest.mark.parametrize("name", sorted(LOOKAHEAD_BITS))
