@@ -10,7 +10,6 @@ twice, tagged "paper" (the printed value in the source material) and
 "recomputed" (this tool's value), plus discrepancy annotations where the two
 disagree; the tool never silently corrects the printed values.
 
-Environment: PSEUDOCALC_MAX_DEPTH overrides the adaptive refinement depth.
 Report JSON carries schema_version 1.
 """
 
@@ -23,7 +22,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -35,7 +33,6 @@ from .hardy import (
     G_HARDY,
     SUGENO_HARDY,
     SUP_HARDY,
-    HardyConfig,
     HardyScenario,
     HypothesisError,
     check_hardy_classical,
@@ -61,10 +58,6 @@ EXIT_USAGE = 1
 EXIT_DIVERGED = 2
 
 DEFAULT_DOMAINS = {1: "0,1", 2: "0,1,0,1"}
-
-
-def _max_depth() -> int:
-    return int(os.environ.get("PSEUDOCALC_MAX_DEPTH", DEFAULT_MAX_DEPTH))
 
 
 def _payload(kind: str, body: dict, config_echo: dict) -> dict:
@@ -133,11 +126,10 @@ def cmd_integrate(args) -> int:
     tree = expr_mod.parse(args.f)
     f = expr_mod.as_function(tree)
     tol = args.tol
-    depth = _max_depth()
     if args.domain is None:
         args.domain = DEFAULT_DOMAINS[args.dim]
     echo = {"f": args.f, "dim": args.dim, "domain": args.domain, "tol": tol,
-            "max_depth": depth}
+            "max_depth": DEFAULT_MAX_DEPTH}
     if args.sugeno:
         if args.dim != 2:
             raise ValueError("--sugeno requires --dim 2")
@@ -161,9 +153,9 @@ def cmd_integrate(args) -> int:
         echo["g"] = args.g
         if args.dim == 1:
             lo, hi = _parse_domain(args.domain, 1)
-            value, quad, reason = g_integral_1d(gen, lambda x: f(x, 0.0), lo, hi, tol, depth)
+            value, quad, reason = g_integral_1d(gen, lambda x: f(x, 0.0), lo, hi, tol)
         else:
-            value, quad, reason = g_integral_2d(gen, f, _parse_domain(args.domain, 2), tol, depth)
+            value, quad, reason = g_integral_2d(gen, f, _parse_domain(args.domain, 2), tol)
         if value is None:
             # the inner integral diverged, or g⁻¹ is undefined at it: no value, as `hardy` reports it
             body = {"value": None, "status": quad.status, "integral": "g", "detail": reason}
@@ -196,7 +188,6 @@ def _scenario_from_args(args) -> HardyScenario:
 
 
 def cmd_hardy(args) -> int:
-    config = HardyConfig(max_depth=_max_depth())
     if args.diagnostics:
         if not args.g or args.p is None or not args.f:
             print("--diagnostics needs --f, --g and --p", file=sys.stderr)
@@ -204,7 +195,7 @@ def cmd_hardy(args) -> int:
         gen = make_generator(args.g)
         f = expr_mod.as_function(expr_mod.parse(args.f))
         try:
-            diag = remark_diagnostics(gen, f, args.p, config)
+            diag = remark_diagnostics(gen, f, args.p)
         except HypothesisError as e:
             print(f"hypothesis error: {e}", file=sys.stderr)
             return EXIT_USAGE
@@ -213,7 +204,7 @@ def cmd_hardy(args) -> int:
         return EXIT_DIVERGED if diag.not_evaluable else EXIT_OK
     try:
         scenario = _scenario_from_args(args)
-        report = run_check(scenario, config)
+        report = run_check(scenario)
     except HypothesisError as e:
         print(f"hypothesis error: {e}", file=sys.stderr)
         if scenario.check_kind == G_HARDY and scenario.p <= 1.0:
@@ -223,8 +214,7 @@ def cmd_hardy(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     body = {"scenario": scenario.to_dict(), **report.to_dict()}
-    _emit(_payload("hardy", body, {"quad_tol": config.quad_tol,
-                                   "max_depth": config.max_depth}),
+    _emit(_payload("hardy", body, {"quad_tol": DEFAULT_TOL, "max_depth": DEFAULT_MAX_DEPTH}),
           args.format, args.output)
     if report.not_evaluable:
         return EXIT_DIVERGED

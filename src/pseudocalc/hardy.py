@@ -77,6 +77,7 @@ import numpy as np
 from . import expr as expr_mod
 from .generators import Generator, RangeError, eval_inverse, make_generator, outside_range
 from .pseudo_integral import (
+    SUP_GRID_LEVEL,
     DomainError,
     PsiDensity,
     _power_of,
@@ -88,6 +89,7 @@ from .pseudo_integral import (
 )
 from .quadrature import (
     CONVERGED,
+    DEFAULT_TOL,
     DIVERGED,
     UNIT_SQUARE,
     Rect,
@@ -157,10 +159,9 @@ class Record:
 
 @dataclass
 class HardyConfig:
-    quad_tol: float = 1e-8
-    max_depth: int = 30             # adaptive refinement depth cap
+    quad_tol: float = DEFAULT_TOL
     kernel_panels: int = 256        # graded prefix grid for the lhs and the R≤f check
-    sup_level: int = 9              # 2^level+1 nodes per axis for sup checks
+    sup_level: int = SUP_GRID_LEVEL     # 2^level+1 nodes per axis for sup checks
     sugeno_outer: int = 48          # outer Sugeno grid for the kernel side (4× as many samples)
     sugeno_lhs_grid: int = 1024     # grid for the f^p Sugeno side
 
@@ -237,7 +238,7 @@ class HardyScenario:
     def __post_init__(self):
         if self.check_kind not in CHECK_KINDS:
             raise ValueError(f"unknown check kind {self.check_kind!r}")
-        expr_mod.parse(self.f_src)  # f must parse; evaluation errors surface later
+        self.f      # f must parse (the one parse, cached); evaluation errors surface later
         if not math.isfinite(self.p):
             raise ValueError("p must be finite")
 
@@ -284,32 +285,40 @@ class HardyScenario:
 
 
 # --- constants ---------------------------------------------------------------
+# Each constant is the one test of its theorem's p: every check calls it
+# before anything else, and FuzzConfig calls it on a campaign's p values.
 
 
 def hardy_constant(p: float) -> float:
-    """(p/(p-1))^{2p}, the two-dimensional Hardy constant; always ≥ 1 for p>1.
+    """(p/(p-1))^{2p}, the two-dimensional Hardy constant of the g and sup
+    checks; always ≥ 1 for p>1.
 
     The ratio is formed first, so the evaluation lives in the log domain of
     pow: finite (no inf) for any p ≥ 1+1e-6 and exact on integer cases.
     """
-    if p <= 1.0:
-        raise HypothesisError(
-            "hardy_constant requires p > 1; use remark_diagnostics for p <= 1"
-        )
+    if not p > 1.0:
+        raise HypothesisError(f"the Hardy constant (p/(p-1))^{{2p}} requires p > 1, got {p!r}")
     return (p / (p - 1.0)) ** (2.0 * p)
 
 
 def classical_hardy_constant(p: float) -> float:
     """(p/(p-1))^p, the one-dimensional classical constant."""
-    if p <= 1.0:
-        raise HypothesisError("classical constant requires p > 1")
+    if not p > 1.0:
+        raise HypothesisError(f"the classical constant (p/(p-1))^p requires p > 1, got {p!r}")
     return (p / (p - 1.0)) ** p
 
 
 def sugeno_hardy_constant(p: float) -> float:
-    """(4/5)^{16p/(9(2p+1))}; valid for p ≥ 1."""
-    if p < 1.0:
-        raise HypothesisError("sugeno_hardy_constant requires p >= 1")
+    """(4/5)^{16p/(9(2p+1))}; valid for p ≥ 1.
+
+    9(2p+1) overflows from p ≈ 1e307, so above p = 1e300 the exponent is
+    formed as 16/(9(2 + 1/p)): the same quotient, finite, and 8/9 there.
+    """
+    if not p >= 1.0:
+        raise HypothesisError(f"the Sugeno constant (4/5)^{{16p/(9(2p+1))}} requires p >= 1, "
+                              f"got {p!r}")
+    if p > 1e300:
+        return (4.0 / 5.0) ** (16.0 / (9.0 * (2.0 + 1.0 / p)))
     return (4.0 / 5.0) ** (16.0 * p / (9.0 * (2.0 * p + 1.0)))
 
 
@@ -429,16 +438,14 @@ def _require_origin_anchor(r: Rect):
 
 def check_hardy_g(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> HardyReport:
     """Verify the g-integral Hardy inequality for one scenario."""
-    if scn.p <= 1.0:
-        raise HypothesisError("g_hardy requires p > 1; use remark_diagnostics for p <= 1")
+    p = scn.p
+    constant = hardy_constant(p)
     _require_origin_anchor(scn.domain)
     gen = scn.generator
     f = expr_mod.as_function(scn.f)
-    p = scn.p
-    constant = hardy_constant(p)
     notes: list[str] = []
     rhs_integral, rhs_quad, reason = g_integral_2d(
-        gen, lambda s, t: f(s, t) ** p, scn.domain, config.quad_tol, config.max_depth)
+        gen, lambda s, t: f(s, t) ** p, scn.domain, config.quad_tol)
     statuses = {"rhs": rhs_quad.status}
     if rhs_integral is None:
         # the inner integral diverged, or g⁻¹ is undefined at its value
@@ -564,14 +571,12 @@ def _running_max(R: np.ndarray, column_max: np.ndarray) -> np.ndarray:
 
 def check_hardy_sup(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> HardyReport:
     """Verify the sup-integral Hardy inequality for one scenario."""
-    if scn.p <= 1.0:
-        raise HypothesisError("sup_hardy requires p > 1")
+    p = scn.p
+    constant = hardy_constant(p)
     _require_origin_anchor(scn.domain)
     s = scn.semiring
     psi = scn.psi or unit_psi(s)
     f = expr_mod.as_function(scn.f)
-    p = scn.p
-    constant = hardy_constant(p)
     flags = SaturationFlags()
     notes = [
         "sup kernel: psi-weighted running sup (the 1/(xy) normalization cancels "
@@ -606,12 +611,10 @@ def check_hardy_sup(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) ->
 
 def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG) -> HardyReport:
     """Verify the Sugeno Hardy inequality (direction ≥, p ≥ 1)."""
-    if scn.p < 1.0:
-        raise HypothesisError("sugeno_hardy requires p >= 1")
-    _require_origin_anchor(scn.domain)
-    f = expr_mod.as_function(scn.f)
     p = scn.p
     constant = sugeno_hardy_constant(p)
+    _require_origin_anchor(scn.domain)
+    f = expr_mod.as_function(scn.f)
     X, Y = scn.domain.x_high, scn.domain.y_high
     m = config.sugeno_outer
     stride = 4                      # f samples per outer cell along each axis
@@ -641,11 +644,9 @@ def check_hardy_sugeno(scn: HardyScenario, config: HardyConfig = DEFAULT_CONFIG)
 def check_hardy_classical(f, p: float, low: float, high: float,
                           tol: float = 1e-9) -> HardyReport:
     """Classical baseline: (p/(p-1))^p ∫ f^p > ∫ (F/x)^p on [low, high], F(x)=∫₀ˣf."""
-    if p <= 1.0:
-        raise HypothesisError("classical Hardy requires p > 1")
+    constant = classical_hardy_constant(p)
     if not (0.0 < low < high):
         raise HypothesisError("requires 0 < low < high")
-    constant = classical_hardy_constant(p)
     vals = eval_nodes(f, np.linspace(low, high, 101))
     if np.isnan(np.sum(vals)):
         return _not_evaluable(CLASSICAL, p, constant, {"rhs": DIVERGED},
@@ -759,7 +760,7 @@ def remark_diagnostics(gen: Generator, f, p: float,
                                      constant_defined=defined, lhs_status=DIVERGED,
                                      notes=[*notes, str(e)])
         rhs_value, res, reason = g_integral_2d(gen, lambda s, t: f(s, t) ** p, UNIT_SQUARE,
-                                               config.quad_tol, config.max_depth)
+                                               config.quad_tol)
         rhs_inner_val = None if res.status == DIVERGED else res.value
         # the rhs first, so that a divergent rhs keeps its own note
         if reason is None:
@@ -788,7 +789,7 @@ def remark_diagnostics(gen: Generator, f, p: float,
     # sides reduce to the pseudo-integral of f⁰ ≡ 1, and the criterion checked
     # is the asserted ∫∫^⊕ f ≥ 1
     value, res, reason = g_integral_2d(gen, (lambda s, t: f(s, t) ** p) if p < 0.0 else f,
-                                       UNIT_SQUARE, config.quad_tol, config.max_depth)
+                                       UNIT_SQUARE, config.quad_tol)
     if p < 0.0:
         diag = DiagnosticsReport(p=p, branch="p<0", constant=None, constant_defined=False,
                                  lhs_value=value, lhs_status=res.status, notes=[reason])

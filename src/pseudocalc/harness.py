@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .hardy import (
-    CHECK_KINDS,
     G_HARDY,
     SUGENO_HARDY,
     SUP_HARDY,
@@ -34,7 +33,9 @@ from .hardy import (
     HardyReport,
     HardyScenario,
     Record,
+    hardy_constant,
     run_check,
+    sugeno_hardy_constant,
 )
 
 MASK64 = (1 << 64) - 1
@@ -44,6 +45,11 @@ MONOMIAL = "monomial"
 AFFINE_MEAN = "affine-mean"
 PRODUCT_MONOTONE = "product-of-monotone"
 FAMILIES = (MONOMIAL, AFFINE_MEAN, PRODUCT_MONOTONE)
+
+# the kinds a campaign runs, each with the constant that tests its p; a
+# classical trial would get the domain's lower limit 0, which it refuses
+CAMPAIGN_CONSTANTS = {G_HARDY: hardy_constant, SUP_HARDY: hardy_constant,
+                      SUGENO_HARDY: sugeno_hardy_constant}
 
 
 class SplitMix64:
@@ -109,14 +115,10 @@ class FuzzConfig(Record):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for k in self.kinds:
-            if k not in CHECK_KINDS:
-                raise ValueError(f"unknown check kind {k!r}")
-        needs_p_gt_1 = any(k in (G_HARDY, SUP_HARDY) for k in self.kinds)
-        for p in self.p_values:
-            if needs_p_gt_1 and p <= 1.0:
-                raise ValueError("theorem-regime campaigns need every p > 1")
-            if p < 1.0:
-                raise ValueError("campaign p values must be >= 1")
+            if k not in CAMPAIGN_CONSTANTS:
+                raise ValueError(f"campaigns run {', '.join(CAMPAIGN_CONSTANTS)}, not {k!r}")
+            for p in self.p_values:
+                CAMPAIGN_CONSTANTS[k](p)
 
     def hardy_config(self) -> HardyConfig:
         cfg = HardyConfig()

@@ -294,22 +294,18 @@ def sugeno_integral_2d(f, r: Rect = UNIT_SQUARE,
 def _crossing_rank(descending, cell_area: float, lo: int, hi: int) -> int:
     """max{k ∈ [lo, hi] : k = lo or v_(k) ≥ k·cell}, where descending[i] = v_(lo+1+i).
 
-    The test holds at lo and is monotone in k, so the ranks are bisected.
+    The test holds at lo and is monotone in k (v_(k) falls, fl(k·cell)
+    rises), so k* is lo plus the number of ranks lo+1 … hi that pass it.
     """
-    base = lo
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if descending[mid - base - 1] >= mid * cell_area:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    ranks = np.arange(lo + 1, hi + 1, dtype=float)
+    ranks *= cell_area      # fl(k·cell) in place: one float per rank is held
+    return lo + int(np.count_nonzero(np.asarray(descending[:hi - lo]) >= ranks))
 
 
 def _sugeno_tail(descending, cell_area: float, before: int = 0) -> float:
     """max(k*·cell, v_(k*+1)), with descending[i] = v_(before+1+i) and k* ≥ before.
 
-    k* is bisected over the ranks before … before + len(descending).  A
+    k* is counted over the ranks before … before + len(descending).  A
     value after the last one given is at most k*·cell, or there is none, so
     past the last rank the value is k*·cell.
     """
@@ -390,7 +386,7 @@ def _sugeno_scan(count, subsample, nodes: int, side: int, cell_area: float) -> f
     most t, so c·cell ≤ t gives k* ≥ c (a lower cut) and c·cell > t gives
     k* ≤ c (an upper cut).  Between a lower cut L and an upper cut U with
     L ⊆ U lie the ranks c_L+1 … c_U, held by the members of U outside L.
-    Only those are sorted, and k* is bisected among them; v_(k*+1) is the
+    Only those are sorted, and k* is counted among them; v_(k*+1) is the
     next of them.  When k* = c_U it is a value outside U, at most U's
     threshold, which is below c_U·cell: the value is k*·cell, and no value
     below the cuts is kept.
@@ -408,12 +404,12 @@ def _sugeno_scan(count, subsample, nodes: int, side: int, cell_area: float) -> f
     probe past either end of the subsample takes the trivial cut (c = 0
     above, every value below), which cannot miss; with both trivial every
     value lies between them, a full sort.  When both probes land on one tied
-    value t, every rank c_L+1 … c_U holds t, so it is bisected as a
-    constant without values being kept or sorted.  Fewer than 256 nodes (a
-    stride below 4), or a cell_area that is not positive, take the trivial
-    cuts.  Each rank is tested as a full sort's bisection (_crossing_rank)
-    would test it, and the value depends only on the multiset of non-NaN
-    values, so it is the same bits.
+    value t, every rank c_L+1 … c_U holds t, so k* is read off t's pass
+    count (_pass_counts), with no value kept or sorted and no array of
+    ranks formed.  Fewer than 256 nodes (a stride below 4), or a cell_area
+    that is not positive, take the trivial cuts.  Each rank is tested as a
+    full sort's count (_crossing_rank) would test it, and the value depends
+    only on the multiset of non-NaN values, so it is the same bits.
     """
     v_sub, guess = np.empty(0), 0
     stride = math.isqrt(nodes) // 4
@@ -446,9 +442,12 @@ def _sugeno_scan(count, subsample, nodes: int, side: int, cell_area: float) -> f
         else:
             break
 
-    between = (np.broadcast_to(t_lo, (c_lo - c_hi,)) if t_lo == t_hi
-               else np.sort(np.concatenate(kept))[::-1])
-    return _sugeno_tail(between, cell_area, c_hi)
+    if t_lo == t_hi:
+        # k* is the last rank K ≤ c_lo with fl(K·cell) ≤ t (_pass_counts), or c_hi;
+        # the one tied value after it is all the tail reads, so no rank array is formed
+        k_star = max(c_hi, int(_pass_counts(np.array([t_lo]), cell_area, c_lo, np.int64)[0]) - 1)
+        return _sugeno_tail(np.broadcast_to(t_lo, (min(c_lo - k_star, 1),)), cell_area, k_star)
+    return _sugeno_tail(np.sort(np.concatenate(kept))[::-1], cell_area, c_hi)
 
 
 # entries of the int64 table that one bincount fills before it is narrowed

@@ -327,8 +327,8 @@ def _adaptive(fk, low, high, tol: float, max_depth: int, budget=EVAL_BUDGET,
     fourth argument.  scale, given by a restart only, is each integral's
     tolerance scale, and a restart is not restarted again.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:     # a NaN tol would accept no panel and refine to max_depth
+        raise ValueError(f"tol must be a positive finite float, got {tol!r}")
     low = np.asarray(low, dtype=float)
     high = np.asarray(high, dtype=float)
     K = low.size

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from pseudocalc import cli, expr
+from pseudocalc import cli, expr, harness
 from pseudocalc.generators import make_generator
 from pseudocalc.hardy import HardyReport
 from pseudocalc.pseudo_integral import g_integral_2d
@@ -144,19 +144,27 @@ class TestIntegrate:
         assert payload["status"] == "max_refinement"
         assert "outside range" in payload["detail"]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+    @pytest.mark.parametrize("dim", ["1", "2"])
+    def test_tol_must_be_positive_finite(self, capsys, monkeypatch, tol, dim):
+        # a NaN tol accepted no panel, so every panel refined to the depth cap
+        def never_called(tree):
+            def f(*point):
+                raise AssertionError("the integrand was evaluated")
+
+            return f
+
+        monkeypatch.setattr(expr, "as_function", never_called)
+        code, out, err = run_cli(capsys, "integrate", "--f", "x", "--g", "sqrt", "--dim", dim,
+                                 f"--tol={tol}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: tol must be a positive finite float") and err.count("\n") == 1
+
     def test_sugeno_flag(self, capsys):
         code, out, _ = run_cli(capsys, "integrate", "--f", "min(x,y)", "--sugeno",
                                "--dim", "2", "--grid", "512")
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.381966, abs=2e-3)
-
-    def test_max_depth_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PSEUDOCALC_MAX_DEPTH", "4")
-        code, out, _ = run_cli(capsys, "integrate", "--f", "x^0.25", "--g", "identity",
-                               "--dim", "1", "--domain", "0,1")
-        payload = json.loads(out)
-        assert payload["config"]["max_depth"] == 4
-        assert payload["status"] == "max_refinement"
 
     def test_missing_backend(self, capsys):
         code, _, err = run_cli(capsys, "integrate", "--f", "x*y")
@@ -237,16 +245,19 @@ class TestHardyCommand:
         rep = HardyReport.from_dict(payload)
         assert rep.holds is True
 
-    def test_hypothesis_gate_suggests_diagnostics(self, capsys):
-        code, _, err = run_cli(capsys, "hardy", "--f", "x*y", "--g", "identity",
-                               "--p", "0.5")
+    @pytest.mark.parametrize("p", ["0.5", "1"])
+    def test_hypothesis_gate_suggests_diagnostics(self, capsys, p):
+        code, _, err = run_cli(capsys, "hardy", "--f", "x*y", "--g", "identity", "--p", p)
         assert code == 1
+        assert "hypothesis error" in err
         assert "--diagnostics" in err
 
     @pytest.mark.parametrize("argv", [
         ("--f", "x", "--kind", "classical", "--p", "2"),      # 0 < low < high fails
         ("--f", "x", "--kind", "classical", "--p", "0.5", "--domain", "0.1,1"),
         ("--f", "x*y", "--semiring", "suptimes", "--p", "0.5"),
+        ("--f", "x", "--semiring", "suptimes", "--p", "1"),
+        ("--f", "x", "--kind", "sugeno_hardy", "--p", "0.5"),
     ])
     def test_hypothesis_gate_without_diagnostics_hint(self, capsys, argv):
         # --diagnostics serves only the g check with p <= 1
@@ -254,6 +265,14 @@ class TestHardyCommand:
         assert code == 1
         assert "hypothesis error" in err
         assert "--diagnostics" not in err
+
+    def test_sugeno_check_at_huge_p(self, capsys):
+        # 9(2p+1) overflows at p = 1e308: the constant was NaN, a false violation
+        code, out, _ = run_cli(capsys, "hardy", "--kind", "sugeno_hardy", "--f", "x*y",
+                               "--p", "1e308")
+        payload = json.loads(out)
+        assert code == 0 and payload["holds"] is True
+        assert payload["constant"] == pytest.approx((4.0 / 5.0) ** (8.0 / 9.0), rel=1e-15)
 
     def test_diagnostics_mode(self, capsys):
         code, out, _ = run_cli(capsys, "hardy", "--f", "x^2*y^2", "--g", "sqrt",
@@ -632,6 +651,22 @@ class TestFuzzAndRefine:
         assert code == 0
         config = json.loads(out)["config"]
         assert (config["seed"], config["trials"], config["kinds"]) == (5, 2, ["g_hardy"])
+
+    @pytest.mark.parametrize("config", [
+        {"kinds": ["classical"]},
+        {"kinds": ["sugeno_hardy", "classical"], "p_values": [1.0]},
+        {"kinds": ["sup_hardy"], "p_values": [1.0]},
+    ])
+    def test_fuzz_config_refused_before_any_trial(self, capsys, tmp_path, monkeypatch, config):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_check", no_trial)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"trials": 3, **config}))
+        code, out, err = run_cli(capsys, "fuzz", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_fuzz_csv(self, capsys):
         code, out, _ = run_cli(capsys, "fuzz", "--trials", "3", "--seed", "9",

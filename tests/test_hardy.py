@@ -56,6 +56,94 @@ class TestConstants:
     def test_classical_constant(self):
         assert H.classical_hardy_constant(2.0) == 4.0
 
+    # sugeno_hardy_constant's bits, recorded from (4/5)^{16p/(9(2p+1))}
+    SUGENO_HEX = {1.0: "0x1.c094fb64ef98bp-1", 1.5: "0x1.b93a6cec0b3b2p-1",
+                  2.0: "0x1.b4dfbcd00f86cp-1", 2.5: "0x1.b1febaf19e78ep-1",
+                  3.0: "0x1.aff34598f942fp-1"}
+
+    def test_sugeno_constant_bits(self):
+        assert {p: H.sugeno_hardy_constant(p).hex() for p in self.SUGENO_HEX} == self.SUGENO_HEX
+        rng = np.random.default_rng(34)
+        for p in np.concatenate((rng.uniform(1.0, 1e6, 500), 10.0 ** rng.uniform(0.0, 6.0, 500))):
+            p = float(p)
+            assert H.sugeno_hardy_constant(p).hex() == (
+                (4.0 / 5.0) ** (16.0 * p / (9.0 * (2.0 * p + 1.0)))).hex(), p
+
+    @pytest.mark.parametrize("p", [1e300, 1e307, 1.2e307, 1e308, 1.7976931348623157e308])
+    def test_sugeno_constant_finite_at_huge_p(self, p):
+        # 9(2p+1) overflows from p ≈ 1e307: the exponent went to 0, then NaN
+        constant = H.sugeno_hardy_constant(p)
+        assert math.isfinite(constant)
+        assert constant == pytest.approx((4.0 / 5.0) ** (8.0 / 9.0), rel=1e-15, abs=0.0)
+
+
+@pytest.fixture
+def f_calls(monkeypatch):
+    """The number of points at which checks evaluate f while the test runs."""
+    calls = []
+    compile_f = expr.as_function
+
+    def counting(tree):
+        f = compile_f(tree)
+
+        def counted(*point):
+            calls.append(1)
+            return f(*point)
+
+        return counted
+
+    monkeypatch.setattr(expr, "as_function", counting)
+    return calls
+
+
+class TestHypothesisOwners:
+    """Each kind's constant is the one test of its p; the checks call it before anything else."""
+
+    @pytest.mark.parametrize("kind,p,extra", [
+        ("g_hardy", 1.0, {"gen_spec": "identity"}), ("g_hardy", 0.5, {"gen_spec": "identity"}),
+        ("sup_hardy", 1.0, {"semiring_spec": "suptimes"}),
+        ("sup_hardy", -2.0, {"semiring_spec": "supplus"}),
+        ("sugeno_hardy", 0.99, {}), ("sugeno_hardy", 0.0, {}),
+        ("classical", 1.0, {}),
+    ])
+    @pytest.mark.parametrize("domain", [UNIT_SQUARE, Rect(0.25, 1.0, 0.0, 1.0)],
+                             ids=["anchored", "off_the_origin"])
+    def test_p_refused_first(self, f_calls, kind, p, extra, domain):
+        # off the origin the 2-D kinds would raise the anchor ValueError; the
+        # p error comes first, before f is evaluated anywhere
+        scn = H.HardyScenario(f_src="x*y+1", check_kind=kind, p=p, domain=domain, **extra)
+        with pytest.raises(H.HypothesisError, match="requires p"):
+            H.run_check(scn)
+        assert f_calls == []
+
+    def test_counting_f_sees_an_admissible_check(self, f_calls):
+        H.run_check(H.HardyScenario(f_src="x*y", check_kind="sugeno_hardy", p=1.0))
+        assert f_calls
+
+    def test_classical_p_refused_before_the_interval(self):
+        calls = []
+        with pytest.raises(H.HypothesisError, match="requires p > 1"):
+            H.check_hardy_classical(lambda x: calls.append(x) or x, 1.0, 0.0, 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("p", [0.5, math.nan])
+    @pytest.mark.parametrize("constant", [H.hardy_constant, H.sugeno_hardy_constant,
+                                          H.classical_hardy_constant])
+    def test_constants_refuse_p_in_neutral_words(self, constant, p):
+        # hardy_constant serves the sup check too, which remark_diagnostics cannot take
+        with pytest.raises(H.HypothesisError, match="requires p") as info:
+            constant(p)
+        assert "remark_diagnostics" not in str(info.value)
+
+    def test_scenario_parses_f_once(self, monkeypatch):
+        parses = []
+        parse = expr.parse
+        monkeypatch.setattr(expr, "parse", lambda src: parses.append(src) or parse(src))
+        scn = H.HardyScenario(f_src="x*y", check_kind="sup_hardy", p=2.0, semiring_spec="suptimes")
+        H.run_check(scn)
+        H.run_check(scn)
+        assert parses == ["x*y"]
+
 
 class TestKernel:
     def test_sqrt_squares_kernel(self):

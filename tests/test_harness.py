@@ -7,7 +7,7 @@ import pytest
 
 from pseudocalc import expr
 from pseudocalc import harness as HA
-from pseudocalc.hardy import HardyScenario
+from pseudocalc.hardy import HardyScenario, HypothesisError
 from pseudocalc.harness import DivergenceError
 
 
@@ -66,6 +66,24 @@ class TestFuzzConfig:
         # sugeno-only campaigns admit p = 1
         HA.FuzzConfig(p_values=(1.0,), kinds=("sugeno_hardy",))
 
+    @pytest.mark.parametrize("kinds,p_values", [
+        (("classical",), (1.5, 2.0, 3.0)),
+        (("sugeno_hardy", "classical"), (1.0,)),
+        (("g_hardy", "classical"), (2.0,)),
+    ])
+    def test_campaigns_run_only_the_two_dimensional_kinds(self, kinds, p_values):
+        # a classical trial gets the domain's lower limit 0, which its check refuses
+        with pytest.raises(ValueError, match="campaigns run g_hardy, sup_hardy, sugeno_hardy"):
+            HA.FuzzConfig(kinds=kinds, p_values=p_values)
+
+    @pytest.mark.parametrize("kinds,p", [
+        (("g_hardy",), 1.0), (("sup_hardy",), 1.0), (("sugeno_hardy",), 0.99),
+        (("sugeno_hardy", "sup_hardy"), 1.0), (("g_hardy",), float("nan")),
+    ])
+    def test_p_is_checked_by_each_kinds_constant(self, kinds, p):
+        with pytest.raises(HypothesisError, match="requires p"):
+            HA.FuzzConfig(kinds=kinds, p_values=(2.0, p))
+
     def test_json_roundtrip(self):
         cfg = HA.FuzzConfig(seed=5, trials=7, tolerance_overrides={"sup_level": 7})
         again = HA.FuzzConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
@@ -79,10 +97,12 @@ class TestFuzzConfig:
         with pytest.raises(ValueError):
             cfg.hardy_config()
 
-    @pytest.mark.parametrize("name", ["pointwise_panels", "pointwise_points", "sugeno_samples"])
+    @pytest.mark.parametrize("name", ["pointwise_panels", "pointwise_points", "sugeno_samples",
+                                      "max_depth"])
     def test_removed_knobs_rejected(self, name):
         # R ≤ f is read off the kernel grid and the Sugeno sample grid is
-        # 4 × sugeno_outer, so neither has a knob of its own
+        # 4 × sugeno_outer, so neither has a knob of its own; the adaptive
+        # depth cap is quadrature's DEFAULT_MAX_DEPTH
         cfg = HA.FuzzConfig(tolerance_overrides={name: 64})
         with pytest.raises(ValueError, match="unknown tolerance override"):
             cfg.hardy_config()

@@ -28,7 +28,7 @@ def sugeno_from_sorted(descending: np.ndarray, cell_area: float) -> float:
     """The oracle of a full sort: max_k min(v_(k), k·cell) for v_(k) = descending[k - 1].
 
     max(k*·cell, v_(k*+1)) at the crossing rank k* = max{k : v_(k) ≥ k·cell},
-    with k* bisected over every rank, as the library's selection paths test it.
+    with k* counted over every rank, as the library's selection paths test it.
     """
     return P._sugeno_tail(descending, cell_area)
 
@@ -414,6 +414,51 @@ class TestSugeno:
                 assert sugeno_from_sorted(descending, cell) == reference(descending, cell)
 
 
+def _bisected_rank(descending, cell_area, lo, hi):
+    """The crossing rank by bisection of the monotone test, as an oracle of the count."""
+    base = lo
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if descending[mid - base - 1] >= mid * cell_area:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+class TestCrossingRank:
+    """_crossing_rank counts the passing ranks; the test is monotone, so that is the bisection's k*."""
+
+    def test_count_matches_bisection(self):
+        rng = np.random.default_rng(34)
+        cases = [np.array([]), np.full(7, 0.3), np.array([math.inf, math.inf, 0.5, -math.inf])]
+        for n in (1, 2, 3, 17, 1000):
+            cases += [rng.random(n), rng.integers(0, 5, n) / 4.0, rng.random(n) ** 8 * 3.0 - 1.0]
+        for values in cases:
+            descending = np.sort(values)[::-1]
+            for before in (0, 1, 250):
+                for cell in (1.0 / max(values.size, 1), 1e-3, 0.37, 5e-324, 1e300):
+                    lo, hi = before, before + descending.size
+                    want = _bisected_rank(descending, cell, lo, hi)
+                    assert P._crossing_rank(descending, cell, lo, hi) == want
+                    # a list, as the Sugeno kernel passes its h, gives the same rank
+                    assert P._crossing_rank(descending.tolist(), cell, lo, hi) == want
+
+    @pytest.mark.parametrize("value", [0.3, 0.5, 0.7])
+    def test_tie_at_the_crossing_forms_no_rank_array(self, value):
+        values = np.full((1024, 1024), value)
+        cell = 1.0 / values.size
+        tracemalloc.start()
+        try:
+            got = scan_in_memory(values, cell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the scan holds about 2 MiB; one rank per tied value would add 8 MiB or more
+        assert peak < 6 * 2**20
+        assert _same_bits(got, _sorted_sugeno(values, cell))
+
+
 def _sorted_sugeno(values, cell):
     return sugeno_from_sorted(np.sort(values, axis=None)[::-1], cell)
 
@@ -558,7 +603,7 @@ class TestSelectionWork:
     def test_tie_at_the_crossing_is_not_sorted(self, sorted_sizes):
         values = np.full((256, 256), 0.3)
         got = scan_in_memory(values, 1.0 / values.size)
-        # one sort, of a subsample of about 4·256 values: the tie is bisected as a constant
+        # one sort, of a subsample of about 4·256 values: the tie's k* comes from its pass count
         assert len(sorted_sizes) == 1 and sorted_sizes[0] <= 4 * 256 + 1
         assert _same_bits(got, _sorted_sugeno(values, 1.0 / values.size))
 

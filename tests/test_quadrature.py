@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pseudocalc import expr
 from pseudocalc import generators as G
+from pseudocalc import hardy as H
 from pseudocalc import pseudo_integral as P
 from pseudocalc import quadrature as Q
 from pseudocalc import semiring as S
@@ -116,6 +117,35 @@ def test_endpoint_power_law(name):
     assert res.evaluations <= max_evaluations
     if value is not None:
         assert res.value == value
+
+
+class TestToleranceRule:
+    """A tol that is not a positive finite float is refused before the integrand is called."""
+
+    BAD = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-8]
+
+    @staticmethod
+    def never_called(*point):
+        raise AssertionError("the integrand was evaluated")
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_engines(self, tol):
+        for run in (lambda: Q.integrate_1d(self.never_called, 0.0, 1.0, tol),
+                    lambda: Q.integrate_batch(self.never_called, [0.0, 0.0], [0.5, 1.0], tol),
+                    lambda: Q.integrate_2d(self.never_called, Q.UNIT_SQUARE, tol),
+                    lambda: P.g_integral_2d(G.make_generator("sqrt"), self.never_called,
+                                            Q.UNIT_SQUARE, tol)):
+            with pytest.raises(ValueError, match="tol must be a positive finite float"):
+                run()
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_checks(self, tol, monkeypatch):
+        with pytest.raises(ValueError, match="tol must be a positive finite float"):
+            H.hardy_kernel_g(G.make_generator("identity"), self.never_called, 0.5, 0.5, tol)
+        monkeypatch.setattr(expr, "as_function", lambda tree: self.never_called)
+        scn = H.HardyScenario(f_src="x*y", check_kind="g_hardy", p=2.0, gen_spec="identity")
+        with pytest.raises(ValueError, match="tol must be a positive finite float"):
+            H.check_hardy_g(scn, H.HardyConfig(quad_tol=tol))
 
 
 class TestIntegrate2D:

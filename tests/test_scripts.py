@@ -9,7 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # the library's code lines (scripts/code_lines.py) at most: a change that
 # raises the ceiling says so, with its reason, in CHANGES.md
-LINE_CEILING = 2108
+LINE_CEILING = 2090
 
 
 def run_python(*args, cwd):
